@@ -162,7 +162,6 @@ def _cmd_bench(args) -> int:
         fps=args.fps,
         clients=args.clients,
         ring_capacity=args.capacity,
-        processes=args.processes,
     )
     report = run_latency_experiment(args.scenario, params)
     print(report.to_text())
@@ -252,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--clients", type=int, default=30)
     p.add_argument("--capacity", type=int, default=64)
-    p.add_argument("--processes", action="store_true")
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_bench)
 

@@ -194,7 +194,7 @@ def analyze_bounds(
     for stream in corpus:
         if len(stream) == 0:
             continue
-        arr = np.stack([f.rotation_array() for f in stream])  # (frames, J, 4)
+        arr = np.stack([f.rotations for f in stream])  # (frames, J, 4)
         if joint_count is None:
             joint_count = arr.shape[1]
         elif arr.shape[1] != joint_count:
@@ -235,43 +235,21 @@ def analyze_bounds(
 
 def _pack_ints(values: np.ndarray, bits: int) -> bytes:
     """Bit-pack unsigned ints MSB-first into a zero-padded byte string."""
-    if bits == 8:
-        return values.astype(">u1").tobytes()
     if bits == 16:
         return values.astype(">u2").tobytes()
-    if bits == 24:
-        v = values.astype(np.uint32)
-        out = np.empty((v.size, 3), dtype=np.uint8)
-        out[:, 0] = v >> 16
-        out[:, 1] = (v >> 8) & 0xFF
-        out[:, 2] = v & 0xFF
-        return out.tobytes()
-    acc = 0
-    for v in values.tolist():
-        acc = (acc << bits) | int(v)
-    total = values.size * bits
-    pad = (-total) % 8
-    acc <<= pad
-    return acc.to_bytes((total + pad) // 8, "big")
+    # Spread each value over 32 big-endian bits, keep the low `bits` of them.
+    spread = np.unpackbits(values.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    return np.packbits(spread[:, 32 - bits:]).tobytes()
 
 
 def _unpack_ints(payload: bytes, count: int, bits: int) -> np.ndarray:
-    if bits == 8:
-        return np.frombuffer(payload, dtype=">u1").astype(np.int64)
     if bits == 16:
         return np.frombuffer(payload, dtype=">u2").astype(np.int64)
-    if bits == 24:
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(count, 3).astype(np.int64)
-        return (raw[:, 0] << 16) | (raw[:, 1] << 8) | raw[:, 2]
-    total = count * bits
-    pad = (-total) % 8
-    acc = int.from_bytes(payload, "big") >> pad
-    mask = (1 << bits) - 1
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count - 1, -1, -1):
-        out[i] = acc & mask
-        acc >>= bits
-    return out
+    spread = np.zeros((count, 32), dtype=np.uint8)
+    spread[:, 32 - bits:] = np.unpackbits(
+        np.frombuffer(payload, dtype=np.uint8), count=count * bits
+    ).reshape(count, bits)
+    return np.packbits(spread, axis=1).view(">u4").reshape(count).astype(np.int64)
 
 
 def encode_frame(
@@ -287,7 +265,7 @@ def encode_frame(
     the grid and are tallied in `stats` instead of escaping the fixed-size
     layout.
     """
-    arr = frame.rotation_array()
+    arr = frame.rotations
     if arr.shape[0] != table.joint_count:
         raise ShapeMismatchError(
             f"frame has {arr.shape[0]} joints, table has {table.joint_count}"
@@ -332,6 +310,7 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
     over = w2 < -1e-12
     if np.any(over):
         quats[over] /= np.linalg.norm(quats[over], axis=1, keepdims=True)
+    quats.setflags(write=False)
     return PoseFrame.from_array(enc.timestamp_us, enc.root_translation, quats)
 
 

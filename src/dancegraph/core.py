@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,12 +87,26 @@ class UnitQuaternion(NamedTuple):
 IDENTITY = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def canonicalize(q: UnitQuaternion | Sequence[float]) -> UnitQuaternion:
+def _quat(row: np.ndarray) -> UnitQuaternion:
+    """A (4,) result row as the scalar API's value type."""
+    return UnitQuaternion._make(row.tolist())
+
+
+def _row(q: Sequence[float]) -> np.ndarray:
+    return np.asarray(q, dtype=np.float64)
+
+
+def canonicalize(q: Sequence[float]) -> UnitQuaternion:
     """Normalize a quaternion and force it onto the w >= 0 hemisphere.
 
     If w lands exactly on 0 the first nonzero component among (x, y, z) is
     made non-negative so every rotation has exactly one representative.
     Idempotent bit-for-bit: feeding the result back in returns it unchanged.
+
+    This is the scalar twin of rows_canonicalize and agrees with it bit for
+    bit. It stays pure Python because from_axis_angle calls it once per
+    joint per frame while synthesizing motion, where a one-row numpy call
+    would cost several times more than the arithmetic itself.
     """
     x, y, z, w = q
     n2 = x * x + y * y + z * z + w * w
@@ -112,22 +126,16 @@ def canonicalize(q: UnitQuaternion | Sequence[float]) -> UnitQuaternion:
     return UnitQuaternion(x, y, z, w)
 
 
-def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
-    return UnitQuaternion(
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-        aw * bw - ax * bx - ay * by - az * bz,
-    )
+def quat_multiply(a: Sequence[float], b: Sequence[float]) -> UnitQuaternion:
+    return _quat(rows_multiply(_row(a), _row(b)))
 
 
-def quat_conjugate(q: UnitQuaternion) -> UnitQuaternion:
-    return UnitQuaternion(-q.x, -q.y, -q.z, q.w)
+def quat_conjugate(q: Sequence[float]) -> UnitQuaternion:
+    x, y, z, w = q
+    return UnitQuaternion(-x, -y, -z, w)
 
 
-def rotate_vector(q: UnitQuaternion, v: Sequence[float]) -> tuple[float, float, float]:
+def rotate_vector(q: Sequence[float], v: Sequence[float]) -> tuple[float, float, float]:
     """Rotate a 3-vector by a unit quaternion."""
     x, y, z, w = q
     vx, vy, vz = v
@@ -152,102 +160,41 @@ def from_axis_angle(axis: Sequence[float], angle: float) -> UnitQuaternion:
     return canonicalize(UnitQuaternion(ax * s, ay * s, az * s, math.cos(h)))
 
 
-def geodesic_distance(a: UnitQuaternion, b: UnitQuaternion) -> float:
+def geodesic_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Angle of the rotation taking a to b, in [0, pi]."""
-    d = abs(a.x * b.x + a.y * b.y + a.z * b.z + a.w * b.w)
+    ax, ay, az, aw = a
+    bx, by, bz, bw = b
+    d = abs(ax * bx + ay * by + az * bz + aw * bw)
     return 2.0 * math.acos(min(1.0, d))
 
 
-def _log_half(q: UnitQuaternion) -> tuple[float, float, float, bool]:
-    """Half-angle log map of a unit quaternion with w >= 0.
-
-    Returns the tangent vector (axis * theta/2) plus a flag marking the
-    half-turn case where the axis direction is taken from the vector part
-    as-is because the true axis is ambiguous.
-    """
-    x, y, z, w = q
-    vn = math.sqrt(x * x + y * y + z * z)
-    degenerate = w < _DEGENERATE_W
-    if vn == 0.0:
-        return 0.0, 0.0, 0.0, False
-    half = math.atan2(vn, w)
-    f = half / vn
-    return x * f, y * f, z * f, degenerate
-
-
-def _exp_half(u: Sequence[float]) -> UnitQuaternion:
-    """Inverse of _log_half: tangent vector (axis * theta/2) to quaternion."""
-    ux, uy, uz = u
-    half = math.sqrt(ux * ux + uy * uy + uz * uz)
-    if half < 1e-12:
-        return UnitQuaternion(ux, uy, uz, 1.0)
-    s = math.sin(half) / half
-    return UnitQuaternion(ux * s, uy * s, uz * s, math.cos(half))
-
-
 def scale_rotation(
-    reference: UnitQuaternion,
-    q: UnitQuaternion,
+    reference: Sequence[float],
+    q: Sequence[float],
     gain: float,
     *,
     return_degenerate: bool = False,
 ):
     """Geodesically extrapolate q away from reference by `gain`.
 
-    Computes reference * exp(gain * log(reference^-1 * q)); gain 1 returns
-    q (up to rounding), gain 0 returns reference exactly, gain 2 doubles
-    the rotation away from the reference. For a half-turn relative rotation
-    the log's axis is ambiguous; the axis of the input's vector part is
-    used and the degenerate flag is set instead of failing, so a streaming
-    pipeline never halts on one bad frame.
+    One-row form of rows_scale_rotation: gain 1 returns q (up to rounding),
+    gain 0 returns reference exactly, gain 2 doubles the rotation away from
+    the reference. With `return_degenerate` the half-turn flag comes back
+    alongside the result.
     """
-    if gain < 0.0:
-        raise ValueError(f"gain must be >= 0, got {gain}")
-    rel = quat_multiply(quat_conjugate(reference), q)
-    if rel.w < 0.0:
-        rel = UnitQuaternion(-rel.x, -rel.y, -rel.z, -rel.w)
-    ux, uy, uz, degenerate = _log_half(rel)
-    out = canonicalize(quat_multiply(reference, _exp_half((ux * gain, uy * gain, uz * gain))))
+    out, degenerate = rows_scale_rotation(_row(reference), _row(q), gain)
     if return_degenerate:
-        return out, degenerate
-    return out
+        return _quat(out), bool(degenerate)
+    return _quat(out)
 
 
-def slerp(a: UnitQuaternion, b: UnitQuaternion, u: float) -> UnitQuaternion:
+def slerp(a: Sequence[float], b: Sequence[float], u: float) -> UnitQuaternion:
     """Spherical-linear interpolation from a (u=0) to b (u=1), shorter arc."""
-    if u == 0.0:
-        return a
-    if u == 1.0:
-        return b
-    dot = a.x * b.x + a.y * b.y + a.z * b.z + a.w * b.w
-    bx, by, bz, bw = b
-    if dot < 0.0:
-        dot = -dot
-        bx, by, bz, bw = -bx, -by, -bz, -bw
-    if dot > 1.0 - 1e-9:
-        # Nearly parallel: linear blend then renormalize.
-        out = UnitQuaternion(
-            a.x + (bx - a.x) * u,
-            a.y + (by - a.y) * u,
-            a.z + (bz - a.z) * u,
-            a.w + (bw - a.w) * u,
-        )
-        n = out.norm()
-        return UnitQuaternion(out.x / n, out.y / n, out.z / n, out.w / n)
-    theta = math.acos(min(1.0, dot))
-    s = math.sin(theta)
-    ka = math.sin((1.0 - u) * theta) / s
-    kb = math.sin(u * theta) / s
-    return UnitQuaternion(
-        a.x * ka + bx * kb,
-        a.y * ka + by * kb,
-        a.z * ka + bz * kb,
-        a.w * ka + bw * kb,
-    )
+    return _quat(rows_slerp(_row(a), _row(b), u))
 
 
 def geodesic_mean(
-    quats: Sequence[UnitQuaternion],
+    quats: Sequence[Sequence[float]],
     tolerance: float = 1e-8,
 ) -> UnitQuaternion:
     """Rotation minimizing the sum of squared geodesic distances.
@@ -261,14 +208,13 @@ def geodesic_mean(
     arr = np.asarray(quats, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise InvalidQuaternionError("expected a sequence of (x, y, z, w) quaternions")
-    mean = karcher_mean_rows(arr, tolerance)
-    return canonicalize(UnitQuaternion(*mean))
+    return _quat(rows_canonicalize(karcher_mean_rows(arr, tolerance)))
 
 
 # ---------------------------------------------------------------------------
-# Row-vectorized quaternion helpers operating on (N, 4) float64 arrays in
-# (x, y, z, w) column order. Used by the codec and the rhythm engine where
-# per-joint Python loops would be too slow.
+# Row-vectorized quaternion kernels operating on (..., 4) float64 arrays in
+# (x, y, z, w) column order. Every quaternion operation in the package runs
+# through these; the scalar functions above are one-row wrappers.
 # ---------------------------------------------------------------------------
 
 def rows_normalize(arr: np.ndarray) -> np.ndarray:
@@ -277,18 +223,26 @@ def rows_normalize(arr: np.ndarray) -> np.ndarray:
 
 
 def rows_canonicalize(arr: np.ndarray) -> np.ndarray:
-    """Vectorized canonicalize over rows (w >= 0, normalized)."""
-    out = rows_normalize(np.asarray(arr, dtype=np.float64))
+    """Row-wise canonicalize, bit for bit: rows already within
+    _ALREADY_UNIT_TOL of unit norm are not rescaled, w == 0 ties flip on the
+    first nonzero vector component, and zero-norm or non-finite rows raise
+    InvalidQuaternionError. Returns a new array."""
+    out = np.array(arr, dtype=np.float64)
+    x, y, z, w = out[..., 0], out[..., 1], out[..., 2], out[..., 3]
+    n2 = x * x + y * y + z * z + w * w
+    if not np.all(np.isfinite(n2) & (n2 > 0.0)):
+        raise InvalidQuaternionError("quaternion norms must be positive and finite")
+    rescale = np.abs(n2 - 1.0) > _ALREADY_UNIT_TOL
+    if np.any(rescale):
+        out[rescale] *= (1.0 / np.sqrt(n2[rescale]))[:, None]
     w = out[..., 3]
-    flip = w < 0.0
+    out[w < 0.0] *= -1.0
     tie = w == 0.0
     if np.any(tie):
         v = out[..., :3]
-        nz = np.abs(v) > 0.0
-        first = np.argmax(nz, axis=-1)
+        first = np.argmax(v != 0.0, axis=-1)
         lead = np.take_along_axis(v, first[..., None], axis=-1)[..., 0]
-        flip = flip | (tie & (lead < 0.0))
-    out[flip] = -out[flip]
+        v[tie & (lead < 0.0)] *= -1.0
     return out
 
 
@@ -313,7 +267,9 @@ def rows_conjugate(arr: np.ndarray) -> np.ndarray:
 
 
 def rows_log_half(arr: np.ndarray) -> np.ndarray:
-    """Half-angle log map per row; rows are flipped onto w >= 0 first."""
+    """Half-angle log map per row (axis * theta/2); rows are flipped onto
+    w >= 0 first. At a half-turn the axis is ambiguous and the vector part's
+    own direction is used."""
     q = np.asarray(arr, dtype=np.float64)
     q = np.where(q[..., 3:4] < 0.0, -q, q)
     v = q[..., :3]
@@ -324,15 +280,42 @@ def rows_log_half(arr: np.ndarray) -> np.ndarray:
 
 
 def rows_exp_half(vec: np.ndarray) -> np.ndarray:
+    """Inverse of rows_log_half: tangent vector (axis * theta/2) to quaternion."""
     half = np.linalg.norm(vec, axis=-1)
     s = np.where(half > 1e-12, np.sin(half) / np.where(half > 1e-12, half, 1.0), 1.0)
     return np.concatenate([vec * s[..., None], np.cos(half)[..., None]], axis=-1)
 
 
+def rows_scale_rotation(
+    reference: np.ndarray,
+    q: np.ndarray,
+    gain: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise reference * exp(gain * log(reference^-1 * q)), canonicalized.
+
+    Returns the scaled rows and a per-row flag marking a half-turn relative
+    rotation, whose log axis is ambiguous: the vector part's axis is used
+    instead of failing, so a streaming pipeline never halts on one bad frame.
+    """
+    if gain < 0.0:
+        raise ValueError(f"gain must be >= 0, got {gain}")
+    rel = rows_multiply(rows_conjugate(reference), q)
+    degenerate = np.abs(rel[..., 3]) < _DEGENERATE_W
+    step = rows_exp_half(rows_log_half(rel) * gain)
+    return rows_canonicalize(rows_multiply(reference, step)), degenerate
+
+
 def rows_slerp(a: np.ndarray, b: np.ndarray, u: float) -> np.ndarray:
-    """Row-wise slerp between two (N, 4) arrays at a single blend factor."""
+    """Row-wise slerp between two (N, 4) arrays at a single blend factor.
+
+    u == 0 and u == 1 return the endpoints exactly.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if u == 0.0:
+        return a
+    if u == 1.0:
+        return b
     dot = (a * b).sum(axis=-1)
     b = np.where(dot[..., None] < 0.0, -b, b)
     dot = np.abs(dot)
@@ -457,22 +440,45 @@ def default_skeleton() -> Skeleton:
     return Skeleton(_DEFAULT_NAMES, _DEFAULT_ZONES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseFrame:
     """One timestamped pose: root translation plus a rotation per joint.
 
     `timestamp_us` is microseconds on the source's monotonic clock and must
-    be non-decreasing within a stream. Rotations are expected canonical
-    (w >= 0); ingestion enforces that, downstream code relies on it.
+    be non-decreasing within a stream. `rotations` is a read-only
+    (joints, 4) float64 array in (x, y, z, w) order, built once from any
+    (joints, 4) sequence; an array that is already read-only float64 is
+    shared rather than copied, so frames can be views into one clip-sized
+    block. Rotations are expected canonical (w >= 0); ingestion enforces
+    that, downstream code relies on it. Frames compare by value.
     """
 
     timestamp_us: int
     root_translation: tuple[float, float, float]
-    rotations: tuple[UnitQuaternion, ...]
+    rotations: np.ndarray
+
+    def __post_init__(self) -> None:
+        rot = self.rotations
+        shareable = isinstance(rot, np.ndarray) and rot.dtype == np.float64
+        if not shareable or rot.flags.writeable:
+            rot = np.array(rot, dtype=np.float64)
+            rot.setflags(write=False)
+            object.__setattr__(self, "rotations", rot)
+        if rot.ndim != 2 or rot.shape[1] != 4:
+            raise ValueError(f"rotations must have shape (joints, 4), got {rot.shape}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PoseFrame):
+            return NotImplemented
+        return (
+            self.timestamp_us == other.timestamp_us
+            and tuple(self.root_translation) == tuple(other.root_translation)
+            and np.array_equal(self.rotations, other.rotations)
+        )
 
     def rotation_array(self) -> np.ndarray:
-        """Rotations as an (N, 4) float64 array in (x, y, z, w) order."""
-        return np.asarray(self.rotations, dtype=np.float64)
+        """The read-only (N, 4) rotations array itself; no copy is made."""
+        return self.rotations
 
     @classmethod
     def from_array(
@@ -481,9 +487,7 @@ class PoseFrame:
         root_translation: Sequence[float],
         rotations: np.ndarray,
     ) -> "PoseFrame":
-        rx, ry, rz = root_translation
-        quats = tuple(UnitQuaternion(*row) for row in rotations.tolist())
-        return cls(int(timestamp_us), (float(rx), float(ry), float(rz)), quats)
+        return cls(int(timestamp_us), tuple(map(float, root_translation)), rotations)
 
     def validate(self, skeleton: Skeleton, norm_tol: float = 1e-6) -> None:
         if len(self.rotations) != skeleton.joint_count:
@@ -491,18 +495,8 @@ class PoseFrame:
                 f"frame has {len(self.rotations)} rotations, skeleton has "
                 f"{skeleton.joint_count} joints"
             )
-        arr = self.rotation_array()
-        norms = np.linalg.norm(arr, axis=1)
+        norms = np.linalg.norm(self.rotations, axis=1)
         if np.any(np.abs(norms - 1.0) > norm_tol):
             raise InvalidQuaternionError("frame contains non-unit rotations")
-        if np.any(arr[:, 3] < 0.0):
+        if np.any(self.rotations[:, 3] < 0.0):
             raise InvalidQuaternionError("frame contains non-canonical rotations (w < 0)")
-
-
-def canonicalize_frames(frames: Iterable[PoseFrame]) -> list[PoseFrame]:
-    """Canonicalize every rotation in a stream of frames (ingestion step)."""
-    out = []
-    for f in frames:
-        arr = rows_canonicalize(f.rotation_array())
-        out.append(PoseFrame.from_array(f.timestamp_us, f.root_translation, arr))
-    return out

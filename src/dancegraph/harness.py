@@ -4,8 +4,7 @@ dancer-swarm simulator.
 All latency runs keep every party on one host so a single monotonic clock
 covers every probe stage; the interesting cross-machine numbers from real
 deployments depend on camera SDKs and engines that are out of scope here.
-The swarm runs its clients as threads of one process by default (the
-resource-friendly option) with a flag to fork real processes instead.
+The swarm runs its clients as threads of one process.
 """
 from __future__ import annotations
 
@@ -21,8 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import BoundsTable, EncodedFrame, EncoderStats, analyze_bounds, decode_frame, encode_frame
-from .core import PoseFrame, Skeleton, UnitQuaternion, default_skeleton, from_axis_angle
+from .codec import (
+    BoundsTable,
+    CorruptFrameError,
+    EncodedFrame,
+    EncoderStats,
+    analyze_bounds,
+    decode_frame,
+    encode_frame,
+)
+from .core import BodyZone, PoseFrame, Skeleton, default_skeleton, from_axis_angle
 from .packet import SignalPacket, SignalType
 from .recording import Recording, RecordingWriter
 from .rhythm import (
@@ -75,27 +82,21 @@ def synthesize_sway_recording(
     All other joints hold the identity pose."""
     skeleton = skeleton or default_skeleton()
     if sway_joints is None:
-        from .core import BodyZone
-
         sway_joints = skeleton.joints_in_zone(BodyZone.HIPS) or [0]
     frame_count = int(round(duration_s * fps))
     dt_us = 1e6 / fps
-    frames: list[PoseFrame] = []
-    identity = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
-    sway_set = set(sway_joints)
-    for i in range(frame_count):
-        t_s = i / fps
-        angle = amplitude_rad * math.sin(2.0 * math.pi * frequency_hz * t_s + phase_rad)
-        q = from_axis_angle(axis, angle)
-        rotations = tuple(
-            q if j in sway_set else identity for j in range(skeleton.joint_count)
-        )
-        root = (
-            root_amplitude_m * math.sin(2.0 * math.pi * frequency_hz * t_s + phase_rad),
-            1.0,
-            0.0,
-        )
-        frames.append(PoseFrame(start_us + int(round(i * dt_us)), root, rotations))
+    rotations = np.zeros((frame_count, skeleton.joint_count, 4))
+    rotations[:, :, 3] = 1.0
+    sway = [
+        math.sin(2.0 * math.pi * frequency_hz * (i / fps) + phase_rad) for i in range(frame_count)
+    ]
+    quats = [from_axis_angle(axis, amplitude_rad * v) for v in sway]
+    rotations[:, list(set(sway_joints))] = np.reshape(quats, (frame_count, 1, 4))
+    rotations.setflags(write=False)
+    frames = [
+        PoseFrame(start_us + int(round(i * dt_us)), (root_amplitude_m * v, 1.0, 0.0), rotations[i])
+        for i, v in enumerate(sway)
+    ]
     return Recording(skeleton.joint_count, fps, frames)
 
 
@@ -113,14 +114,21 @@ def synthesize_noise_recording(
     rng = np.random.default_rng(seed)
     frame_count = int(round(duration_s * fps))
     dt_us = 1e6 / fps
-    frames: list[PoseFrame] = []
+    joints = skeleton.joint_count
+    angles = np.empty((frame_count, joints))
+    axes = np.empty((frame_count, joints, 3))
     for i in range(frame_count):
-        angles = rng.uniform(-amplitude_rad, amplitude_rad, size=skeleton.joint_count)
-        axes = rng.normal(size=(skeleton.joint_count, 3))
-        rotations = tuple(
-            from_axis_angle(axes[j], angles[j]) for j in range(skeleton.joint_count)
-        )
-        frames.append(PoseFrame(start_us + int(round(i * dt_us)), (0.0, 1.0, 0.0), rotations))
+        angles[i] = rng.uniform(-amplitude_rad, amplitude_rad, size=joints)
+        axes[i] = rng.normal(size=(joints, 3))
+    quats = [
+        from_axis_angle(a, t) for a, t in zip(axes.reshape(-1, 3).tolist(), angles.ravel().tolist())
+    ]
+    rotations = np.reshape(quats, (frame_count, joints, 4))
+    rotations.setflags(write=False)
+    frames = [
+        PoseFrame(start_us + int(round(i * dt_us)), (0.0, 1.0, 0.0), rotations[i])
+        for i in range(frame_count)
+    ]
     return Recording(skeleton.joint_count, fps, frames)
 
 
@@ -207,46 +215,34 @@ def record_sink(
 ) -> int:
     """Subscribe in Every mode and write decoded frames in arrival order.
 
-    Runs until `stop` is set or `duration_s` elapses; the file is truncated
-    to the last complete frame on close. Frames whose timestamp does not
-    advance (a looping replay wraps around) are skipped. Returns the number
-    of frames written.
+    Runs until `stop` is set or `duration_s` elapses, then drains what is
+    left in the ring; the file is truncated to the last complete frame on
+    close. Payloads that do not decode for this table, and frames whose
+    timestamp does not advance (a looping replay wraps around), are
+    skipped. Returns the number of frames written.
     """
     consumer = router.subscribe(selector, Mode.EVERY)
     deadline = None if duration_s is None else time.monotonic() + duration_s
     last_ts = None
-    skipped = 0
     with RecordingWriter(path, skeleton.joint_count, nominal_fps) as writer:
         while True:
-            if stop is not None and stop.is_set():
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                break
+            stopping = (stop is not None and stop.is_set()) or (
+                deadline is not None and time.monotonic() > deadline
+            )
             polled = consumer.poll(max_packets=256)
+            for packet in polled.packets:
+                try:
+                    enc = EncodedFrame.from_bytes(packet.payload, table)
+                    frame = decode_frame(enc, table, skeleton)
+                except CorruptFrameError:
+                    continue
+                if last_ts is None or frame.timestamp_us > last_ts:
+                    writer.write_frame(frame)
+                    last_ts = frame.timestamp_us
             if not polled.packets:
+                if stopping:
+                    break
                 time.sleep(poll_interval_s)
-                continue
-            for packet in polled.packets:
-                enc = EncodedFrame.from_bytes(packet.payload, table)
-                frame = decode_frame(enc, table, skeleton)
-                if last_ts is not None and frame.timestamp_us <= last_ts:
-                    skipped += 1
-                    continue
-                writer.write_frame(frame)
-                last_ts = frame.timestamp_us
-        # final drain so nothing in the ring is lost at shutdown
-        while True:
-            polled = consumer.poll(max_packets=256)
-            if not polled.packets:
-                break
-            for packet in polled.packets:
-                enc = EncodedFrame.from_bytes(packet.payload, table)
-                frame = decode_frame(enc, table, skeleton)
-                if last_ts is not None and frame.timestamp_us <= last_ts:
-                    skipped += 1
-                    continue
-                writer.write_frame(frame)
-                last_ts = frame.timestamp_us
         written = writer.frames_written
     router.unsubscribe(consumer)
     return written
@@ -374,15 +370,10 @@ class BenchParams:
     ring_capacity: int = 64
     bits: int = 16
     host: str = "127.0.0.1"
-    processes: bool = False
-    payload_joints: int = 34
 
 
 def _bench_payload(params: BenchParams) -> tuple[Recording, BoundsTable]:
-    skeleton = default_skeleton() if params.payload_joints == 34 else None
-    recording = synthesize_sway_recording(
-        skeleton=skeleton, duration_s=4.0, fps=params.fps
-    )
+    recording = synthesize_sway_recording(duration_s=4.0, fps=params.fps)
     table = analyze_bounds([recording.frames], margin=0.1, bits=params.bits)
     return recording, table
 
@@ -685,15 +676,7 @@ class _SwarmPool:
         self.selector.close()
 
 
-_RECV_CHUNK = 2048
-
-
 def _run_swarm(params: BenchParams) -> LatencyReport:
-    if params.processes:
-        raise NotImplementedError(
-            "process-per-dancer swarm is exposed for fidelity experiments; "
-            "use threads (the default) for the standard run"
-        )
     server_proc, server_conn, addr = _start_server(params, max_clients=params.clients + 2)
     recording, table = _bench_payload(params)
     pool = _SwarmPool(addr, params, recording, table)
@@ -754,14 +737,14 @@ def run_latency_experiment(scenario: str, params: BenchParams | None = None) -> 
 # Corrective experiment
 # ---------------------------------------------------------------------------
 
+def _joint_track(frames: Sequence[PoseFrame], joint: int) -> np.ndarray:
+    """(frames, 4) rotations of one joint."""
+    return np.stack([f.rotations for f in frames])[:, joint]
+
+
 def _pick_measurement_component(recording: Recording, joint: int) -> str:
-    best, best_span = "x", -1.0
-    for component in ("x", "y", "z"):
-        values = np.array([f.rotations[joint][_COMPONENT_IDX[component]] for f in recording.frames])
-        span = float(values.max() - values.min())
-        if span > best_span:
-            best, best_span = component, span
-    return best
+    track = _joint_track(recording.frames, joint)[:, :3]
+    return "xyz"[int(np.argmax(track.max(axis=0) - track.min(axis=0)))]
 
 
 _COMPONENT_IDX = {"x": 0, "y": 1, "z": 2}
@@ -781,7 +764,7 @@ def find_extremum_times_us(
     """
     idx = _COMPONENT_IDX[component]
     ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
-    x = np.array([f.rotations[joint][idx] for f in frames], dtype=np.float64)
+    x = _joint_track(frames, joint)[:, idx]
     x = x - x.mean()
     scale = np.abs(x).max()
     if scale <= 0:
@@ -930,12 +913,9 @@ def corrective_experiment(
     amplitude_ratio = None
     if gains_active and amp_window is not None:
         start = min(amp_window, len(recording.frames) - 1)
-        pre_vals = np.array(
-            [f.rotations[joint][_COMPONENT_IDX[component]] for f in recording.frames[start:]]
-        )
-        post_vals = np.array(
-            [f.rotations[joint][_COMPONENT_IDX[component]] for f in corrected.frames[start:]]
-        )
+        idx = _COMPONENT_IDX[component]
+        pre_vals = _joint_track(recording.frames[start:], joint)[:, idx]
+        post_vals = _joint_track(corrected.frames[start:], joint)[:, idx]
         pre_amp = (pre_vals.max() - pre_vals.min()) / 2.0
         post_amp = (post_vals.max() - post_vals.min()) / 2.0
         if pre_amp > 0:

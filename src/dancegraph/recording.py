@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from .core import PoseFrame
+from .core import PoseFrame, rows_canonicalize
 
 __all__ = [
     "Recording",
@@ -31,7 +31,10 @@ MAGIC = b"DGRC"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHHf")
-_FRAME_FIXED = struct.Struct("<Qfff")
+
+
+def _frame_layout(joint_count: int) -> np.dtype:
+    return np.dtype([("ts", "<u8"), ("root", "<f4", 3), ("rot", "<f4", (joint_count, 4))])
 
 
 class RecordingFormatError(ValueError):
@@ -74,7 +77,8 @@ class RecordingWriter:
     def __init__(self, path: str | Path, joint_count: int, nominal_fps: float):
         self.path = Path(path)
         self.joint_count = joint_count
-        self.frame_size = _FRAME_FIXED.size + joint_count * 16
+        self._layout = _frame_layout(joint_count)
+        self.frame_size = self._layout.itemsize
         self._fh = open(self.path, "wb")
         self._fh.write(_HEADER.pack(MAGIC, VERSION, joint_count, nominal_fps))
         self._complete = _HEADER.size
@@ -88,10 +92,11 @@ class RecordingWriter:
             )
         if self._last_ts is not None and frame.timestamp_us <= self._last_ts:
             raise RecordingFormatError("frame timestamps must strictly increase")
-        rx, ry, rz = frame.root_translation
-        data = _FRAME_FIXED.pack(frame.timestamp_us, rx, ry, rz)
-        data += frame.rotation_array().astype("<f4").tobytes()
-        self._fh.write(data)
+        record = np.empty((), dtype=self._layout)
+        record["ts"] = frame.timestamp_us
+        record["root"] = frame.root_translation
+        record["rot"] = frame.rotations
+        self._fh.write(record.tobytes())
         self._complete += self.frame_size
         self.frames_written += 1
         self._last_ts = frame.timestamp_us
@@ -120,7 +125,11 @@ def save_recording(recording: Recording, path: str | Path) -> None:
 
 
 def load_recording(path: str | Path) -> Recording:
-    """Load a recording, dropping any trailing partial frame."""
+    """Load a recording, dropping any trailing partial frame.
+
+    This is an ingestion point: every rotation is canonicalized (unit norm,
+    w >= 0) on the way in, whatever tool wrote the file.
+    """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise RecordingFormatError("file too short for a recording header")
@@ -131,19 +140,15 @@ def load_recording(path: str | Path) -> Recording:
         raise RecordingFormatError(f"unsupported recording version {version}")
     if joint_count < 1:
         raise RecordingFormatError("joint_count must be >= 1")
-    frame_size = _FRAME_FIXED.size + joint_count * 16
-    body = data[_HEADER.size:]
-    count = len(body) // frame_size
-    frames: list[PoseFrame] = []
-    prev_ts: int | None = None
-    for i in range(count):
-        off = i * frame_size
-        ts, rx, ry, rz = _FRAME_FIXED.unpack_from(body, off)
-        if prev_ts is not None and ts <= prev_ts:
-            raise RecordingFormatError(f"frame {i} timestamp does not increase")
-        prev_ts = ts
-        quats = np.frombuffer(
-            body, dtype="<f4", count=joint_count * 4, offset=off + _FRAME_FIXED.size
-        ).astype(np.float64).reshape(joint_count, 4)
-        frames.append(PoseFrame.from_array(ts, (rx, ry, rz), quats))
+    layout = _frame_layout(joint_count)
+    count = (len(data) - _HEADER.size) // layout.itemsize
+    body = np.frombuffer(data, dtype=layout, count=count, offset=_HEADER.size)
+    ts = body["ts"]
+    backwards = np.flatnonzero(ts[1:] <= ts[:-1])
+    if backwards.size:
+        raise RecordingFormatError(f"frame {backwards[0] + 1} timestamp does not increase")
+    rotations = rows_canonicalize(body["rot"])
+    rotations.setflags(write=False)
+    roots = map(tuple, body["root"].astype(np.float64).tolist())
+    frames = [PoseFrame(t, r, rot) for t, r, rot in zip(ts.tolist(), roots, rotations)]
     return Recording(joint_count=joint_count, nominal_fps=fps, frames=frames, version=version)

@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,10 +42,9 @@ from .core import (
     BodyZone,
     PoseFrame,
     Skeleton,
-    UnitQuaternion,
     karcher_mean_rows,
+    rows_scale_rotation,
     rows_slerp,
-    scale_rotation,
 )
 
 __all__ = [
@@ -216,10 +215,17 @@ def extract_feature_series(
     """
     if component not in _COMPONENT_INDEX:
         raise ValueError(f"component must be one of x, y, z, got {component!r}")
-    n = len(window)
+    ts = np.array([f.timestamp_us for f in window], dtype=np.float64)
+    fps = _window_fps(ts)
+    rotations = np.stack([f.rotations for f in window])
+    return _feature_series(rotations, joint, component, fps, int(ts[0]))
+
+
+def _window_fps(ts: np.ndarray) -> float:
+    """Frame rate of a window of timestamps, which must be uniformly sampled."""
+    n = len(ts)
     if n < 16:
         raise InsufficientDataError(f"window of {n} frames is too short")
-    ts = np.array([f.timestamp_us for f in window], dtype=np.float64)
     dts = np.diff(ts)
     median_dt = float(np.median(dts))
     if median_dt <= 0:
@@ -227,16 +233,15 @@ def extract_feature_series(
     # +1us slack: integer timestamps quantize the jitter measurement
     if np.any(np.abs(dts - median_dt) > 0.1 * median_dt + 1.0):
         raise InsufficientDataError("frame timing jitter exceeds 10% of the frame interval")
-    idx = _COMPONENT_INDEX[component]
-    values = np.array([f.rotations[joint][idx] for f in window], dtype=np.float64)
-    values -= values.mean()
-    return FeatureSeries(
-        joint=joint,
-        component=component,
-        samples=values,
-        fps=1e6 / median_dt,
-        start_us=int(window[0].timestamp_us),
-    )
+    return 1e6 / median_dt
+
+
+def _feature_series(
+    rotations: np.ndarray, joint: int, component: str, fps: float, start_us: int
+) -> FeatureSeries:
+    """Zero-mean series of one joint component of a (frames, J, 4) window."""
+    values = rotations[:, joint, _COMPONENT_INDEX[component]]
+    return FeatureSeries(joint, component, values - values.mean(), fps, start_us)
 
 
 def detect_dominant_period(
@@ -478,11 +483,30 @@ class _SourceSampler:
             return PoseFrame(out_timestamp_us, a.root_translation, a.rotations)
         if u >= 1.0:
             return PoseFrame(out_timestamp_us, b.root_translation, b.rotations)
-        rot = rows_slerp(a.rotation_array(), b.rotation_array(), float(u))
-        ra = np.asarray(a.root_translation)
-        rb = np.asarray(b.root_translation)
-        root = tuple((ra + (rb - ra) * u).tolist())
+        rot = rows_slerp(a.rotations, b.rotations, float(u))
+        root = [x + (y - x) * u for x, y in zip(a.root_translation, b.root_translation)]
         return PoseFrame.from_array(out_timestamp_us, root, rot)
+
+
+def _warp_frames(
+    frames: Sequence[PoseFrame],
+    controller: _WarpController,
+    retarget: Callable[[int], None] | None = None,
+) -> tuple[list[PoseFrame], list[WarpSample]]:
+    """Resample frames at the controller's warped times, one output frame per
+    input frame on the input's timeline. `retarget(i)`, when given, runs
+    before frame i is sampled and may steer the controller."""
+    sampler = _SourceSampler(frames)
+    out: list[PoseFrame] = []
+    warp: list[WarpSample] = []
+    for i, frame in enumerate(frames):
+        if retarget is not None:
+            retarget(i)
+        t = frame.timestamp_us
+        s = controller.advance(t) if i else controller.source_prev
+        out.append(sampler.sample(s, t))
+        warp.append(WarpSample(t, s, controller.phase_applied, controller.phase_target))
+    return out, warp
 
 
 def beat_align_remap(
@@ -513,8 +537,7 @@ def beat_align_remap(
         return RemapResult(frames, False, "tempo mismatch", 1.0, None, 0.0, [])
     rate, spacing = match
 
-    slew_per_us = params.max_warp_slew  # dimensionless: us of warp per us
-    controller = _WarpController(slew_per_us, t0)
+    controller = _WarpController(params.max_warp_slew, t0)
     controller.rate = rate
     controller.phase_target = _phase_misalignment(
         controller, detected, ref, grid, rate, spacing
@@ -527,17 +550,8 @@ def beat_align_remap(
         ]
         return RemapResult(list(frames), True, None, 1.0, spacing, 0.0, warp)
 
-    sampler = _SourceSampler(frames)
-    out: list[PoseFrame] = []
-    warp: list[WarpSample] = []
-    for i, frame in enumerate(frames):
-        t = frame.timestamp_us
-        s = controller.advance(t) if i else controller.source_prev
-        out.append(sampler.sample(s, t))
-        warp.append(WarpSample(t, s, controller.phase_applied, controller.phase_target))
-    return RemapResult(
-        out, True, None, rate, spacing, controller.phase_target, warp
-    )
+    out, warp = _warp_frames(frames, controller)
+    return RemapResult(out, True, None, rate, spacing, controller.phase_target, warp)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +566,7 @@ def amplify_zones(
 ) -> list[PoseFrame]:
     """Exaggerate (or mute) motion per body zone.
 
-    Each joint's output rotation is scale_rotation(reference, input, gain)
+    Each joint's output rotation is rows_scale_rotation(reference, input, gain)
     where the reference is the geodesic mean over the trailing
     `reference_window` frames; the root translation's deviation from its
     rolling mean is scaled by the hips gain. Frames before the window fills
@@ -571,22 +585,20 @@ def amplify_zones(
     if n < reference_window:
         return frames
 
-    rotations = np.stack([f.rotation_array() for f in frames])  # (n, J, 4)
+    rotations = np.stack([f.rotations for f in frames])  # (n, J, 4)
     roots = np.array([f.root_translation for f in frames], dtype=np.float64)
     out_rot = rotations.copy()
     out_roots = roots.copy()
     first = reference_window - 1
 
     for j in active:
-        gain = joint_gain[j]
         track = rotations[:, j, :]
+        references = np.empty((n - first, 4))
         reference: np.ndarray | None = None
         for i in range(first, n):
-            window = track[i - first:i + 1]
-            reference = karcher_mean_rows(window, tolerance=1e-9, init=reference)
-            out_rot[i, j] = scale_rotation(
-                UnitQuaternion(*reference), UnitQuaternion(*track[i]), gain
-            )
+            reference = karcher_mean_rows(track[i - first:i + 1], tolerance=1e-9, init=reference)
+            references[i - first] = reference
+        out_rot[first:, j], _ = rows_scale_rotation(references, track[first:], joint_gain[j])
 
     if hips_gain != 1.0:
         csum = np.cumsum(roots, axis=0)
@@ -596,6 +608,7 @@ def amplify_zones(
             mean = window_sum / reference_window
             out_roots[i] = mean + hips_gain * (roots[i] - mean)
 
+    out_rot.setflags(write=False)
     out = frames[:first]
     for i in range(first, n):
         out.append(PoseFrame.from_array(frames[i].timestamp_us, out_roots[i], out_rot[i]))
@@ -666,14 +679,18 @@ def run_corrective_pipeline(
         joints = range(skeleton.joint_count)
 
     hop = window // 2
+    ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
+    rotations = np.stack([f.rotations for f in frames])  # (n, J, 4)
     estimates: list[tuple[int, PeriodEstimate | None]] = []
     for end in range(window, n + 1, hop):
-        chunk = frames[end - window:end]
+        chunk = rotations[end - window:end]
+        fps = _window_fps(ts[end - window:end])
+        start_us = frames[end - window].timestamp_us
         per_joint: list[PeriodEstimate] = []
         for j in joints:
             best: PeriodEstimate | None = None
             for component in ("x", "y", "z"):
-                series = extract_feature_series(chunk, j, component)
+                series = _feature_series(chunk, j, component, fps, start_us)
                 est = detect_dominant_period(series, params.detection_threshold)
                 if est is not None and (best is None or est.energy_ratio > best.energy_ratio):
                     best = est
@@ -684,36 +701,28 @@ def run_corrective_pipeline(
     if all(est is None for _, est in estimates):
         return PipelineResult(frames, False, "no dominant period", estimates, 1.0, [])
 
-    controller = _WarpController(params.max_warp_slew, frames[0].timestamp_us)
-    sampler = _SourceSampler(frames)
-    out: list[PoseFrame] = []
-    warp: list[WarpSample] = []
-    pending = list(estimates)
-    rate_used = 1.0
-    mismatch = True
-    for i, frame in enumerate(frames):
-        t = frame.timestamp_us
-        while pending and pending[0][0] <= i:
-            end, est = pending.pop(0)
-            if est is None:
-                continue
-            match = _match_tempo(
-                est.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio
-            )
-            if match is None:
-                continue
-            mismatch = False
-            rate, spacing = match
-            controller.rate = rate
-            rate_used = rate
-            window_start_us = frames[end - window].timestamp_us
-            controller.phase_target += _phase_misalignment(
-                controller, est, window_start_us, grid, rate, spacing
-            )
-        s = controller.advance(t) if i else controller.source_prev
-        out.append(sampler.sample(s, t))
-        warp.append(WarpSample(t, s, controller.phase_applied, controller.phase_target))
-
-    if mismatch:
+    # An estimate steers the warp from the frame at its window end onwards,
+    # so the one for a window ending at the last frame is never used.
+    steer: dict[int, tuple[PeriodEstimate, float, float]] = {}
+    for end, est in estimates:
+        if est is None or end >= n:
+            continue
+        match = _match_tempo(est.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
+        if match is not None:
+            steer[end] = (est, *match)
+    if not steer:
         return PipelineResult(frames, False, "tempo mismatch", estimates, 1.0, [])
+
+    controller = _WarpController(params.max_warp_slew, frames[0].timestamp_us)
+
+    def retarget(i: int) -> None:
+        if i in steer:
+            est, rate, spacing = steer[i]
+            controller.rate = rate
+            controller.phase_target += _phase_misalignment(
+                controller, est, frames[i - window].timestamp_us, grid, rate, spacing
+            )
+
+    out, warp = _warp_frames(frames, controller, retarget)
+    rate_used = steer[max(steer)][1]
     return PipelineResult(out, True, None, estimates, rate_used, warp)

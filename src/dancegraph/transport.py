@@ -64,7 +64,6 @@ __all__ = [
 UNASSIGNED_ID = 0xFFFF
 SERVER_ID = 0
 
-_HEADER = struct.Struct("<2sBBHIQ")
 _U16 = struct.Struct("<H")
 
 _RECV_BUFSIZE = HEADER_SIZE + 1472  # one full datagram with headroom

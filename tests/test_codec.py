@@ -18,6 +18,8 @@ from dancegraph.codec import (
     encoded_frame_bytes,
     max_angular_error,
     raw_frame_bytes,
+    _pack_ints,
+    _unpack_ints,
 )
 from dancegraph.core import PoseFrame, Skeleton, UnitQuaternion, default_skeleton
 from dancegraph.harness import synthesize_sway_recording
@@ -211,6 +213,36 @@ class TestEncodeDecode:
             assert again.payload == enc.payload
             err = geodesic_rows(frame.rotation_array(), dec.rotation_array())
             assert err.max() <= bound
+
+
+def big_int_pack(values, bits):
+    """Reference packer: MSB-first through one Python integer."""
+    acc = 0
+    for v in values.tolist():
+        acc = (acc << bits) | int(v)
+    total = values.size * bits
+    pad = (-total) % 8
+    return (acc << pad).to_bytes((total + pad) // 8, "big")
+
+
+def big_int_unpack(payload, count, bits):
+    total = count * bits
+    acc = int.from_bytes(payload, "big") >> ((-total) % 8)
+    mask = (1 << bits) - 1
+    return [(acc >> (bits * (count - 1 - i))) & mask for i in range(count)]
+
+
+class TestPacking:
+    @pytest.mark.parametrize("bits", range(8, 25))
+    def test_matches_big_int_reference(self, bits):
+        rng = np.random.default_rng(bits)
+        for count in (1, 3, 7, 102):
+            values = rng.integers(0, 1 << bits, size=count).astype(np.uint32)
+            values[0] = (1 << bits) - 1  # the all-ones edge
+            payload = _pack_ints(values, bits)
+            assert payload == big_int_pack(values, bits)
+            assert _unpack_ints(payload, count, bits).tolist() == big_int_unpack(payload, count, bits)
+            assert _unpack_ints(payload, count, bits).tolist() == values.tolist()
 
 
 class TestMaxAngularError:

@@ -16,8 +16,12 @@ from dancegraph.core import (
     from_axis_angle,
     geodesic_distance,
     geodesic_mean,
+    karcher_mean_rows,
     quat_multiply,
     rotate_vector,
+    rows_canonicalize,
+    rows_scale_rotation,
+    rows_slerp,
     scale_rotation,
     slerp,
 )
@@ -72,6 +76,93 @@ class TestCanonicalize:
         rotated = rotate_vector(q, v)
         rotated_c = rotate_vector(canonicalize(q), v)
         assert max(abs(a - b) for a, b in zip(rotated, rotated_c)) < 1e-6
+
+
+class TestRowsCanonicalize:
+    def test_near_unit_rows_are_not_rescaled(self):
+        # Within _ALREADY_UNIT_TOL of unit norm the row keeps its bits.
+        row = np.array([[0.6, 0.0, 0.0, 0.8 + 2e-16]])
+        assert rows_canonicalize(row).tobytes() == row.tobytes()
+
+    def test_w_zero_tiebreak_on_first_nonzero_component(self):
+        out = rows_canonicalize(np.array([[0.0, -0.6, 0.8, 0.0], [0.6, -0.8, 0.0, 0.0]]))
+        assert out.tolist() == [[0.0, 0.6, -0.8, 0.0], [0.6, -0.8, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("bad", [
+        (0.0, 0.0, 0.0, 0.0), (float("nan"), 0.0, 0.0, 1.0), (float("inf"), 0.0, 0.0, 1.0),
+    ])
+    def test_zero_norm_and_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidQuaternionError):
+            rows_canonicalize(np.array([(0.0, 0.0, 0.0, 1.0), bad]))
+
+
+def reference_scale_rotation(reference, q, gain):
+    """Pure-Python reference * exp(gain * log(reference^-1 * q))."""
+    rx, ry, rz, rw = reference
+    rel = quat_multiply((-rx, -ry, -rz, rw), q)
+    x, y, z, w = rel if rel.w >= 0.0 else tuple(-c for c in rel)
+    vn = math.sqrt(x * x + y * y + z * z)
+    f = math.atan2(vn, w) / vn if vn > 0.0 else 0.0
+    ux, uy, uz = x * f * gain, y * f * gain, z * f * gain
+    half = math.sqrt(ux * ux + uy * uy + uz * uz)
+    s = math.sin(half) / half if half >= 1e-12 else 1.0
+    return canonicalize(quat_multiply(reference, (ux * s, uy * s, uz * s, math.cos(half))))
+
+
+_raw_component = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, -0.0, 0.5, -0.5])
+)
+_raw_quats = st.tuples(*[_raw_component] * 4).filter(lambda q: sum(c * c for c in q) > 0.0)
+
+
+class TestScalarMatchesRows:
+    """Each scalar entry point agrees with its batched kernel, row for row."""
+
+    @given(st.lists(_raw_quats, min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_canonicalize_bit_for_bit(self, quats):
+        batch = rows_canonicalize(np.array(quats))
+        for q, row in zip(quats, batch):
+            assert np.array(canonicalize(q)).tobytes() == row.tobytes()
+
+    @given(
+        st.lists(st.tuples(unit_quaternions(), unit_quaternions()), min_size=1, max_size=6),
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    )
+    def test_slerp(self, pairs, u):
+        batch = rows_slerp(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), u)
+        for (a, b), row in zip(pairs, batch):
+            np.testing.assert_allclose(slerp(a, b, u), row, rtol=0.0, atol=1e-15)
+
+    @given(
+        st.lists(
+            st.tuples(unit_quaternions(), unit_quaternions(), st.booleans()), min_size=1, max_size=6
+        ),
+        st.floats(0.0, 4.0),
+    )
+    def test_scale_rotation_with_degenerate_flag(self, cases, gain):
+        # The boolean swaps q for a half-turn away from the reference, the
+        # case whose log axis is ambiguous.
+        refs = [r for r, _, _ in cases]
+        qs = [quat_multiply(r, (1.0, 0.0, 0.0, 0.0)) if half else q for r, q, half in cases]
+        batch, flags = rows_scale_rotation(np.array(refs), np.array(qs), gain)
+        for r, q, row, flag in zip(refs, qs, batch, flags):
+            out, degenerate = scale_rotation(r, q, gain, return_degenerate=True)
+            np.testing.assert_allclose(out, row, rtol=0.0, atol=1e-15)
+            assert degenerate == bool(flag)
+        assert all(flags[i] for i, (_, _, half) in enumerate(cases) if half)
+
+    @given(unit_quaternions(), unit_quaternions(), st.floats(0.0, 4.0))
+    @settings(max_examples=200)
+    def test_scale_rotation_matches_pure_python_reference(self, ref, q, gain):
+        # Transcendentals come from numpy instead of math: allow rounding.
+        expected = reference_scale_rotation(ref, q, gain)
+        np.testing.assert_allclose(scale_rotation(ref, q, gain), expected, rtol=0.0, atol=1e-12)
+
+    @given(st.lists(unit_quaternions(min_w=0.7), min_size=1, max_size=8))
+    def test_geodesic_mean(self, quats):
+        expected = rows_canonicalize(karcher_mean_rows(np.array(quats), 1e-8))
+        np.testing.assert_allclose(geodesic_mean(quats), expected, rtol=0.0, atol=1e-15)
 
 
 class TestGeodesicMean:
@@ -237,6 +328,29 @@ class TestPoseFrame:
         rots = [UnitQuaternion(0, 0, 0, 1)] * 33 + [UnitQuaternion(0, 0, 0, 2.0)]
         with pytest.raises(InvalidQuaternionError):
             PoseFrame(0, (0, 0, 0), tuple(rots)).validate(skeleton)
+
+    def test_rotations_are_a_read_only_array(self):
+        frame = PoseFrame(0, (0, 0, 0), (UnitQuaternion(0, 0, 0, 1), (0.6, 0.0, 0.0, 0.8)))
+        assert frame.rotations.dtype == np.float64 and frame.rotations.shape == (2, 4)
+        with pytest.raises(ValueError):
+            frame.rotations[0, 0] = 1.0
+
+    def test_caller_array_is_copied_not_frozen(self):
+        arr = np.array([[0.0, 0.0, 0.0, 1.0]])
+        frame = PoseFrame(0, (0, 0, 0), arr)
+        arr[0, 3] = 2.0
+        assert arr.flags.writeable and frame.rotations[0, 3] == 1.0
+
+    def test_value_equality(self):
+        a = PoseFrame(1, (0.0, 0.0, 0.0), (UnitQuaternion(0, 0, 0, 1),))
+        b = PoseFrame.from_array(1, (0, 0, 0), np.array([[0.0, 0.0, 0.0, 1.0]]))
+        c = PoseFrame(1, (0.0, 0.0, 0.0), ((0.6, 0.0, 0.0, 0.8),))
+        assert (a == b) is True
+        assert (a == c) is False
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            PoseFrame(0, (0, 0, 0), (0.0, 0.0, 0.0, 1.0))
 
     def test_array_round_trip(self):
         arr = np.array([[0.0, 0.0, 0.0, 1.0], [0.6, 0.0, 0.0, 0.8]])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dancegraph.cli import main as cli_main
-from dancegraph.codec import analyze_bounds, max_angular_error
-from dancegraph.core import PoseFrame, UnitQuaternion, default_skeleton
+from dancegraph.codec import analyze_bounds, encode_frame, max_angular_error
+from dancegraph.core import PoseFrame, UnitQuaternion, default_skeleton, from_axis_angle
 from dancegraph.harness import (
     BenchParams,
     FlowStats,
@@ -29,8 +29,8 @@ from dancegraph.recording import (
     save_recording,
 )
 from dancegraph.rhythm import BeatGrid, BodyZone, CorrectiveParams
-from dancegraph.router import Origin, SignalSelector
-from dancegraph.packet import SignalType
+from dancegraph.router import Mode, Origin, SignalDescriptor, SignalRouter, SignalSelector
+from dancegraph.packet import SignalPacket, SignalType
 from dancegraph.transport import RelayServer, ServerConfig, client_connect
 
 TWO_PI = 2.0 * math.pi
@@ -106,6 +106,21 @@ class TestRecordingFile:
         loaded = load_recording(path)
         assert loaded.frames == []
         assert loaded.joint_count == 34
+
+    def test_load_canonicalizes_hemisphere(self, tmp_path):
+        # Another tool may store either sign of a rotation; loading puts
+        # every quaternion on the w >= 0 hemisphere.
+        q = from_axis_angle((1.0, 0.0, 0.0), 0.4)
+        flipped = (-q.x, -q.y, -q.z, -q.w)
+        path = tmp_path / "flipped.dgrc"
+        with RecordingWriter(path, 2, 30.0) as writer:
+            for i in range(3):
+                writer.write_frame(PoseFrame(i, (0, 0, 0), (flipped, (0.0, 0.0, 0.0, -1.0))))
+        loaded = load_recording(path)
+        rot = np.stack([f.rotation_array() for f in loaded.frames])
+        assert np.all(rot[:, :, 3] > 0.0)
+        assert geodesic_rows(rot[:, 0], np.tile(q, (3, 1))).max() < 1e-6
+        assert np.array_equal(rot[:, 1], np.tile([0.0, 0.0, 0.0, 1.0], (3, 1)))
 
 
 class TestReplay:
@@ -213,6 +228,38 @@ class TestRecordSink:
         )
         assert written == 0
         assert load_recording(out).frames == []
+
+    def test_corrupt_payload_is_skipped(self, tmp_path):
+        rec = synthesize_sway_recording(duration_s=0.5)
+        table = analyze_bounds([rec.frames], margin=0.1, bits=16)
+        payloads = [encode_frame(f, table).to_bytes() for f in rec.frames]
+        payloads.insert(5, b"\x00" * 10)  # a peer payload of the wrong size
+
+        class PrimedRouter(SignalRouter):
+            # Publishes every payload right after the sink subscribes.
+            def subscribe(self, selector, mode=Mode.EVERY):
+                handle = super().subscribe(selector, mode)
+                producer = self.register_producer(
+                    SignalDescriptor(SignalType.POSE, 7, Origin.NETWORK), 64
+                )
+                for seq, payload in enumerate(payloads, start=1):
+                    producer.publish(SignalPacket(SignalType.POSE, 7, seq, seq, payload))
+                return handle
+
+        stop = threading.Event()
+        stop.set()  # drain what is queued, then return
+        out = tmp_path / "sink.dgrc"
+        written = record_sink(
+            PrimedRouter(),
+            SignalSelector(SignalType.POSE, None, Origin.NETWORK),
+            out,
+            table,
+            default_skeleton(),
+            stop=stop,
+        )
+        assert written == len(rec.frames)
+        recorded = load_recording(out)
+        assert [f.timestamp_us for f in recorded.frames] == [f.timestamp_us for f in rec.frames]
 
 
 class TestCorrectiveExperiment:
@@ -333,6 +380,18 @@ class TestCli:
         assert report["applied"] is True
         assert report["amplitude_ratio"] == pytest.approx(2.0, abs=0.05)
         assert load_recording(fixed).joint_count == 34
+
+    def test_bounds_accepts_non_canonical_file(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rec = synthesize_sway_recording(duration_s=1.0)
+        with RecordingWriter(corpus / "flipped.dgrc", rec.joint_count, rec.nominal_fps) as writer:
+            for f in rec.frames:
+                flipped = PoseFrame(f.timestamp_us, f.root_translation, -f.rotation_array())
+                writer.write_frame(flipped)
+        bounds = tmp_path / "bounds.json"
+        assert cli_main(["bounds", "--corpus", str(corpus), "--out", str(bounds)]) == 0
+        assert len(json.loads(bounds.read_text())["joints"]) == 34
 
     def test_bench_cli_writes_json(self, tmp_path):
         out = tmp_path / "bench.json"

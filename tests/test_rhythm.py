@@ -202,7 +202,7 @@ class TestBeatAlignRemap:
         result = beat_align_remap(frames, detected, grid, CorrectiveParams())
         assert result.applied and result.rate == 1.0
         assert result.phase_target_us == 0.0
-        assert all(a.rotations == b.rotations for a, b in zip(frames, result.frames))
+        assert all(np.array_equal(a.rotations, b.rotations) for a, b in zip(frames, result.frames))
 
     def test_tempo_mismatch_passes_through_flagged(self):
         frames = sway_frames(duration_s=6.0)
@@ -227,7 +227,7 @@ class TestBeatAlignRemap:
         assert result.phase_target_us == pytest.approx(230_000, abs=2_000)
 
         converge_s = abs(result.phase_target_us) / 1e6 / params.max_warp_slew
-        x = [f.rotations[0].x for f in result.frames]
+        x = [f.rotations[0, 0] for f in result.frames]
         extrema = [t for t in find_extrema_s(x, 30.0) if t > converge_s + 0.5]
         assert len(extrema) > 10
         errors = [abs(t - round(t / 0.5) * 0.5) for t in extrema]
@@ -268,7 +268,9 @@ class TestBeatAlignRemap:
         aligned_model = PeriodEstimate(1_000_000, 0.0, 0.9, joint=0)
         twice = beat_align_remap(once.frames, aligned_model, grid, CorrectiveParams())
         assert twice.applied and twice.rate == 1.0 and twice.phase_target_us == 0.0
-        assert all(a.rotations == b.rotations for a, b in zip(once.frames, twice.frames))
+        assert all(
+            np.array_equal(a.rotations, b.rotations) for a, b in zip(once.frames, twice.frames)
+        )
 
         # And a real re-detection on the converged tail confirms the residual
         # misalignment is a few milliseconds at most.
@@ -306,7 +308,7 @@ class TestAmplifyZones:
         gains[BodyZone.HIPS] = 2.0
         window = 60  # exactly 2 periods at 30 fps
         out = amplify_zones(frames, skeleton, CorrectiveParams(zone_gains=gains), window)
-        angles = [2 * math.degrees(math.asin(f.rotations[0].x)) for f in out[window + 30:]]
+        angles = [2 * math.degrees(math.asin(f.rotations[0, 0])) for f in out[window + 30:]]
         assert max(angles) == pytest.approx(20.0, abs=0.1)
         assert min(angles) == pytest.approx(-20.0, abs=0.1)
 
