@@ -69,7 +69,6 @@ from .transport import (
     ServerConfig,
     SessionState,
     client_connect,
-    serve,
 )
 
 __version__ = "0.1.0"

@@ -194,10 +194,11 @@ def _cmd_bounds(args) -> int:
     if not files:
         print(f"no .dgrc recordings under {corpus_dir}", file=sys.stderr)
         return 2
-    streams = [load_recording(f).frames for f in files]
+    recordings = [load_recording(f) for f in files]
     names = None
-    if streams and len(streams[0][0].rotations) == default_skeleton().joint_count:
+    if recordings[0].joint_count == default_skeleton().joint_count:
         names = default_skeleton().joint_names
+    streams = [r.frames for r in recordings]
     table = analyze_bounds(streams, margin=args.margin, bits=args.bits, joint_names=names)
     table.to_json(args.out)
     print(f"analyzed {len(files)} recordings -> {args.out} "

@@ -342,7 +342,3 @@ def encoded_frame_bytes(table: BoundsTable) -> int:
 def raw_frame_bytes(joint_count: int) -> int:
     """Uncompressed frame size: u64 timestamp, 3 x f32 root, 4 x f32 per joint."""
     return 8 + 12 + joint_count * 16
-
-
-def compression_ratio(table: BoundsTable) -> float:
-    return encoded_frame_bytes(table) / raw_frame_bytes(table.joint_count)

@@ -29,18 +29,21 @@ __all__ = [
     "scale_rotation",
     "geodesic_distance",
     "quat_multiply",
-    "quat_conjugate",
     "rotate_vector",
     "from_axis_angle",
     "slerp",
     "default_skeleton",
-    "IDENTITY",
 ]
 
 # A quaternion this close to unit norm is treated as already normalized;
 # rescaling it again would only churn the low bits and break the bit-for-bit
 # idempotence of canonicalize().
 _ALREADY_UNIT_TOL = 1e-12
+
+# A |w| this small is rounding noise around a half-turn: its sign must not
+# pick the canonical representative, or one rotation computed two ways could
+# come out with opposite signs.
+_HALF_TURN_TOL = 1e-12
 
 _MEAN_MAX_ITERATIONS = 64
 
@@ -84,9 +87,6 @@ class UnitQuaternion(NamedTuple):
         return 2.0 * math.atan2(vn, abs(self.w))
 
 
-IDENTITY = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
-
-
 def _quat(row: np.ndarray) -> UnitQuaternion:
     """A (4,) result row as the scalar API's value type."""
     return UnitQuaternion._make(row.tolist())
@@ -99,8 +99,9 @@ def _row(q: Sequence[float]) -> np.ndarray:
 def canonicalize(q: Sequence[float]) -> UnitQuaternion:
     """Normalize a quaternion and force it onto the w >= 0 hemisphere.
 
-    If w lands exactly on 0 the first nonzero component among (x, y, z) is
-    made non-negative so every rotation has exactly one representative.
+    At a half-turn (|w| <= _HALF_TURN_TOL) w is set to 0 and the first
+    component among (x, y, z) whose magnitude exceeds _HALF_TURN_TOL is made
+    non-negative, so every rotation has exactly one representative.
     Idempotent bit-for-bit: feeding the result back in returns it unchanged.
 
     This is the scalar twin of rows_canonicalize and agrees with it bit for
@@ -115,11 +116,12 @@ def canonicalize(q: Sequence[float]) -> UnitQuaternion:
     if abs(n2 - 1.0) > _ALREADY_UNIT_TOL:
         inv = 1.0 / math.sqrt(n2)
         x, y, z, w = x * inv, y * inv, z * inv, w * inv
-    if w < 0.0:
+    if w < -_HALF_TURN_TOL:
         x, y, z, w = -x, -y, -z, -w
-    elif w == 0.0:
+    elif w <= _HALF_TURN_TOL:
+        w = 0.0
         for c in (x, y, z):
-            if c != 0.0:
+            if abs(c) > _HALF_TURN_TOL:
                 if c < 0.0:
                     x, y, z = -x, -y, -z
                 break
@@ -128,11 +130,6 @@ def canonicalize(q: Sequence[float]) -> UnitQuaternion:
 
 def quat_multiply(a: Sequence[float], b: Sequence[float]) -> UnitQuaternion:
     return _quat(rows_multiply(_row(a), _row(b)))
-
-
-def quat_conjugate(q: Sequence[float]) -> UnitQuaternion:
-    x, y, z, w = q
-    return UnitQuaternion(-x, -y, -z, w)
 
 
 def rotate_vector(q: Sequence[float], v: Sequence[float]) -> tuple[float, float, float]:
@@ -224,9 +221,9 @@ def rows_normalize(arr: np.ndarray) -> np.ndarray:
 
 def rows_canonicalize(arr: np.ndarray) -> np.ndarray:
     """Row-wise canonicalize, bit for bit: rows already within
-    _ALREADY_UNIT_TOL of unit norm are not rescaled, w == 0 ties flip on the
-    first nonzero vector component, and zero-norm or non-finite rows raise
-    InvalidQuaternionError. Returns a new array."""
+    _ALREADY_UNIT_TOL of unit norm are not rescaled, half-turn rows get w = 0
+    and flip on the first significant vector component, and zero-norm or
+    non-finite rows raise InvalidQuaternionError. Returns a new array."""
     out = np.array(arr, dtype=np.float64)
     x, y, z, w = out[..., 0], out[..., 1], out[..., 2], out[..., 3]
     n2 = x * x + y * y + z * z + w * w
@@ -236,11 +233,12 @@ def rows_canonicalize(arr: np.ndarray) -> np.ndarray:
     if np.any(rescale):
         out[rescale] *= (1.0 / np.sqrt(n2[rescale]))[:, None]
     w = out[..., 3]
-    out[w < 0.0] *= -1.0
-    tie = w == 0.0
+    out[w < -_HALF_TURN_TOL] *= -1.0
+    tie = w <= _HALF_TURN_TOL  # every w left below -_HALF_TURN_TOL was flipped
     if np.any(tie):
+        w[tie] = 0.0
         v = out[..., :3]
-        first = np.argmax(v != 0.0, axis=-1)
+        first = np.argmax(np.abs(v) > _HALF_TURN_TOL, axis=-1)
         lead = np.take_along_axis(v, first[..., None], axis=-1)[..., 0]
         v[tie & (lead < 0.0)] *= -1.0
     return out

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _TS_PATCH = struct.Struct("<Q")
+_SINK_POLL_INTERVAL_S = 0.005  # record_sink's nap when its ring is empty
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,6 @@ def record_sink(
     nominal_fps: float = 30.0,
     stop: threading.Event | None = None,
     duration_s: float | None = None,
-    poll_interval_s: float = 0.005,
 ) -> int:
     """Subscribe in Every mode and write decoded frames in arrival order.
 
@@ -242,7 +242,7 @@ def record_sink(
             if not polled.packets:
                 if stopping:
                     break
-                time.sleep(poll_interval_s)
+                time.sleep(_SINK_POLL_INTERVAL_S)
         written = writer.frames_written
     router.unsubscribe(consumer)
     return written
@@ -473,7 +473,7 @@ def _run_local_direct(params: BenchParams) -> LatencyReport:
                 user_id=1,
                 seq=k + 1,
                 send_timestamp_us=now,
-                payload=bytes(payload),
+                payload=payload,
             ))
 
     thread = threading.Thread(target=produce, daemon=True)
@@ -748,18 +748,17 @@ def _pick_measurement_component(recording: Recording, joint: int) -> str:
 
 
 _COMPONENT_IDX = {"x": 0, "y": 1, "z": 2}
+_EXTREMUM_MIN_PROMINENCE = 0.25  # of the peak deviation
 
 
 def find_extremum_times_us(
     frames: Sequence[PoseFrame],
     joint: int,
     component: str,
-    *,
-    min_prominence_ratio: float = 0.25,
 ) -> list[float]:
     """Times of local extrema of one joint component, parabola-refined.
 
-    Small wiggles below `min_prominence_ratio` of the peak deviation are
+    Small wiggles below `_EXTREMUM_MIN_PROMINENCE` of the peak deviation are
     ignored so measurement noise does not read as extra extrema.
     """
     idx = _COMPONENT_IDX[component]
@@ -775,7 +774,7 @@ def find_extremum_times_us(
         d2 = x[i + 1] - x[i]
         if d1 == 0.0 and d2 == 0.0:
             continue
-        if (d1 >= 0.0 >= d2 or d1 <= 0.0 <= d2) and abs(x[i]) >= min_prominence_ratio * scale:
+        if (d1 >= 0.0 >= d2 or d1 <= 0.0 <= d2) and abs(x[i]) >= _EXTREMUM_MIN_PROMINENCE * scale:
             denom = x[i - 1] - 2.0 * x[i] + x[i + 1]
             delta = 0.0 if denom == 0.0 else 0.5 * (x[i - 1] - x[i + 1]) / denom
             delta = float(np.clip(delta, -0.5, 0.5))

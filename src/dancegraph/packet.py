@@ -64,12 +64,14 @@ class SignalType(IntEnum):
     TELEMETRY = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class SignalPacket:
     """Parsed packet header plus payload.
 
-    `recv_timestamp_us` and `origin` are local annotations stamped by the
-    receiving side (they never travel on the wire).
+    `recv_timestamp_us` and `origin` are local annotations that never travel
+    on the wire: the receiver stamps the arrival time, and the router stamps
+    the origin of the stream a packet is published on. The wire version is
+    not kept, because `parse_packet` accepts only `WIRE_VERSION`.
     """
 
     signal_type: SignalType
@@ -77,7 +79,6 @@ class SignalPacket:
     seq: int
     send_timestamp_us: int
     payload: bytes = b""
-    version: int = WIRE_VERSION
     recv_timestamp_us: int | None = None
     origin: "Origin | None" = None
 
@@ -138,5 +139,4 @@ def parse_packet(data: bytes) -> SignalPacket:
         seq=seq,
         send_timestamp_us=send_ts,
         payload=bytes(data[HEADER_SIZE:]),
-        version=version,
     )

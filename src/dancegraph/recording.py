@@ -63,12 +63,6 @@ class Recording:
                 raise RecordingFormatError(f"frame {i} timestamp does not increase")
             prev = frame.timestamp_us
 
-    @property
-    def duration_us(self) -> int:
-        if len(self.frames) < 2:
-            return 0
-        return self.frames[-1].timestamp_us - self.frames[0].timestamp_us
-
 
 class RecordingWriter:
     """Appends frames to disk as they arrive; close() truncates any partial

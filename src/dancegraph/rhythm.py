@@ -86,13 +86,10 @@ class BeatGrid:
 
     bpm: float
     phase_offset_us: int = 0
-    beats_per_bar: int = 4
 
     def __post_init__(self) -> None:
         if not (30.0 <= self.bpm <= 300.0):
             raise ValueError(f"bpm must be in [30, 300], got {self.bpm}")
-        if self.beats_per_bar < 1:
-            raise ValueError("beats_per_bar must be >= 1")
 
     @property
     def beat_period_us(self) -> float:
@@ -247,7 +244,6 @@ def _feature_series(
 def detect_dominant_period(
     series: FeatureSeries,
     threshold: float = 0.2,
-    band_hz: tuple[float, float] = DETECTION_BAND_HZ,
 ) -> PeriodEstimate | None:
     """Find the dominant in-band period of a series, or None if aperiodic.
 
@@ -267,8 +263,9 @@ def detect_dominant_period(
     power = np.abs(spectrum) ** 2
     fs = series.fps
 
-    k_lo = max(1, int(math.ceil(band_hz[0] * n / fs)))
-    k_hi = min(n // 2 - 1, int(math.floor(band_hz[1] * n / fs)))
+    band_lo, band_hi = DETECTION_BAND_HZ
+    k_lo = max(1, int(math.ceil(band_lo * n / fs)))
+    k_hi = min(n // 2 - 1, int(math.floor(band_hi * n / fs)))
     if k_lo > k_hi:
         return None
     k = int(np.argmax(power[k_lo:k_hi + 1])) + k_lo
@@ -287,7 +284,7 @@ def detect_dominant_period(
     delta = 0.0 if denom == 0.0 else 0.5 * (l_prev - l_next) / denom
     delta = float(np.clip(delta, -0.5, 0.5))
     freq = (k + delta) * fs / n
-    freq = min(max(freq, band_hz[0]), band_hz[1])
+    freq = min(max(freq, band_lo), band_hi)
 
     # Phase of the cosine model at the first sample, read from the windowed
     # spectrum evaluated at the refined peak frequency.

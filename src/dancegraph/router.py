@@ -1,12 +1,13 @@
 """In-process signal manager connecting producers to consumers.
 
 One exclusive publisher per stream, any number of polling consumers. Each
-stream owns a preallocated ring of packet slots: publishing copies payload
-bytes into a slot and never allocates; consumers copy out and re-check the
-slot's publish counter afterwards, accepting a rare re-read when the ring
-wraps mid-copy. Overwrite drops the oldest entries (a stale pose is worth
-less than a fresh one), and Every-mode polls report how many entries were
-lost that way.
+stream owns a ring of `capacity` slots, and each slot holds a published
+packet itself: publish and poll copy nothing, because payloads are
+immutable bytes. A slot is replaced in one assignment, so a reader sees
+either the old entry or the new one, and the publish count stored next to
+the packet tells it which. Overwrite drops the oldest entries (a stale pose
+is worth less than a fresh one), and Every-mode polls report how many
+entries were lost that way.
 
 Registration and subscription take a coarse lock; publish and poll run
 lock-free against the published counter.
@@ -14,7 +15,6 @@ lock-free against the published counter.
 from __future__ import annotations
 
 import threading
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -93,30 +93,27 @@ class StreamStats:
 
 
 class _Stream:
-    """One descriptor's ring. Slots are preallocated at registration."""
+    """One descriptor's packet ring.
+
+    `slots[count & mask]` holds `(count, packet)` for the newest publish
+    that landed there; the ring keeps the last `capacity` packets alive and
+    nothing more.
+    """
 
     __slots__ = (
-        "desc", "capacity", "mask", "max_payload", "slab", "lengths",
-        "seqs", "send_ts", "recv_ts", "tags", "pub_count", "last_seq",
-        "consumers", "stats", "metadata", "closed",
+        "desc", "capacity", "mask", "slots", "pub_count", "last_seq",
+        "consumers", "stats", "closed",
     )
 
-    def __init__(self, desc: SignalDescriptor, capacity: int, max_payload: int, metadata):
+    def __init__(self, desc: SignalDescriptor, capacity: int):
         self.desc = desc
         self.capacity = capacity
         self.mask = capacity - 1
-        self.max_payload = max_payload
-        self.slab = bytearray(capacity * max_payload)
-        self.lengths = array("i", [0]) * capacity
-        self.seqs = array("Q", [0]) * capacity
-        self.send_ts = array("Q", [0]) * capacity
-        self.recv_ts = array("q", [-1]) * capacity
-        self.tags = array("q", [-1]) * capacity
+        self.slots: list[tuple[int, SignalPacket | None]] = [(-1, None)] * capacity
         self.pub_count = 0
         self.last_seq = 0
         self.consumers: list["_Cursor"] = []
         self.stats = StreamStats()
-        self.metadata = metadata
         self.closed = False
 
     def publish(self, packet: SignalPacket) -> int:
@@ -126,44 +123,26 @@ class _Stream:
                 f"sequence {packet.seq} not greater than {self.last_seq} on {self.desc}"
             )
         payload = packet.payload
-        n = len(payload)
-        if n > self.max_payload:
-            raise ValueError(f"payload {n} exceeds stream slot size {self.max_payload}")
+        if not isinstance(payload, bytes):
+            payload = bytes(payload)  # a reused publisher buffer must not leak in
+        if len(payload) > MAX_PAYLOAD:
+            raise ValueError(f"payload {len(payload)} exceeds {MAX_PAYLOAD} bytes")
+        desc = self.desc
+        packet.payload = payload
+        packet.signal_type = desc.signal_type
+        packet.user_id = desc.user_id
+        packet.origin = desc.origin
         count = self.pub_count
-        idx = count & self.mask
-        off = idx * self.max_payload
-        self.tags[idx] = -1  # mark in-progress before touching slot data
-        self.slab[off:off + n] = payload
-        self.lengths[idx] = n
-        self.seqs[idx] = packet.seq
-        self.send_ts[idx] = packet.send_timestamp_us
-        self.recv_ts[idx] = -1 if packet.recv_timestamp_us is None else packet.recv_timestamp_us
-        self.tags[idx] = count
+        self.slots[count & self.mask] = (count, packet)
         self.pub_count = count + 1  # release: consumers read this last value
         self.last_seq = packet.seq
         self.stats.published += 1
         return len(self.consumers)
 
     def read_slot(self, count: int) -> SignalPacket | None:
-        """Copy out entry `count`; None if it was overwritten during the copy."""
-        idx = count & self.mask
-        off = idx * self.max_payload
-        n = self.lengths[idx]
-        payload = bytes(self.slab[off:off + n])
-        seq = self.seqs[idx]
-        send_ts = self.send_ts[idx]
-        recv_ts = self.recv_ts[idx]
-        if self.tags[idx] != count:
-            return None  # wrapped while reading
-        return SignalPacket(
-            signal_type=self.desc.signal_type,
-            user_id=self.desc.user_id,
-            seq=seq,
-            send_timestamp_us=send_ts,
-            payload=payload,
-            recv_timestamp_us=None if recv_ts < 0 else recv_ts,
-            origin=self.desc.origin,
-        )
+        """Entry `count`, or None if a later publish has overwritten it."""
+        tag, packet = self.slots[count & self.mask]
+        return packet if tag == count else None
 
 
 class _Cursor:
@@ -190,7 +169,11 @@ class ProducerHandle:
         return self._stream.stats
 
     def publish(self, packet: SignalPacket) -> int:
-        """Copy the packet into the ring; returns the consumer count."""
+        """Store the packet in the ring; returns the consumer count.
+
+        The router stamps the stream's signal type, user id and origin onto
+        the packet, and a payload that is not `bytes` is copied to `bytes`.
+        """
         if self._stream.closed:
             raise StreamConflictError(f"stream {self._stream.desc} is closed")
         return self._stream.publish(packet)
@@ -228,6 +211,9 @@ class ConsumerHandle:
         plus the count of packets lost to ring overwrite. Latest-wins
         returns at most the newest unread packet per attached stream; the
         entries it skipped are reported in the same counter.
+
+        Polled packets are the objects the producer published, shared with
+        every other consumer of the stream: treat them as read-only.
         """
         if max_packets < 1:
             raise ValueError("max_packets must be >= 1")
@@ -281,20 +267,11 @@ class SignalRouter:
         self._streams: dict[SignalDescriptor, _Stream] = {}
         self._consumers: list[ConsumerHandle] = []
 
-    def register_producer(
-        self,
-        desc: SignalDescriptor,
-        capacity: int = 64,
-        *,
-        max_payload: int = MAX_PAYLOAD,
-        metadata=None,
-    ) -> ProducerHandle:
+    def register_producer(self, desc: SignalDescriptor, capacity: int = 64) -> ProducerHandle:
         """Create a stream and grant exclusive publish rights to the caller.
 
-        Capacity must be a power of two in [2, 4096]; ring slots are
-        preallocated here so publishing allocates nothing. `metadata` is an
-        opaque blob attached to the stream; the router assigns no meaning
-        to it.
+        Capacity must be a power of two in [2, 4096]; the slot list is
+        preallocated here, so publishing only replaces one slot.
         """
         if capacity < _MIN_CAPACITY or capacity > _MAX_CAPACITY or capacity & (capacity - 1):
             raise ValueError(
@@ -304,7 +281,7 @@ class SignalRouter:
         with self._lock:
             if desc in self._streams:
                 raise StreamConflictError(f"producer already registered for {desc}")
-            stream = _Stream(desc, capacity, max_payload, metadata)
+            stream = _Stream(desc, capacity)
             self._streams[desc] = stream
             for consumer in self._consumers:
                 if consumer.selector.matches(desc):
@@ -343,11 +320,3 @@ class SignalRouter:
     def streams(self) -> list[SignalDescriptor]:
         with self._lock:
             return list(self._streams.keys())
-
-    def stream_metadata(self, desc: SignalDescriptor):
-        with self._lock:
-            return self._streams[desc].metadata
-
-    def stream_stats(self, desc: SignalDescriptor) -> StreamStats:
-        with self._lock:
-            return self._streams[desc].stats

@@ -50,7 +50,6 @@ __all__ = [
     "ServerConfig",
     "ServerStats",
     "RelayServer",
-    "serve",
     "SessionState",
     "SessionStats",
     "Client",
@@ -67,6 +66,7 @@ SERVER_ID = 0
 _U16 = struct.Struct("<H")
 
 _RECV_BUFSIZE = HEADER_SIZE + 1472  # one full datagram with headroom
+_CLIENT_RCVBUF = 1 << 20  # kernel receive buffer of a client socket
 
 
 def mono_us() -> int:
@@ -262,15 +262,6 @@ class RelayServer:
                     pass
 
 
-def serve(config: ServerConfig) -> None:
-    """Run a relay server in the calling thread until interrupted."""
-    server = RelayServer(config)
-    try:
-        server.run()
-    finally:
-        server.stop()
-
-
 @dataclass
 class SessionStats:
     sent: int = 0
@@ -286,7 +277,6 @@ class SessionState:
 
     user_id: int
     peer_seq: dict[tuple[int, SignalType], int] = field(default_factory=dict)
-    last_heard_us: dict[int, int] = field(default_factory=dict)
     stats: SessionStats = field(default_factory=SessionStats)
 
 
@@ -367,7 +357,6 @@ class Client:
             send_timestamp_us=now,
             payload=payload,
             recv_timestamp_us=now,
-            origin=Origin.LOCAL,
         ))
         return seq
 
@@ -439,9 +428,7 @@ class Client:
             session.stats.dropped_stale += 1
             return
         session.peer_seq[flow] = packet.seq
-        session.last_heard_us[packet.user_id] = now
         packet.recv_timestamp_us = now
-        packet.origin = Origin.NETWORK
         producer = self._peer_producers.get(flow)
         if producer is None:
             desc = SignalDescriptor(packet.signal_type, packet.user_id, Origin.NETWORK)
@@ -464,7 +451,6 @@ class Client:
         for flow in [f for f in self._peer_producers if f[0] == peer_id]:
             self._peer_producers.pop(flow).close()
             self.session.peer_seq.pop(flow, None)
-        self.session.last_heard_us.pop(peer_id, None)
 
 
 def client_connect(
@@ -474,7 +460,6 @@ def client_connect(
     retries: int = 3,
     retry_interval_s: float = 0.2,
     peer_ring_capacity: int = 64,
-    recv_buffer: int = 1 << 20,
     start_receiver: bool = True,
     keepalive_interval_s: float | None = 2.0,
 ) -> Client:
@@ -486,7 +471,7 @@ def client_connect(
     clients are not evicted.
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, recv_buffer)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _CLIENT_RCVBUF)
     sock.settimeout(retry_interval_s)
     join_seq = 0
     try:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dancegraph.core import (
@@ -55,6 +55,19 @@ class TestCanonicalize:
         q = canonicalize(UnitQuaternion(-0.6, 0.8, 0.0, 0.0))
         assert q == UnitQuaternion(0.6, -0.8, 0.0, 0.0)
 
+    @pytest.mark.parametrize("noise", [1e-17, -1e-17, 2.2e-313, -0.0])
+    def test_half_turn_sign_ignores_rounding_noise_in_w(self, noise):
+        # A w that is rounding noise around 0 must not pick the sign: the
+        # first significant vector component does, and w lands on 0.
+        q = canonicalize(UnitQuaternion(-0.6, 0.8, 0.0, noise))
+        assert q == UnitQuaternion(0.6, -0.8, 0.0, 0.0)
+        row = rows_canonicalize(np.array([[-0.6, 0.8, 0.0, noise]]))
+        assert np.array(q).tobytes() == row.tobytes()
+
+    def test_half_turn_lead_skips_noise_components(self):
+        q = canonicalize(UnitQuaternion(-1e-17, 0.6, -0.8, 0.0))
+        assert q == UnitQuaternion(-1e-17, 0.6, -0.8, 0.0)
+
     def test_zero_norm_rejected(self):
         with pytest.raises(InvalidQuaternionError):
             canonicalize(UnitQuaternion(0, 0, 0, 0))
@@ -94,6 +107,10 @@ class TestRowsCanonicalize:
     def test_zero_norm_and_non_finite_rejected(self, bad):
         with pytest.raises(InvalidQuaternionError):
             rows_canonicalize(np.array([(0.0, 0.0, 0.0, 1.0), bad]))
+
+
+def _c(*raw):
+    return canonicalize(UnitQuaternion(*raw))
 
 
 def reference_scale_rotation(reference, q, gain):
@@ -154,6 +171,17 @@ class TestScalarMatchesRows:
 
     @given(unit_quaternions(), unit_quaternions(), st.floats(0.0, 4.0))
     @settings(max_examples=200)
+    # Half-turn results, whose w is rounding noise around 0: the two
+    # computations round differently there and must pick the same sign.
+    @example(
+        _c(0.18014668640891762, 0.0, 1.0, 0.0), _c(0.18014668640891762, -0.8143727063839332, 1.0, 0.0),
+        2.0,
+    )
+    @example(_c(1.0, 0.0, 0.0, 0.0), _c(-1.0, 0.0, 0.0, 2.2250738585e-313), 1.0)
+    @example(_c(0.0, -0.16249203205612361, 1.0, 0.0), _c(1.0, 0.16249203205612361, 0.0, 0.0), 0.25)
+    @example(_c(1.0, 0.0, 0.0, 1.002473537037997e-186), _c(1.0, 0.0, 0.0, 0.0), 2.0)
+    @example(_c(1.0, 0.75, 1.0, 0.0), _c(0.0625, 0.9527239150180429, 1.0, 0.0), 1.0)
+    @example(_c(0.0, 1.0, 0.0, 0.0), _c(0.0, 1.0, 0.0, -2.225073858507203e-309), 1.0)
     def test_scale_rotation_matches_pure_python_reference(self, ref, q, gain):
         # Transcendentals come from numpy instead of math: allow rounding.
         expected = reference_scale_rotation(ref, q, gain)

@@ -393,6 +393,19 @@ class TestCli:
         assert cli_main(["bounds", "--corpus", str(corpus), "--out", str(bounds)]) == 0
         assert len(json.loads(bounds.read_text())["joints"]) == 34
 
+    def test_bounds_skips_header_only_first_file(self, tmp_path):
+        # "a.dgrc" sorts first and holds a header but no frames; the joint
+        # count comes from the header, not from a first frame.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rec = synthesize_sway_recording(duration_s=1.0)
+        with RecordingWriter(corpus / "a.dgrc", rec.joint_count, rec.nominal_fps):
+            pass
+        save_recording(rec, corpus / "b.dgrc")
+        bounds = tmp_path / "bounds.json"
+        assert cli_main(["bounds", "--corpus", str(corpus), "--out", str(bounds)]) == 0
+        assert len(json.loads(bounds.read_text())["joints"]) == 34
+
     def test_bench_cli_writes_json(self, tmp_path):
         out = tmp_path / "bench.json"
         assert cli_main([
