@@ -215,8 +215,7 @@ def geodesic_mean(
 # ---------------------------------------------------------------------------
 
 def rows_normalize(arr: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
-    return arr / norms
+    return arr / np.sqrt((arr * arr).sum(axis=-1, keepdims=True))
 
 
 def rows_canonicalize(arr: np.ndarray) -> np.ndarray:
@@ -264,22 +263,25 @@ def rows_conjugate(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_half_weight(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-row f with rows_log_half(q) == f * v for q = (v, w): the half
+    angle over |v| (1 near the identity), negated where w < 0."""
+    vn = np.sqrt(np.einsum("...k,...k->...", v, v))
+    f = np.divide(np.arctan2(vn, np.abs(w)), vn, out=np.ones_like(vn), where=vn > 1e-12)
+    return np.negative(f, out=f, where=w < 0.0)
+
+
 def rows_log_half(arr: np.ndarray) -> np.ndarray:
     """Half-angle log map per row (axis * theta/2); rows are flipped onto
     w >= 0 first. At a half-turn the axis is ambiguous and the vector part's
     own direction is used."""
     q = np.asarray(arr, dtype=np.float64)
-    q = np.where(q[..., 3:4] < 0.0, -q, q)
-    v = q[..., :3]
-    vn = np.linalg.norm(v, axis=-1)
-    half = np.arctan2(vn, q[..., 3])
-    f = np.where(vn > 1e-12, half / np.where(vn > 1e-12, vn, 1.0), 1.0)
-    return v * f[..., None]
+    return q[..., :3] * _log_half_weight(q[..., :3], q[..., 3])[..., None]
 
 
 def rows_exp_half(vec: np.ndarray) -> np.ndarray:
     """Inverse of rows_log_half: tangent vector (axis * theta/2) to quaternion."""
-    half = np.linalg.norm(vec, axis=-1)
+    half = np.sqrt((vec * vec).sum(axis=-1))
     s = np.where(half > 1e-12, np.sin(half) / np.where(half > 1e-12, half, 1.0), 1.0)
     return np.concatenate([vec * s[..., None], np.cos(half)[..., None]], axis=-1)
 
@@ -287,15 +289,16 @@ def rows_exp_half(vec: np.ndarray) -> np.ndarray:
 def rows_scale_rotation(
     reference: np.ndarray,
     q: np.ndarray,
-    gain: float,
+    gain: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise reference * exp(gain * log(reference^-1 * q)), canonicalized.
+    """Row-wise reference * exp(gain * log(reference^-1 * q)), canonicalized;
+    `gain` is a scalar or an array broadcasting over the leading axes.
 
     Returns the scaled rows and a per-row flag marking a half-turn relative
     rotation, whose log axis is ambiguous: the vector part's axis is used
     instead of failing, so a streaming pipeline never halts on one bad frame.
     """
-    if gain < 0.0:
+    if np.any(np.asarray(gain) < 0.0):
         raise ValueError(f"gain must be >= 0, got {gain}")
     rel = rows_multiply(rows_conjugate(reference), q)
     degenerate = np.abs(rel[..., 3]) < _DEGENERATE_W
@@ -326,24 +329,40 @@ def rows_slerp(a: np.ndarray, b: np.ndarray, u: float) -> np.ndarray:
     return rows_normalize(a * ka[..., None] + b * kb[..., None])
 
 
+# For (x, y, z, w) rows, conj(m) * q == q @ _conj_product_matrix(m) and
+# m * q == q @ _conj_product_matrix(m).T; entry (i, k) is sign * m[index].
+_CONJ_PRODUCT_INDEX = np.array([[3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2], [0, 1, 2, 3]])
+_CONJ_PRODUCT_SIGN = np.array([[1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1], [-1, -1, -1, 1]])
+
+
+def _conj_product_matrix(m: np.ndarray) -> np.ndarray:
+    return m[..., _CONJ_PRODUCT_INDEX] * _CONJ_PRODUCT_SIGN
+
+
 def karcher_mean_rows(
     rows: np.ndarray,
     tolerance: float = 1e-8,
     init: np.ndarray | None = None,
     max_iterations: int = _MEAN_MAX_ITERATIONS,
 ) -> np.ndarray:
-    """Tangent-space iterative mean of an (N, 4) array of unit quaternions."""
+    """Tangent-space iterative mean of unit quaternions: rows (..., N, 4) and
+    init (..., 4), one mean per leading index, started from its first row by
+    default. A mean stops moving once its step angle is below `tolerance`,
+    as if averaged alone; the call returns when every mean has stopped."""
     arr = rows_normalize(np.asarray(rows, dtype=np.float64))
-    mean = np.array(arr[0] if init is None else init, dtype=np.float64)
-    mean /= np.linalg.norm(mean)
+    mean = rows_normalize(np.array(arr[..., 0, :] if init is None else init, dtype=np.float64))
+    done = np.zeros(mean.shape[:-1], dtype=bool)
     for _ in range(max_iterations):
-        # Resolve double cover towards the current mean before averaging.
-        signs = np.where(arr @ mean < 0.0, -1.0, 1.0)
-        rel = rows_multiply(rows_conjugate(np.broadcast_to(mean, arr.shape)), arr * signs[:, None])
-        step = rows_log_half(rel).mean(axis=0)
-        mean = rows_multiply(mean, rows_exp_half(step))
-        mean /= np.linalg.norm(mean)
-        if 2.0 * np.linalg.norm(step) < tolerance:
+        product = _conj_product_matrix(mean)
+        rel = arr @ product  # conj(mean) * row
+        # Mean of the rows' log maps; the sign of w resolves the double
+        # cover towards the current mean.
+        weight = _log_half_weight(rel[..., :3], rel[..., 3])
+        step = (weight[..., None, :] @ rel[..., :3])[..., 0, :] / arr.shape[-2]
+        moved = rows_normalize(np.einsum("...jk,...k->...j", product, rows_exp_half(step)))
+        mean = np.where(done[..., None], mean, moved)
+        done |= 2.0 * np.sqrt((step * step).sum(axis=-1)) < tolerance
+        if done.all():
             return mean
     raise MeanConvergenceError(
         f"rotation averaging did not converge in {max_iterations} iterations"

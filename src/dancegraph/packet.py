@@ -31,12 +31,14 @@ __all__ = [
     "WIRE_VERSION",
     "HEADER_SIZE",
     "MAX_PAYLOAD",
+    "SEQ_MASK",
     "SignalType",
     "SignalPacket",
     "CorruptPacketError",
     "PayloadTooLargeError",
     "frame_packet",
     "parse_packet",
+    "seq_newer",
 ]
 
 MAGIC = b"\xda\x9c"
@@ -48,6 +50,9 @@ MAX_PAYLOAD = 1400
 
 _HEADER = struct.Struct("<2sBBHIQ")
 assert _HEADER.size == HEADER_SIZE
+
+SEQ_MASK = 0xFFFFFFFF
+_SEQ_HALF = 0x80000000
 
 
 class CorruptPacketError(ValueError):
@@ -140,3 +145,10 @@ def parse_packet(data: bytes) -> SignalPacket:
         send_timestamp_us=send_ts,
         payload=bytes(data[HEADER_SIZE:]),
     )
+
+
+def seq_newer(seq: int, last: int | None) -> bool:
+    """True if u32 sequence number `seq` comes after `last` in RFC 1982
+    serial-number order, so a stream may wrap from 2**32 - 1 to 0. `last`
+    is None before a flow's first packet, which is always accepted."""
+    return last is None or 0 < ((seq - last) & SEQ_MASK) < _SEQ_HALF

@@ -565,10 +565,11 @@ def amplify_zones(
 
     Each joint's output rotation is rows_scale_rotation(reference, input, gain)
     where the reference is the geodesic mean over the trailing
-    `reference_window` frames; the root translation's deviation from its
-    rolling mean is scaled by the hips gain. Frames before the window fills
-    pass through unchanged. Zones with gain exactly 1.0 are left untouched
-    byte-for-byte.
+    `reference_window` frames: one batched Karcher mean over all active joints
+    per frame, warm-started from the previous frame's. The root translation's
+    deviation from its rolling mean is scaled by the hips gain. Frames before
+    the window fills pass through unchanged. Zones with gain exactly 1.0 are
+    left untouched byte-for-byte.
     """
     if reference_window < 1:
         raise ValueError("reference_window must be >= 1")
@@ -588,22 +589,20 @@ def amplify_zones(
     out_roots = roots.copy()
     first = reference_window - 1
 
-    for j in active:
-        track = rotations[:, j, :]
-        references = np.empty((n - first, 4))
+    if active:
+        tracks = rotations[:, active]  # (n, A, 4)
+        windows = np.lib.stride_tricks.sliding_window_view(tracks, reference_window, axis=0)
+        references = np.empty((n - first, len(active), 4))
         reference: np.ndarray | None = None
-        for i in range(first, n):
-            reference = karcher_mean_rows(track[i - first:i + 1], tolerance=1e-9, init=reference)
-            references[i - first] = reference
-        out_rot[first:, j], _ = rows_scale_rotation(references, track[first:], joint_gain[j])
+        for i, window in enumerate(windows.swapaxes(-1, -2)):  # (A, window, 4) views
+            reference = references[i] = karcher_mean_rows(window, tolerance=1e-9, init=reference)
+        gains = np.array([joint_gain[j] for j in active])[:, None]
+        out_rot[first:, active], _ = rows_scale_rotation(references, tracks[first:], gains)
 
     if hips_gain != 1.0:
-        csum = np.cumsum(roots, axis=0)
-        for i in range(first, n):
-            lo = i - first
-            window_sum = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-            mean = window_sum / reference_window
-            out_roots[i] = mean + hips_gain * (roots[i] - mean)
+        csum = np.cumsum(np.concatenate([np.zeros_like(roots[:1]), roots]), axis=0)
+        means = (csum[reference_window:] - csum[:-reference_window]) / reference_window
+        out_roots[first:] = means + hips_gain * (roots[first:] - means)
 
     out_rot.setflags(write=False)
     out = frames[:first]

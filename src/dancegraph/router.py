@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .packet import MAX_PAYLOAD, SignalPacket, SignalType
+from .packet import MAX_PAYLOAD, SignalPacket, SignalType, seq_newer
 
 __all__ = [
     "Origin",
@@ -78,7 +78,8 @@ class StreamConflictError(RuntimeError):
 
 
 class SequenceError(RuntimeError):
-    """Publish with a sequence number not greater than the previous one."""
+    """Publish with a sequence number not after the previous one (u32 serial
+    order, see `packet.seq_newer`)."""
 
 
 class Polled(NamedTuple):
@@ -111,16 +112,16 @@ class _Stream:
         self.mask = capacity - 1
         self.slots: list[tuple[int, SignalPacket | None]] = [(-1, None)] * capacity
         self.pub_count = 0
-        self.last_seq = 0
+        self.last_seq: int | None = None
         self.consumers: list["_Cursor"] = []
         self.stats = StreamStats()
         self.closed = False
 
     def publish(self, packet: SignalPacket) -> int:
-        if packet.seq <= self.last_seq:
+        if not seq_newer(packet.seq, self.last_seq):
             self.stats.ordering_errors += 1
             raise SequenceError(
-                f"sequence {packet.seq} not greater than {self.last_seq} on {self.desc}"
+                f"sequence {packet.seq} not after {self.last_seq} on {self.desc}"
             )
         payload = packet.payload
         if not isinstance(payload, bytes):

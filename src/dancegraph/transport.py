@@ -5,6 +5,8 @@ Design notes, all serving the lag-first goal:
 
 * Unreliable datagrams with stale-drop and no retransmission. A pose that
   had to be resent would arrive after its successor and be discarded anyway.
+  Sequence numbers are u32 serial numbers (RFC 1982, `packet.seq_newer`):
+  they wrap from 2**32 - 1 to 0, and a flow's first packet is always new.
 * The server never parses payloads. Per packet it reads the 18-byte header,
   checks staleness, and forwards the original bytes, so relay cost is
   O(clients) socket writes and payloads arrive byte-identical.
@@ -37,12 +39,14 @@ from ._mmsg import FanoutSender
 from .packet import (
     HEADER_SIZE,
     MAGIC,
+    SEQ_MASK,
     WIRE_VERSION,
     CorruptPacketError,
     SignalPacket,
     SignalType,
     frame_packet,
     parse_packet,
+    seq_newer,
 )
 from .router import Origin, SignalDescriptor, SignalRouter
 
@@ -110,7 +114,7 @@ class _ClientRecord:
         self.user_id = user_id
         self.addr = addr
         self.last_heard_us = now_us
-        self.highest_seq = 0
+        self.highest_seq: int | None = None
 
 
 class RelayServer:
@@ -199,7 +203,7 @@ class RelayServer:
             self.stats.spoofed += 1
             return
         record.last_heard_us = now
-        if seq <= record.highest_seq:
+        if not seq_newer(seq, record.highest_seq):
             self.stats.dropped_stale += 1
             return
         record.highest_seq = seq
@@ -330,8 +334,7 @@ class Client:
     def send(self, payload: bytes, signal_type: SignalType = SignalType.POSE) -> int:
         """Frame and hand the datagram to the socket immediately; echo the
         same payload to the local router. Returns the sequence number used."""
-        self._seq += 1
-        seq = self._seq
+        seq = self._seq = (self._seq + 1) & SEQ_MASK
         now = mono_us()
         data = frame_packet(signal_type, self.session.user_id, seq, now, payload)
         try:
@@ -424,7 +427,7 @@ class Client:
             self._handle_control(packet)
             return
         flow = (packet.user_id, packet.signal_type)
-        if packet.seq <= session.peer_seq.get(flow, 0):
+        if not seq_newer(packet.seq, session.peer_seq.get(flow)):
             session.stats.dropped_stale += 1
             return
         session.peer_seq[flow] = packet.seq

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dancegraph.core import (
     BodyZone,
     InvalidQuaternionError,
+    MeanConvergenceError,
     PoseFrame,
     Skeleton,
     UnitQuaternion,
@@ -20,11 +21,15 @@ from dancegraph.core import (
     quat_multiply,
     rotate_vector,
     rows_canonicalize,
+    rows_conjugate,
+    rows_exp_half,
+    rows_multiply,
     rows_scale_rotation,
     rows_slerp,
     scale_rotation,
     slerp,
 )
+from dancegraph.core import _conj_product_matrix
 
 from conftest import unit_quaternions
 
@@ -239,6 +244,71 @@ class TestGeodesicMean:
         assert geodesic_distance(a, b) < 1e-6
 
 
+def spread_rows(rng, shape, spread):
+    """Unit quaternions scattered up to about `spread` radians around one
+    random center per leading index: shape + (4,)."""
+    center = rows_canonicalize(rng.normal(size=shape[:-1] + (1, 4)))
+    offsets = rows_exp_half(rng.uniform(-0.5, 0.5, size=shape + (3,)) * spread)
+    return rows_multiply(np.broadcast_to(center, shape + (4,)), offsets)
+
+
+class TestKarcherMeanRows:
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_batch_matches_per_slice(self, warm):
+        rng = np.random.default_rng(11)
+        rows = spread_rows(rng, (3, 5, 40), 0.8)  # (3, 5) means of 40 rows each
+        init = rows_canonicalize(rows[..., 7, :] + 0.05) if warm else None
+        batch = karcher_mean_rows(rows, 1e-9, init=init)
+        assert batch.shape == (3, 5, 4)
+        for idx in np.ndindex(3, 5):
+            alone = karcher_mean_rows(rows[idx], 1e-9, init=None if init is None else init[idx])
+            np.testing.assert_allclose(batch[idx], alone, rtol=0.0, atol=1e-12)
+
+    def test_batch_of_one_row_set_matches_unbatched(self):
+        rows = spread_rows(np.random.default_rng(2), (1, 25), 0.5)
+        np.testing.assert_allclose(
+            karcher_mean_rows(rows, 1e-9)[0], karcher_mean_rows(rows[0], 1e-9), rtol=0.0, atol=1e-12
+        )
+
+    def test_double_cover_sign_ignored(self):
+        # q and -q are one rotation: negating rows must not move any mean.
+        rows = spread_rows(np.random.default_rng(8), (4, 30), 0.8)
+        flipped = rows.copy()
+        flipped[:, ::3] *= -1.0
+        np.testing.assert_allclose(
+            rows_canonicalize(karcher_mean_rows(flipped, 1e-9)),
+            rows_canonicalize(karcher_mean_rows(rows, 1e-9)),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    def test_batch_raises_when_budget_exhausted(self):
+        rows = spread_rows(np.random.default_rng(5), (4, 10), 0.6)
+        with pytest.raises(MeanConvergenceError):
+            karcher_mean_rows(rows, tolerance=0.0, max_iterations=4)
+
+    def test_one_unsettled_slice_fails_the_batch(self):
+        # Slice 0 holds identical rows and settles in one step; slice 1 is
+        # spread and needs more steps than the budget allows.
+        settled = np.broadcast_to(rows_canonicalize(np.array([0.1, 0.2, 0.3, 0.9])), (3, 4))
+        spread = np.asarray([rot_x(0.8), rot_y(0.6), rot_z(-0.7)], dtype=float)
+        karcher_mean_rows(settled[None], tolerance=1e-9, max_iterations=2)
+        with pytest.raises(MeanConvergenceError):
+            karcher_mean_rows(np.stack([settled, spread]), tolerance=1e-9, max_iterations=2)
+
+    @given(st.lists(st.tuples(unit_quaternions(), unit_quaternions()), min_size=1, max_size=6))
+    def test_conj_product_matrix_matches_rows_multiply(self, pairs):
+        m = np.array([a for a, _ in pairs])
+        q = np.array([b for _, b in pairs])
+        product = _conj_product_matrix(m)
+        np.testing.assert_allclose(
+            (q[:, None, :] @ product)[:, 0], rows_multiply(rows_conjugate(m), q), rtol=0.0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            np.einsum("...jk,...k->...j", product, q), rows_multiply(m, q), rtol=0.0, atol=1e-15
+        )
+
+
 class TestScaleRotation:
     def test_gain_one_returns_input(self):
         q = rot_z(0.7)
@@ -258,6 +328,22 @@ class TestScaleRotation:
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
             scale_rotation(rot_x(0.1), rot_x(0.2), -1.0)
+
+    def test_gain_column_matches_per_joint_calls(self):
+        rng = np.random.default_rng(3)
+        refs = spread_rows(rng, (6, 4), 1.0)  # 6 frames x 4 joints
+        qs = spread_rows(rng, (6, 4), 1.0)
+        gains = np.array([0.0, 0.5, 2.0, 3.5])
+        batch, flags = rows_scale_rotation(refs, qs, gains[:, None])
+        for j, gain in enumerate(gains):
+            out, flag = rows_scale_rotation(refs[:, j], qs[:, j], gain)
+            np.testing.assert_array_equal(batch[:, j], out)
+            np.testing.assert_array_equal(flags[:, j], flag)
+
+    def test_negative_gain_in_column_rejected(self):
+        rows = np.array([rot_x(0.1), rot_x(0.2)])
+        with pytest.raises(ValueError):
+            rows_scale_rotation(rows, rows, np.array([[1.0], [-0.5]]))
 
     def test_half_turn_sets_degenerate_flag(self):
         out, degenerate = scale_rotation(

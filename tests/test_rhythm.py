@@ -6,10 +6,16 @@ import pytest
 
 from dancegraph.core import (
     BodyZone,
+    MeanConvergenceError,
     PoseFrame,
     UnitQuaternion,
     from_axis_angle,
     geodesic_distance,
+    rows_conjugate,
+    rows_exp_half,
+    rows_multiply,
+    rows_normalize,
+    rows_scale_rotation,
 )
 from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recording
 from dancegraph.rhythm import (
@@ -285,11 +291,90 @@ class TestBeatAlignRemap:
         assert abs(recheck.phase_target_us) < 8_000
 
 
+def reference_log_half(q):
+    q = np.where(q[..., 3:4] < 0.0, -q, q)
+    v = q[..., :3]
+    vn = np.linalg.norm(v, axis=-1)
+    f = np.where(vn > 1e-12, np.arctan2(vn, q[..., 3]) / np.where(vn > 1e-12, vn, 1.0), 1.0)
+    return v * f[..., None]
+
+
+def reference_karcher_mean(rows, tolerance, init=None, max_iterations=64):
+    """The per-mean Karcher iteration amplify_zones ran before it batched all
+    active joints of a frame into one call, with its own log map; kept as
+    the oracle."""
+    arr = rows_normalize(np.asarray(rows, dtype=np.float64))
+    mean = np.array(arr[0] if init is None else init, dtype=np.float64)
+    mean /= np.linalg.norm(mean)
+    for _ in range(max_iterations):
+        signs = np.where(arr @ mean < 0.0, -1.0, 1.0)
+        rel = rows_multiply(rows_conjugate(np.broadcast_to(mean, arr.shape)), arr * signs[:, None])
+        step = reference_log_half(rel).mean(axis=0)
+        mean = rows_multiply(mean, rows_exp_half(step))
+        mean /= np.linalg.norm(mean)
+        if 2.0 * np.linalg.norm(step) < tolerance:
+            return mean
+    raise MeanConvergenceError("reference mean did not converge")
+
+
+def reference_amplify_zones(frames, skeleton, params, reference_window):
+    """Per-joint, per-frame amplify_zones: one warm-started mean per active
+    joint per frame and a per-frame root loop."""
+    n = len(frames)
+    joint_gain = [params.gain_for(skeleton.zone_of(j)) for j in range(skeleton.joint_count)]
+    active = [j for j, g in enumerate(joint_gain) if g != 1.0]
+    hips_gain = params.gain_for(BodyZone.HIPS)
+    rotations = np.stack([f.rotations for f in frames])
+    roots = np.array([f.root_translation for f in frames], dtype=np.float64)
+    out_rot = rotations.copy()
+    out_roots = roots.copy()
+    first = reference_window - 1
+    for j in active:
+        track = rotations[:, j, :]
+        references = np.empty((n - first, 4))
+        reference = None
+        for i in range(first, n):
+            reference = reference_karcher_mean(track[i - first:i + 1], 1e-9, init=reference)
+            references[i - first] = reference
+        out_rot[first:, j], _ = rows_scale_rotation(references, track[first:], joint_gain[j])
+    if hips_gain != 1.0:
+        csum = np.cumsum(roots, axis=0)
+        for i in range(first, n):
+            lo = i - first
+            window_sum = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
+            mean = window_sum / reference_window
+            out_roots[i] = mean + hips_gain * (roots[i] - mean)
+    return out_rot, out_roots
+
+
 class TestAmplifyZones:
     def _sway(self, joint=0, amp_deg=10.0, duration_s=8.0, fps=30.0):
         return sway_frames(
             duration_s=duration_s, fps=fps, amp=math.radians(amp_deg), joint=joint, joints=34
         )
+
+    def test_matches_per_joint_reference(self, skeleton):
+        # A swaying take whose every joint also jitters, hips and hands
+        # active: the batched means must reproduce the per-joint loop.
+        sway = synthesize_sway_recording(skeleton, duration_s=6.0, amplitude_rad=0.2)
+        noise = synthesize_noise_recording(skeleton, duration_s=6.0, amplitude_rad=0.03, seed=4)
+        frames = [
+            PoseFrame.from_array(
+                s.timestamp_us, s.root_translation, rows_multiply(s.rotations, n.rotations)
+            )
+            for s, n in zip(sway.frames, noise.frames)
+        ]
+        gains = {z: 1.0 for z in BodyZone}
+        gains[BodyZone.HIPS] = 2.0
+        gains[BodyZone.HANDS] = 0.5
+        params = CorrectiveParams(zone_gains=gains)
+        window = 60
+        out = amplify_zones(frames, skeleton, params, window)
+        want_rot, want_roots = reference_amplify_zones(frames, skeleton, params, window)
+        got_rot = np.stack([f.rotations for f in out])
+        assert np.abs(got_rot - want_rot).max() <= 1e-12
+        assert [f.root_translation for f in out] == [tuple(r) for r in want_roots]
+        assert np.abs(want_roots - np.array([f.root_translation for f in frames])).max() > 0.01
 
     def test_unity_gains_are_bitwise_passthrough(self, skeleton):
         frames = self._sway()

@@ -99,6 +99,23 @@ class TestPublish:
         assert seqs == expected
         assert lost == total - capacity
 
+    def test_sequence_wraps_at_u32(self, router):
+        handle = router.register_producer(SignalDescriptor(POSE, 1, LOCAL), 64)
+        consumer = router.subscribe(SignalSelector(POSE, 1, LOCAL))
+        wrapped = [2**32 - 2, 2**32 - 1, 0, 1]
+        for s in wrapped:
+            handle.publish(pkt(s))
+        seqs, lost = drain(consumer)
+        assert seqs == wrapped and lost == 0
+        with pytest.raises(SequenceError):
+            handle.publish(pkt(2**32 - 1))  # before 1 in serial order
+        assert handle.stats.ordering_errors == 1
+
+    def test_first_publish_may_use_any_sequence(self, router):
+        handle = router.register_producer(SignalDescriptor(POSE, 1, LOCAL), 64)
+        handle.publish(pkt(2**31 + 5))
+        assert handle.stats.published == 1
+
     def test_publish_returns_consumer_count(self, router):
         handle = router.register_producer(SignalDescriptor(POSE, 1, LOCAL), 64)
         router.subscribe(SignalSelector(POSE, 1, LOCAL))

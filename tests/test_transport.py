@@ -17,6 +17,7 @@ from dancegraph.packet import (
     SignalType,
     frame_packet,
     parse_packet,
+    seq_newer,
 )
 from dancegraph.router import Origin, SignalRouter, SignalSelector
 from dancegraph.transport import (
@@ -177,6 +178,54 @@ class TestStaleDropFilter:
             assert client.session.stats.dropped_corrupt == 2
         finally:
             client.close()
+
+
+class TestSequenceWrap:
+    """Sequence numbers are u32 serial numbers (RFC 1982): a stream that
+    passes 2**32 - 1 carries on at 0 and is not taken for a stale one."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2**31 - 1))
+    def test_serial_order(self, base, ahead):
+        later = (base + ahead) & 0xFFFFFFFF
+        assert seq_newer(later, base)
+        assert not seq_newer(base, later)
+        assert not seq_newer(base, base)
+        assert seq_newer(base, None)
+
+    def test_ingest_accepts_wrapped_flow(self):
+        client = TestStaleDropFilter()._bare_client()
+        try:
+            consumer = client.router.subscribe(SignalSelector(SignalType.POSE, None, Origin.NETWORK))
+            for seq in [2**32 - 2, 2**32 - 1, 0, 2**32 - 1, 1, 0]:
+                client.ingest(frame_packet(SignalType.POSE, 7, seq, 0, b"p"), mono_us())
+            delivered = [p.seq for p in consumer.poll(max_packets=64).packets]
+            assert delivered == [2**32 - 2, 2**32 - 1, 0, 1]
+            assert client.session.stats.dropped_stale == 2
+        finally:
+            client.close()
+
+    def test_first_packet_of_flow_accepted_above_half_range(self):
+        client = TestStaleDropFilter()._bare_client()
+        try:
+            client.ingest(frame_packet(SignalType.POSE, 7, 2**31 + 5, 0, b"p"), mono_us())
+            assert client.session.stats.received == 1
+            assert client.session.stats.dropped_stale == 0
+        finally:
+            client.close()
+
+    def test_client_sends_across_wrap_through_relay(self, server):
+        addr = ("127.0.0.1", server.port)
+        with client_connect(addr) as a, client_connect(addr) as b:
+            consumer = b.router.subscribe(SignalSelector(SignalType.POSE, a.user_id, Origin.NETWORK))
+            echo = a.router.subscribe(SignalSelector(SignalType.POSE, a.user_id, Origin.LOCAL))
+            a._seq = 2**32 - 2
+            sent = [a.send(b"w%d" % i) for i in range(4)]
+            assert sent == [2**32 - 1, 0, 1, 2]
+            assert wait_until(lambda: b.session.stats.received >= 4)
+            assert [p.seq for p in consumer.poll(max_packets=64).packets] == sent
+            assert [p.seq for p in echo.poll(max_packets=64).packets] == sent
+            assert server.stats.dropped_stale == 0
+            assert b.session.stats.dropped_stale == 0
 
 
 class TestRelayServer:
