@@ -74,23 +74,25 @@ class FanoutSender:
     """Send one payload to a fixed set of destinations in one syscall.
 
     Destination arrays are prepared once per membership change; per send
-    only the shared payload buffer and its length are updated.
+    only the shared payload buffer and its length are updated. A single
+    destination gets a plain sendto, which costs less than staging the
+    payload for sendmmsg.
     """
 
     MAX_PAYLOAD = 2048
 
     def __init__(self, sock: socket.socket, destinations: list[tuple[str, int]]):
         self._sock = sock
-        self._fallback = not _HAVE
         self._dests = list(destinations)
-        if self._fallback:
+        n = len(destinations)
+        self._batched = _HAVE and n > 1
+        if not self._batched:
             return
         try:
-            n = len(destinations)
             self._buf = ctypes.create_string_buffer(self.MAX_PAYLOAD)
             self._iov = _iovec(ctypes.cast(self._buf, ctypes.c_void_p), 0)
-            self._addrs = (_sockaddr_in * max(n, 1))()
-            self._msgs = (_mmsghdr * max(n, 1))()
+            self._addrs = (_sockaddr_in * n)()
+            self._msgs = (_mmsghdr * n)()
             for i, dest in enumerate(destinations):
                 self._addrs[i] = _pack_sockaddr(dest)
                 self._msgs[i].msg_hdr.msg_name = ctypes.cast(
@@ -100,14 +102,11 @@ class FanoutSender:
                 self._msgs[i].msg_hdr.msg_iov = ctypes.pointer(self._iov)
                 self._msgs[i].msg_hdr.msg_iovlen = 1
         except OSError:
-            self._fallback = True
+            self._batched = False
 
     def send(self, data: bytes) -> int:
         """Returns the number of destinations the datagram reached."""
-        n = len(self._dests)
-        if n == 0:
-            return 0
-        if self._fallback or len(data) > self.MAX_PAYLOAD:
+        if not self._batched or len(data) > self.MAX_PAYLOAD:
             sent = 0
             for dest in self._dests:
                 try:
@@ -119,7 +118,7 @@ class FanoutSender:
         size = len(data)
         ctypes.memmove(self._buf, data, size)
         self._iov.iov_len = size
-        sent = _libc.sendmmsg(self._sock.fileno(), self._msgs, n, 0)
+        sent = _libc.sendmmsg(self._sock.fileno(), self._msgs, len(self._dests), 0)
         if sent < 0:
             err = ctypes.get_errno()
             if err in (errno.EAGAIN, errno.EWOULDBLOCK, errno.ENOBUFS):

@@ -70,21 +70,31 @@ class BoundsTable:
             raise ShapeMismatchError("bounds must be (joints, 3) arrays")
         if lo.shape[0] != len(self.joint_names):
             raise ShapeMismatchError("bounds rows must match joint names")
+        if lo.shape[0] == 0:
+            raise ShapeMismatchError("bounds must cover at least one joint")
         if not (8 <= self.bits <= 24):
             raise ValueError(f"bits_per_component must be in [8, 24], got {self.bits}")
         if np.any(lo >= hi):
             raise ValueError("every bound must satisfy lo < hi")
         if np.any(lo < -1.0) or np.any(hi > 1.0):
             raise ValueError("bounds must lie within [-1, 1]")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
+        span = hi - lo
+        for arr in (lo, hi, span):
+            arr.setflags(write=False)
+        joints = lo.shape[0]
         object.__setattr__(self, "joint_names", tuple(self.joint_names))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        # Constants of the per-frame codec, computed once per table. They are
+        # plain attributes, not fields: equality, repr and JSON ignore them.
+        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_levels", float((1 << self.bits) - 1))
+        object.__setattr__(self, "_joints", joints)
+        object.__setattr__(self, "_payload_bytes", (joints * 3 * self.bits + 7) // 8)
 
     @property
     def joint_count(self) -> int:
-        return len(self.joint_names)
+        return self._joints
 
     @property
     def levels(self) -> int:
@@ -93,15 +103,15 @@ class BoundsTable:
     @property
     def step(self) -> np.ndarray:
         """Quantization step per joint component, shape (joints, 3)."""
-        return (self.hi - self.lo) / self.levels
+        return self._span / self.levels
 
     @property
     def payload_bits(self) -> int:
-        return self.joint_count * 3 * self.bits
+        return self._joints * 3 * self.bits
 
     @property
     def payload_bytes(self) -> int:
-        return (self.payload_bits + 7) // 8
+        return self._payload_bytes
 
     def to_json(self, dest: str | Path | IO[str]) -> None:
         doc = {
@@ -159,7 +169,7 @@ class EncodedFrame:
 
     @classmethod
     def from_bytes(cls, data: bytes, table: BoundsTable) -> "EncodedFrame":
-        need = _FRAME_PREFIX.size + table.payload_bytes
+        need = _FRAME_PREFIX.size + table._payload_bytes
         if len(data) != need:
             raise CorruptFrameError(f"expected {need} bytes, got {len(data)}")
         ts, rx, ry, rz = _FRAME_PREFIX.unpack_from(data)
@@ -234,7 +244,8 @@ def analyze_bounds(
 
 
 def _pack_ints(values: np.ndarray, bits: int) -> bytes:
-    """Bit-pack unsigned ints MSB-first into a zero-padded byte string."""
+    """Bit-pack integral values in [0, 2**bits) MSB-first into a zero-padded
+    byte string. Float arrays holding whole numbers pack like ints."""
     if bits == 16:
         return values.astype(">u2").tobytes()
     # Spread each value over 32 big-endian bits, keep the low `bits` of them.
@@ -243,13 +254,14 @@ def _pack_ints(values: np.ndarray, bits: int) -> bytes:
 
 
 def _unpack_ints(payload: bytes, count: int, bits: int) -> np.ndarray:
+    """Inverse of `_pack_ints`: `count` big-endian unsigned ints."""
     if bits == 16:
-        return np.frombuffer(payload, dtype=">u2").astype(np.int64)
+        return np.frombuffer(payload, dtype=">u2")
     spread = np.zeros((count, 32), dtype=np.uint8)
     spread[:, 32 - bits:] = np.unpackbits(
         np.frombuffer(payload, dtype=np.uint8), count=count * bits
     ).reshape(count, bits)
-    return np.packbits(spread, axis=1).view(">u4").reshape(count).astype(np.int64)
+    return np.packbits(spread, axis=1).view(">u4").reshape(count)
 
 
 def encode_frame(
@@ -266,22 +278,26 @@ def encode_frame(
     layout.
     """
     arr = frame.rotations
-    if arr.shape[0] != table.joint_count:
+    if arr.shape[0] != table._joints:
         raise ShapeMismatchError(
-            f"frame has {arr.shape[0]} joints, table has {table.joint_count}"
+            f"frame has {arr.shape[0]} joints, table has {table._joints}"
         )
-    if np.any(arr[:, 3] < 0.0):
+    if arr[:, 3].min() < 0.0:
         raise ValueError("frame must be canonicalized (w >= 0) before encoding")
     v = arr[:, :3]
-    levels = table.levels
-    scaled = (v - table.lo) / (table.hi - table.lo) * levels
-    # round-half-away-from-zero; scaled is only negative when out of bounds
-    # below, and those clip to 0 anyway.
-    ints = np.floor(scaled + 0.5)
+    levels = table._levels
+    # (v - lo) / (hi - lo) * levels, rounded half away from zero; the value is
+    # only negative when out of bounds below, and those clamp to 0 anyway.
+    ints = v - table.lo
+    ints /= table._span
+    ints *= levels
+    ints += 0.5
+    np.floor(ints, out=ints)
     if stats is not None:
         stats.frames += 1
-        stats.clamped_components += int(((v < table.lo) | (v > table.hi)).sum())
-    ints = np.clip(ints, 0, levels).astype(np.uint32)
+        stats.clamped_components += int(np.count_nonzero((v < table.lo) | (v > table.hi)))
+    np.maximum(ints, 0.0, out=ints)
+    np.minimum(ints, levels, out=ints)
     payload = _pack_ints(ints.reshape(-1), table.bits)
     return EncodedFrame(frame.timestamp_us, frame.root_translation, payload)
 
@@ -291,27 +307,36 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
 
     w = sqrt(max(0, 1 - x^2 - y^2 - z^2)); the result is renormalized only
     when quantization pushed the vector part outside the unit ball, keeping
-    the common path bit-stable.
+    the common path bit-stable. The frame carries `enc`'s timestamp and root
+    translation objects as they are.
     """
-    if skeleton.joint_count != table.joint_count:
+    joints = table._joints
+    if skeleton.joint_count != joints:
         raise ShapeMismatchError(
-            f"skeleton has {skeleton.joint_count} joints, table has {table.joint_count}"
+            f"skeleton has {skeleton.joint_count} joints, table has {joints}"
         )
-    if len(enc.payload) != table.payload_bytes:
+    payload = enc.payload
+    if len(payload) != table._payload_bytes:
         raise CorruptFrameError(
-            f"payload is {len(enc.payload)} bytes, table dimensions need {table.payload_bytes}"
+            f"payload is {len(payload)} bytes, table dimensions need {table._payload_bytes}"
         )
-    ints = _unpack_ints(enc.payload, table.joint_count * 3, table.bits)
-    ints = ints.reshape(table.joint_count, 3).astype(np.float64)
-    v = table.lo + ints / table.levels * (table.hi - table.lo)
-    w2 = 1.0 - (v * v).sum(axis=1)
-    w = np.sqrt(np.clip(w2, 0.0, None))
-    quats = np.concatenate([v, w[:, None]], axis=1)
-    over = w2 < -1e-12
-    if np.any(over):
+    # The operation order of lo + ints / levels * (hi - lo), so the rotations
+    # stay bit-identical, in one contiguous buffer.
+    v = _unpack_ints(payload, joints * 3, table.bits).reshape(joints, 3) / table._levels
+    v *= table._span
+    v += table.lo
+    sq = v * v
+    w2 = sq[:, 0] + sq[:, 1]
+    w2 += sq[:, 2]
+    np.subtract(1.0, w2, out=w2)
+    quats = np.empty((joints, 4))
+    quats[:, :3] = v
+    np.sqrt(np.maximum(w2, 0.0), out=quats[:, 3])
+    if w2.min() < -1e-12:
+        over = w2 < -1e-12
         quats[over] /= np.linalg.norm(quats[over], axis=1, keepdims=True)
     quats.setflags(write=False)
-    return PoseFrame.from_array(enc.timestamp_us, enc.root_translation, quats)
+    return PoseFrame(enc.timestamp_us, enc.root_translation, quats)
 
 
 def max_angular_error(table: BoundsTable) -> float:

@@ -69,6 +69,10 @@ class SignalType(IntEnum):
     TELEMETRY = 3
 
 
+# Wire byte -> member; a dict lookup is cheaper than the enum's call.
+_SIGNAL_TYPES = {t.value: t for t in SignalType}
+
+
 @dataclass(slots=True)
 class SignalPacket:
     """Parsed packet header plus payload.
@@ -132,10 +136,9 @@ def parse_packet(data: bytes) -> SignalPacket:
         raise CorruptPacketError(f"bad magic {magic!r}")
     if version != WIRE_VERSION:
         raise CorruptPacketError(f"unsupported version {version}")
-    try:
-        signal_type = SignalType(sig_type)
-    except ValueError as exc:
-        raise CorruptPacketError(f"unknown signal type {sig_type}") from exc
+    signal_type = _SIGNAL_TYPES.get(sig_type)
+    if signal_type is None:
+        raise CorruptPacketError(f"unknown signal type {sig_type}")
     if len(data) - HEADER_SIZE > MAX_PAYLOAD:
         raise CorruptPacketError(f"payload exceeds {MAX_PAYLOAD} bytes")
     return SignalPacket(

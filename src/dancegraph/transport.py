@@ -16,7 +16,10 @@ Design notes, all serving the lag-first goal:
 
 Control protocol (signal type = CONTROL):
 
-* JOIN: empty payload, header user id 0xFFFF (unassigned).
+* JOIN: empty payload, header user id 0xFFFF (unassigned). The same
+  packet carrying the assigned id is a keepalive. An unassigned JOIN from
+  an address that already has a session starts a new session there: the
+  relay forgets its sequence numbers and sends the others a LEAVE for it.
 * JOIN-ACK: payload is the assigned u16 id, and the header user id carries
   the same value; only the joining endpoint receives it.
 * LEAVE: payload is the departed u16 id, header user id 0 (the reserved
@@ -192,7 +195,7 @@ class RelayServer:
         user_id, seq = struct.unpack_from("<HI", data, 4)
 
         if sig_type == SignalType.CONTROL and len(data) == HEADER_SIZE:
-            self._handle_join(addr, now)
+            self._handle_join(addr, user_id, now)
             return
 
         record = self._by_addr.get(addr)
@@ -214,7 +217,7 @@ class RelayServer:
             self._fanout[record.user_id] = fanout
         self.stats.relayed += fanout.send(data)
 
-    def _handle_join(self, addr, now: int) -> None:
+    def _handle_join(self, addr, user_id: int, now: int) -> None:
         record = self._by_addr.get(addr)
         if record is None:
             if len(self._by_addr) >= self.config.max_clients:
@@ -225,7 +228,14 @@ class RelayServer:
             self._fanout.clear()
             self.stats.joins += 1
         else:
-            record.last_heard_us = now  # duplicate join, re-ack
+            # A keepalive carries the assigned id; an unassigned JOIN from a
+            # known address is a new session there (a restarted client on the
+            # same port), whose sequence numbers start over. Its peers hear a
+            # LEAVE for the old session so they reset their filters too.
+            record.last_heard_us = now
+            if user_id == UNASSIGNED_ID and record.highest_seq is not None:
+                record.highest_seq = None
+                self._send_leave(record)
         self._ack_seq += 1
         ack = frame_packet(
             SignalType.CONTROL, record.user_id, self._ack_seq, mono_us(),
@@ -254,16 +264,22 @@ class RelayServer:
             record = self._by_addr.pop(addr)
             self._fanout.clear()
             self.stats.evictions += 1
-            self._leave_seq += 1
-            leave = frame_packet(
-                SignalType.CONTROL, SERVER_ID, self._leave_seq, mono_us(),
-                _U16.pack(record.user_id),
-            )
-            for other in self._by_addr.values():
-                try:
-                    self._sock.sendto(leave, other.addr)
-                except OSError:
-                    pass
+            self._send_leave(record)
+
+    def _send_leave(self, record: _ClientRecord) -> None:
+        """Tell every other member that `record`'s session has ended."""
+        self._leave_seq += 1
+        leave = frame_packet(
+            SignalType.CONTROL, SERVER_ID, self._leave_seq, mono_us(),
+            _U16.pack(record.user_id),
+        )
+        for other in self._by_addr.values():
+            if other is record:
+                continue
+            try:
+                self._sock.sendto(leave, other.addr)
+            except OSError:
+                pass
 
 
 @dataclass

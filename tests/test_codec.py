@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dancegraph.codec import (
     _unpack_ints,
 )
 from dancegraph.core import PoseFrame, Skeleton, UnitQuaternion, default_skeleton
-from dancegraph.harness import synthesize_sway_recording
+from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recording
 
 from conftest import frames_from_rows, w_largest_rows
 
@@ -58,6 +59,15 @@ class TestBoundsTable:
         hi = np.full((2, 3), 1.0)
         with pytest.raises(ValueError):
             BoundsTable(("a", "b"), lo, hi)
+        with pytest.raises(ShapeMismatchError):
+            BoundsTable((), np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_cached_constants_are_not_fields(self):
+        table = full_range_table(joint_count=3, bits=11, names=("a", "b", "c"))
+        assert [f.name for f in fields(BoundsTable)] == ["joint_names", "lo", "hi", "bits", "version"]
+        assert "_span" not in repr(table)
+        assert table.joint_count == 3 and table.payload_bytes == (3 * 3 * 11 + 7) // 8
+        assert np.array_equal(table.step, (table.hi - table.lo) / 2047)
 
     def test_json_round_trip(self, tmp_path):
         table = analyze_bounds(
@@ -243,6 +253,104 @@ class TestPacking:
             assert payload == big_int_pack(values, bits)
             assert _unpack_ints(payload, count, bits).tolist() == big_int_unpack(payload, count, bits)
             assert _unpack_ints(payload, count, bits).tolist() == values.tolist()
+
+
+def reference_encode(frame, table, stats=None):
+    """The encoder as first written: a fresh array per step, np.clip, and
+    the big-int packer. The oracle for the in-place encoder."""
+    arr = frame.rotations
+    if arr.shape[0] != table.joint_count:
+        raise ShapeMismatchError("joint count")
+    if np.any(arr[:, 3] < 0.0):
+        raise ValueError("non-canonical")
+    v = arr[:, :3]
+    levels = table.levels
+    scaled = (v - table.lo) / (table.hi - table.lo) * levels
+    ints = np.floor(scaled + 0.5)
+    if stats is not None:
+        stats.frames += 1
+        stats.clamped_components += int(((v < table.lo) | (v > table.hi)).sum())
+    ints = np.clip(ints, 0, levels).astype(np.uint32)
+    payload = big_int_pack(ints.reshape(-1), table.bits)
+    return EncodedFrame(frame.timestamp_us, frame.root_translation, payload)
+
+
+def reference_decode(enc, table):
+    """The decoder as first written, returning the (joints, 4) rotations:
+    a sum over axis 1, np.clip, np.concatenate and the big-int unpacker."""
+    count = table.joint_count * 3
+    ints = np.array(big_int_unpack(enc.payload, count, table.bits), dtype=np.int64)
+    ints = ints.reshape(table.joint_count, 3).astype(np.float64)
+    v = table.lo + ints / table.levels * (table.hi - table.lo)
+    w2 = 1.0 - (v * v).sum(axis=1)
+    w = np.sqrt(np.clip(w2, 0.0, None))
+    quats = np.concatenate([v, w[:, None]], axis=1)
+    over = w2 < -1e-12
+    if np.any(over):
+        quats[over] /= np.linalg.norm(quats[over], axis=1, keepdims=True)
+    return quats
+
+
+class TestMatchesReference:
+    """Encoder and decoder against the reference bodies above, bit for bit."""
+
+    def _check(self, frames, table, skeleton):
+        stats, ref_stats = EncoderStats(), EncoderStats()
+        for frame in frames:
+            enc = encode_frame(frame, table, stats)
+            ref = reference_encode(frame, table, ref_stats)
+            assert enc.payload == ref.payload
+            dec = decode_frame(enc, table, skeleton)
+            assert dec.rotations.tobytes() == reference_decode(ref, table).tobytes()
+            assert dec.timestamp_us == frame.timestamp_us
+            assert dec.root_translation == frame.root_translation
+        assert stats == ref_stats
+        assert type(stats.clamped_components) is int  # the tallies stay JSON-ready
+        return stats
+
+    @pytest.mark.parametrize("bits", [8, 11, 16, 24])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_in_bounds_and_clamped_frames(self, skeleton, bits, seed):
+        sway = synthesize_sway_recording(duration_s=2.0, amplitude_rad=0.1 + 0.05 * seed)
+        table = analyze_bounds(
+            [sway.frames], margin=0.05, bits=bits, joint_names=skeleton.joint_names
+        )
+        assert self._check(sway.frames, table, skeleton).clamped_components == 0
+        # Jitter far wider than the sway clamps to the edges of the grid.
+        noise = synthesize_noise_recording(duration_s=2.0, amplitude_rad=0.5, seed=seed)
+        stats = self._check(noise.frames, table, skeleton)
+        assert stats.clamped_components > 0
+
+    @pytest.mark.parametrize("bits", [8, 11, 16, 24])
+    def test_any_payload_decodes_like_reference(self, skeleton, bits):
+        sway = synthesize_sway_recording(duration_s=1.0)
+        table = analyze_bounds(
+            [sway.frames], margin=0.3, bits=bits, joint_names=skeleton.joint_names
+        )
+        rng = np.random.default_rng(bits)
+        for _ in range(50):
+            ints = rng.integers(0, 1 << bits, size=table.joint_count * 3).astype(np.uint32)
+            enc = EncodedFrame(0, (0.0, 0.0, 0.0), big_int_pack(ints, bits))
+            dec = decode_frame(enc, table, skeleton)
+            assert dec.rotations.tobytes() == reference_decode(enc, table).tobytes()
+
+    @pytest.mark.parametrize("bits", [8, 16, 24])
+    def test_renormalize_branch(self, bits):
+        # Bounds of +-1 and every integer at the top of the grid decode to
+        # v = (1, 1, 1): 1 - |v|^2 = -2, so w is 0 and the row is rescaled.
+        # Joint 1 sits at the grid midpoint and stays on the common path.
+        names = ("a", "b", "c")
+        table = full_range_table(joint_count=3, bits=bits, names=names)
+        skeleton = Skeleton(names, {i: default_skeleton().zone_map[0] for i in range(3)})
+        ints = np.full(9, table.levels, dtype=np.uint32)
+        ints[3:6] = table.levels // 2
+        enc = EncodedFrame(0, (0.0, 0.0, 0.0), big_int_pack(ints, bits))
+        dec = decode_frame(enc, table, skeleton)
+        ref = reference_decode(enc, table)
+        assert dec.rotations.tobytes() == ref.tobytes()
+        assert np.allclose(np.linalg.norm(dec.rotations, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(dec.rotations[0], [3 ** -0.5] * 3 + [0.0], rtol=0, atol=1e-15)
+        assert dec.rotations[1, 3] > 0.99
 
 
 class TestMaxAngularError:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dancegraph import _mmsg
+from dancegraph._mmsg import FanoutSender, batching_available
 from dancegraph.codec import analyze_bounds, encode_frame
 from dancegraph.harness import synthesize_sway_recording
 from dancegraph.packet import (
@@ -35,6 +37,20 @@ def server():
     srv = RelayServer(ServerConfig(host="127.0.0.1", client_timeout_us=60_000_000)).start()
     yield srv
     srv.stop()
+
+
+def raw_join(addr, port=0):
+    """A hand-rolled client socket on 127.0.0.1:`port`, joined; returns it
+    with its assigned id."""
+    raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    raw.bind(("127.0.0.1", port))
+    raw.settimeout(1.0)
+    raw.sendto(frame_packet(SignalType.CONTROL, 0xFFFF, 1, mono_us()), addr)
+    return raw, parse_packet(raw.recv(2048)).user_id
+
+
+def network_streams(client):
+    return {tuple(d) for d in client.router.streams()}
 
 
 def wait_until(predicate, timeout=3.0, interval=0.01):
@@ -321,6 +337,106 @@ class TestRelayServer:
                 assert srv.stats.rejected_full >= 1
         finally:
             srv.stop()
+
+
+class TestRejoin:
+    def test_fresh_join_at_known_address_starts_new_sequence(self, server):
+        addr = ("127.0.0.1", server.port)
+        with client_connect(addr) as b:
+            raw, uid = raw_join(addr)
+            port = raw.getsockname()[1]
+            for seq in range(1, 51):
+                raw.sendto(frame_packet(SignalType.POSE, uid, seq, mono_us(), b"old"), addr)
+            assert wait_until(lambda: b.session.stats.received >= 50)
+            raw.close()
+            # A restarted client on the same port joins afresh and numbers
+            # its poses from 1 again.
+            raw, again = raw_join(addr, port)
+            try:
+                assert again == uid
+                assert wait_until(
+                    lambda: (SignalType.POSE, uid, Origin.NETWORK) not in network_streams(b)
+                )
+                for seq in range(1, 51):
+                    raw.sendto(frame_packet(SignalType.POSE, uid, seq, mono_us(), b"new"), addr)
+                assert wait_until(lambda: b.session.stats.received >= 100)
+                assert wait_until(lambda: server.stats.relayed >= 100)
+                assert server.stats.dropped_stale == 0
+                assert server.stats.relayed == 100
+                assert b.session.stats.dropped_stale == 0
+            finally:
+                raw.close()
+
+    def test_keepalive_join_keeps_sequence_state(self, server):
+        addr = ("127.0.0.1", server.port)
+        with client_connect(addr) as b:
+            raw, uid = raw_join(addr)
+            try:
+                for seq in range(1, 11):
+                    raw.sendto(frame_packet(SignalType.POSE, uid, seq, mono_us(), b"p"), addr)
+                assert wait_until(lambda: b.session.stats.received >= 10)
+                raw.sendto(frame_packet(SignalType.CONTROL, uid, 2, mono_us()), addr)
+                assert parse_packet(raw.recv(2048)).user_id == uid  # re-acked
+                raw.sendto(frame_packet(SignalType.POSE, uid, 5, mono_us(), b"late"), addr)
+                raw.sendto(frame_packet(SignalType.POSE, uid, 11, mono_us(), b"next"), addr)
+                assert wait_until(lambda: b.session.stats.received >= 11)
+                assert wait_until(lambda: server.stats.relayed >= 11)
+                assert server.stats.dropped_stale == 1
+                assert server.stats.relayed == 11
+                assert (SignalType.POSE, uid, Origin.NETWORK) in network_streams(b)
+            finally:
+                raw.close()
+
+
+class TestFanout:
+    def _sockets(self, n):
+        tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        tx.bind(("127.0.0.1", 0))
+        rxs = []
+        for _ in range(n):
+            rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            rx.bind(("127.0.0.1", 0))
+            rx.settimeout(1.0)
+            rxs.append(rx)
+        return tx, rxs
+
+    def test_single_destination_uses_plain_sendto(self, monkeypatch):
+        tx, (rx,) = self._sockets(1)
+        try:
+            monkeypatch.setattr(_mmsg, "_libc", None)  # sendmmsg would fail
+            assert FanoutSender(tx, [rx.getsockname()]).send(b"pose") == 1
+            assert rx.recv(64) == b"pose"
+        finally:
+            for s in (tx, rx):
+                s.close()
+
+    def test_each_of_several_destinations_gets_one_copy(self):
+        tx, rxs = self._sockets(3)
+        try:
+            fan = FanoutSender(tx, [rx.getsockname() for rx in rxs])
+            assert fan._batched == batching_available()
+            assert fan.send(b"pose") == 3
+            for rx in rxs:
+                assert rx.recv(64) == b"pose"
+        finally:
+            for s in [tx, *rxs]:
+                s.close()
+
+    @pytest.mark.parametrize("receivers", [1, 3])
+    def test_relayed_count_is_exact(self, server, receivers):
+        addr = ("127.0.0.1", server.port)
+        with client_connect(addr) as a:
+            others = [client_connect(addr) for _ in range(receivers)]
+            try:
+                for i in range(30):
+                    a.send(b"f%d" % i)
+                assert wait_until(lambda: all(o.session.stats.received >= 30 for o in others))
+                assert wait_until(lambda: server.stats.relayed >= 30 * receivers)
+                assert server.stats.relayed == 30 * receivers
+                assert [o.session.stats.received for o in others] == [30] * receivers
+            finally:
+                for o in others:
+                    o.close()
 
 
 class TestEviction:

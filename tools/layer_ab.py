@@ -1,0 +1,108 @@
+"""In-process A/B timing of the per-frame layers of two source trees.
+
+    git archive <base-commit> src | tar -x -C /tmp/base
+    python3 tools/layer_ab.py /tmp/base/src src --rounds 20
+
+Both trees' `dancegraph` packages are imported into one process under
+different names, and each round times every layer on A and then on B, so a
+slow phase of the host hits both sides alike. Layers: `encode_frame`,
+`EncodedFrame.from_bytes`, `decode_frame` (34 joints, 16 bits, a sway
+frame), `parse_packet` and `Client.ingest` of a 224-byte pose datagram.
+Prints per layer the median microseconds per call of A and B, the median of
+the per-round ratios B/A, and in how many rounds B was faster.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import socket
+import statistics
+import sys
+import time
+from pathlib import Path
+
+CALLS = 2000  # calls per layer per round
+
+
+def load(alias: str, src: Path):
+    """Import `src/dancegraph` as package `alias`, with its submodules."""
+    pkg = src / "dancegraph"
+    spec = importlib.util.spec_from_file_location(
+        alias, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return {name: importlib.import_module(f"{alias}.{name}")
+            for name in ("codec", "core", "harness", "packet", "router", "transport")}
+
+
+def layers(m):
+    codec, packet = m["codec"], m["packet"]
+    skeleton = m["core"].default_skeleton()
+    rec = m["harness"].synthesize_sway_recording(skeleton, duration_s=2.0)
+    table = codec.analyze_bounds(
+        [rec.frames], margin=0.1, bits=16, joint_names=skeleton.joint_names
+    )
+    frame = rec.frames[5]
+    enc = codec.encode_frame(frame, table)
+    wire = enc.to_bytes()
+    datagram = packet.frame_packet(packet.SignalType.POSE, 7, 1, 0, wire)
+    stats = codec.EncoderStats()
+    client = m["transport"].Client(
+        socket.socket(socket.AF_INET, socket.SOCK_DGRAM), ("127.0.0.1", 9), 1,
+        m["router"].SignalRouter(), start_receiver=False, keepalive_interval_s=None,
+    )
+    laps = [0]
+
+    def repeat(fn):
+        def timed() -> float:
+            t0 = time.perf_counter_ns()
+            for _ in range(CALLS):
+                fn()
+            return (time.perf_counter_ns() - t0) / CALLS / 1000
+        return timed
+
+    def ingest() -> float:
+        # One peer's flow whose sequence numbers keep rising across rounds.
+        base = laps[0] * CALLS
+        laps[0] += 1
+        grams = [packet.frame_packet(packet.SignalType.POSE, 7, base + i + 1, 0, wire)
+                 for i in range(CALLS)]
+        fn = client.ingest
+        t0 = time.perf_counter_ns()
+        for g in grams:
+            fn(g, 0)
+        return (time.perf_counter_ns() - t0) / CALLS / 1000
+
+    return {
+        "encode_frame": repeat(lambda: codec.encode_frame(frame, table, stats)),
+        "EncodedFrame.from_bytes": repeat(lambda: codec.EncodedFrame.from_bytes(wire, table)),
+        "decode_frame": repeat(lambda: codec.decode_frame(enc, table, skeleton)),
+        "parse_packet": repeat(lambda: packet.parse_packet(datagram)),
+        "Client.ingest": ingest,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, help="the `src` directory of tree A (the base)")
+    parser.add_argument("b", type=Path, help="the `src` directory of tree B (the change)")
+    parser.add_argument("--rounds", type=int, default=20)
+    args = parser.parse_args()
+    a, b = layers(load("dancegraph_a", args.a)), layers(load("dancegraph_b", args.b))
+    times = {name: ([], []) for name in a}
+    for _ in range(args.rounds):
+        for name in a:
+            times[name][0].append(a[name]())
+            times[name][1].append(b[name]())
+    for name, (ta, tb) in times.items():
+        ratios = [y / x for x, y in zip(ta, tb)]
+        print(f"{name:24s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
+              f"B/A median {statistics.median(ratios):.3f}  "
+              f"B faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
+
+
+if __name__ == "__main__":
+    main()
