@@ -1,11 +1,11 @@
-"""Batched UDP datagram syscalls (Linux sendmmsg / recvmmsg).
+"""Batched UDP fan-out (Linux sendmmsg).
 
-Relaying one pose packet to N peers costs N sendto calls, and a busy
-receive loop pays one syscall per datagram; on hosts where syscalls are
-expensive that dominates the whole pipeline. These wrappers batch many
-datagrams into one syscall while keeping every packet its own datagram,
-so nothing about the wire protocol changes. On platforms without the
-calls the helpers quietly fall back to plain sendto/recv loops.
+Relaying one pose packet to N peers costs N sendto calls; on hosts where
+syscalls are expensive that dominates the relay. FanoutSender sends all N
+copies in one syscall while keeping every packet its own datagram, so
+nothing about the wire protocol changes. On platforms without sendmmsg it
+quietly falls back to a sendto loop. Only the fan-out is batched: draining
+a receive socket with plain recv calls measured no slower than recvmmsg.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import errno
 import socket
 import struct
 
-__all__ = ["batching_available", "FanoutSender", "BatchReceiver"]
+__all__ = ["batching_available", "FanoutSender"]
 
 _libc = None
 _HAVE = False
@@ -23,7 +23,7 @@ try:
     _name = ctypes.util.find_library("c")
     if _name:
         _libc = ctypes.CDLL(_name, use_errno=True)
-        _HAVE = hasattr(_libc, "sendmmsg") and hasattr(_libc, "recvmmsg")
+        _HAVE = hasattr(_libc, "sendmmsg")
 except OSError:  # pragma: no cover - exotic platforms
     _HAVE = False
 
@@ -125,45 +125,3 @@ class FanoutSender:
                 return 0
             raise OSError(err, "sendmmsg failed")
         return sent
-
-
-class BatchReceiver:
-    """Drain up to `max_batch` datagrams from a nonblocking socket per syscall."""
-
-    def __init__(self, sock: socket.socket, max_batch: int = 32, bufsize: int = 2048):
-        self._sock = sock
-        self._fallback = not _HAVE
-        self.max_batch = max_batch
-        self.bufsize = bufsize
-        if self._fallback:
-            return
-        self._bufs = [ctypes.create_string_buffer(bufsize) for _ in range(max_batch)]
-        self._iovs = (_iovec * max_batch)()
-        self._msgs = (_mmsghdr * max_batch)()
-        for i in range(max_batch):
-            self._iovs[i].iov_base = ctypes.cast(self._bufs[i], ctypes.c_void_p)
-            self._iovs[i].iov_len = bufsize
-            self._msgs[i].msg_hdr.msg_iov = ctypes.pointer(self._iovs[i])
-            self._msgs[i].msg_hdr.msg_iovlen = 1
-
-    def recv_batch(self) -> list[bytes]:
-        """Nonblocking: returns whatever is queued, up to max_batch packets."""
-        if self._fallback:
-            out = []
-            for _ in range(self.max_batch):
-                try:
-                    out.append(self._sock.recv(self.bufsize))
-                except (BlockingIOError, InterruptedError):
-                    break
-                except OSError:
-                    break
-            return out
-        got = _libc.recvmmsg(self._sock.fileno(), self._msgs, self.max_batch, 0, None)
-        if got < 0:
-            err = ctypes.get_errno()
-            if err in (errno.EAGAIN, errno.EWOULDBLOCK, errno.EINTR):
-                return []
-            raise OSError(err, "recvmmsg failed")
-        msgs = self._msgs
-        bufs = self._bufs
-        return [bufs[i].raw[: msgs[i].msg_len] for i in range(got)]

@@ -50,29 +50,36 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+_SIGNAL_TYPES = {
+    "pose": SignalType.POSE,
+    "control": SignalType.CONTROL,
+    "telemetry": SignalType.TELEMETRY,
+}
+
+
 def _parse_selector(text: str) -> SignalSelector:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("selector must look like pose:any:network")
-    type_name, user, origin = parts
-    signal_type = {
-        "pose": SignalType.POSE,
-        "control": SignalType.CONTROL,
-        "telemetry": SignalType.TELEMETRY,
-    }[type_name.lower()]
-    user_id = None if user.lower() in ("any", "*") else int(user)
-    org = None if origin.lower() in ("any", "*") else Origin(origin.lower())
-    return SignalSelector(signal_type, user_id, org)
+    try:
+        type_name, user, origin = text.lower().split(":")
+        return SignalSelector(
+            _SIGNAL_TYPES[type_name],
+            None if user in ("any", "*") else int(user),
+            None if origin in ("any", "*") else Origin(origin),
+        )
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"selector must look like pose:any:network, got {text!r}"
+        ) from None
 
 
-def _parse_gains(items: list[str]) -> dict[BodyZone, float]:
-    gains = {zone: 1.0 for zone in BodyZone}
-    for item in items:
-        name, _, value = item.partition("=")
-        if not value:
-            raise argparse.ArgumentTypeError(f"expected zone=gain, got {item!r}")
-        gains[BodyZone(name.lower())] = float(value)
-    return gains
+def _parse_gain(text: str) -> tuple[BodyZone, float]:
+    name, _, value = text.partition("=")
+    try:
+        zone, gain = BodyZone(name.lower()), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected zone=gain, got {text!r}") from None
+    if not gain >= 0.0:
+        raise argparse.ArgumentTypeError(f"gain must be >= 0, got {text!r}")
+    return zone, gain
 
 
 def _table_for_recording(args, recording) -> BoundsTable:
@@ -142,7 +149,7 @@ def _cmd_record(args) -> int:
     try:
         written = record_sink(
             client.router,
-            _parse_selector(args.select),
+            args.select,
             args.out,
             table,
             skeleton,
@@ -177,7 +184,7 @@ def _cmd_correct(args) -> int:
         grid, params = load_corrective_config(args.config)
     else:
         grid = BeatGrid(bpm=args.bpm, phase_offset_us=int(args.phase_ms * 1000))
-        params = CorrectiveParams(zone_gains=_parse_gains(args.gains or []))
+        params = CorrectiveParams(zone_gains=dict(args.gains or []))
     corrected, report = corrective_experiment(
         recording, grid, params, output_path=args.out
     )
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("record", help="record incoming streams to a file")
     p.add_argument("--out", required=True)
-    p.add_argument("--select", default="pose:any:network")
+    p.add_argument("--select", type=_parse_selector, default="pose:any:network")
     p.add_argument("--server", type=_parse_addr, required=True)
     p.add_argument("--bounds", required=True)
     p.add_argument("--fps", type=float, default=30.0)
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bpm", type=float, default=120.0)
     p.add_argument("--phase-ms", type=float, default=0.0)
-    p.add_argument("--gains", nargs="*", default=None, metavar="zone=gain")
+    p.add_argument("--gains", type=_parse_gain, nargs="*", default=None, metavar="zone=gain")
     p.add_argument("--config", default=None, help="corrective config JSON overriding the flags")
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_correct)

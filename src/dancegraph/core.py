@@ -306,27 +306,32 @@ def rows_scale_rotation(
     return rows_canonicalize(rows_multiply(reference, step)), degenerate
 
 
-def rows_slerp(a: np.ndarray, b: np.ndarray, u: float) -> np.ndarray:
-    """Row-wise slerp between two (N, 4) arrays at a single blend factor.
+def rows_slerp(a: np.ndarray, b: np.ndarray, u: float | np.ndarray) -> np.ndarray:
+    """Row-wise slerp from a (u=0) to b (u=1) of (..., 4) arrays, shorter arc;
+    `u` is a scalar or an array broadcasting over the leading axes.
 
-    u == 0 and u == 1 return the endpoints exactly.
+    Rows with u == 0 or u == 1 return the endpoints exactly.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if u == 0.0:
-        return a
-    if u == 1.0:
-        return b
+    u = np.asarray(u, dtype=np.float64)
     dot = (a * b).sum(axis=-1)
-    b = np.where(dot[..., None] < 0.0, -b, b)
+    # Taking the shorter arc negates b; the sign rides on b's weight instead,
+    # which is exact, so no negated copy of b is made.
+    sign = np.where(dot < 0.0, -1.0, 1.0)
     dot = np.abs(dot)
     theta = np.arccos(np.clip(dot, -1.0, 1.0))
     s = np.sin(theta)
     near = s < 1e-6
     safe_s = np.where(near, 1.0, s)
     ka = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / safe_s)
-    kb = np.where(near, u, np.sin(u * theta) / safe_s)
-    return rows_normalize(a * ka[..., None] + b * kb[..., None])
+    kb = np.where(near, u, np.sin(u * theta) / safe_s) * sign
+    out = a * ka[..., None]
+    out += b * kb[..., None]
+    out /= np.sqrt((out * out).sum(axis=-1, keepdims=True))  # rows_normalize, in place
+    np.copyto(out, a, where=(u == 0.0)[..., None])
+    np.copyto(out, b, where=(u == 1.0)[..., None])
+    return out
 
 
 # For (x, y, z, w) rows, conj(m) * q == q @ _conj_product_matrix(m) and

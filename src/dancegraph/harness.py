@@ -40,7 +40,7 @@ from .rhythm import (
     run_corrective_pipeline,
 )
 from .router import Mode, Origin, SignalDescriptor, SignalRouter, SignalSelector
-from .transport import Client, RelayServer, ServerConfig, client_connect, mono_us
+from .transport import _RECV_BUFSIZE, Client, RelayServer, ServerConfig, client_connect, mono_us
 
 __all__ = [
     "synthesize_sway_recording",
@@ -574,8 +574,6 @@ class _SwarmPool:
     def __init__(self, addr, params: BenchParams, recording: Recording, table: BoundsTable):
         import selectors
 
-        from ._mmsg import BatchReceiver
-
         self.params = params
         self.payloads = [bytearray(p) for p in encode_recording_payloads(recording, table)]
         self.clients: list[Client] = []
@@ -588,8 +586,7 @@ class _SwarmPool:
             consumer = client.router.subscribe(
                 SignalSelector(SignalType.POSE, None, Origin.NETWORK), Mode.EVERY
             )
-            receiver = BatchReceiver(client.sock, max_batch=64)
-            self.selector.register(client.sock, selectors.EVENT_READ, (client, receiver))
+            self.selector.register(client.sock, selectors.EVENT_READ, client)
             self.clients.append(client)
             self.consumers.append(consumer)
         self.received = [0] * params.clients
@@ -605,17 +602,15 @@ class _SwarmPool:
         while not self.io_stop.is_set():
             events = self.selector.select(timeout=0.05)
             for key, _ in events:
-                client, receiver = key.data
+                client = key.data
                 now = mono_us()
-                ingest = client.ingest
+                recv, ingest = key.fileobj.recv, client.ingest
                 while True:
-                    batch = receiver.recv_batch()
-                    if not batch:
+                    try:
+                        data = recv(_RECV_BUFSIZE)
+                    except BlockingIOError:
                         break
-                    for data in batch:
-                        ingest(data, now)
-                    if len(batch) < receiver.max_batch:
-                        break
+                    ingest(data, now)
 
     def _send_loop(self) -> None:
         params = self.params

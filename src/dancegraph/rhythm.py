@@ -6,8 +6,10 @@ Three stages, each usable on its own:
    motion time series locates the dominant sway frequency in the danceable
    band (0.25 to 4 Hz, i.e. 15 to 240 sways per minute); the peak is
    refined by parabolic interpolation over log magnitudes, so the estimate
-   resolves far below the raw bin width. Per-joint estimates are fused by
-   clustering periods that agree within 10% and energy-weighting the
+   resolves far below the raw bin width. The components of every joint in
+   an analysis window are one (components, window) array that goes through
+   one window, one rfft and one peak search. Per-joint estimates are fused
+   by clustering periods that agree within 10% and energy-weighting the
    heaviest cluster: the dance has one rhythm.
 
 2. Beat alignment: a monotonic time warp resamples the stream so motion
@@ -19,6 +21,9 @@ Three stages, each usable on its own:
    the constant that puts extrema on the nearest grid points (never more
    than half a beat away) and is slew-limited so a live viewer never sees a
    pop; the constant rate factor is bounded separately by max_rate_ratio.
+   The warp is stepped frame by frame to get each output frame's source
+   time; the frames are then resampled at those times block by block, each
+   block's bracketing source rows slerped in one call.
 
 3. Stylization: per body zone, rotations are geodesically extrapolated away
    from a rolling reference orientation, widening (gain > 1), muting
@@ -34,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +79,11 @@ _TWO_PI = 2.0 * math.pi
 # keeping the no-op warp bit-stable.
 _PHASE_SNAP_US = 0.5
 _RATE_SNAP = 1e-9
+
+# Frames resampled per rows_slerp call. A whole take in one call would hold
+# several (frames, J, 4) temporaries at once and raise the peak memory of a
+# correction by a few MB; blocks this size cost no measurable time.
+_RESAMPLE_BLOCK = 64
 
 
 class InsufficientDataError(ValueError):
@@ -214,8 +224,8 @@ def extract_feature_series(
         raise ValueError(f"component must be one of x, y, z, got {component!r}")
     ts = np.array([f.timestamp_us for f in window], dtype=np.float64)
     fps = _window_fps(ts)
-    rotations = np.stack([f.rotations for f in window])
-    return _feature_series(rotations, joint, component, fps, int(ts[0]))
+    values = np.stack([f.rotations for f in window])[:, joint, _COMPONENT_INDEX[component]]
+    return FeatureSeries(joint, component, values - values.mean(), fps, int(ts[0]))
 
 
 def _window_fps(ts: np.ndarray) -> float:
@@ -233,14 +243,6 @@ def _window_fps(ts: np.ndarray) -> float:
     return 1e6 / median_dt
 
 
-def _feature_series(
-    rotations: np.ndarray, joint: int, component: str, fps: float, start_us: int
-) -> FeatureSeries:
-    """Zero-mean series of one joint component of a (frames, J, 4) window."""
-    values = rotations[:, joint, _COMPONENT_INDEX[component]]
-    return FeatureSeries(joint, component, values - values.mean(), fps, start_us)
-
-
 def detect_dominant_period(
     series: FeatureSeries,
     threshold: float = 0.2,
@@ -253,51 +255,62 @@ def detect_dominant_period(
     energy ratio is the three-bin peak energy over the total spectral
     energy; below `threshold` there is no usable rhythm in this signal.
     """
-    x = np.asarray(series.samples, dtype=np.float64)
-    n = x.size
+    x = np.asarray(series.samples, dtype=np.float64)[None]
+    return _detect_periods(x, series.fps, threshold, [series.joint])[0]
+
+
+def _detect_periods(
+    x: np.ndarray,
+    fps: float,
+    threshold: float,
+    joints: Sequence[int],
+) -> list[PeriodEstimate | None]:
+    """detect_dominant_period for each row of a (C, n) array of series
+    sampled at `fps`, with one window, one rfft and one pass over the
+    spectra; row r's estimate is labelled joints[r]."""
+    n = x.shape[-1]
     if n < 16 or n & (n - 1):
         raise ValueError(f"series length must be a power of two >= 16, got {n}")
-    x = x - x.mean()
-    win = np.hanning(n)
-    spectrum = np.fft.rfft(x * win)
-    power = np.abs(spectrum) ** 2
-    fs = series.fps
-
+    rows = len(x)
     band_lo, band_hi = DETECTION_BAND_HZ
-    k_lo = max(1, int(math.ceil(band_lo * n / fs)))
-    k_hi = min(n // 2 - 1, int(math.floor(band_hi * n / fs)))
+    k_lo = max(1, int(math.ceil(band_lo * n / fps)))
+    k_hi = min(n // 2 - 1, int(math.floor(band_hi * n / fps)))
     if k_lo > k_hi:
-        return None
-    k = int(np.argmax(power[k_lo:k_hi + 1])) + k_lo
+        return [None] * rows
+    xw = (x - x.mean(axis=-1, keepdims=True)) * np.hanning(n)
+    power = np.abs(np.fft.rfft(xw)) ** 2
+    k = np.argmax(power[:, k_lo:k_hi + 1], axis=-1) + k_lo
+    total = power[:, 1:].sum(axis=-1)
+    peak = np.take_along_axis(power, k[:, None] + np.arange(-1, 2), axis=-1)  # (C, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = peak.sum(axis=-1) / total
+    found = np.flatnonzero((total > 0.0) & (ratio >= threshold))
+    if not found.size:
+        return [None] * rows
 
-    total = float(power[1:].sum())
-    if total <= 0.0:
-        return None
-    peak_energy = float(power[k - 1:k + 2].sum())
-    ratio = peak_energy / total
-    if ratio < threshold:
-        return None
-
-    eps = max(power[k] * 1e-12, 1e-300)
-    l_prev, l_peak, l_next = np.log(power[k - 1:k + 2] + eps)
+    k, peak = k[found], peak[found]
+    eps = np.maximum(peak[:, 1] * 1e-12, 1e-300)
+    l_prev, l_peak, l_next = np.log(peak + eps[:, None]).T
     denom = l_prev - 2.0 * l_peak + l_next
-    delta = 0.0 if denom == 0.0 else 0.5 * (l_prev - l_next) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
-    freq = (k + delta) * fs / n
-    freq = min(max(freq, band_lo), band_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(denom == 0.0, 0.0, 0.5 * (l_prev - l_next) / denom)
+    freq = np.clip((k + np.clip(delta, -0.5, 0.5)) * fps / n, band_lo, band_hi)
 
     # Phase of the cosine model at the first sample, read from the windowed
     # spectrum evaluated at the refined peak frequency.
-    m = np.arange(n)
-    z = np.sum(x * win * np.exp(-2j * math.pi * freq / fs * m))
-    phase = float(np.angle(z)) % _TWO_PI
+    omega = -_TWO_PI * freq / fps
+    z = (xw[found] * np.exp(1j * (omega[:, None] * np.arange(n)))).sum(axis=-1)
+    phase = np.angle(z)
 
-    return PeriodEstimate(
-        period_us=int(round(1e6 / freq)),
-        phase_rad=phase,
-        energy_ratio=min(1.0, ratio),
-        joint=series.joint,
-    )
+    out: list[PeriodEstimate | None] = [None] * rows
+    for i, r in enumerate(found):
+        out[r] = PeriodEstimate(
+            period_us=int(round(1e6 / float(freq[i]))),
+            phase_rad=float(phase[i]) % _TWO_PI,
+            energy_ratio=min(1.0, float(ratio[r])),
+            joint=joints[r],
+        )
+    return out
 
 
 def aggregate_joint_period(
@@ -450,60 +463,59 @@ def _phase_misalignment(
     return d * rate
 
 
-class _SourceSampler:
-    """Resample a frame sequence at warped, strictly increasing times."""
-
-    def __init__(self, frames: Sequence[PoseFrame]):
-        self.frames = frames
-        self.ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
-        self.idx = 0
-
-    def sample(self, s_us: float, out_timestamp_us: int) -> PoseFrame:
-        ts = self.ts
-        n = len(ts)
-        if s_us <= ts[0]:
-            src = self.frames[0]
-            return PoseFrame(out_timestamp_us, src.root_translation, src.rotations)
-        if s_us >= ts[-1]:
-            # Past the end of the source: hold the last pose.
-            src = self.frames[-1]
-            return PoseFrame(out_timestamp_us, src.root_translation, src.rotations)
-        i = self.idx
-        while i + 1 < n and ts[i + 1] < s_us:
-            i += 1
-        while i > 0 and ts[i] > s_us:
-            i -= 1
-        self.idx = i
-        a, b = self.frames[i], self.frames[i + 1]
-        u = (s_us - ts[i]) / (ts[i + 1] - ts[i])
-        if u <= 0.0:
-            return PoseFrame(out_timestamp_us, a.root_translation, a.rotations)
-        if u >= 1.0:
-            return PoseFrame(out_timestamp_us, b.root_translation, b.rotations)
-        rot = rows_slerp(a.rotations, b.rotations, float(u))
-        root = [x + (y - x) * u for x, y in zip(a.root_translation, b.root_translation)]
-        return PoseFrame.from_array(out_timestamp_us, root, rot)
-
-
-def _warp_frames(
+def _retime(
     frames: Sequence[PoseFrame],
-    controller: _WarpController,
-    retarget: Callable[[int], None] | None = None,
+    rotations: np.ndarray,
+    grid: BeatGrid,
+    slew: float,
+    steer: Mapping[int, tuple[PeriodEstimate, float, float, float]],
 ) -> tuple[list[PoseFrame], list[WarpSample]]:
-    """Resample frames at the controller's warped times, one output frame per
-    input frame on the input's timeline. `retarget(i)`, when given, runs
-    before frame i is sampled and may steer the controller."""
-    sampler = _SourceSampler(frames)
-    out: list[PoseFrame] = []
+    """Resample frames at warped times, one output frame per input frame on
+    the input's timeline; `rotations` is the frames' (n, J, 4) stack.
+
+    The warp controller runs once per frame. steer[i], when present, is
+    (estimate, the time its phase refers to, rate, event spacing) and
+    retargets the controller before frame i. The frames are then
+    resampled at the warped times all at once.
+    """
+    controller = _WarpController(slew, frames[0].timestamp_us)
     warp: list[WarpSample] = []
     for i, frame in enumerate(frames):
-        if retarget is not None:
-            retarget(i)
+        if i in steer:
+            est, reference, rate, spacing = steer[i]
+            controller.rate = rate
+            controller.phase_target += _phase_misalignment(
+                controller, est, reference, grid, rate, spacing
+            )
         t = frame.timestamp_us
         s = controller.advance(t) if i else controller.source_prev
-        out.append(sampler.sample(s, t))
         warp.append(WarpSample(t, s, controller.phase_applied, controller.phase_target))
-    return out, warp
+    source = np.array([w.source_us for w in warp])
+    return _resample(frames, rotations, source), warp
+
+
+def _resample(
+    frames: Sequence[PoseFrame], rotations: np.ndarray, source_us: np.ndarray
+) -> list[PoseFrame]:
+    """Frame i of the result carries frames[i]'s timestamp and the pose at
+    source_us[i]: the bracketing source frames slerped (roots lerped) at its
+    fraction between them. A time on or outside the source's ends takes
+    that frame's pose exactly."""
+    ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
+    lo = np.clip(np.searchsorted(ts, source_us, side="right") - 1, 0, len(ts) - 2)
+    u = np.clip((source_us - ts[lo]) / (ts[lo + 1] - ts[lo]), 0.0, 1.0)[:, None]
+    roots = np.array([f.root_translation for f in frames], dtype=np.float64)
+    root_a, root_b = roots[lo], roots[lo + 1]
+    out_roots = root_a + (root_b - root_a) * u
+    np.copyto(out_roots, root_a, where=u == 0.0)
+    np.copyto(out_roots, root_b, where=u == 1.0)
+    out: list[PoseFrame] = []
+    for c in range(0, len(ts), _RESAMPLE_BLOCK):
+        block = slice(c, c + _RESAMPLE_BLOCK)
+        rot = rows_slerp(rotations[lo[block]], rotations[lo[block] + 1], u[block])
+        rot.setflags(write=False)
+        out += map(PoseFrame.from_array, ts[block], out_roots[block], rot)
+    return out
 
 
 def beat_align_remap(
@@ -526,29 +538,17 @@ def beat_align_remap(
     frames = list(stream)
     if len(frames) < 2:
         return RemapResult(frames, False, "stream too short", 1.0, None, 0.0, [])
-    t0 = frames[0].timestamp_us
-    ref = float(t0 if phase_reference_us is None else phase_reference_us)
+    ref = float(frames[0].timestamp_us if phase_reference_us is None else phase_reference_us)
 
     match = _match_tempo(detected.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
     if match is None:
         return RemapResult(frames, False, "tempo mismatch", 1.0, None, 0.0, [])
     rate, spacing = match
 
-    controller = _WarpController(params.max_warp_slew, t0)
-    controller.rate = rate
-    controller.phase_target = _phase_misalignment(
-        controller, detected, ref, grid, rate, spacing
-    )
-
-    if rate == 1.0 and controller.phase_target == 0.0:
-        # Already aligned: bit-stable pass-through.
-        warp = [
-            WarpSample(f.timestamp_us, float(f.timestamp_us), 0.0, 0.0) for f in frames
-        ]
-        return RemapResult(list(frames), True, None, 1.0, spacing, 0.0, warp)
-
-    out, warp = _warp_frames(frames, controller)
-    return RemapResult(out, True, None, rate, spacing, controller.phase_target, warp)
+    rotations = np.stack([f.rotations for f in frames])
+    steer = {0: (detected, ref, rate, spacing)}
+    out, warp = _retime(frames, rotations, grid, params.max_warp_slew, steer)
+    return RemapResult(out, True, None, rate, spacing, warp[0].target_us, warp)
 
 
 # ---------------------------------------------------------------------------
@@ -671,54 +671,44 @@ def run_corrective_pipeline(
     window = params.window_frames
     if n < window:
         return PipelineResult(frames, False, "stream shorter than analysis window", [], 1.0, [])
-    if joints is None:
-        joints = range(skeleton.joint_count)
+    joints = list(range(skeleton.joint_count) if joints is None else joints)
 
     hop = window // 2
     ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
     rotations = np.stack([f.rotations for f in frames])  # (n, J, 4)
+    labels = np.repeat(joints, 3).tolist()
     estimates: list[tuple[int, PeriodEstimate | None]] = []
     for end in range(window, n + 1, hop):
-        chunk = rotations[end - window:end]
         fps = _window_fps(ts[end - window:end])
-        start_us = frames[end - window].timestamp_us
+        # Every x, y, z component of every analysed joint as one zero-mean
+        # row, as extract_feature_series builds it: (3 * joints, window).
+        x = np.ascontiguousarray(rotations[end - window:end, joints, :3].reshape(window, -1).T)
+        x -= x.mean(axis=-1, keepdims=True)
+        per_row = _detect_periods(x, fps, params.detection_threshold, labels)
         per_joint: list[PeriodEstimate] = []
-        for j in joints:
-            best: PeriodEstimate | None = None
-            for component in ("x", "y", "z"):
-                series = _feature_series(chunk, j, component, fps, start_us)
-                est = detect_dominant_period(series, params.detection_threshold)
-                if est is not None and (best is None or est.energy_ratio > best.energy_ratio):
-                    best = est
-            if best is not None:
-                per_joint.append(best)
+        for r in range(0, len(per_row), 3):
+            # The joint's strongest component; the first wins a tie.
+            found = [e for e in per_row[r:r + 3] if e is not None]
+            if found:
+                per_joint.append(max(found, key=lambda e: e.energy_ratio))
         estimates.append((end, aggregate_joint_period(per_joint, params.detection_threshold)))
 
     if all(est is None for _, est in estimates):
         return PipelineResult(frames, False, "no dominant period", estimates, 1.0, [])
 
     # An estimate steers the warp from the frame at its window end onwards,
-    # so the one for a window ending at the last frame is never used.
-    steer: dict[int, tuple[PeriodEstimate, float, float]] = {}
+    # so the one for a window ending at the last frame is never used. Its
+    # phase refers to the window's first frame.
+    steer: dict[int, tuple[PeriodEstimate, float, float, float]] = {}
     for end, est in estimates:
         if est is None or end >= n:
             continue
         match = _match_tempo(est.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
         if match is not None:
-            steer[end] = (est, *match)
+            steer[end] = (est, frames[end - window].timestamp_us, *match)
     if not steer:
         return PipelineResult(frames, False, "tempo mismatch", estimates, 1.0, [])
 
-    controller = _WarpController(params.max_warp_slew, frames[0].timestamp_us)
-
-    def retarget(i: int) -> None:
-        if i in steer:
-            est, rate, spacing = steer[i]
-            controller.rate = rate
-            controller.phase_target += _phase_misalignment(
-                controller, est, frames[i - window].timestamp_us, grid, rate, spacing
-            )
-
-    out, warp = _warp_frames(frames, controller, retarget)
-    rate_used = steer[max(steer)][1]
+    out, warp = _retime(frames, rotations, grid, params.max_warp_slew, steer)
+    rate_used = steer[max(steer)][2]
     return PipelineResult(out, True, None, estimates, rate_used, warp)

@@ -93,8 +93,9 @@ class ServerConfig:
     client_timeout_us: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if self.max_clients < 2:
-            raise ValueError("max_clients must be >= 2")
+        # Ids run from 1 to max_clients; UNASSIGNED_ID itself is never handed out.
+        if not 2 <= self.max_clients < UNASSIGNED_ID:
+            raise ValueError(f"max_clients must be in [2, {UNASSIGNED_ID - 1}]")
 
 
 @dataclass

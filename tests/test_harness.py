@@ -381,6 +381,37 @@ class TestCli:
         assert report["amplitude_ratio"] == pytest.approx(2.0, abs=0.05)
         assert load_recording(fixed).joint_count == 34
 
+    @pytest.mark.parametrize("select", ["bogus:any:network", "pose:someone:network",
+                                        "pose:any:nowhere", "pose:any"])
+    def test_bad_selector_exits_before_joining(self, tmp_path, monkeypatch, capsys, select):
+        rec = synthesize_sway_recording(duration_s=1.0)
+        bounds = tmp_path / "bounds.json"
+        analyze_bounds([rec.frames], joint_names=default_skeleton().joint_names).to_json(bounds)
+        monkeypatch.setattr(
+            "dancegraph.cli.client_connect", lambda *a, **k: pytest.fail("joined the relay")
+        )
+        out = tmp_path / "take.dgrc"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["record", "--out", str(out), "--select", select,
+                      "--server", "127.0.0.1:9", "--bounds", str(bounds)])
+        assert exc.value.code == 2
+        assert "pose:any:network" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gains", [["hipz=2"], ["hips=2", "hands=lots"], ["hips"],
+                                       ["hips=-1"]])
+    def test_bad_gain_exits_before_reading(self, tmp_path, monkeypatch, gains):
+        take = tmp_path / "take.dgrc"
+        save_recording(synthesize_sway_recording(duration_s=1.0), take)
+        monkeypatch.setattr(
+            "dancegraph.cli.load_recording", lambda *a, **k: pytest.fail("read the take")
+        )
+        fixed = tmp_path / "fixed.dgrc"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["correct", "--in", str(take), "--out", str(fixed), "--gains", *gains])
+        assert exc.value.code == 2
+        assert not fixed.exists()
+
     def test_bounds_accepts_non_canonical_file(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

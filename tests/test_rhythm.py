@@ -16,14 +16,22 @@ from dancegraph.core import (
     rows_multiply,
     rows_normalize,
     rows_scale_rotation,
+    rows_slerp,
 )
 from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recording
 from dancegraph.rhythm import (
+    DETECTION_BAND_HZ,
     BeatGrid,
     CorrectiveParams,
     FeatureSeries,
     InsufficientDataError,
     PeriodEstimate,
+    WarpSample,
+    _match_tempo,
+    _phase_misalignment,
+    _resample,
+    _WarpController,
+    _window_fps,
     aggregate_joint_period,
     amplify_zones,
     beat_align_remap,
@@ -515,3 +523,318 @@ class TestConfig:
             BeatGrid(bpm=20.0)
         with pytest.raises(ValueError):
             PeriodEstimate(0, 0.0, 0.5, 0)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-series detector and the per-frame warp sampler that the
+# batched detection kernel and the block resampler replaced.
+# ---------------------------------------------------------------------------
+
+def reference_detect_dominant_period(series, threshold=0.2):
+    x = np.asarray(series.samples, dtype=np.float64)
+    n = x.size
+    x = x - x.mean()
+    win = np.hanning(n)
+    spectrum = np.fft.rfft(x * win)
+    power = np.abs(spectrum) ** 2
+    fs = series.fps
+
+    band_lo, band_hi = DETECTION_BAND_HZ
+    k_lo = max(1, int(math.ceil(band_lo * n / fs)))
+    k_hi = min(n // 2 - 1, int(math.floor(band_hi * n / fs)))
+    if k_lo > k_hi:
+        return None
+    k = int(np.argmax(power[k_lo:k_hi + 1])) + k_lo
+
+    total = float(power[1:].sum())
+    if total <= 0.0:
+        return None
+    peak_energy = float(power[k - 1:k + 2].sum())
+    ratio = peak_energy / total
+    if ratio < threshold:
+        return None
+
+    eps = max(power[k] * 1e-12, 1e-300)
+    l_prev, l_peak, l_next = np.log(power[k - 1:k + 2] + eps)
+    denom = l_prev - 2.0 * l_peak + l_next
+    delta = 0.0 if denom == 0.0 else 0.5 * (l_prev - l_next) / denom
+    delta = float(np.clip(delta, -0.5, 0.5))
+    freq = (k + delta) * fs / n
+    freq = min(max(freq, band_lo), band_hi)
+
+    m = np.arange(n)
+    z = np.sum(x * win * np.exp(-2j * math.pi * freq / fs * m))
+    phase = float(np.angle(z)) % TWO_PI
+
+    return PeriodEstimate(
+        period_us=int(round(1e6 / freq)),
+        phase_rad=phase,
+        energy_ratio=min(1.0, ratio),
+        joint=series.joint,
+    )
+
+
+class ReferenceSourceSampler:
+    """Resample a frame sequence at warped times, one frame per call."""
+
+    def __init__(self, frames):
+        self.frames = frames
+        self.ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
+        self.idx = 0
+
+    def sample(self, s_us, out_timestamp_us):
+        ts = self.ts
+        n = len(ts)
+        if s_us <= ts[0]:
+            src = self.frames[0]
+            return PoseFrame(out_timestamp_us, src.root_translation, src.rotations)
+        if s_us >= ts[-1]:
+            src = self.frames[-1]
+            return PoseFrame(out_timestamp_us, src.root_translation, src.rotations)
+        i = self.idx
+        while i + 1 < n and ts[i + 1] < s_us:
+            i += 1
+        while i > 0 and ts[i] > s_us:
+            i -= 1
+        self.idx = i
+        a, b = self.frames[i], self.frames[i + 1]
+        u = (s_us - ts[i]) / (ts[i + 1] - ts[i])
+        if u <= 0.0:
+            return PoseFrame(out_timestamp_us, a.root_translation, a.rotations)
+        if u >= 1.0:
+            return PoseFrame(out_timestamp_us, b.root_translation, b.rotations)
+        rot = rows_slerp(a.rotations, b.rotations, float(u))
+        root = [x + (y - x) * u for x, y in zip(a.root_translation, b.root_translation)]
+        return PoseFrame.from_array(out_timestamp_us, root, rot)
+
+
+def reference_warp_frames(frames, controller, retarget=None):
+    sampler = ReferenceSourceSampler(frames)
+    out, warp = [], []
+    for i, frame in enumerate(frames):
+        if retarget is not None:
+            retarget(i)
+        t = frame.timestamp_us
+        s = controller.advance(t) if i else controller.source_prev
+        out.append(sampler.sample(s, t))
+        warp.append(WarpSample(t, s, controller.phase_applied, controller.phase_target))
+    return out, warp
+
+
+def reference_beat_align_remap(frames, detected, grid, params, phase_reference_us=None):
+    """(frames, applied, rate, phase target, warp) as beat_align_remap
+    computed them with a per-frame sampler and an already-aligned branch."""
+    t0 = frames[0].timestamp_us
+    ref = float(t0 if phase_reference_us is None else phase_reference_us)
+    match = _match_tempo(detected.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
+    if match is None:
+        return frames, False, 1.0, 0.0, []
+    rate, spacing = match
+    controller = _WarpController(params.max_warp_slew, t0)
+    controller.rate = rate
+    controller.phase_target = _phase_misalignment(controller, detected, ref, grid, rate, spacing)
+    if rate == 1.0 and controller.phase_target == 0.0:
+        warp = [WarpSample(f.timestamp_us, float(f.timestamp_us), 0.0, 0.0) for f in frames]
+        return list(frames), True, 1.0, 0.0, warp
+    out, warp = reference_warp_frames(frames, controller)
+    return out, True, rate, controller.phase_target, warp
+
+
+def reference_run_corrective_pipeline(frames, skeleton, grid, params):
+    """(frames, applied, estimates, rate, warp) from one periodogram per
+    joint component per window and the per-frame sampler."""
+    n = len(frames)
+    window = params.window_frames
+    hop = window // 2
+    ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
+    rotations = np.stack([f.rotations for f in frames])
+    estimates = []
+    for end in range(window, n + 1, hop):
+        chunk = rotations[end - window:end]
+        fps = _window_fps(ts[end - window:end])
+        per_joint = []
+        for j in range(skeleton.joint_count):
+            best = None
+            for c in range(3):
+                values = chunk[:, j, c]
+                series = FeatureSeries(j, "xyz"[c], values - values.mean(), fps)
+                est = reference_detect_dominant_period(series, params.detection_threshold)
+                if est is not None and (best is None or est.energy_ratio > best.energy_ratio):
+                    best = est
+            if best is not None:
+                per_joint.append(best)
+        estimates.append((end, aggregate_joint_period(per_joint, params.detection_threshold)))
+    if all(est is None for _, est in estimates):
+        return frames, False, estimates, 1.0, []
+    steer = {}
+    for end, est in estimates:
+        if est is None or end >= n:
+            continue
+        match = _match_tempo(est.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
+        if match is not None:
+            steer[end] = (est, *match)
+    if not steer:
+        return frames, False, estimates, 1.0, []
+    controller = _WarpController(params.max_warp_slew, frames[0].timestamp_us)
+
+    def retarget(i):
+        if i in steer:
+            est, rate, spacing = steer[i]
+            controller.rate = rate
+            controller.phase_target += _phase_misalignment(
+                controller, est, frames[i - window].timestamp_us, grid, rate, spacing
+            )
+
+    out, warp = reference_warp_frames(frames, controller, retarget)
+    return out, True, estimates, steer[max(steer)][1], warp
+
+
+def assert_frames_identical(got, want):
+    assert [f.timestamp_us for f in got] == [f.timestamp_us for f in want]
+    assert [f.root_translation for f in got] == [f.root_translation for f in want]
+    for a, b in zip(got, want):
+        assert a.rotations.tobytes() == b.rotations.tobytes()
+
+
+def dancer_frames(skeleton, duration_s=24.0, phase_rad=0.0, freq=1.0, seed=3):
+    """Hip sway with every joint jittering by up to 0.03 rad, like a
+    tracked dancer."""
+    sway = synthesize_sway_recording(
+        skeleton, duration_s=duration_s, frequency_hz=freq, amplitude_rad=0.2,
+        phase_rad=phase_rad,
+    )
+    noise = synthesize_noise_recording(
+        skeleton, duration_s=duration_s, amplitude_rad=0.03, seed=seed
+    )
+    return [
+        PoseFrame.from_array(
+            s.timestamp_us, s.root_translation, rows_multiply(s.rotations, n.rotations)
+        )
+        for s, n in zip(sway.frames, noise.frames)
+    ]
+
+
+TAKES = {
+    "dancer": lambda sk: dancer_frames(sk, phase_rad=math.pi / 2 - TWO_PI * 0.17),
+    "dancer_fast": lambda sk: dancer_frames(sk, freq=1.03, seed=8),
+    "offset_sway": lambda sk: synthesize_sway_recording(
+        sk, duration_s=24.0, phase_rad=math.pi / 2 - TWO_PI * 0.23
+    ).frames,
+    "noise": lambda sk: synthesize_noise_recording(sk, duration_s=12.0, seed=5).frames,
+}
+
+
+class TestRetimeMatchesPerFrameOracle:
+    @pytest.mark.parametrize("bpm", [120.0, 117.0, 75.0])
+    @pytest.mark.parametrize("take", sorted(TAKES))
+    def test_pipeline(self, skeleton, take, bpm):
+        # 120 bpm aligns at rate 1, 117 needs rate != 1 and 75 is a tempo
+        # mismatch for the ~1 Hz takes.
+        frames = TAKES[take](skeleton)
+        grid = BeatGrid(bpm=bpm)
+        params = CorrectiveParams()
+        got = run_corrective_pipeline(frames, skeleton, grid, params)
+        want_frames, applied, estimates, rate, warp = reference_run_corrective_pipeline(
+            frames, skeleton, grid, params
+        )
+        assert got.estimates == estimates
+        assert (got.applied, got.rate, got.warp) == (applied, rate, warp)
+        assert_frames_identical(got.frames, want_frames)
+        if take != "noise" and bpm == 117.0:
+            assert got.applied and got.rate != 1.0
+
+    @pytest.mark.parametrize("phase_ref", [None, 123_457])
+    @pytest.mark.parametrize("offset_s", [0.0, 0.1, 0.23, 0.41])
+    @pytest.mark.parametrize("bpm", [120.0, 113.0, 75.0])
+    def test_beat_align_remap(self, skeleton, bpm, offset_s, phase_ref):
+        phase = math.pi / 2 - TWO_PI * offset_s
+        frames = dancer_frames(skeleton, duration_s=10.0, phase_rad=phase)
+        detected = PeriodEstimate(
+            1_000_000, (phase - math.pi / 2) % TWO_PI, energy_ratio=0.9, joint=0
+        )
+        grid, params = BeatGrid(bpm=bpm), CorrectiveParams()
+        got = beat_align_remap(frames, detected, grid, params, phase_reference_us=phase_ref)
+        want_frames, applied, rate, target, warp = reference_beat_align_remap(
+            frames, detected, grid, params, phase_ref
+        )
+        assert (got.applied, got.rate, got.phase_target_us, got.warp) == (
+            applied, rate, target, warp
+        )
+        assert_frames_identical(got.frames, want_frames)
+
+    def test_already_aligned_takes_the_source_rows_exactly(self, skeleton):
+        frames = dancer_frames(skeleton, duration_s=10.0, phase_rad=math.pi / 2)
+        detected = PeriodEstimate(1_000_000, 0.0, 0.9, joint=0)
+        result = beat_align_remap(frames, detected, BeatGrid(bpm=120.0), CorrectiveParams())
+        assert result.rate == 1.0 and result.phase_target_us == 0.0
+        assert [w.source_us for w in result.warp] == [float(f.timestamp_us) for f in frames]
+        assert_frames_identical(result.frames, frames)
+
+    def test_resample_at_edges_and_on_frame_times(self, skeleton):
+        frames = dancer_frames(skeleton, duration_s=5.0)
+        ts = [f.timestamp_us for f in frames]
+        n = len(frames)
+        # Before the first frame, on it, between frames, exactly on interior
+        # frame times, on the last frame and past it.
+        source = np.linspace(ts[0] - 50_000.0, ts[-1] + 70_000.0, n)
+        source[1] = ts[0]
+        source[n // 3] = ts[n // 3 - 2]
+        source[n // 2] = ts[n // 2]
+        source[-2] = ts[-1]
+        source = np.sort(source)
+        sampler = ReferenceSourceSampler(frames)
+        want = [sampler.sample(float(s), t) for s, t in zip(source, ts)]
+        got = _resample(frames, np.stack([f.rotations for f in frames]), source)
+        assert_frames_identical(got, want)
+        assert source[0] < ts[0] and source[-1] > ts[-1]
+
+
+class TestDetectionKernelMatchesPerSeriesOracle:
+    @pytest.mark.parametrize("take", sorted(TAKES))
+    def test_every_series_of_every_window(self, skeleton, take):
+        frames = TAKES[take](skeleton)
+        seen = 0
+        for start in range(0, len(frames) - 256 + 1, 128):
+            window = frames[start:start + 256]
+            for j in range(skeleton.joint_count):
+                for c in "xyz":
+                    series = extract_feature_series(window, j, c)
+                    want = reference_detect_dominant_period(series)
+                    assert detect_dominant_period(series) == want
+                    seen += want is not None
+        assert take == "noise" or seen > 0
+
+    def test_tones_and_noise(self):
+        rng = np.random.default_rng(11)
+        for freq in np.linspace(0.2, 5.0, 40):
+            series = cosine_series(freq, phase=rng.uniform(0, TWO_PI))
+            assert detect_dominant_period(series) == reference_detect_dominant_period(series)
+            noisy = FeatureSeries(0, "x", series.samples + rng.normal(size=256), fps=30.0)
+            for threshold in (0.0, 0.2):
+                assert detect_dominant_period(noisy, threshold) == (
+                    reference_detect_dominant_period(noisy, threshold)
+                )
+
+
+class TestRowsSlerpArrayBlend:
+    def test_matches_per_row_scalar_calls(self):
+        rng = np.random.default_rng(2)
+        a = rows_normalize(rng.normal(size=(50, 7, 4)))
+        b = rows_normalize(rng.normal(size=(50, 7, 4)))
+        b[3] = a[3]  # theta = 0 takes the near branch
+        u = rng.uniform(size=50)
+        got = rows_slerp(a, b, u[:, None])
+        for i in range(50):
+            assert got[i].tobytes() == rows_slerp(a[i], b[i], float(u[i])).tobytes()
+
+    def test_zero_and_one_rows_return_the_endpoints_exactly(self):
+        rng = np.random.default_rng(3)
+        a = rows_normalize(rng.normal(size=(6, 5, 4)))
+        b = rows_normalize(rng.normal(size=(6, 5, 4)))
+        u = np.array([0.0, 1.0, 0.5, 0.0, 1.0, 0.25])[:, None]
+        got = rows_slerp(a, b, u)
+        for i in (0, 3):
+            assert got[i].tobytes() == a[i].tobytes()
+        for i in (1, 4):
+            assert got[i].tobytes() == b[i].tobytes()
+        assert got[2].tobytes() == rows_slerp(a[2], b[2], 0.5).tobytes()

@@ -26,6 +26,7 @@ from dancegraph.transport import (
     Client,
     ConnectTimeoutError,
     RelayServer,
+    UNASSIGNED_ID,
     ServerConfig,
     client_connect,
     mono_us,
@@ -337,6 +338,14 @@ class TestRelayServer:
                 assert srv.stats.rejected_full >= 1
         finally:
             srv.stop()
+
+    def test_max_clients_leaves_the_unassigned_id_free(self):
+        # Ids run from 1 to max_clients: a 0xFFFF-client relay would hand
+        # out UNASSIGNED_ID, and the next ACK would not fit the header.
+        assert ServerConfig(max_clients=UNASSIGNED_ID - 1).max_clients == 0xFFFE
+        for bad in (1, UNASSIGNED_ID, 1 << 20):
+            with pytest.raises(ValueError):
+                ServerConfig(max_clients=bad)
 
 
 class TestRejoin:

@@ -7,15 +7,19 @@ Both trees' `dancegraph` packages are imported into one process under
 different names, and each round times every layer on A and then on B, so a
 slow phase of the host hits both sides alike. Layers: `encode_frame`,
 `EncodedFrame.from_bytes`, `decode_frame` (34 joints, 16 bits, a sway
-frame), `parse_packet` and `Client.ingest` of a 224-byte pose datagram.
-Prints per layer the median microseconds per call of A and B, the median of
-the per-round ratios B/A, and in how many rounds B was faster.
+frame), `parse_packet` and `Client.ingest` of a 224-byte pose datagram, in
+microseconds per call; and `run_corrective_pipeline` and `amplify_zones`
+(hips 2.0, hands 0.5, 60-frame window) on a synthesized 24 s dancer take,
+in microseconds per frame.
+Prints per layer the median microseconds of A and B, the median of the
+per-round ratios B/A, and in how many rounds B was faster.
 """
 from __future__ import annotations
 
 import argparse
 import importlib
 import importlib.util
+import math
 import socket
 import statistics
 import sys
@@ -35,7 +39,7 @@ def load(alias: str, src: Path):
     sys.modules[alias] = module
     spec.loader.exec_module(module)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("codec", "core", "harness", "packet", "router", "transport")}
+            for name in ("codec", "core", "harness", "packet", "rhythm", "router", "transport")}
 
 
 def layers(m):
@@ -55,6 +59,24 @@ def layers(m):
         m["router"].SignalRouter(), start_receiver=False, keepalive_interval_s=None,
     )
     laps = [0]
+
+    # A dancer take: the hips sway off the 120 bpm grid, every joint jitters.
+    core, harness, rhythm = m["core"], m["harness"], m["rhythm"]
+    sway = harness.synthesize_sway_recording(
+        skeleton, duration_s=24.0, amplitude_rad=0.2, phase_rad=math.pi / 2 - 2.0 * math.pi * 0.17
+    )
+    noise = harness.synthesize_noise_recording(skeleton, duration_s=24.0, amplitude_rad=0.03)
+    take = [
+        core.PoseFrame.from_array(
+            s.timestamp_us, s.root_translation, core.rows_multiply(s.rotations, n.rotations)
+        )
+        for s, n in zip(sway.frames, noise.frames)
+    ]
+    grid = rhythm.BeatGrid(bpm=120.0)
+    params = rhythm.CorrectiveParams(
+        zone_gains={core.BodyZone.HIPS: 2.0, core.BodyZone.HANDS: 0.5}
+    )
+    warped = rhythm.run_corrective_pipeline(take, skeleton, grid, params).frames
 
     def repeat(fn):
         def timed() -> float:
@@ -76,12 +98,23 @@ def layers(m):
             fn(g, 0)
         return (time.perf_counter_ns() - t0) / CALLS / 1000
 
+    def per_frame(fn):
+        def timed() -> float:
+            t0 = time.perf_counter_ns()
+            fn()
+            return (time.perf_counter_ns() - t0) / len(take) / 1000
+        return timed
+
     return {
         "encode_frame": repeat(lambda: codec.encode_frame(frame, table, stats)),
         "EncodedFrame.from_bytes": repeat(lambda: codec.EncodedFrame.from_bytes(wire, table)),
         "decode_frame": repeat(lambda: codec.decode_frame(enc, table, skeleton)),
         "parse_packet": repeat(lambda: packet.parse_packet(datagram)),
         "Client.ingest": ingest,
+        "run_corrective_pipeline": per_frame(
+            lambda: rhythm.run_corrective_pipeline(take, skeleton, grid, params)
+        ),
+        "amplify_zones": per_frame(lambda: rhythm.amplify_zones(warped, skeleton, params, 60)),
     }
 
 
