@@ -44,10 +44,22 @@ def _on_interrupt(stop: threading.Event) -> None:
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
+    host, _, port_text = text.rpartition(":")
     if not host:
         raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
-    return host, int(port)
+    port = int(port_text)
+    if not 0 <= port <= 0xFFFF:
+        raise argparse.ArgumentTypeError(f"port must be in [0, 65535], got {text!r}")
+    return host, port
+
+
+def _parse_max_clients(text: str) -> int:
+    # ServerConfig owns the range; checking here turns a bad value into a
+    # usage error before any socket opens.
+    try:
+        return ServerConfig(max_clients=int(text)).max_clients
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _SIGNAL_TYPES = {
@@ -232,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("server", help="run a relay server")
     p.add_argument("--bind", type=_parse_addr, default=("0.0.0.0", 31415))
-    p.add_argument("--max-clients", type=int, default=64)
+    p.add_argument("--max-clients", type=_parse_max_clients, default=64)
     p.add_argument("--timeout-ms", type=int, default=5000)
     p.set_defaults(func=_cmd_server)
 

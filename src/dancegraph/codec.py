@@ -106,10 +106,6 @@ class BoundsTable:
         return self._span / self.levels
 
     @property
-    def payload_bits(self) -> int:
-        return self._joints * 3 * self.bits
-
-    @property
     def payload_bytes(self) -> int:
         return self._payload_bytes
 
@@ -174,10 +170,6 @@ class EncodedFrame:
             raise CorruptFrameError(f"expected {need} bytes, got {len(data)}")
         ts, rx, ry, rz = _FRAME_PREFIX.unpack_from(data)
         return cls(ts, (rx, ry, rz), bytes(data[_FRAME_PREFIX.size:]))
-
-    @property
-    def byte_size(self) -> int:
-        return _FRAME_PREFIX.size + len(self.payload)
 
 
 def analyze_bounds(

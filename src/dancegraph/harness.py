@@ -4,17 +4,21 @@ dancer-swarm simulator.
 All latency runs keep every party on one host so a single monotonic clock
 covers every probe stage; the interesting cross-machine numbers from real
 deployments depend on camera SDKs and engines that are out of scope here.
-The swarm runs its clients as threads of one process.
+`loopback_relay` is a 2-dancer session and `swarm` an N-dancer one; both run
+every client in the calling thread against a relay child process and report
+the same three per-hop stages. `local_direct` keeps a producer thread,
+because the thread handoff is what it measures.
 """
 from __future__ import annotations
 
 import math
 import multiprocessing as mp
 import os
+import selectors
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -48,7 +52,6 @@ __all__ = [
     "replay_stream",
     "ReplayStats",
     "record_sink",
-    "LatencyProbe",
     "StageStats",
     "FlowStats",
     "LatencyReport",
@@ -149,7 +152,7 @@ class ReplayStats:
 
 
 def encode_recording_payloads(recording: Recording, table: BoundsTable) -> list[bytes]:
-    """Pre-encode every frame once; replay patches timestamps in place."""
+    """Pre-encode every frame once; latency runs patch timestamps in place."""
     stats = EncoderStats()
     return [encode_frame(f, table, stats).to_bytes() for f in recording.frames]
 
@@ -162,20 +165,18 @@ def replay_stream(
     fps: float | None = None,
     loop: bool = False,
     stop: threading.Event | None = None,
-    stamp_produce: bool = False,
     max_packets: int | None = None,
     stats: ReplayStats | None = None,
 ) -> ReplayStats:
     """Emit a recording as pose packets on a steady timer.
 
-    Frames are encoded up front; emission only stamps the produce time (when
-    asked) and hands the datagram to the client. fps overrides the
-    recording's nominal rate without resampling: every frame is still sent,
-    just faster or slower. Blocks until done; run it in a thread to drive a
-    live session.
+    Frames are encoded up front; emission only hands the datagram to the
+    client. fps overrides the recording's nominal rate without resampling:
+    every frame is still sent, just faster or slower. Blocks until done; run
+    it in a thread to drive a live session.
     """
     stats = stats if stats is not None else ReplayStats()
-    payloads = [bytearray(p) for p in encode_recording_payloads(recording, table)]
+    payloads = encode_recording_payloads(recording, table)
     if not payloads:
         return stats
     rate = fps if fps is not None else recording.nominal_fps
@@ -192,10 +193,7 @@ def replay_stream(
         delay = target - time.monotonic()
         if delay > 0:
             time.sleep(delay)
-        payload = payloads[idx]
-        if stamp_produce:
-            _TS_PATCH.pack_into(payload, 0, mono_us())
-        client.send(bytes(payload), SignalType.POSE)
+        client.send(payloads[idx], SignalType.POSE)
         stats.emitted += 1
         stats.late_us.append(max(0, int((time.monotonic() - target) * 1e6)))
         k += 1
@@ -249,42 +247,8 @@ def record_sink(
 
 
 # ---------------------------------------------------------------------------
-# Latency probes and reports
+# Latency reports
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LatencyProbe:
-    """Per-packet stage marks, microseconds on one host's monotonic clock.
-
-    Marks are None where a stage does not apply (the relay never touches
-    packet contents, so server-side marks only exist when the server is
-    instrumented in-process). Present marks must not decrease in pipeline
-    order when every mark comes from one host clock.
-    """
-
-    t_produce: int | None = None
-    t_enqueue_net: int | None = None
-    t_server_in: int | None = None
-    t_server_out: int | None = None
-    t_client_in: int | None = None
-    t_consume: int | None = None
-
-    _ORDER = ("t_produce", "t_enqueue_net", "t_server_in", "t_server_out",
-              "t_client_in", "t_consume")
-
-    def marks(self) -> list[tuple[str, int]]:
-        return [(n, v) for n in self._ORDER if (v := getattr(self, n)) is not None]
-
-    def is_monotonic(self) -> bool:
-        marks = [v for _, v in self.marks()]
-        return all(b >= a for a, b in zip(marks, marks[1:]))
-
-    def delta(self, start: str, end: str) -> int | None:
-        a, b = getattr(self, start), getattr(self, end)
-        if a is None or b is None:
-            return None
-        return b - a
-
 
 @dataclass
 class StageStats:
@@ -321,29 +285,7 @@ class LatencyReport:
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "stages": {
-                name: {
-                    "count": s.count,
-                    "p50_us": s.p50_us,
-                    "p95_us": s.p95_us,
-                    "p99_us": s.p99_us,
-                    "max_us": s.max_us,
-                }
-                for name, s in self.stages.items()
-            },
-            "flows": [
-                {
-                    "user_id": f.user_id,
-                    "sent": f.sent,
-                    "received": f.received,
-                    "dropped": f.dropped,
-                }
-                for f in self.flows
-            ],
-            **({"extras": self.extras} if self.extras else {}),
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario}"]
@@ -422,28 +364,6 @@ def _stop_server(proc, conn) -> tuple[dict, float | None]:
     return stats, cpu
 
 
-def _sender_process(conn, addr, duration_s: float, fps: float) -> None:
-    params = BenchParams(duration_s=duration_s, fps=fps)
-    recording, table = _bench_payload(params)
-    client = client_connect(addr)
-    conn.send(client.user_id)
-    conn.recv()  # go
-    stop = threading.Event()
-    stats = replay_stream(
-        client,
-        recording,
-        table,
-        fps=fps,
-        loop=True,
-        stop=stop,
-        stamp_produce=True,
-        max_packets=int(duration_s * fps),
-    )
-    conn.send({"sent": stats.emitted, "user_id": client.user_id})
-    client.close()
-    conn.close()
-
-
 def _run_local_direct(params: BenchParams) -> LatencyReport:
     router = SignalRouter()
     desc = SignalDescriptor(SignalType.POSE, 1, Origin.LOCAL)
@@ -498,213 +418,114 @@ def _run_local_direct(params: BenchParams) -> LatencyReport:
     )
 
 
-def _run_loopback_relay(params: BenchParams) -> LatencyReport:
-    server_proc, server_conn, addr = _start_server(params, max_clients=4)
-    receiver = client_connect(addr)
-    consumer = receiver.router.subscribe(
-        SignalSelector(SignalType.POSE, None, Origin.NETWORK), Mode.EVERY
-    )
-    parent, child = mp.Pipe()
-    sender = mp.Process(
-        target=_sender_process,
-        args=(child, addr, params.duration_s, params.fps),
-        daemon=True,
-    )
-    sender.start()
-    sender_id = parent.recv()
-    parent.send("go")
+def _run_session(scenario: str, params: BenchParams, clients: int) -> LatencyReport:
+    """`clients` dancers through one relay child, all in the calling thread.
 
-    probes: list[LatencyProbe] = []
-    sender_stats: dict | None = None
-    deadline = time.monotonic() + params.duration_s + 3.0
-    while time.monotonic() < deadline:
-        polled = consumer.poll(max_packets=64)
-        now = mono_us()
-        for packet in polled.packets:
-            (t_produce,) = _TS_PATCH.unpack_from(packet.payload, 0)
-            probes.append(LatencyProbe(
-                t_produce=t_produce,
-                t_enqueue_net=packet.send_timestamp_us,
-                t_client_in=packet.recv_timestamp_us,
-                t_consume=now,
-            ))
-        if sender_stats is None and parent.poll():
-            sender_stats = parent.recv()
-            deadline = time.monotonic() + 0.5  # drain grace once the sender is done
-        if not polled.packets:
-            time.sleep(0.0002)
-    sender.join(timeout=2.0)
-    server_stats, server_cpu = _stop_server(server_proc, server_conn)
-    receiver.close()
-
-    sent = sender_stats["sent"] if sender_stats else 0
-    stages = {}
-    for name, start, end in (
-        ("produce_to_consume", "t_produce", "t_consume"),
-        ("enqueue_to_client_in", "t_enqueue_net", "t_client_in"),
-        ("client_in_to_consume", "t_client_in", "t_consume"),
-    ):
-        samples = [d for p in probes if (d := p.delta(start, end)) is not None]
-        stages[name] = StageStats.from_samples(samples)
-    report = LatencyReport(
-        scenario="loopback_relay",
-        stages=stages,
-        flows=[FlowStats(sender_id, sent, len(probes), sent - len(probes))],
-        extras={
-            "server": server_stats,
-            "server_cpu_s": server_cpu,
-            "router_lost": consumer.lost_total,
-            "non_monotonic_probes": sum(not p.is_monotonic() for p in probes),
-        },
-    )
-    return report
-
-
-class _SwarmPool:
-    """Thirty dancers in one process without thirty receive threads.
-
-    Python threads contend on one interpreter lock, so per-client receive
-    threads fall behind at relay rates (clients * (clients-1) * fps inbound
-    packets per second). The pool instead services every client socket from
-    a single selector loop, paces every sender from one scheduler thread,
-    and drains every consumer from one poller, which keeps the per-packet
-    cost low enough for the full swarm on a small host.
+    Every client sends one pose per tick. One `select` waits until the next
+    tick is due; every ready socket is drained with non-blocking `recv` into
+    `Client.ingest`, and then the consumers of those clients are polled (no
+    other consumer can have anything new). Each delivery's produce, enqueue,
+    client_in and consume marks fill one row of a preallocated array. The
+    run ends when every expected delivery has been consumed, or 1 s after
+    the last send.
     """
-
-    def __init__(self, addr, params: BenchParams, recording: Recording, table: BoundsTable):
-        import selectors
-
-        self.params = params
-        self.payloads = [bytearray(p) for p in encode_recording_payloads(recording, table)]
-        self.clients: list[Client] = []
-        self.consumers = []
-        self.selector = selectors.DefaultSelector()
-        for _ in range(params.clients):
-            client = client_connect(
-                addr, peer_ring_capacity=params.ring_capacity, start_receiver=False
-            )
-            consumer = client.router.subscribe(
-                SignalSelector(SignalType.POSE, None, Origin.NETWORK), Mode.EVERY
-            )
-            self.selector.register(client.sock, selectors.EVENT_READ, client)
-            self.clients.append(client)
-            self.consumers.append(consumer)
-        self.received = [0] * params.clients
-        self.wire_samples: list[int] = []
-        self.send_done = threading.Event()
-        self.io_stop = threading.Event()
-        self.drain_stop = threading.Event()
-        self.io_thread = threading.Thread(target=self._io_loop, daemon=True)
-        self.send_thread = threading.Thread(target=self._send_loop, daemon=True)
-        self.drain_thread = threading.Thread(target=self._drain_loop, daemon=True)
-
-    def _io_loop(self) -> None:
-        while not self.io_stop.is_set():
-            events = self.selector.select(timeout=0.05)
-            for key, _ in events:
-                client = key.data
-                now = mono_us()
-                recv, ingest = key.fileobj.recv, client.ingest
-                while True:
-                    try:
-                        data = recv(_RECV_BUFSIZE)
-                    except BlockingIOError:
-                        break
-                    ingest(data, now)
-
-    def _send_loop(self) -> None:
-        params = self.params
-        interval = 1.0 / params.fps
-        total_ticks = int(params.duration_s * params.fps)
-        start = time.monotonic()
-        payload_count = len(self.payloads)
-        for k in range(total_ticks):
-            delay = start + k * interval - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            payload = self.payloads[k % payload_count]
-            _TS_PATCH.pack_into(payload, 0, mono_us())
-            blob = bytes(payload)
-            for client in self.clients:
-                try:
-                    client.send(blob, SignalType.POSE)
-                except OSError:
-                    pass
-        self.send_done.set()
-
-    def _drain_loop(self) -> None:
-        sample = self.wire_samples.append
-        while not self.drain_stop.is_set():
-            moved = 0
-            for i, consumer in enumerate(self.consumers):
-                polled = consumer.poll(max_packets=256)
-                if polled.packets:
-                    moved += len(polled.packets)
-                    self.received[i] += len(polled.packets)
-                    for packet in polled.packets:
-                        if packet.recv_timestamp_us is not None:
-                            sample(packet.recv_timestamp_us - packet.send_timestamp_us)
-            if not moved:
-                time.sleep(0.002)
-
-    def run(self) -> None:
-        self.io_thread.start()
-        self.drain_thread.start()
-        self.send_thread.start()
-        self.send_done.wait()
-        time.sleep(1.0)  # let the relay and socket queues flush
-        self.io_stop.set()
-        self.io_thread.join(timeout=5.0)
-        self.drain_stop.set()
-        self.drain_thread.join(timeout=5.0)
-        for i, consumer in enumerate(self.consumers):  # final sweep
-            while True:
-                polled = consumer.poll(max_packets=256)
-                if not polled.packets:
-                    break
-                self.received[i] += len(polled.packets)
-
-    def close(self) -> None:
-        for client in self.clients:
-            self.selector.unregister(client.sock)
-            client.close()
-        self.selector.close()
-
-
-def _run_swarm(params: BenchParams) -> LatencyReport:
-    server_proc, server_conn, addr = _start_server(params, max_clients=params.clients + 2)
+    server_proc, server_conn, addr = _start_server(params, max_clients=clients + 2)
     recording, table = _bench_payload(params)
-    pool = _SwarmPool(addr, params, recording, table)
-    pool.run()
-    server_stats, server_cpu = _stop_server(server_proc, server_conn)
-
-    total_sent = sum(c.session.stats.sent for c in pool.clients)
-    total_received = sum(pool.received)
-    expected = total_sent * (params.clients - 1)
-    gaps = sum(c.lost_total for c in pool.consumers)
-    flows = [
-        FlowStats(
-            client.user_id,
-            client.session.stats.sent,
-            pool.received[i],
-            client.session.stats.dropped_stale + client.session.stats.dropped_corrupt,
-        )
-        for i, client in enumerate(pool.clients)
+    payloads = [bytearray(p) for p in encode_recording_payloads(recording, table)]
+    members = [
+        client_connect(addr, peer_ring_capacity=params.ring_capacity, start_receiver=False)
+        for _ in range(clients)
     ]
-    wire = pool.wire_samples
-    pool.close()
-    delivery = total_received / expected if expected else 1.0
+    consumers = [
+        c.router.subscribe(SignalSelector(SignalType.POSE, None, Origin.NETWORK), Mode.EVERY)
+        for c in members
+    ]
+    selector = selectors.DefaultSelector()
+    for client, consumer in zip(members, consumers):
+        selector.register(client.sock, selectors.EVENT_READ, (client, consumer))
+    ticks = int(params.duration_s * params.fps)
+    marks = np.empty((ticks * clients * (clients - 1), 4), dtype=np.int64)
+    received = dict.fromkeys((c.user_id for c in members), 0)
+    consumed = 0
+    expected = 0
+    interval = 1.0 / params.fps
+    start = time.monotonic()
+    end = math.inf
+    tick = 0
+    while True:
+        now = time.monotonic()
+        if tick < ticks:
+            wake = start + tick * interval
+            if now >= wake:
+                payload = payloads[tick % len(payloads)]
+                _TS_PATCH.pack_into(payload, 0, mono_us())
+                blob = bytes(payload)
+                for client in members:
+                    try:
+                        client.send(blob, SignalType.POSE)
+                    except OSError:
+                        pass
+                tick += 1
+                if tick == ticks:
+                    end = time.monotonic() + 1.0
+                    expected = sum(c.session.stats.sent for c in members) * (clients - 1)
+                continue
+        elif consumed >= expected or now >= end:
+            break
+        else:
+            wake = end
+        ready = [key.data for key, _ in selector.select(wake - now)]
+        for client, _ in ready:
+            recv, ingest = client.sock.recv, client.ingest
+            t_in = mono_us()
+            while True:
+                try:
+                    data = recv(_RECV_BUFSIZE)
+                except BlockingIOError:
+                    break
+                ingest(data, t_in)
+        for _, consumer in ready:
+            while packets := consumer.poll(max_packets=256).packets:
+                t_out = mono_us()
+                rows = [
+                    (_TS_PATCH.unpack_from(p.payload)[0], p.send_timestamp_us,
+                     p.recv_timestamp_us, t_out)
+                    for p in packets
+                ]
+                marks[consumed:consumed + len(rows)] = rows
+                consumed += len(rows)
+                for p in packets:
+                    received[p.user_id] += 1
+    server_stats, server_cpu = _stop_server(server_proc, server_conn)
+    selector.close()
+    for client in members:
+        client.close()
+
+    produce, enqueue, client_in, consume = marks[:consumed].T
+    total_sent = sum(c.session.stats.sent for c in members)
+    flows = []
+    for client in members:
+        sent = client.session.stats.sent
+        got = received[client.user_id]
+        flows.append(FlowStats(client.user_id, sent, got, sent * (clients - 1) - got))
     return LatencyReport(
-        scenario="swarm",
-        stages={"enqueue_to_client_in": StageStats.from_samples(wire)},
+        scenario=scenario,
+        stages={
+            "produce_to_consume": StageStats.from_samples(consume - produce),
+            "enqueue_to_client_in": StageStats.from_samples(client_in - enqueue),
+            "client_in_to_consume": StageStats.from_samples(consume - client_in),
+        },
         flows=flows,
         extras={
-            "clients": params.clients,
+            "clients": clients,
             "total_sent": total_sent,
             "expected_deliveries": expected,
-            "total_received": total_received,
-            "delivery_ratio": delivery,
-            "router_gaps": gaps,
+            "total_received": consumed,
+            "delivery_ratio": consumed / expected if expected else 1.0,
+            "router_gaps": sum(c.lost_total for c in consumers),
+            "non_monotonic_probes": int(
+                ((enqueue < produce) | (client_in < enqueue) | (consume < client_in)).sum()
+            ),
             "server": server_stats,
             "server_cpu_s": server_cpu,
         },
@@ -715,16 +536,16 @@ def run_latency_experiment(scenario: str, params: BenchParams | None = None) -> 
     """Run one of the built-in latency scenarios.
 
     local_direct: producer to consumer through the in-process router only.
-    loopback_relay: client to server to client across localhost UDP.
-    swarm: N simulated dancers all relayed through one server.
+    loopback_relay: two dancers relayed to each other across localhost UDP.
+    swarm: `params.clients` dancers all relayed through one server.
     """
     params = params or BenchParams()
     if scenario == "local_direct":
         return _run_local_direct(params)
     if scenario == "loopback_relay":
-        return _run_loopback_relay(params)
+        return _run_session(scenario, params, clients=2)
     if scenario == "swarm":
-        return _run_swarm(params)
+        return _run_session(scenario, params, params.clients)
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
@@ -802,7 +623,7 @@ class AlignmentReport:
     amplitude_ratio: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items()}
+        return asdict(self)
 
     def to_text(self) -> str:
         if self.no_dominant_period:

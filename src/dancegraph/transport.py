@@ -21,7 +21,9 @@ Control protocol (signal type = CONTROL):
   an address that already has a session starts a new session there: the
   relay forgets its sequence numbers and sends the others a LEAVE for it.
 * JOIN-ACK: payload is the assigned u16 id, and the header user id carries
-  the same value; only the joining endpoint receives it.
+  the same value; only the joining endpoint receives it. So an ACK for an id
+  other than the client's own means the relay evicted its session and
+  re-admitted it under a new id, which the client adopts.
 * LEAVE: payload is the departed u16 id, header user id 0 (the reserved
   server id). The header/payload id mismatch is what distinguishes a LEAVE
   from an ACK without widening the payloads.
@@ -149,10 +151,6 @@ class RelayServer:
     @property
     def port(self) -> int:
         return self._sock.getsockname()[1]
-
-    @property
-    def client_count(self) -> int:
-        return len(self._by_addr)
 
     def start(self) -> "RelayServer":
         self._thread = threading.Thread(target=self.run, name="relay-server", daemon=True)
@@ -307,6 +305,10 @@ class Client:
     Every relayed packet from peer P appears on the local router as stream
     (signal type, P, NETWORK); everything this client sends is echoed to
     (signal type, own id, LOCAL) at the same time it hits the socket.
+
+    With `start_receiver=False` the owner pumps `ingest()` from its own loop
+    and the client sends no keepalives: it stays registered only while it
+    keeps sending within the relay's client timeout.
     """
 
     def __init__(
@@ -341,7 +343,8 @@ class Client:
             self._thread.start()
         else:
             # Externally driven: the owner pumps ingest() from its own loop
-            # (the swarm pool services many clients from one selector).
+            # (the latency session runner services every client from one
+            # selector).
             self._sock.setblocking(False)
 
     @property
@@ -353,7 +356,8 @@ class Client:
         same payload to the local router. Returns the sequence number used."""
         seq = self._seq = (self._seq + 1) & SEQ_MASK
         now = mono_us()
-        data = frame_packet(signal_type, self.session.user_id, seq, now, payload)
+        user_id = self.session.user_id
+        data = frame_packet(signal_type, user_id, seq, now, payload)
         try:
             self._sock.sendto(data, self._server_addr)
         except BlockingIOError:
@@ -365,20 +369,28 @@ class Client:
             raise
         self.session.stats.sent += 1
         self._last_tx_us = now
-        echo = self._echo_producers.get(signal_type)
+        echo = self._echo_producers.get((signal_type, user_id))
         if echo is None:
-            desc = SignalDescriptor(signal_type, self.session.user_id, Origin.LOCAL)
-            echo = self.router.register_producer(desc, self._peer_ring_capacity)
-            self._echo_producers[signal_type] = echo
+            echo = self._register_echo(signal_type, user_id)
         echo.publish(SignalPacket(
             signal_type=signal_type,
-            user_id=self.session.user_id,
+            user_id=user_id,
             seq=seq,
             send_timestamp_us=now,
             payload=payload,
             recv_timestamp_us=now,
         ))
         return seq
+
+    def _register_echo(self, signal_type: SignalType, user_id: int):
+        # Echo streams under an id this client no longer holds (see
+        # _handle_control) are closed here, by the thread that publishes them.
+        for key in [k for k in self._echo_producers if k[1] != user_id]:
+            self._echo_producers.pop(key).close()
+        desc = SignalDescriptor(signal_type, user_id, Origin.LOCAL)
+        echo = self.router.register_producer(desc, self._peer_ring_capacity)
+        self._echo_producers[(signal_type, user_id)] = echo
+        return echo
 
     @property
     def sock(self) -> socket.socket:
@@ -462,7 +474,12 @@ class Client:
             return
         (subject,) = _U16.unpack(packet.payload)
         if packet.user_id == subject:
-            return  # duplicate join-ack for ourselves or another joiner
+            # A JOIN-ACK reaches only the joining endpoint: a different id is
+            # this client's new one after an eviction (the old id may belong
+            # to another dancer now). The next send() closes the echo
+            # streams under the old id.
+            self.session.user_id = subject
+            return
         if packet.user_id == SERVER_ID:
             self._drop_peer(subject)
 

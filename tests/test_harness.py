@@ -6,13 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from dancegraph.cli import main as cli_main
+from dancegraph.cli import build_parser, main as cli_main
 from dancegraph.codec import analyze_bounds, encode_frame, max_angular_error
 from dancegraph.core import PoseFrame, UnitQuaternion, default_skeleton, from_axis_angle
 from dancegraph.harness import (
     BenchParams,
     FlowStats,
-    LatencyProbe,
     LatencyReport,
     StageStats,
     corrective_experiment,
@@ -329,16 +328,6 @@ class TestBench:
         assert stats.p50_us <= stats.p95_us <= stats.p99_us <= stats.max_us
         assert stats.count == 500
 
-    def test_probe_marks_and_deltas(self):
-        probe = LatencyProbe(t_produce=100, t_enqueue_net=130, t_client_in=400, t_consume=450)
-        assert probe.is_monotonic()
-        assert probe.delta("t_produce", "t_consume") == 350
-        assert probe.delta("t_server_in", "t_server_out") is None  # uninstrumented relay
-        assert [n for n, _ in probe.marks()] == [
-            "t_produce", "t_enqueue_net", "t_client_in", "t_consume"
-        ]
-        assert not LatencyProbe(t_produce=500, t_consume=400).is_monotonic()
-
     def test_loopback_relay_probe_sanity(self):
         # single-host run: stage marks never run backwards, so no stage
         # delta is negative and percentile sets come out monotone
@@ -445,6 +434,48 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["scenario"] == "local_direct"
         assert "produce_to_consume" in doc["stages"]
+
+    @pytest.mark.parametrize("scenario", ["loopback_relay", "swarm"])
+    def test_relay_bench_cli_writes_json(self, tmp_path, scenario):
+        out = tmp_path / "bench.json"
+        assert cli_main([
+            "bench", "--scenario", scenario, "--clients", "4", "--duration", "2",
+            "--json", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        extras = doc["extras"]
+        clients = extras["clients"]
+        assert doc["scenario"] == scenario
+        assert clients == (2 if scenario == "loopback_relay" else 4)
+        assert set(doc["stages"]) == {
+            "produce_to_consume", "enqueue_to_client_in", "client_in_to_consume"
+        }
+        assert extras["non_monotonic_probes"] == 0
+        assert extras["delivery_ratio"] >= 0.99
+        assert len(doc["flows"]) == clients
+        for flow in doc["flows"]:
+            assert flow["received"] + flow["dropped"] == flow["sent"] * (clients - 1)
+
+    @pytest.mark.parametrize("option", [
+        ["--max-clients", "70000"], ["--max-clients", "1"], ["--max-clients", "some"],
+        ["--bind", "127.0.0.1:70000"], ["--bind", "127.0.0.1:-1"],
+    ], ids="=".join)
+    def test_bad_server_option_exits_before_binding(self, monkeypatch, option):
+        monkeypatch.setattr(
+            "dancegraph.cli.RelayServer", lambda *a, **k: pytest.fail("opened a socket")
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["server", *option])
+        assert exc.value.code == 2
+
+    def test_server_option_bounds_are_inclusive(self):
+        args = build_parser().parse_args(
+            ["server", "--bind", "127.0.0.1:65535", "--max-clients", "65534"]
+        )
+        assert args.bind == ("127.0.0.1", 65535)
+        assert args.max_clients == 0xFFFE
+        args = build_parser().parse_args(["server", "--bind", "127.0.0.1:0", "--max-clients", "2"])
+        assert args.bind == ("127.0.0.1", 0) and args.max_clients == 2
 
     def test_replay_and_record_cli(self, tmp_path):
         server = RelayServer(

@@ -492,6 +492,39 @@ class TestEviction:
         finally:
             srv.stop()
 
+    def test_evicted_client_adopts_reassigned_id(self):
+        srv = RelayServer(
+            ServerConfig(host="127.0.0.1", client_timeout_us=300_000)
+        ).start()
+        try:
+            addr = ("127.0.0.1", srv.port)
+            # A goes silent without keepalives; B and C keep themselves alive.
+            with client_connect(addr, keepalive_interval_s=None) as a, client_connect(
+                addr, keepalive_interval_s=0.05
+            ) as b:
+                old_id = a.user_id
+                a.send(b"before")
+                assert wait_until(lambda: srv.stats.evictions >= 1)
+                with client_connect(addr, keepalive_interval_s=0.05) as c:
+                    assert c.user_id == old_id  # the freed id goes to the next joiner
+                    a._send_keepalive(mono_us())  # re-admitted under a fresh id
+                    assert wait_until(lambda: a.user_id != old_id)
+                    new_id = a.user_id
+                    assert new_id not in (b.user_id, c.user_id)
+                    b_before = b.session.stats.received
+                    c_before = c.session.stats.received
+                    for _ in range(5):
+                        a.send(b"pose")
+                    assert wait_until(lambda: b.session.stats.received >= b_before + 5)
+                    assert wait_until(lambda: c.session.stats.received >= c_before + 5)
+                    assert srv.stats.spoofed == 0
+                    assert (SignalType.POSE, new_id, Origin.NETWORK) in network_streams(b)
+                    # A's local echo moved to the new id as well
+                    assert (SignalType.POSE, new_id, Origin.LOCAL) in network_streams(a)
+                    assert (SignalType.POSE, old_id, Origin.LOCAL) not in network_streams(a)
+        finally:
+            srv.stop()
+
 
 class TestNoHeadOfLineBlocking:
     def test_loss_on_one_flow_leaves_other_flow_healthy(self, server):
