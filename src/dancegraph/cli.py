@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 import threading
 from pathlib import Path
 
-from .codec import BoundsTable, analyze_bounds
+from .codec import BoundsTable, _check_bits, analyze_bounds
 from .core import BodyZone, default_skeleton
 from .harness import (
     BenchParams,
@@ -30,7 +31,7 @@ from .harness import (
 from .packet import SignalType
 from .recording import load_recording, save_recording
 from .rhythm import BeatGrid, CorrectiveParams, load_corrective_config
-from .router import Origin, SignalSelector
+from .router import Origin, SignalSelector, _check_capacity
 from .transport import RelayServer, ServerConfig, client_connect
 
 
@@ -53,13 +54,37 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host, port
 
 
-def _parse_max_clients(text: str) -> int:
-    # ServerConfig owns the range; checking here turns a bad value into a
-    # usage error before any socket opens.
-    try:
-        return ServerConfig(max_clients=int(text)).max_clients
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(parse, check):
+    """An argparse `type=` that parses the text and hands the value to
+    `check`, which raises ValueError outside the range. The range's owner
+    does the checking, and a bad value becomes a usage error (exit status 2)
+    before any relay child, socket or file is opened."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return convert
+
+
+def _check_fps(fps: float) -> None:
+    if not 0.0 < fps < math.inf:
+        raise ValueError(f"fps must be positive and finite, got {fps}")
+
+
+def _check_seconds(seconds: float) -> None:
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(f"seconds must be finite and >= 0, got {seconds}")
+
+
+_parse_max_clients = _checked(int, lambda n: ServerConfig(max_clients=n))
+_parse_capacity = _checked(int, _check_capacity)
+_parse_bpm = _checked(float, lambda bpm: BeatGrid(bpm=bpm))
+_parse_bits = _checked(int, _check_bits)
+_parse_fps = _checked(float, _check_fps)
+_parse_seconds = _checked(float, _check_seconds)
 
 
 _SIGNAL_TYPES = {
@@ -251,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="stream a recording to a server")
     p.add_argument("--file", required=True)
     p.add_argument("--server", type=_parse_addr, required=True)
-    p.add_argument("--fps", type=float, default=None)
+    p.add_argument("--fps", type=_parse_fps, default=None)
     p.add_argument("--loop", action="store_true")
     p.add_argument("--bounds", default=None, help="bounds table JSON (default: derive from the recording)")
     p.set_defaults(func=_cmd_replay)
@@ -261,23 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--select", type=_parse_selector, default="pose:any:network")
     p.add_argument("--server", type=_parse_addr, required=True)
     p.add_argument("--bounds", required=True)
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--fps", type=_parse_fps, default=30.0)
     p.add_argument("--duration", type=float, default=None)
     p.set_defaults(func=_cmd_record)
 
     p = sub.add_parser("bench", help="run a latency experiment")
     p.add_argument("--scenario", choices=("local_direct", "loopback_relay", "swarm"), required=True)
     p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--fps", type=_parse_fps, default=30.0)
     p.add_argument("--clients", type=int, default=30)
-    p.add_argument("--capacity", type=int, default=64)
+    p.add_argument("--capacity", type=_parse_capacity, default=64)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("correct", help="beat-align and stylize a recording")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bpm", type=float, default=120.0)
+    p.add_argument("--bpm", type=_parse_bpm, default=120.0)
     p.add_argument("--phase-ms", type=float, default=0.0)
     p.add_argument("--gains", type=_parse_gain, nargs="*", default=None, metavar="zone=gain")
     p.add_argument("--config", default=None, help="corrective config JSON overriding the flags")
@@ -286,15 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="analyze a corpus into a bounds table")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--bits", type=int, default=16)
+    p.add_argument("--bits", type=_parse_bits, default=16)
     p.add_argument("--margin", type=float, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("synth", help="write a synthetic sway recording")
     p.add_argument("--out", required=True)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--seconds", type=_parse_seconds, default=30.0)
+    p.add_argument("--fps", type=_parse_fps, default=30.0)
     p.add_argument("--hz", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=0.35)
     p.add_argument("--phase", type=float, default=0.0)

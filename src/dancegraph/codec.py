@@ -45,6 +45,11 @@ _RANGE_FLOOR = 1e-3
 _FRAME_PREFIX = struct.Struct("<Qfff")
 
 
+def _check_bits(bits: int) -> None:
+    if not (8 <= bits <= 24):
+        raise ValueError(f"bits_per_component must be in [8, 24], got {bits}")
+
+
 class ShapeMismatchError(ValueError):
     """Frame and table (or corpus streams) disagree on joint layout."""
 
@@ -72,8 +77,7 @@ class BoundsTable:
             raise ShapeMismatchError("bounds rows must match joint names")
         if lo.shape[0] == 0:
             raise ShapeMismatchError("bounds must cover at least one joint")
-        if not (8 <= self.bits <= 24):
-            raise ValueError(f"bits_per_component must be in [8, 24], got {self.bits}")
+        _check_bits(self.bits)
         if np.any(lo >= hi):
             raise ValueError("every bound must satisfy lo < hi")
         if np.any(lo < -1.0) or np.any(hi > 1.0):

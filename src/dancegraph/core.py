@@ -263,10 +263,10 @@ def rows_conjugate(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_half_weight(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-row f with rows_log_half(q) == f * v for q = (v, w): the half
-    angle over |v| (1 near the identity), negated where w < 0."""
-    vn = np.sqrt(np.einsum("...k,...k->...", v, v))
+def _log_half_weight(vn: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-row f with rows_log_half(q) == f * v for q = (v, w), given the
+    vector norm vn = |v|: the half angle over |v| (1 near the identity),
+    negated where w < 0."""
     f = np.divide(np.arctan2(vn, np.abs(w)), vn, out=np.ones_like(vn), where=vn > 1e-12)
     return np.negative(f, out=f, where=w < 0.0)
 
@@ -276,7 +276,9 @@ def rows_log_half(arr: np.ndarray) -> np.ndarray:
     w >= 0 first. At a half-turn the axis is ambiguous and the vector part's
     own direction is used."""
     q = np.asarray(arr, dtype=np.float64)
-    return q[..., :3] * _log_half_weight(q[..., :3], q[..., 3])[..., None]
+    v = q[..., :3]
+    vn = np.sqrt(np.einsum("...k,...k->...", v, v))
+    return v * _log_half_weight(vn, q[..., 3])[..., None]
 
 
 def rows_exp_half(vec: np.ndarray) -> np.ndarray:
@@ -350,20 +352,35 @@ def karcher_mean_rows(
     init: np.ndarray | None = None,
     max_iterations: int = _MEAN_MAX_ITERATIONS,
 ) -> np.ndarray:
-    """Tangent-space iterative mean of unit quaternions: rows (..., N, 4) and
-    init (..., 4), one mean per leading index, started from its first row by
-    default. A mean stops moving once its step angle is below `tolerance`,
-    as if averaged alone; the call returns when every mean has stopped."""
-    arr = rows_normalize(np.asarray(rows, dtype=np.float64))
-    mean = rows_normalize(np.array(arr[..., 0, :] if init is None else init, dtype=np.float64))
+    """Tangent-space iterative mean of quaternions: rows (..., N, 4) and init
+    (..., 4), one mean per leading index, started from its first row by
+    default. Rows and init are normalized, then _karcher_unit iterates. A
+    mean stops moving once its step angle is below `tolerance`, as if
+    averaged alone; the call returns when every mean has stopped."""
+    unit = rows_normalize(np.asarray(rows, dtype=np.float64))
+    mean = rows_normalize(np.array(unit[..., 0, :] if init is None else init, dtype=np.float64))
+    return _karcher_unit(unit, mean, tolerance, max_iterations)
+
+
+def _karcher_unit(
+    unit: np.ndarray, mean: np.ndarray, tolerance: float, max_iterations: int
+) -> np.ndarray:
+    """The Karcher iteration on rows (..., N, 4) and means (..., 4) that are
+    already of unit norm, which it requires and does not check.
+
+    Each iteration is one matvec, one log-weight and one weighted row sum:
+    w = rows @ mean is the w part of conj(mean) * row, whose vector part then
+    has norm sqrt(1 - w^2); with the log-map weights f the tangent step is
+    vec(conj(mean) * (f @ rows)) / N, the mean of the rows' log maps, since
+    conj(mean) * q is linear in q. The sign of w resolves the double cover
+    towards the current mean.
+    """
     done = np.zeros(mean.shape[:-1], dtype=bool)
     for _ in range(max_iterations):
+        w = (unit @ mean[..., None])[..., 0]
+        weight = _log_half_weight(np.sqrt(np.maximum(1.0 - w * w, 0.0)), w)
         product = _conj_product_matrix(mean)
-        rel = arr @ product  # conj(mean) * row
-        # Mean of the rows' log maps; the sign of w resolves the double
-        # cover towards the current mean.
-        weight = _log_half_weight(rel[..., :3], rel[..., 3])
-        step = (weight[..., None, :] @ rel[..., :3])[..., 0, :] / arr.shape[-2]
+        step = ((weight[..., None, :] @ unit) @ product)[..., 0, :3] / unit.shape[-2]
         moved = rows_normalize(np.einsum("...jk,...k->...j", product, rows_exp_half(step)))
         mean = np.where(done[..., None], mean, moved)
         done |= 2.0 * np.sqrt((step * step).sum(axis=-1)) < tolerance

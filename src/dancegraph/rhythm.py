@@ -44,10 +44,12 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    _MEAN_MAX_ITERATIONS,
     BodyZone,
     PoseFrame,
     Skeleton,
-    karcher_mean_rows,
+    _karcher_unit,
+    rows_normalize,
     rows_scale_rotation,
     rows_slerp,
 )
@@ -566,10 +568,13 @@ def amplify_zones(
     Each joint's output rotation is rows_scale_rotation(reference, input, gain)
     where the reference is the geodesic mean over the trailing
     `reference_window` frames: one batched Karcher mean over all active joints
-    per frame, warm-started from the previous frame's. The root translation's
-    deviation from its rolling mean is scaled by the hips gain. Frames before
-    the window fills pass through unchanged. Zones with gain exactly 1.0 are
-    left untouched byte-for-byte.
+    per frame, warm-started from the previous frame's. The active tracks are
+    normalized once per take into one contiguous (A, n, 4) block, and each
+    frame's mean iterates on a plain slice of it, one matvec, one log-weight
+    and one weighted row sum per iteration (see _karcher_unit). The root
+    translation's deviation from its rolling mean is scaled by the hips gain.
+    Frames before the window fills pass through unchanged. Zones with gain
+    exactly 1.0 are left untouched byte-for-byte.
     """
     if reference_window < 1:
         raise ValueError("reference_window must be >= 1")
@@ -591,11 +596,14 @@ def amplify_zones(
 
     if active:
         tracks = rotations[:, active]  # (n, A, 4)
-        windows = np.lib.stride_tricks.sliding_window_view(tracks, reference_window, axis=0)
+        unit = rows_normalize(np.ascontiguousarray(tracks.swapaxes(0, 1)))  # (A, n, 4)
         references = np.empty((n - first, len(active), 4))
-        reference: np.ndarray | None = None
-        for i, window in enumerate(windows.swapaxes(-1, -2)):  # (A, window, 4) views
-            reference = references[i] = karcher_mean_rows(window, tolerance=1e-9, init=reference)
+        reference = unit[:, 0]
+        for i in range(n - first):
+            window = unit[:, i:i + reference_window]
+            reference = references[i] = _karcher_unit(
+                window, reference, 1e-9, _MEAN_MAX_ITERATIONS
+            )
         gains = np.array([joint_gain[j] for j in active])[:, None]
         out_rot[first:, active], _ = rows_scale_rotation(references, tracks[first:], gains)
 

@@ -39,6 +39,14 @@ _MIN_CAPACITY = 2
 _MAX_CAPACITY = 4096
 
 
+def _check_capacity(capacity: int) -> None:
+    if capacity < _MIN_CAPACITY or capacity > _MAX_CAPACITY or capacity & (capacity - 1):
+        raise ValueError(
+            f"capacity must be a power of two in [{_MIN_CAPACITY}, {_MAX_CAPACITY}], "
+            f"got {capacity}"
+        )
+
+
 class Origin(Enum):
     LOCAL = "local"
     NETWORK = "network"
@@ -274,11 +282,7 @@ class SignalRouter:
         Capacity must be a power of two in [2, 4096]; the slot list is
         preallocated here, so publishing only replaces one slot.
         """
-        if capacity < _MIN_CAPACITY or capacity > _MAX_CAPACITY or capacity & (capacity - 1):
-            raise ValueError(
-                f"capacity must be a power of two in [{_MIN_CAPACITY}, {_MAX_CAPACITY}], "
-                f"got {capacity}"
-            )
+        _check_capacity(capacity)
         with self._lock:
             if desc in self._streams:
                 raise StreamConflictError(f"producer already registered for {desc}")

@@ -24,6 +24,7 @@ from dancegraph.core import (
     rows_conjugate,
     rows_exp_half,
     rows_multiply,
+    rows_normalize,
     rows_scale_rotation,
     rows_slerp,
     scale_rotation,
@@ -307,6 +308,82 @@ class TestKarcherMeanRows:
         np.testing.assert_allclose(
             np.einsum("...jk,...k->...j", product, q), rows_multiply(m, q), rtol=0.0, atol=1e-15
         )
+
+
+def reference_karcher_mean_rows(rows, tolerance=1e-8, init=None, max_iterations=64):
+    """karcher_mean_rows as it was before its iteration moved onto dot
+    products: each iteration builds the full conj(mean) * row products and
+    takes the log map of each. Kept as the oracle."""
+    arr = rows_normalize(np.asarray(rows, dtype=np.float64))
+    mean = rows_normalize(np.array(arr[..., 0, :] if init is None else init, dtype=np.float64))
+    done = np.zeros(mean.shape[:-1], dtype=bool)
+    for _ in range(max_iterations):
+        product = _conj_product_matrix(mean)
+        rel = arr @ product  # conj(mean) * row
+        v, w = rel[..., :3], rel[..., 3]
+        vn = np.sqrt(np.einsum("...k,...k->...", v, v))
+        weight = np.divide(np.arctan2(vn, np.abs(w)), vn, out=np.ones_like(vn), where=vn > 1e-12)
+        np.negative(weight, out=weight, where=w < 0.0)
+        step = (weight[..., None, :] @ v)[..., 0, :] / arr.shape[-2]
+        moved = rows_normalize(np.einsum("...jk,...k->...j", product, rows_exp_half(step)))
+        mean = np.where(done[..., None], mean, moved)
+        done |= 2.0 * np.sqrt((step * step).sum(axis=-1)) < tolerance
+        if done.all():
+            return mean
+    raise MeanConvergenceError("reference mean did not converge")
+
+
+def iterations_needed(mean_fn, rows, tolerance, init):
+    """The smallest max_iterations for which mean_fn does not raise."""
+    for budget in range(1, 65):
+        try:
+            mean_fn(rows, tolerance, init=init, max_iterations=budget)
+        except MeanConvergenceError:
+            continue
+        return budget
+    pytest.fail("no budget up to 64 iterations converged")
+
+
+class TestKarcherMatchesConjProductKernel:
+    def assert_matches(self, rows, tolerance, init=None):
+        got = karcher_mean_rows(rows, tolerance, init=init)
+        want = reference_karcher_mean_rows(rows, tolerance, init=init)
+        assert np.abs(got - want).max() <= 1e-15
+        assert iterations_needed(karcher_mean_rows, rows, tolerance, init) == iterations_needed(
+            reference_karcher_mean_rows, rows, tolerance, init
+        )
+
+    @pytest.mark.parametrize("tolerance", [1e-8, 1e-9, 1e-12])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("spread", [1e-6, 1e-3, 0.1, 0.8, 1.5])
+    def test_batched_spread_rows(self, spread, warm, tolerance):
+        # (3, 2) means of 25 rows, every third row negated (the double
+        # cover) and every row rescaled off unit norm.
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            rows = spread_rows(rng, (3, 2, 25), spread)
+            rows[..., ::3, :] *= -1.0
+            rows *= rng.uniform(0.5, 2.0, size=(3, 2, 25, 1))
+            init = rows[..., 4, :] * 1.7 + rng.normal(scale=0.01, size=(3, 2, 4)) if warm else None
+            self.assert_matches(rows, tolerance, init)
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.5], [0.1, -0.2, 0.3, 0.9]])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_identical_rows(self, row, warm):
+        # Every relative rotation is the identity: |v| is 0 (or rounding
+        # noise), where the log-map weight is 1.
+        rows = np.broadcast_to(rows_normalize(np.array(row)), (2, 6, 4))
+        self.assert_matches(rows, 1e-9, rows[:, 0] if warm else None)
+
+    def test_row_at_half_turn_from_mean(self):
+        # From the identity, (1, 0, 0, 0) is a half-turn away: w is exactly
+        # 0 in the first iteration, with the rows near the identity moving
+        # the mean off it.
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], rot_y(0.2), rot_z(-0.1), rot_x(0.3), rot_y(-0.25)])
+        init = np.array([0.0, 0.0, 0.0, 1.0])
+        assert (rows @ init)[0] == 0.0
+        self.assert_matches(rows, 1e-9, init)
+        self.assert_matches(np.stack([rows, rows[::-1]]), 1e-9, np.stack([init, init]))
 
 
 class TestScaleRotation:

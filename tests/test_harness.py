@@ -477,6 +477,48 @@ class TestCli:
         args = build_parser().parse_args(["server", "--bind", "127.0.0.1:0", "--max-clients", "2"])
         assert args.bind == ("127.0.0.1", 0) and args.max_clients == 2
 
+    @pytest.mark.parametrize("argv, opener", [
+        (["bench", "--scenario", "loopback_relay", "--fps", "0"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--fps", "nan"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--capacity", "100"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--capacity", "1"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--capacity", "8192"], "run_latency_experiment"),
+        (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "0"], "load_recording"),
+        (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "nan"], "load_recording"),
+        (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "301"], "load_recording"),
+        (["synth", "--out", "o.dgrc", "--fps", "0"], "save_recording"),
+        (["synth", "--out", "o.dgrc", "--fps", "inf"], "save_recording"),
+        (["synth", "--out", "o.dgrc", "--seconds", "-1"], "save_recording"),
+        (["bounds", "--corpus", ".", "--out", "b.json", "--bits", "0"], "load_recording"),
+        (["bounds", "--corpus", ".", "--out", "b.json", "--bits", "40"], "load_recording"),
+        (["replay", "--file", "take.dgrc", "--server", "127.0.0.1:9", "--fps", "0"],
+         "load_recording"),
+        (["record", "--out", "o.dgrc", "--server", "127.0.0.1:9", "--bounds", "b.json",
+          "--fps", "-30"], "client_connect"),
+    ], ids=lambda v: "=".join(v[-2:]) if isinstance(v, list) else v)
+    def test_bad_numeric_option_exits_before_opening(
+        self, tmp_path, monkeypatch, capsys, argv, opener
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            f"dancegraph.cli.{opener}", lambda *a, **k: pytest.fail(f"called {opener}")
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    def test_numeric_option_bounds_are_inclusive(self):
+        parse = build_parser().parse_args
+        for capacity in ("2", "4096"):
+            args = parse(["bench", "--scenario", "swarm", "--capacity", capacity, "--fps", "0.5"])
+            assert args.capacity == int(capacity) and args.fps == 0.5
+        for bpm in ("30", "300"):
+            assert parse(["correct", "--in", "a", "--out", "b", "--bpm", bpm]).bpm == float(bpm)
+        for bits in ("8", "24"):
+            assert parse(["bounds", "--corpus", "c", "--out", "b", "--bits", bits]).bits == int(bits)
+        assert parse(["synth", "--out", "o", "--seconds", "0"]).seconds == 0.0
+
     def test_replay_and_record_cli(self, tmp_path):
         server = RelayServer(
             ServerConfig(host="127.0.0.1", client_timeout_us=60_000_000)

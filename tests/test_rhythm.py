@@ -18,7 +18,11 @@ from dancegraph.core import (
     rows_scale_rotation,
     rows_slerp,
 )
-from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recording
+from dancegraph.harness import (
+    _amplify_window_frames,
+    synthesize_noise_recording,
+    synthesize_sway_recording,
+)
 from dancegraph.rhythm import (
     DETECTION_BAND_HZ,
     BeatGrid,
@@ -361,11 +365,18 @@ class TestAmplifyZones:
             duration_s=duration_s, fps=fps, amp=math.radians(amp_deg), joint=joint, joints=34
         )
 
-    def test_matches_per_joint_reference(self, skeleton):
+    @pytest.mark.parametrize("case", ["window_60", "served_window", "all_zones"])
+    def test_matches_per_joint_reference(self, skeleton, case):
         # A swaying take whose every joint also jitters, hips and hands
-        # active: the batched means must reproduce the per-joint loop.
-        sway = synthesize_sway_recording(skeleton, duration_s=6.0, amplitude_rad=0.2)
-        noise = synthesize_noise_recording(skeleton, duration_s=6.0, amplitude_rad=0.03, seed=4)
+        # active: the batched means must reproduce the per-joint loop. The
+        # served case uses the window `dancegraph correct` derives for a
+        # 12 s take (whole periods, about 240 frames); the all-zones case
+        # makes every joint active.
+        duration_s = 12.0 if case == "served_window" else 6.0
+        sway = synthesize_sway_recording(skeleton, duration_s=duration_s, amplitude_rad=0.2)
+        noise = synthesize_noise_recording(
+            skeleton, duration_s=duration_s, amplitude_rad=0.03, seed=4
+        )
         frames = [
             PoseFrame.from_array(
                 s.timestamp_us, s.root_translation, rows_multiply(s.rotations, n.rotations)
@@ -375,8 +386,14 @@ class TestAmplifyZones:
         gains = {z: 1.0 for z in BodyZone}
         gains[BodyZone.HIPS] = 2.0
         gains[BodyZone.HANDS] = 0.5
+        if case == "all_zones":
+            gains = {z: 1.5 for z in BodyZone}
         params = CorrectiveParams(zone_gains=gains)
         window = 60
+        if case == "served_window":
+            result = run_corrective_pipeline(frames, skeleton, BeatGrid(bpm=120.0), params)
+            window = _amplify_window_frames(result, params, sway.nominal_fps)
+            assert 200 <= window <= 256
         out = amplify_zones(frames, skeleton, params, window)
         want_rot, want_roots = reference_amplify_zones(frames, skeleton, params, window)
         got_rot = np.stack([f.rotations for f in out])

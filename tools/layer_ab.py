@@ -8,9 +8,12 @@ different names, and each round times every layer on A and then on B, so a
 slow phase of the host hits both sides alike. Layers: `encode_frame`,
 `EncodedFrame.from_bytes`, `decode_frame` (34 joints, 16 bits, a sway
 frame), `parse_packet` and `Client.ingest` of a 224-byte pose datagram, in
-microseconds per call; and `run_corrective_pipeline` and `amplify_zones`
-(hips 2.0, hands 0.5, 60-frame window) on a synthesized 24 s dancer take,
-in microseconds per frame.
+microseconds per call; `run_corrective_pipeline` and `amplify_zones`
+(hips 2.0, hands 0.5) on a synthesized 24 s dancer take, in microseconds per
+frame, with amplification at the window `dancegraph correct` derives from
+the take's pipeline result (whole detected periods, about 240 frames); and
+`karcher_mean_rows`, one warm-started call on the take's 11 active joints
+over such a window, in microseconds per call.
 Prints per layer the median microseconds of A and B, the median of the
 per-round ratios B/A, and in how many rounds B was faster.
 """
@@ -25,6 +28,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 CALLS = 2000  # calls per layer per round
 
@@ -76,7 +81,16 @@ def layers(m):
     params = rhythm.CorrectiveParams(
         zone_gains={core.BodyZone.HIPS: 2.0, core.BodyZone.HANDS: 0.5}
     )
-    warped = rhythm.run_corrective_pipeline(take, skeleton, grid, params).frames
+    result = rhythm.run_corrective_pipeline(take, skeleton, grid, params)
+    warped = result.frames
+    window = harness._amplify_window_frames(result, params, sway.nominal_fps)
+    # The active joints' last window + 1 frames: the mean of the first window
+    # warm-starts the timed mean of the window one frame later.
+    active = [j for j in range(skeleton.joint_count)
+              if params.gain_for(skeleton.zone_of(j)) != 1.0]
+    tracks = np.stack([f.rotations[active] for f in warped[-window - 1:]]).swapaxes(0, 1)
+    warm = core.karcher_mean_rows(tracks[:, :-1], 1e-9)
+    mean_rows = np.ascontiguousarray(tracks[:, 1:])  # (11, window, 4)
 
     def repeat(fn):
         def timed() -> float:
@@ -114,7 +128,8 @@ def layers(m):
         "run_corrective_pipeline": per_frame(
             lambda: rhythm.run_corrective_pipeline(take, skeleton, grid, params)
         ),
-        "amplify_zones": per_frame(lambda: rhythm.amplify_zones(warped, skeleton, params, 60)),
+        "amplify_zones": per_frame(lambda: rhythm.amplify_zones(warped, skeleton, params, window)),
+        "karcher_mean_rows": repeat(lambda: core.karcher_mean_rows(mean_rows, 1e-9, init=warm)),
     }
 
 
