@@ -4,71 +4,62 @@ Sensor-to-consumer pose delivery with as little in the way as possible:
 an in-process signal router, a compact dropped-w quaternion codec with
 data-driven quantization bounds, a UDP relay protocol, and rhythmic
 beat-alignment and stylization correctives for incoming streams.
+
+Public names resolve on first use (PEP 562), so a process loads only the
+submodules it touches: the relay path (`packet`, `router`, `transport`)
+never imports numpy.
 """
+_SUBMODULE_OF = {
+    **dict.fromkeys((
+        "BoundsTable", "CorruptFrameError", "EncodedFrame", "EncoderStats",
+        "ShapeMismatchError", "analyze_bounds", "decode_frame", "encode_frame",
+        "max_angular_error",
+    ), "codec"),
+    **dict.fromkeys((
+        "BodyZone", "InvalidQuaternionError", "MeanConvergenceError", "PoseFrame", "Skeleton",
+        "UnitQuaternion", "canonicalize", "default_skeleton", "from_axis_angle",
+        "geodesic_distance", "geodesic_mean", "scale_rotation", "slerp",
+    ), "core"),
+    **dict.fromkeys((
+        "CorruptPacketError", "PayloadTooLargeError", "SignalPacket", "SignalType",
+        "frame_packet", "parse_packet",
+    ), "packet"),
+    **dict.fromkeys((
+        "Recording", "RecordingFormatError", "load_recording", "save_recording",
+    ), "recording"),
+    **dict.fromkeys((
+        "BeatGrid", "CorrectiveParams", "FeatureSeries", "InsufficientDataError",
+        "PeriodEstimate", "aggregate_joint_period", "amplify_zones", "beat_align_remap",
+        "detect_dominant_period", "extract_feature_series",
+    ), "rhythm"),
+    **dict.fromkeys((
+        "Mode", "Origin", "SequenceError", "SignalDescriptor", "SignalRouter",
+        "SignalSelector", "StreamConflictError",
+    ), "router"),
+    **dict.fromkeys((
+        "Client", "ConnectTimeoutError", "RelayServer", "ServerConfig", "SessionState",
+        "client_connect",
+    ), "transport"),
+}
+# Submodules that resolve as attributes without an explicit import.
+_SUBMODULES = frozenset(_SUBMODULE_OF.values()) | {"_mmsg"}
 
-from .codec import (
-    BoundsTable,
-    CorruptFrameError,
-    EncodedFrame,
-    EncoderStats,
-    ShapeMismatchError,
-    analyze_bounds,
-    decode_frame,
-    encode_frame,
-    max_angular_error,
-)
-from .core import (
-    BodyZone,
-    InvalidQuaternionError,
-    MeanConvergenceError,
-    PoseFrame,
-    Skeleton,
-    UnitQuaternion,
-    canonicalize,
-    default_skeleton,
-    from_axis_angle,
-    geodesic_distance,
-    geodesic_mean,
-    scale_rotation,
-    slerp,
-)
-from .packet import (
-    CorruptPacketError,
-    PayloadTooLargeError,
-    SignalPacket,
-    SignalType,
-    frame_packet,
-    parse_packet,
-)
-from .recording import Recording, RecordingFormatError, load_recording, save_recording
-from .rhythm import (
-    BeatGrid,
-    CorrectiveParams,
-    FeatureSeries,
-    InsufficientDataError,
-    PeriodEstimate,
-    aggregate_joint_period,
-    amplify_zones,
-    beat_align_remap,
-    detect_dominant_period,
-    extract_feature_series,
-)
-from .router import (
-    Mode,
-    Origin,
-    SequenceError,
-    SignalDescriptor,
-    SignalRouter,
-    SignalSelector,
-    StreamConflictError,
-)
-from .transport import (
-    Client,
-    ConnectTimeoutError,
-    RelayServer,
-    ServerConfig,
-    SessionState,
-    client_connect,
-)
-
+__all__ = sorted(_SUBMODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE_OF.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f".{module}", __name__)
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBMODULES | set(_SUBMODULE_OF))

@@ -16,23 +16,39 @@ import math
 import signal
 import sys
 import threading
+from importlib import import_module
+from operator import attrgetter
 from pathlib import Path
 
-from .codec import BoundsTable, _check_bits, analyze_bounds
-from .core import BodyZone, default_skeleton
-from .harness import (
-    BenchParams,
-    corrective_experiment,
-    record_sink,
-    replay_stream,
-    run_latency_experiment,
-    synthesize_sway_recording,
-)
 from .packet import SignalType
-from .recording import load_recording, save_recording
-from .rhythm import BeatGrid, CorrectiveParams, load_corrective_config
 from .router import Origin, SignalSelector, _check_capacity
 from .transport import RelayServer, ServerConfig, client_connect
+
+
+def _deferred(module: str, name: str):
+    """`name` (dotted) from a numpy-backed `module`, imported on first call:
+    the relay path (`server`) runs on packet, router and transport alone."""
+    def call(*args, **kwargs):
+        return attrgetter(name)(import_module(f".{module}", __package__))(*args, **kwargs)
+    return call
+
+
+_bounds_from_json = _deferred("codec", "BoundsTable.from_json")
+_check_bits = _deferred("codec", "_check_bits")
+analyze_bounds = _deferred("codec", "analyze_bounds")
+BodyZone = _deferred("core", "BodyZone")
+default_skeleton = _deferred("core", "default_skeleton")
+BenchParams = _deferred("harness", "BenchParams")
+corrective_experiment = _deferred("harness", "corrective_experiment")
+record_sink = _deferred("harness", "record_sink")
+replay_stream = _deferred("harness", "replay_stream")
+run_latency_experiment = _deferred("harness", "run_latency_experiment")
+synthesize_sway_recording = _deferred("harness", "synthesize_sway_recording")
+load_recording = _deferred("recording", "load_recording")
+save_recording = _deferred("recording", "save_recording")
+BeatGrid = _deferred("rhythm", "BeatGrid")
+CorrectiveParams = _deferred("rhythm", "CorrectiveParams")
+load_corrective_config = _deferred("rhythm", "load_corrective_config")
 
 
 def _on_interrupt(stop: threading.Event) -> None:
@@ -119,9 +135,9 @@ def _parse_gain(text: str) -> tuple[BodyZone, float]:
     return zone, gain
 
 
-def _table_for_recording(args, recording) -> BoundsTable:
+def _table_for_recording(args, recording):
     if getattr(args, "bounds", None):
-        return BoundsTable.from_json(args.bounds)
+        return _bounds_from_json(args.bounds)
     # No table supplied: derive one from the recording itself, which by
     # construction never clamps on replay of that same recording.
     names = None
@@ -139,9 +155,9 @@ def _cmd_server(args) -> int:
         client_timeout_us=args.timeout_ms * 1000,
     )
     server = RelayServer(config)
-    print(f"relay listening on {server.address[0]}:{server.port}")
     stop = threading.Event()
-    _on_interrupt(stop)
+    _on_interrupt(stop)  # before the line below: a supervisor may signal at once
+    print(f"relay listening on {server.address[0]}:{server.port}", flush=True)
     server.start()
     try:
         while not stop.wait(0.2):
@@ -174,7 +190,7 @@ def _cmd_record(args) -> int:
     if not args.bounds:
         print("record needs --bounds to decode incoming payloads", file=sys.stderr)
         return 2
-    table = BoundsTable.from_json(args.bounds)
+    table = _bounds_from_json(args.bounds)
     skeleton = default_skeleton()
     if table.joint_count != skeleton.joint_count:
         print("bounds table joint count does not match the default skeleton", file=sys.stderr)

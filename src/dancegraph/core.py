@@ -93,39 +93,16 @@ def _quat(row: np.ndarray) -> UnitQuaternion:
 
 
 def _row(q: Sequence[float]) -> np.ndarray:
-    return np.asarray(q, dtype=np.float64)
+    row = np.asarray(q, dtype=np.float64)
+    if row.shape != (4,):
+        raise InvalidQuaternionError(f"expected (x, y, z, w), got shape {row.shape}")
+    return row
 
 
 def canonicalize(q: Sequence[float]) -> UnitQuaternion:
-    """Normalize a quaternion and force it onto the w >= 0 hemisphere.
-
-    At a half-turn (|w| <= _HALF_TURN_TOL) w is set to 0 and the first
-    component among (x, y, z) whose magnitude exceeds _HALF_TURN_TOL is made
-    non-negative, so every rotation has exactly one representative.
-    Idempotent bit-for-bit: feeding the result back in returns it unchanged.
-
-    This is the scalar twin of rows_canonicalize and agrees with it bit for
-    bit. It stays pure Python because from_axis_angle calls it once per
-    joint per frame while synthesizing motion, where a one-row numpy call
-    would cost several times more than the arithmetic itself.
-    """
-    x, y, z, w = q
-    n2 = x * x + y * y + z * z + w * w
-    if not math.isfinite(n2) or n2 <= 0.0:
-        raise InvalidQuaternionError(f"quaternion norm must be positive and finite, got {q!r}")
-    if abs(n2 - 1.0) > _ALREADY_UNIT_TOL:
-        inv = 1.0 / math.sqrt(n2)
-        x, y, z, w = x * inv, y * inv, z * inv, w * inv
-    if w < -_HALF_TURN_TOL:
-        x, y, z, w = -x, -y, -z, -w
-    elif w <= _HALF_TURN_TOL:
-        w = 0.0
-        for c in (x, y, z):
-            if abs(c) > _HALF_TURN_TOL:
-                if c < 0.0:
-                    x, y, z = -x, -y, -z
-                break
-    return UnitQuaternion(x, y, z, w)
+    """Normalize a quaternion and force it onto the w >= 0 hemisphere; the
+    one-row form of rows_canonicalize, which states the contract."""
+    return _quat(rows_canonicalize(_row(q)[None])[0])
 
 
 def quat_multiply(a: Sequence[float], b: Sequence[float]) -> UnitQuaternion:
@@ -148,13 +125,7 @@ def rotate_vector(q: Sequence[float], v: Sequence[float]) -> tuple[float, float,
 
 def from_axis_angle(axis: Sequence[float], angle: float) -> UnitQuaternion:
     """Canonical quaternion rotating by `angle` radians about `axis`."""
-    ax, ay, az = axis
-    n = math.sqrt(ax * ax + ay * ay + az * az)
-    if n == 0.0:
-        raise InvalidQuaternionError("rotation axis must be nonzero")
-    h = 0.5 * angle
-    s = math.sin(h) / n
-    return canonicalize(UnitQuaternion(ax * s, ay * s, az * s, math.cos(h)))
+    return _quat(rows_from_axis_angle(np.asarray(axis, dtype=np.float64)[None], [angle])[0])
 
 
 def geodesic_distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -219,9 +190,13 @@ def rows_normalize(arr: np.ndarray) -> np.ndarray:
 
 
 def rows_canonicalize(arr: np.ndarray) -> np.ndarray:
-    """Row-wise canonicalize, bit for bit: rows already within
-    _ALREADY_UNIT_TOL of unit norm are not rescaled, half-turn rows get w = 0
-    and flip on the first significant vector component, and zero-norm or
+    """Normalize each row and force it onto the w >= 0 hemisphere.
+
+    At a half-turn (|w| <= _HALF_TURN_TOL) w is set to 0 and the first
+    component among (x, y, z) whose magnitude exceeds _HALF_TURN_TOL is made
+    non-negative, so every rotation has exactly one representative. Rows
+    already within _ALREADY_UNIT_TOL of unit norm are not rescaled, so the
+    result fed back in comes out unchanged bit for bit. Zero-norm or
     non-finite rows raise InvalidQuaternionError. Returns a new array."""
     out = np.array(arr, dtype=np.float64)
     x, y, z, w = out[..., 0], out[..., 1], out[..., 2], out[..., 3]
@@ -241,6 +216,25 @@ def rows_canonicalize(arr: np.ndarray) -> np.ndarray:
         lead = np.take_along_axis(v, first[..., None], axis=-1)[..., 0]
         v[tie & (lead < 0.0)] *= -1.0
     return out
+
+
+def rows_from_axis_angle(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Canonical quaternions rotating by `angles` (...) radians about `axes`
+    (..., 3), which need not be unit length; zero axes raise
+    InvalidQuaternionError. The half-angle sines and cosines come from
+    `math`, so the bits do not depend on the SIMD kernels numpy picks."""
+    axes = np.asarray(axes, dtype=np.float64)
+    half = 0.5 * np.asarray(angles, dtype=np.float64)
+    if axes.shape != half.shape + (3,):
+        raise ValueError(f"axes {axes.shape} do not match angles {half.shape} plus (3,)")
+    ax, ay, az = axes[..., 0], axes[..., 1], axes[..., 2]
+    n = np.sqrt(ax * ax + ay * ay + az * az)
+    if np.any(n == 0.0):
+        raise InvalidQuaternionError("rotation axis must be nonzero")
+    flat = half.ravel().tolist()
+    s = np.reshape(list(map(math.sin, flat)), half.shape) / n
+    w = np.reshape(list(map(math.cos, flat)), half.shape)
+    return rows_canonicalize(np.stack([ax * s, ay * s, az * s, w], axis=-1))
 
 
 def rows_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:

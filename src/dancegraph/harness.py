@@ -33,7 +33,7 @@ from .codec import (
     decode_frame,
     encode_frame,
 )
-from .core import BodyZone, PoseFrame, Skeleton, default_skeleton, from_axis_angle
+from .core import BodyZone, PoseFrame, Skeleton, default_skeleton, rows_from_axis_angle
 from .packet import SignalPacket, SignalType
 from .recording import Recording, RecordingWriter
 from .rhythm import (
@@ -94,8 +94,9 @@ def synthesize_sway_recording(
     sway = [
         math.sin(2.0 * math.pi * frequency_hz * (i / fps) + phase_rad) for i in range(frame_count)
     ]
-    quats = [from_axis_angle(axis, amplitude_rad * v) for v in sway]
-    rotations[:, list(set(sway_joints))] = np.reshape(quats, (frame_count, 1, 4))
+    axes = np.broadcast_to(axis, (frame_count, 3))
+    quats = rows_from_axis_angle(axes, amplitude_rad * np.array(sway))
+    rotations[:, list(set(sway_joints))] = quats[:, None]
     rotations.setflags(write=False)
     frames = [
         PoseFrame(start_us + int(round(i * dt_us)), (root_amplitude_m * v, 1.0, 0.0), rotations[i])
@@ -124,10 +125,7 @@ def synthesize_noise_recording(
     for i in range(frame_count):
         angles[i] = rng.uniform(-amplitude_rad, amplitude_rad, size=joints)
         axes[i] = rng.normal(size=(joints, 3))
-    quats = [
-        from_axis_angle(a, t) for a, t in zip(axes.reshape(-1, 3).tolist(), angles.ravel().tolist())
-    ]
-    rotations = np.reshape(quats, (frame_count, joints, 4))
+    rotations = rows_from_axis_angle(axes, angles)
     rotations.setflags(write=False)
     frames = [
         PoseFrame(start_us + int(round(i * dt_us)), (0.0, 1.0, 0.0), rotations[i])

@@ -26,7 +26,11 @@ Control protocol (signal type = CONTROL):
   re-admitted it under a new id, which the client adopts.
 * LEAVE: payload is the departed u16 id, header user id 0 (the reserved
   server id). The header/payload id mismatch is what distinguishes a LEAVE
-  from an ACK without widening the payloads.
+  from an ACK without widening the payloads. A relay that gets any other
+  packet from an address it has no session for (it restarted, or evicted
+  the sender) answers that address with a LEAVE naming the header's user
+  id, at most once per _LEAVE_REPLY_INTERVAL_US; a client that hears its
+  own id leave re-joins unassigned at once and adopts the id in the ACK.
 
 Timestamps are sender-local monotonic microseconds; no cross-host clock
 sync is attempted, so absolute one-way latency is only meaningful when all
@@ -75,6 +79,8 @@ SERVER_ID = 0
 _U16 = struct.Struct("<H")
 
 _RECV_BUFSIZE = HEADER_SIZE + 1472  # one full datagram with headroom
+_LEAVE_REPLY_INTERVAL_US = 100_000  # per unregistered address
+_LEAVE_REPLY_SLOTS = 1024  # unregistered addresses remembered at once
 _CLIENT_RCVBUF = 1 << 20  # kernel receive buffer of a client socket
 
 
@@ -140,6 +146,7 @@ class RelayServer:
         self._leave_seq = 0
         self._ack_seq = 0
         self._last_scan_us = 0
+        self._leave_replies: dict[tuple, int] = {}  # unregistered addr -> last LEAVE sent
         # Per-sender fanout senders (everyone but the sender); rebuilt lazily
         # whenever membership changes.
         self._fanout: dict[int, FanoutSender] = {}
@@ -200,6 +207,7 @@ class RelayServer:
         record = self._by_addr.get(addr)
         if record is None:
             self.stats.unknown_sender += 1
+            self._reply_leave(addr, user_id, now)
             return
         if user_id != record.user_id:
             self.stats.spoofed += 1
@@ -245,6 +253,21 @@ class RelayServer:
         except OSError:
             pass
 
+    def _reply_leave(self, addr, user_id: int, now: int) -> None:
+        """Tell an unregistered sender that the relay has no session for
+        `user_id`, so it re-joins; rate-limited per address, and silent once
+        _LEAVE_REPLY_SLOTS addresses are waiting out their interval."""
+        last = self._leave_replies.get(addr)
+        if last is None and len(self._leave_replies) >= _LEAVE_REPLY_SLOTS:
+            return
+        if last is not None and now - last < _LEAVE_REPLY_INTERVAL_US:
+            return
+        self._leave_replies[addr] = now
+        try:
+            self._sock.sendto(self._leave_packet(user_id), addr)
+        except OSError:
+            pass
+
     def _next_id(self) -> int:
         used = {rec.user_id for rec in self._by_addr.values()}
         uid = 1
@@ -254,6 +277,10 @@ class RelayServer:
 
     def _evict_scan(self, now: int) -> None:
         self._last_scan_us = now
+        self._leave_replies = {
+            addr: t for addr, t in self._leave_replies.items()
+            if now - t < _LEAVE_REPLY_INTERVAL_US
+        }
         timeout = self.config.client_timeout_us
         expired = [
             addr for addr, rec in self._by_addr.items()
@@ -265,13 +292,15 @@ class RelayServer:
             self.stats.evictions += 1
             self._send_leave(record)
 
+    def _leave_packet(self, user_id: int) -> bytes:
+        self._leave_seq += 1
+        return frame_packet(
+            SignalType.CONTROL, SERVER_ID, self._leave_seq, mono_us(), _U16.pack(user_id)
+        )
+
     def _send_leave(self, record: _ClientRecord) -> None:
         """Tell every other member that `record`'s session has ended."""
-        self._leave_seq += 1
-        leave = frame_packet(
-            SignalType.CONTROL, SERVER_ID, self._leave_seq, mono_us(),
-            _U16.pack(record.user_id),
-        )
+        leave = self._leave_packet(record.user_id)
         for other in self._by_addr.values():
             if other is record:
                 continue
@@ -429,14 +458,20 @@ class Client:
                 break
             ingest(data, mono_us())
 
-    def _send_keepalive(self, now: int) -> None:
+    def _send_keepalive(self, now: int, user_id: int | None = None) -> None:
         # A repeat JOIN doubles as the keepalive: the server refreshes the
         # sender's eviction deadline and re-acks. Keeps silent consumers
         # (recorders, watchers) registered without a second packet kind.
+        # Under UNASSIGNED_ID it asks for a new session instead.
         self._join_seq += 1
         try:
             self._sock.sendto(
-                frame_packet(SignalType.CONTROL, self.session.user_id, self._join_seq, now),
+                frame_packet(
+                    SignalType.CONTROL,
+                    self.session.user_id if user_id is None else user_id,
+                    self._join_seq,
+                    now,
+                ),
                 self._server_addr,
             )
             self._last_tx_us = now
@@ -480,7 +515,13 @@ class Client:
             # streams under the old id.
             self.session.user_id = subject
             return
-        if packet.user_id == SERVER_ID:
+        if packet.user_id != SERVER_ID:
+            return
+        if subject == self.session.user_id:
+            # The relay has no session for this client (it restarted or
+            # evicted it): join afresh; the ACK brings the new id.
+            self._send_keepalive(mono_us(), UNASSIGNED_ID)
+        else:
             self._drop_peer(subject)
 
     def _drop_peer(self, peer_id: int) -> None:

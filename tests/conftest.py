@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from dancegraph.core import PoseFrame, UnitQuaternion, canonicalize, default_skeleton
+from dancegraph.core import (
+    InvalidQuaternionError,
+    PoseFrame,
+    UnitQuaternion,
+    canonicalize,
+    default_skeleton,
+)
 
 
 def unit_quaternions(min_w: float | None = None):
@@ -22,6 +28,40 @@ def unit_quaternions(min_w: float | None = None):
 
     component = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     return st.tuples(component, component, component, component).map(build)
+
+
+def scalar_canonicalize(q) -> UnitQuaternion:
+    """Pure-Python canonicalize, as the package shipped it before the scalar
+    entry point became a one-row wrapper: the oracle for rows_canonicalize."""
+    x, y, z, w = q
+    n2 = x * x + y * y + z * z + w * w
+    if not math.isfinite(n2) or n2 <= 0.0:
+        raise InvalidQuaternionError(f"quaternion norm must be positive and finite, got {q!r}")
+    if abs(n2 - 1.0) > 1e-12:
+        inv = 1.0 / math.sqrt(n2)
+        x, y, z, w = x * inv, y * inv, z * inv, w * inv
+    if w < -1e-12:
+        x, y, z, w = -x, -y, -z, -w
+    elif w <= 1e-12:
+        w = 0.0
+        for c in (x, y, z):
+            if abs(c) > 1e-12:
+                if c < 0.0:
+                    x, y, z = -x, -y, -z
+                break
+    return UnitQuaternion(x, y, z, w)
+
+
+def scalar_from_axis_angle(axis, angle) -> UnitQuaternion:
+    """Pure-Python from_axis_angle, as shipped before the array path: the
+    oracle for rows_from_axis_angle."""
+    ax, ay, az = axis
+    n = math.sqrt(ax * ax + ay * ay + az * az)
+    if n == 0.0:
+        raise InvalidQuaternionError("rotation axis must be nonzero")
+    h = 0.5 * angle
+    s = math.sin(h) / n
+    return scalar_canonicalize(UnitQuaternion(ax * s, ay * s, az * s, math.cos(h)))
 
 
 def w_largest_rows(rng: np.random.Generator, n: int) -> np.ndarray:

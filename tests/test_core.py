@@ -23,6 +23,7 @@ from dancegraph.core import (
     rows_canonicalize,
     rows_conjugate,
     rows_exp_half,
+    rows_from_axis_angle,
     rows_multiply,
     rows_normalize,
     rows_scale_rotation,
@@ -32,7 +33,7 @@ from dancegraph.core import (
 )
 from dancegraph.core import _conj_product_matrix
 
-from conftest import unit_quaternions
+from conftest import scalar_canonicalize, scalar_from_axis_angle, unit_quaternions
 
 
 def rot_x(a):
@@ -136,6 +137,75 @@ _raw_component = st.one_of(
     st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, -0.0, 0.5, -0.5])
 )
 _raw_quats = st.tuples(*[_raw_component] * 4).filter(lambda q: sum(c * c for c in q) > 0.0)
+
+
+def _outcome(fn, *args):
+    """The result's bytes, or the type of the exception raised."""
+    try:
+        return np.array(fn(*args), dtype=np.float64).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+_HALF_TURNS = [math.pi, -math.pi, 3 * math.pi, math.pi + 1e-13, 2 * math.pi]
+_axis_component = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False), st.sampled_from([0.0, -0.0, 1.0, -1.0])
+)
+_angles = st.one_of(st.floats(-4 * math.pi, 4 * math.pi), st.sampled_from(_HALF_TURNS))
+
+
+class TestMatchesScalarOracle:
+    """canonicalize and from_axis_angle run on the row kernels; the
+    pure-Python bodies they replaced are the oracle, bit for bit, errors
+    included."""
+
+    @given(st.tuples(*[_raw_component] * 4))
+    @settings(max_examples=300)
+    @example((-0.6, 0.8, 0.0, 1e-17))
+    @example((0.0, 0.0, 0.0, 0.0))
+    @example((float("nan"), 0.0, 0.0, 1.0))
+    @example((float("inf"), 0.0, 0.0, 1.0))
+    def test_canonicalize(self, q):
+        assert _outcome(canonicalize, q) == _outcome(scalar_canonicalize, q)
+
+    @given(st.tuples(*[_axis_component] * 3), _angles)
+    @settings(max_examples=300)
+    @example((1.0, 0.0, 0.0), math.pi)  # w is rounding noise: the tie branch
+    @example((-1.0, 0.5, 0.0), math.pi)
+    @example((0.0, 0.0, 0.0), 0.3)  # zero axis
+    @example((1.0, 0.0, 0.0), float("inf"))
+    @example((1.0, 0.0, 0.0), float("nan"))
+    def test_from_axis_angle(self, axis, angle):
+        assert _outcome(from_axis_angle, axis, angle) == _outcome(
+            scalar_from_axis_angle, axis, angle
+        )
+
+    def test_half_turn_takes_the_tie_branch(self):
+        q = from_axis_angle((-1.0, 0.5, 0.0), math.pi)
+        assert q.w == 0.0 and q.x > 0.0
+        expected = scalar_from_axis_angle((-1.0, 0.5, 0.0), math.pi)
+        assert np.array(q).tobytes() == np.array(expected).tobytes()
+
+    def test_rows_match_row_by_row(self):
+        rng = np.random.default_rng(11)
+        axes = rng.normal(size=(6, 5, 3))
+        angles = rng.uniform(-7.0, 7.0, size=(6, 5))
+        angles[0, :] = _HALF_TURNS
+        batch = rows_from_axis_angle(axes, angles)
+        assert batch.shape == (6, 5, 4)
+        for i in range(6):
+            for j in range(5):
+                expected = scalar_from_axis_angle(axes[i, j].tolist(), float(angles[i, j]))
+                assert batch[i, j].tobytes() == np.array(expected).tobytes()
+
+    def test_rows_reject_zero_axes_and_shape_mismatch(self):
+        axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(InvalidQuaternionError):
+            rows_from_axis_angle(axes, [0.1, 0.2])
+        with pytest.raises(ValueError):
+            rows_from_axis_angle(axes[:1], [0.1, 0.2])
+        with pytest.raises(ValueError):
+            rows_from_axis_angle(np.ones((2, 4)), [0.1, 0.2])
 
 
 class TestScalarMatchesRows:

@@ -8,7 +8,14 @@ import pytest
 
 from dancegraph.cli import build_parser, main as cli_main
 from dancegraph.codec import analyze_bounds, encode_frame, max_angular_error
-from dancegraph.core import PoseFrame, UnitQuaternion, default_skeleton, from_axis_angle
+from dancegraph.core import (
+    InvalidQuaternionError,
+    PoseFrame,
+    Skeleton,
+    UnitQuaternion,
+    default_skeleton,
+    from_axis_angle,
+)
 from dancegraph.harness import (
     BenchParams,
     FlowStats,
@@ -32,6 +39,8 @@ from dancegraph.router import Mode, Origin, SignalDescriptor, SignalRouter, Sign
 from dancegraph.packet import SignalPacket, SignalType
 from dancegraph.transport import RelayServer, ServerConfig, client_connect
 
+from conftest import scalar_from_axis_angle
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -42,6 +51,110 @@ def geodesic_rows(a, b):
     b = b / np.linalg.norm(b, axis=1, keepdims=True)
     dot = np.abs((a * b).sum(axis=1))
     return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
+
+
+def scalar_sway_recording(
+    skeleton=None, duration_s=30.0, fps=30.0, frequency_hz=1.0, amplitude_rad=0.35,
+    phase_rad=0.0, axis=(1.0, 0.0, 0.0), sway_joints=None, root_amplitude_m=0.05, start_us=0,
+):
+    """synthesize_sway_recording as it was before takes were built as
+    arrays: one scalar from_axis_angle per frame. The oracle."""
+    skeleton = skeleton or default_skeleton()
+    if sway_joints is None:
+        sway_joints = skeleton.joints_in_zone(BodyZone.HIPS) or [0]
+    frame_count = int(round(duration_s * fps))
+    dt_us = 1e6 / fps
+    rotations = np.zeros((frame_count, skeleton.joint_count, 4))
+    rotations[:, :, 3] = 1.0
+    sway = [
+        math.sin(2.0 * math.pi * frequency_hz * (i / fps) + phase_rad) for i in range(frame_count)
+    ]
+    quats = [scalar_from_axis_angle(axis, amplitude_rad * v) for v in sway]
+    rotations[:, list(set(sway_joints))] = np.reshape(quats, (frame_count, 1, 4))
+    frames = [
+        (start_us + int(round(i * dt_us)), (root_amplitude_m * v, 1.0, 0.0), rotations[i])
+        for i, v in enumerate(sway)
+    ]
+    return frames
+
+
+def scalar_noise_recording(
+    skeleton=None, duration_s=15.0, fps=30.0, amplitude_rad=0.2, seed=0, start_us=0
+):
+    """synthesize_noise_recording as it was before takes were built as
+    arrays: one scalar from_axis_angle per joint per frame. The oracle."""
+    skeleton = skeleton or default_skeleton()
+    rng = np.random.default_rng(seed)
+    frame_count = int(round(duration_s * fps))
+    dt_us = 1e6 / fps
+    joints = skeleton.joint_count
+    angles = np.empty((frame_count, joints))
+    axes = np.empty((frame_count, joints, 3))
+    for i in range(frame_count):
+        angles[i] = rng.uniform(-amplitude_rad, amplitude_rad, size=joints)
+        axes[i] = rng.normal(size=(joints, 3))
+    quats = [
+        scalar_from_axis_angle(a, t)
+        for a, t in zip(axes.reshape(-1, 3).tolist(), angles.ravel().tolist())
+    ]
+    rotations = np.reshape(quats, (frame_count, joints, 4))
+    return [
+        (start_us + int(round(i * dt_us)), (0.0, 1.0, 0.0), rotations[i])
+        for i in range(frame_count)
+    ]
+
+
+def assert_same_take(recording, oracle_frames):
+    assert len(recording.frames) == len(oracle_frames)
+    for frame, (ts, root, rot) in zip(recording.frames, oracle_frames):
+        assert frame.timestamp_us == ts
+        assert np.array(frame.root_translation).tobytes() == np.array(root).tobytes()
+        assert frame.rotations.tobytes() == rot.tobytes()
+
+
+class TestSynthesisMatchesScalarOracle:
+    """The synthesizers build every quaternion of a take in one array call;
+    the per-frame scalar bodies they replaced are the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 901])
+    @pytest.mark.parametrize("duration_s,amplitude_rad", [
+        (2.0, 0.03), (5.0, 0.2), (1.0, math.pi), (1.0, 3.0 * math.pi), (0.0, 0.2),
+    ])
+    def test_noise(self, seed, duration_s, amplitude_rad):
+        kwargs = dict(duration_s=duration_s, amplitude_rad=amplitude_rad, seed=seed)
+        assert_same_take(synthesize_noise_recording(**kwargs), scalar_noise_recording(**kwargs))
+
+    def test_noise_on_a_small_rig_and_offset_clock(self):
+        rig = Skeleton(("a", "b", "c"), {0: BodyZone.HIPS, 1: BodyZone.HANDS, 2: BodyZone.OTHER})
+        kwargs = dict(duration_s=3.0, fps=24.0, seed=5, start_us=1_000_003)
+        assert_same_take(
+            synthesize_noise_recording(rig, **kwargs), scalar_noise_recording(rig, **kwargs)
+        )
+
+    @pytest.mark.parametrize("amplitude_rad", [0.2, 0.35, math.pi, 2.0 * math.pi, 3.5])
+    @pytest.mark.parametrize("phase_rad", [0.0, math.pi / 2, 1.0])
+    @pytest.mark.parametrize("duration_s", [0.0, 1.0, 7.0])
+    def test_sway(self, amplitude_rad, phase_rad, duration_s):
+        kwargs = dict(
+            duration_s=duration_s, amplitude_rad=amplitude_rad, phase_rad=phase_rad,
+            axis=(-1.0, 0.5, 0.0), frequency_hz=1.3, start_us=17,
+        )
+        assert_same_take(synthesize_sway_recording(**kwargs), scalar_sway_recording(**kwargs))
+
+    def test_sway_through_a_half_turn_takes_the_tie_branch(self):
+        # sin(pi/2) is exactly 1, so frame 0 turns by exactly pi and its w is
+        # rounding noise that canonicalization must pin to 0.
+        kwargs = dict(duration_s=2.0, amplitude_rad=math.pi, phase_rad=math.pi / 2,
+                      axis=(-1.0, 0.0, 0.0), sway_joints=[0, 5])
+        rec = synthesize_sway_recording(**kwargs)
+        assert rec.frames[0].rotations[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert_same_take(rec, scalar_sway_recording(**kwargs))
+
+    def test_zero_axis_raises_the_same_error(self):
+        with pytest.raises(InvalidQuaternionError):
+            scalar_sway_recording(duration_s=1.0, axis=(0.0, 0.0, 0.0))
+        with pytest.raises(InvalidQuaternionError):
+            synthesize_sway_recording(duration_s=1.0, axis=(0.0, 0.0, 0.0))
 
 
 class TestRecordingFile:

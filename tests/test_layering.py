@@ -1,0 +1,38 @@
+"""Each process loads only the modules it runs: the relay path has no numpy."""
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import dancegraph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_relay_path_and_server_command_load_without_numpy():
+    script = (
+        "import sys\n"
+        "import dancegraph.transport, dancegraph.packet, dancegraph.router\n"
+        "from dancegraph.cli import build_parser\n"
+        "args = build_parser().parse_args(['server', '--bind', '127.0.0.1:0'])\n"
+        "assert args.bind == ('127.0.0.1', 0), args\n"
+        "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_public_name_and_submodule_resolves():
+    for name in dancegraph.__all__:
+        assert getattr(dancegraph, name) is not None, name
+        assert name in dir(dancegraph)
+    assert isinstance(dancegraph.codec, types.ModuleType)
+    assert dancegraph.codec.encode_frame is dancegraph.encode_frame
+    assert dancegraph.transport.RelayServer is dancegraph.RelayServer
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert not hasattr(dancegraph, "no_such_name")

@@ -23,6 +23,9 @@ from dancegraph.packet import (
 )
 from dancegraph.router import Origin, SignalRouter, SignalSelector
 from dancegraph.transport import (
+    _LEAVE_REPLY_INTERVAL_US,
+    _LEAVE_REPLY_SLOTS,
+    SERVER_ID,
     Client,
     ConnectTimeoutError,
     RelayServer,
@@ -522,6 +525,93 @@ class TestEviction:
                     # A's local echo moved to the new id as well
                     assert (SignalType.POSE, new_id, Origin.LOCAL) in network_streams(a)
                     assert (SignalType.POSE, old_id, Origin.LOCAL) not in network_streams(a)
+        finally:
+            srv.stop()
+
+
+class TestRelayRestart:
+    def test_restarted_relay_gets_active_senders_back(self):
+        keepalive_s = 0.3
+        srv = RelayServer(ServerConfig(host="127.0.0.1")).start()
+        port = srv.port
+        addr = ("127.0.0.1", port)
+        try:
+            # A streams and never sends keepalives; B only watches.
+            with client_connect(addr, keepalive_interval_s=None) as a, client_connect(
+                addr, keepalive_interval_s=keepalive_s
+            ) as b:
+                a.send(b"before")
+                assert wait_until(lambda: b.session.stats.received >= 1)
+                srv.stop()
+                srv = RelayServer(ServerConfig(host="127.0.0.1", port=port)).start()
+                restarted = time.monotonic()
+                before = b.session.stats.received
+                # B's next keepalive registers it; A's poses draw a LEAVE
+                # naming A, and A re-joins. B hears A within one keepalive
+                # interval, plus the receive loop's 50 ms poll and slack.
+                deadline = restarted + keepalive_s + 0.25
+                while b.session.stats.received == before and time.monotonic() < deadline:
+                    a.send(b"after")
+                    time.sleep(0.01)
+                assert b.session.stats.received > before
+                assert srv.stats.joins == 2
+                assert srv.stats.relayed >= 1
+                assert {a.user_id, b.user_id} == {1, 2}
+        finally:
+            srv.stop()
+
+    def test_full_relay_rejects_the_rejoin_and_rate_limits_leaves(self):
+        srv = RelayServer(ServerConfig(host="127.0.0.1", max_clients=2)).start()
+        addr = ("127.0.0.1", srv.port)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.settimeout(0.05)
+        try:
+            with client_connect(addr), client_connect(addr):
+                # A client the relay never admitted, still sending as user 7.
+                with Client(sock, addr, 7, SignalRouter(), keepalive_interval_s=None) as c:
+                    t0 = time.monotonic()
+                    while time.monotonic() - t0 < 0.35:
+                        c.send(b"pose")
+                        time.sleep(0.005)
+                    elapsed_us = (time.monotonic() - t0) * 1e6
+                    time.sleep(0.1)
+                    rejoins = srv.stats.rejected_full
+                    assert 1 <= rejoins <= elapsed_us // _LEAVE_REPLY_INTERVAL_US + 1
+                    assert srv.stats.unknown_sender >= 50
+                    assert srv.stats.joins == 2
+                    assert c.user_id == 7
+        finally:
+            srv.stop()
+
+    def test_leave_reply_names_the_header_id_once_per_interval(self):
+        srv = RelayServer(ServerConfig(host="127.0.0.1")).start()
+        addr = ("127.0.0.1", srv.port)
+        raw = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        raw.settimeout(0.5)
+        try:
+            for seq in range(1, 6):
+                raw.sendto(frame_packet(SignalType.POSE, 9, seq, mono_us(), b"p"), addr)
+            leave = parse_packet(raw.recv(2048))
+            assert leave.signal_type is SignalType.CONTROL
+            assert (leave.user_id, leave.payload) == (SERVER_ID, (9).to_bytes(2, "little"))
+            raw.settimeout(0.05)
+            with pytest.raises(socket.timeout):
+                raw.recv(2048)  # the other four poses drew no reply
+            assert srv.stats.unknown_sender == 5
+        finally:
+            raw.close()
+            srv.stop()
+
+    def test_reply_state_is_bounded_and_cleared_by_the_scan(self):
+        srv = RelayServer(ServerConfig(host="127.0.0.1"))
+        try:
+            now = mono_us()
+            pose = frame_packet(SignalType.POSE, 3, 1, now, b"p")
+            for i in range(_LEAVE_REPLY_SLOTS + 10):
+                srv._handle(pose, ("127.0.0.1", 40000 + i), now)
+            assert len(srv._leave_replies) == _LEAVE_REPLY_SLOTS
+            srv._evict_scan(now + _LEAVE_REPLY_INTERVAL_US)
+            assert srv._leave_replies == {}
         finally:
             srv.stop()
 

@@ -4,8 +4,9 @@
     python3 tools/layer_ab.py /tmp/base/src src --rounds 20
 
 Both trees' `dancegraph` packages are imported into one process under
-different names, and each round times every layer on A and then on B, so a
-slow phase of the host hits both sides alike. Layers: `encode_frame`,
+different names, and each round times every layer on both, so a slow phase
+of the host hits both sides alike. Which tree goes first alternates from
+round to round, and every timed call starts right after a full collection. Layers: `encode_frame`,
 `EncodedFrame.from_bytes`, `decode_frame` (34 joints, 16 bits, a sway
 frame), `parse_packet` and `Client.ingest` of a 224-byte pose datagram, in
 microseconds per call; `run_corrective_pipeline` and `amplify_zones`
@@ -20,6 +21,7 @@ per-round ratios B/A, and in how many rounds B was faster.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import math
@@ -141,10 +143,16 @@ def main() -> None:
     args = parser.parse_args()
     a, b = layers(load("dancegraph_a", args.a)), layers(load("dancegraph_b", args.b))
     times = {name: ([], []) for name in a}
-    for _ in range(args.rounds):
+    for r in range(args.rounds):
+        # A layer runs faster right after the same layer on the other tree
+        # (warm caches): with B always second, the same tree read 0.91 on
+        # run_corrective_pipeline. The collection keeps one side's garbage
+        # from being collected on the other side's clock.
+        order = ((0, a), (1, b)) if r % 2 == 0 else ((1, b), (0, a))
         for name in a:
-            times[name][0].append(a[name]())
-            times[name][1].append(b[name]())
+            for side, timers in order:
+                gc.collect()
+                times[name][side].append(timers[name]())
     for name, (ta, tb) in times.items():
         ratios = [y / x for x, y in zip(ta, tb)]
         print(f"{name:24s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
