@@ -17,8 +17,7 @@ _SUBMODULE_OF = {
     ), "codec"),
     **dict.fromkeys((
         "BodyZone", "InvalidQuaternionError", "MeanConvergenceError", "PoseFrame", "Skeleton",
-        "UnitQuaternion", "canonicalize", "default_skeleton", "from_axis_angle",
-        "geodesic_distance", "geodesic_mean", "scale_rotation", "slerp",
+        "default_skeleton",
     ), "core"),
     **dict.fromkeys((
         "CorruptPacketError", "PayloadTooLargeError", "SignalPacket", "SignalType",

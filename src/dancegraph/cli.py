@@ -95,12 +95,18 @@ def _check_seconds(seconds: float) -> None:
         raise ValueError(f"seconds must be finite and >= 0, got {seconds}")
 
 
+def _check_clients(clients: int) -> None:
+    if clients < 2:
+        raise ValueError(f"a session needs at least 2 clients, got {clients}")
+
+
 _parse_max_clients = _checked(int, lambda n: ServerConfig(max_clients=n))
 _parse_capacity = _checked(int, _check_capacity)
 _parse_bpm = _checked(float, lambda bpm: BeatGrid(bpm=bpm))
 _parse_bits = _checked(int, _check_bits)
 _parse_fps = _checked(float, _check_fps)
 _parse_seconds = _checked(float, _check_seconds)
+_parse_clients = _checked(int, _check_clients)
 
 
 _SIGNAL_TYPES = {
@@ -308,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a latency experiment")
     p.add_argument("--scenario", choices=("local_direct", "loopback_relay", "swarm"), required=True)
-    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--duration", type=_parse_seconds, default=60.0)
     p.add_argument("--fps", type=_parse_fps, default=30.0)
-    p.add_argument("--clients", type=int, default=30)
+    p.add_argument("--clients", type=_parse_clients, default=30)
     p.add_argument("--capacity", type=_parse_capacity, default=64)
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_bench)

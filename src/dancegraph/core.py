@@ -13,31 +13,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "BodyZone",
-    "UnitQuaternion",
     "Skeleton",
     "PoseFrame",
     "InvalidQuaternionError",
     "MeanConvergenceError",
-    "canonicalize",
-    "geodesic_mean",
-    "scale_rotation",
-    "geodesic_distance",
-    "quat_multiply",
-    "rotate_vector",
-    "from_axis_angle",
-    "slerp",
     "default_skeleton",
 ]
 
 # A quaternion this close to unit norm is treated as already normalized;
 # rescaling it again would only churn the low bits and break the bit-for-bit
-# idempotence of canonicalize().
+# idempotence of rows_canonicalize().
 _ALREADY_UNIT_TOL = 1e-12
 
 # A |w| this small is rounding noise around a half-turn: its sign must not
@@ -70,119 +61,10 @@ class BodyZone(Enum):
     OTHER = "other"
 
 
-class UnitQuaternion(NamedTuple):
-    """Rotation as a unit quaternion, components ordered (x, y, z, w)."""
-
-    x: float
-    y: float
-    z: float
-    w: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z + self.w * self.w)
-
-    def angle(self) -> float:
-        """Rotation angle in radians, in [0, pi] for canonical quaternions."""
-        vn = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        return 2.0 * math.atan2(vn, abs(self.w))
-
-
-def _quat(row: np.ndarray) -> UnitQuaternion:
-    """A (4,) result row as the scalar API's value type."""
-    return UnitQuaternion._make(row.tolist())
-
-
-def _row(q: Sequence[float]) -> np.ndarray:
-    row = np.asarray(q, dtype=np.float64)
-    if row.shape != (4,):
-        raise InvalidQuaternionError(f"expected (x, y, z, w), got shape {row.shape}")
-    return row
-
-
-def canonicalize(q: Sequence[float]) -> UnitQuaternion:
-    """Normalize a quaternion and force it onto the w >= 0 hemisphere; the
-    one-row form of rows_canonicalize, which states the contract."""
-    return _quat(rows_canonicalize(_row(q)[None])[0])
-
-
-def quat_multiply(a: Sequence[float], b: Sequence[float]) -> UnitQuaternion:
-    return _quat(rows_multiply(_row(a), _row(b)))
-
-
-def rotate_vector(q: Sequence[float], v: Sequence[float]) -> tuple[float, float, float]:
-    """Rotate a 3-vector by a unit quaternion."""
-    x, y, z, w = q
-    vx, vy, vz = v
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return (
-        vx + w * tx + (y * tz - z * ty),
-        vy + w * ty + (z * tx - x * tz),
-        vz + w * tz + (x * ty - y * tx),
-    )
-
-
-def from_axis_angle(axis: Sequence[float], angle: float) -> UnitQuaternion:
-    """Canonical quaternion rotating by `angle` radians about `axis`."""
-    return _quat(rows_from_axis_angle(np.asarray(axis, dtype=np.float64)[None], [angle])[0])
-
-
-def geodesic_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Angle of the rotation taking a to b, in [0, pi]."""
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
-    d = abs(ax * bx + ay * by + az * bz + aw * bw)
-    return 2.0 * math.acos(min(1.0, d))
-
-
-def scale_rotation(
-    reference: Sequence[float],
-    q: Sequence[float],
-    gain: float,
-    *,
-    return_degenerate: bool = False,
-):
-    """Geodesically extrapolate q away from reference by `gain`.
-
-    One-row form of rows_scale_rotation: gain 1 returns q (up to rounding),
-    gain 0 returns reference exactly, gain 2 doubles the rotation away from
-    the reference. With `return_degenerate` the half-turn flag comes back
-    alongside the result.
-    """
-    out, degenerate = rows_scale_rotation(_row(reference), _row(q), gain)
-    if return_degenerate:
-        return _quat(out), bool(degenerate)
-    return _quat(out)
-
-
-def slerp(a: Sequence[float], b: Sequence[float], u: float) -> UnitQuaternion:
-    """Spherical-linear interpolation from a (u=0) to b (u=1), shorter arc."""
-    return _quat(rows_slerp(_row(a), _row(b), u))
-
-
-def geodesic_mean(
-    quats: Sequence[Sequence[float]],
-    tolerance: float = 1e-8,
-) -> UnitQuaternion:
-    """Rotation minimizing the sum of squared geodesic distances.
-
-    Iterative tangent-space averaging: lift the samples into the tangent
-    space at the current estimate, step to their mean, repeat until the
-    update step's rotation angle drops below `tolerance` radians.
-    """
-    if len(quats) == 0:
-        raise ValueError("cannot average an empty list of rotations")
-    arr = np.asarray(quats, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise InvalidQuaternionError("expected a sequence of (x, y, z, w) quaternions")
-    return _quat(rows_canonicalize(karcher_mean_rows(arr, tolerance)))
-
-
 # ---------------------------------------------------------------------------
 # Row-vectorized quaternion kernels operating on (..., 4) float64 arrays in
 # (x, y, z, w) column order. Every quaternion operation in the package runs
-# through these; the scalar functions above are one-row wrappers.
+# through these; a single rotation is a (1, 4) array.
 # ---------------------------------------------------------------------------
 
 def rows_normalize(arr: np.ndarray) -> np.ndarray:
@@ -303,8 +185,9 @@ def rows_scale_rotation(
 
 
 def rows_slerp(a: np.ndarray, b: np.ndarray, u: float | np.ndarray) -> np.ndarray:
-    """Row-wise slerp from a (u=0) to b (u=1) of (..., 4) arrays, shorter arc;
-    `u` is a scalar or an array broadcasting over the leading axes.
+    """Row-wise spherical-linear interpolation from a (u=0) to b (u=1) of
+    (..., 4) arrays, along the shorter arc; `u` is a scalar or an array
+    broadcasting over the leading axes.
 
     Rows with u == 0 or u == 1 return the endpoints exactly.
     """
@@ -521,15 +404,3 @@ class PoseFrame:
         rotations: np.ndarray,
     ) -> "PoseFrame":
         return cls(int(timestamp_us), tuple(map(float, root_translation)), rotations)
-
-    def validate(self, skeleton: Skeleton, norm_tol: float = 1e-6) -> None:
-        if len(self.rotations) != skeleton.joint_count:
-            raise ValueError(
-                f"frame has {len(self.rotations)} rotations, skeleton has "
-                f"{skeleton.joint_count} joints"
-            )
-        norms = np.linalg.norm(self.rotations, axis=1)
-        if np.any(np.abs(norms - 1.0) > norm_tol):
-            raise InvalidQuaternionError("frame contains non-unit rotations")
-        if np.any(self.rotations[:, 3] < 0.0):
-            raise InvalidQuaternionError("frame contains non-canonical rotations (w < 0)")

@@ -37,6 +37,7 @@ from .core import BodyZone, PoseFrame, Skeleton, default_skeleton, rows_from_axi
 from .packet import SignalPacket, SignalType
 from .recording import Recording, RecordingWriter
 from .rhythm import (
+    _COMPONENT_INDEX,
     BeatGrid,
     CorrectiveParams,
     PipelineResult,
@@ -348,7 +349,14 @@ def _start_server(params: BenchParams, max_clients: int):
         daemon=True,
     )
     proc.start()
-    port = parent.recv()
+    # Only the child holds its end now, so a child that dies before
+    # announcing its port ends the wait with EOFError.
+    child.close()
+    try:
+        port = parent.recv()
+    except EOFError:
+        proc.join()
+        raise
     return proc, parent, (params.host, port)
 
 
@@ -561,7 +569,6 @@ def _pick_measurement_component(recording: Recording, joint: int) -> str:
     return "xyz"[int(np.argmax(track.max(axis=0) - track.min(axis=0)))]
 
 
-_COMPONENT_IDX = {"x": 0, "y": 1, "z": 2}
 _EXTREMUM_MIN_PROMINENCE = 0.25  # of the peak deviation
 
 
@@ -575,7 +582,7 @@ def find_extremum_times_us(
     Small wiggles below `_EXTREMUM_MIN_PROMINENCE` of the peak deviation are
     ignored so measurement noise does not read as extra extrema.
     """
-    idx = _COMPONENT_IDX[component]
+    idx = _COMPONENT_INDEX[component]
     ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
     x = _joint_track(frames, joint)[:, idx]
     x = x - x.mean()
@@ -726,7 +733,7 @@ def corrective_experiment(
     amplitude_ratio = None
     if gains_active and amp_window is not None:
         start = min(amp_window, len(recording.frames) - 1)
-        idx = _COMPONENT_IDX[component]
+        idx = _COMPONENT_INDEX[component]
         pre_vals = _joint_track(recording.frames[start:], joint)[:, idx]
         post_vals = _joint_track(corrected.frames[start:], joint)[:, idx]
         pre_amp = (pre_vals.max() - pre_vals.min()) / 2.0

@@ -4,35 +4,32 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from dancegraph.core import (
-    InvalidQuaternionError,
-    PoseFrame,
-    UnitQuaternion,
-    canonicalize,
-    default_skeleton,
-)
+from dancegraph.core import InvalidQuaternionError, PoseFrame, default_skeleton
+
+IDENTITY = (0.0, 0.0, 0.0, 1.0)
 
 
 def unit_quaternions(min_w: float | None = None):
-    """Strategy for canonical unit quaternions from raw 4-vectors."""
+    """Strategy for canonical unit quaternions, as (x, y, z, w) tuples,
+    from raw 4-vectors."""
 
     def build(raw):
         x, y, z, w = raw
         n = math.sqrt(x * x + y * y + z * z + w * w)
         if n < 1e-6:
-            return UnitQuaternion(0.0, 0.0, 0.0, 1.0)
-        q = canonicalize(UnitQuaternion(x, y, z, w))
-        if min_w is not None and q.w < min_w:
-            return UnitQuaternion(0.0, 0.0, 0.0, 1.0)
+            return IDENTITY
+        q = scalar_canonicalize(raw)
+        if min_w is not None and q[3] < min_w:
+            return IDENTITY
         return q
 
     component = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
     return st.tuples(component, component, component, component).map(build)
 
 
-def scalar_canonicalize(q) -> UnitQuaternion:
-    """Pure-Python canonicalize, as the package shipped it before the scalar
-    entry point became a one-row wrapper: the oracle for rows_canonicalize."""
+def scalar_canonicalize(q) -> tuple[float, float, float, float]:
+    """Pure-Python canonicalize of one (x, y, z, w) quaternion: the oracle
+    for rows_canonicalize."""
     x, y, z, w = q
     n2 = x * x + y * y + z * z + w * w
     if not math.isfinite(n2) or n2 <= 0.0:
@@ -49,19 +46,42 @@ def scalar_canonicalize(q) -> UnitQuaternion:
                 if c < 0.0:
                     x, y, z = -x, -y, -z
                 break
-    return UnitQuaternion(x, y, z, w)
+    return (x, y, z, w)
 
 
-def scalar_from_axis_angle(axis, angle) -> UnitQuaternion:
-    """Pure-Python from_axis_angle, as shipped before the array path: the
-    oracle for rows_from_axis_angle."""
+def scalar_from_axis_angle(axis, angle) -> tuple[float, float, float, float]:
+    """Pure-Python axis-angle to canonical quaternion: the oracle for
+    rows_from_axis_angle."""
     ax, ay, az = axis
     n = math.sqrt(ax * ax + ay * ay + az * az)
     if n == 0.0:
         raise InvalidQuaternionError("rotation axis must be nonzero")
     h = 0.5 * angle
     s = math.sin(h) / n
-    return scalar_canonicalize(UnitQuaternion(ax * s, ay * s, az * s, math.cos(h)))
+    return scalar_canonicalize((ax * s, ay * s, az * s, math.cos(h)))
+
+
+def rotate_vector(q, v) -> tuple[float, float, float]:
+    """Pure-Python rotation of a 3-vector by a unit quaternion."""
+    x, y, z, w = q
+    vx, vy, vz = v
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
+    )
+
+
+def geodesic_distance(a, b) -> float:
+    """Angle of the rotation taking a to b, in [0, pi]; a and b are one
+    quaternion each, as a (4,) or (1, 4) array or a 4-sequence."""
+    ax, ay, az, aw = np.ravel(a).tolist()
+    bx, by, bz, bw = np.ravel(b).tolist()
+    d = abs(ax * bx + ay * by + az * bz + aw * bw)
+    return 2.0 * math.acos(min(1.0, d))
 
 
 def w_largest_rows(rng: np.random.Generator, n: int) -> np.ndarray:

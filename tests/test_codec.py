@@ -22,7 +22,7 @@ from dancegraph.codec import (
     _pack_ints,
     _unpack_ints,
 )
-from dancegraph.core import PoseFrame, Skeleton, UnitQuaternion, default_skeleton
+from dancegraph.core import PoseFrame, Skeleton, default_skeleton
 from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recording
 
 from conftest import frames_from_rows, w_largest_rows
@@ -42,7 +42,7 @@ def geodesic_rows(a, b):
 
 
 def identity_frame(joint_count=34, ts=0):
-    return PoseFrame(ts, (0.0, 0.0, 0.0), tuple(UnitQuaternion(0, 0, 0, 1) for _ in range(joint_count)))
+    return PoseFrame(ts, (0.0, 0.0, 0.0), tuple((0, 0, 0, 1) for _ in range(joint_count)))
 
 
 class TestBoundsTable:
@@ -93,8 +93,8 @@ class TestAnalyzeBounds:
     def test_margin_widens_observed_range(self):
         # joint 0 x spans [-0.3, 0.5]; margin 0.1 of range 0.8 adds 0.08.
         j = 34
-        rots1 = [UnitQuaternion(-0.3, 0, 0, math.sqrt(1 - 0.09))] + [UnitQuaternion(0, 0, 0, 1)] * (j - 1)
-        rots2 = [UnitQuaternion(0.5, 0, 0, math.sqrt(0.75))] + [UnitQuaternion(0, 0, 0, 1)] * (j - 1)
+        rots1 = [(-0.3, 0, 0, math.sqrt(1 - 0.09))] + [(0, 0, 0, 1)] * (j - 1)
+        rots2 = [(0.5, 0, 0, math.sqrt(0.75))] + [(0, 0, 0, 1)] * (j - 1)
         stream = [
             PoseFrame(0, (0, 0, 0), tuple(rots1)),
             PoseFrame(1, (0, 0, 0), tuple(rots2)),
@@ -138,7 +138,7 @@ class TestAnalyzeBounds:
             analyze_bounds([[identity_frame(4)], [identity_frame(5)]])
 
     def test_non_canonical_corpus_rejected(self):
-        bad = PoseFrame(0, (0, 0, 0), (UnitQuaternion(0, 0, 0, -1.0),))
+        bad = PoseFrame(0, (0, 0, 0), ((0, 0, 0, -1.0),))
         with pytest.raises(ValueError):
             analyze_bounds([[bad]])
 
@@ -155,8 +155,8 @@ class TestEncodeDecode:
         lo = np.array([[-0.5, -1.0, -1.0]])
         hi = np.array([[0.25, 1.0, 1.0]])
         table = BoundsTable(("a",), lo, hi, bits=16)
-        at_lo = PoseFrame(0, (0, 0, 0), (UnitQuaternion(-0.5, 0, 0, math.sqrt(0.75)),))
-        at_hi = PoseFrame(0, (0, 0, 0), (UnitQuaternion(0.25, 0, 0, math.sqrt(1 - 0.0625)),))
+        at_lo = PoseFrame(0, (0, 0, 0), ((-0.5, 0, 0, math.sqrt(0.75)),))
+        at_hi = PoseFrame(0, (0, 0, 0), ((0.25, 0, 0, math.sqrt(1 - 0.0625)),))
         assert np.frombuffer(encode_frame(at_lo, table).payload, dtype=">u2")[0] == 0
         assert np.frombuffer(encode_frame(at_hi, table).payload, dtype=">u2")[0] == 65535
 
@@ -164,7 +164,7 @@ class TestEncodeDecode:
         lo = np.array([[-0.1, -1.0, -1.0]])
         hi = np.array([[0.1, 1.0, 1.0]])
         table = BoundsTable(("a",), lo, hi, bits=16)
-        frame = PoseFrame(0, (0, 0, 0), (UnitQuaternion(0.5, 0, 0, math.sqrt(0.75)),))
+        frame = PoseFrame(0, (0, 0, 0), ((0.5, 0, 0, math.sqrt(0.75)),))
         stats = EncoderStats()
         enc = encode_frame(frame, table, stats)
         assert stats.clamped_components == 1
@@ -191,7 +191,7 @@ class TestEncodeDecode:
 
     def test_non_canonical_frame_rejected(self):
         table = full_range_table(joint_count=1, names=("a",))
-        frame = PoseFrame(0, (0, 0, 0), (UnitQuaternion(0, 0, 0, -1.0),))
+        frame = PoseFrame(0, (0, 0, 0), ((0, 0, 0, -1.0),))
         with pytest.raises(ValueError):
             encode_frame(frame, table)
 

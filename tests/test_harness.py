@@ -12,15 +12,14 @@ from dancegraph.core import (
     InvalidQuaternionError,
     PoseFrame,
     Skeleton,
-    UnitQuaternion,
     default_skeleton,
-    from_axis_angle,
 )
 from dancegraph.harness import (
     BenchParams,
     FlowStats,
     LatencyReport,
     StageStats,
+    _start_server,
     corrective_experiment,
     record_sink,
     replay_stream,
@@ -58,7 +57,7 @@ def scalar_sway_recording(
     phase_rad=0.0, axis=(1.0, 0.0, 0.0), sway_joints=None, root_amplitude_m=0.05, start_us=0,
 ):
     """synthesize_sway_recording as it was before takes were built as
-    arrays: one scalar from_axis_angle per frame. The oracle."""
+    arrays: one pure-Python scalar_from_axis_angle per frame. The oracle."""
     skeleton = skeleton or default_skeleton()
     if sway_joints is None:
         sway_joints = skeleton.joints_in_zone(BodyZone.HIPS) or [0]
@@ -82,7 +81,8 @@ def scalar_noise_recording(
     skeleton=None, duration_s=15.0, fps=30.0, amplitude_rad=0.2, seed=0, start_us=0
 ):
     """synthesize_noise_recording as it was before takes were built as
-    arrays: one scalar from_axis_angle per joint per frame. The oracle."""
+    arrays: one pure-Python scalar_from_axis_angle per joint per frame. The
+    oracle."""
     skeleton = skeleton or default_skeleton()
     rng = np.random.default_rng(seed)
     frame_count = int(round(duration_s * fps))
@@ -196,7 +196,7 @@ class TestRecordingFile:
 
     def test_writer_requires_increasing_timestamps(self, tmp_path):
         writer = RecordingWriter(tmp_path / "x.dgrc", 1, 30.0)
-        frame = PoseFrame(100, (0, 0, 0), (UnitQuaternion(0, 0, 0, 1),))
+        frame = PoseFrame(100, (0, 0, 0), ((0, 0, 0, 1),))
         writer.write_frame(frame)
         with pytest.raises(RecordingFormatError):
             writer.write_frame(frame)
@@ -205,7 +205,7 @@ class TestRecordingFile:
     def test_writer_truncates_to_frame_boundary(self, tmp_path):
         path = tmp_path / "x.dgrc"
         writer = RecordingWriter(path, 2, 30.0)
-        rots = (UnitQuaternion(0, 0, 0, 1), UnitQuaternion(0, 0, 0, 1))
+        rots = ((0, 0, 0, 1), (0, 0, 0, 1))
         writer.write_frame(PoseFrame(1, (0, 0, 0), rots))
         writer._fh.write(b"partial garbage")  # simulate an interrupted frame
         writer.close()
@@ -222,8 +222,8 @@ class TestRecordingFile:
     def test_load_canonicalizes_hemisphere(self, tmp_path):
         # Another tool may store either sign of a rotation; loading puts
         # every quaternion on the w >= 0 hemisphere.
-        q = from_axis_angle((1.0, 0.0, 0.0), 0.4)
-        flipped = (-q.x, -q.y, -q.z, -q.w)
+        q = scalar_from_axis_angle((1.0, 0.0, 0.0), 0.4)
+        flipped = tuple(-c for c in q)
         path = tmp_path / "flipped.dgrc"
         with RecordingWriter(path, 2, 30.0) as writer:
             for i in range(3):
@@ -452,6 +452,25 @@ class TestBench:
         assert flow.received == flow.sent - flow.dropped
         assert flow.received >= 0.9 * 3.0 * 30
 
+    def test_relay_child_dying_before_its_port_raises(self):
+        # ServerConfig rejects max_clients=1 in the child, which exits
+        # without announcing a port: the wait ends with EOFError instead of
+        # blocking forever. A thread keeps a regression from hanging the run.
+        outcome = []
+
+        def start():
+            try:
+                _start_server(BenchParams(), max_clients=1)
+            except EOFError as exc:
+                outcome.append(exc)
+
+        waiter = threading.Thread(target=start, daemon=True)
+        began = time.monotonic()
+        waiter.start()
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive(), "_start_server still waiting after 10 s"
+        assert outcome and time.monotonic() - began < 10.0
+
 
 class TestCli:
     def test_synth_bounds_correct_pipeline(self, tmp_path):
@@ -596,6 +615,11 @@ class TestCli:
         (["bench", "--scenario", "swarm", "--capacity", "100"], "run_latency_experiment"),
         (["bench", "--scenario", "swarm", "--capacity", "1"], "run_latency_experiment"),
         (["bench", "--scenario", "swarm", "--capacity", "8192"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--clients", "-3"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--clients", "1"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--duration", "-1"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--duration", "nan"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--duration", "inf"], "run_latency_experiment"),
         (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "0"], "load_recording"),
         (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "nan"], "load_recording"),
         (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "301"], "load_recording"),
@@ -626,6 +650,8 @@ class TestCli:
         for capacity in ("2", "4096"):
             args = parse(["bench", "--scenario", "swarm", "--capacity", capacity, "--fps", "0.5"])
             assert args.capacity == int(capacity) and args.fps == 0.5
+        args = parse(["bench", "--scenario", "swarm", "--clients", "2", "--duration", "0"])
+        assert args.clients == 2 and args.duration == 0.0
         for bpm in ("30", "300"):
             assert parse(["correct", "--in", "a", "--out", "b", "--bpm", bpm]).bpm == float(bpm)
         for bits in ("8", "24"):

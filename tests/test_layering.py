@@ -1,4 +1,6 @@
 """Each process loads only the modules it runs: the relay path has no numpy."""
+import importlib
+import pkgutil
 import subprocess
 import sys
 import types
@@ -29,6 +31,10 @@ def test_every_public_name_and_submodule_resolves():
     for name in dancegraph.__all__:
         assert getattr(dancegraph, name) is not None, name
         assert name in dir(dancegraph)
+    for info in pkgutil.iter_modules(dancegraph.__path__):
+        module = importlib.import_module(f"dancegraph.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
     assert isinstance(dancegraph.codec, types.ModuleType)
     assert dancegraph.codec.encode_frame is dancegraph.encode_frame
     assert dancegraph.transport.RelayServer is dancegraph.RelayServer

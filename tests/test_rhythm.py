@@ -8,11 +8,9 @@ from dancegraph.core import (
     BodyZone,
     MeanConvergenceError,
     PoseFrame,
-    UnitQuaternion,
-    from_axis_angle,
-    geodesic_distance,
     rows_conjugate,
     rows_exp_half,
+    rows_from_axis_angle,
     rows_multiply,
     rows_normalize,
     rows_scale_rotation,
@@ -45,6 +43,8 @@ from dancegraph.rhythm import (
     run_corrective_pipeline,
 )
 
+from conftest import geodesic_distance
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -53,12 +53,12 @@ def sway_frames(
 ):
     frames = []
     n = int(duration_s * fps)
-    identity = UnitQuaternion(0, 0, 0, 1)
+    identity = (0, 0, 0, 1)
     rng = np.random.default_rng(0)
     for i in range(n):
         t = i / fps
         angle = amp * math.sin(TWO_PI * freq * t + phase)
-        q = from_axis_angle((1, 0, 0), angle)
+        q = rows_from_axis_angle(np.array([[1.0, 0.0, 0.0]]), [angle])[0]
         ts = round(i * 1e6 / fps)
         if jitter:
             ts += int(rng.uniform(-jitter, jitter) * 1e6 / fps)
@@ -91,7 +91,7 @@ def find_extrema_s(values, fps):
 class TestExtractFeatureSeries:
     def test_constant_pose_gives_zero_series(self):
         frames = [
-            PoseFrame(i * 33_333, (0, 0, 0), (UnitQuaternion(0.6, 0, 0, 0.8),))
+            PoseFrame(i * 33_333, (0, 0, 0), ((0.6, 0, 0, 0.8),))
             for i in range(64)
         ]
         series = extract_feature_series(frames, 0, "x")
@@ -467,7 +467,7 @@ class TestAmplifyZones:
                 PoseFrame(
                     round(i * 1e6 / fps),
                     root,
-                    tuple(UnitQuaternion(0, 0, 0, 1) for _ in range(34)),
+                    tuple((0, 0, 0, 1) for _ in range(34)),
                 )
             )
         gains = {z: 1.0 for z in BodyZone}
