@@ -35,10 +35,12 @@ def _deferred(module: str, name: str):
 
 _bounds_from_json = _deferred("codec", "BoundsTable.from_json")
 _check_bits = _deferred("codec", "_check_bits")
+_check_margin = _deferred("codec", "_check_margin")
 analyze_bounds = _deferred("codec", "analyze_bounds")
 BodyZone = _deferred("core", "BodyZone")
 default_skeleton = _deferred("core", "default_skeleton")
 BenchParams = _deferred("harness", "BenchParams")
+_check_session_clients = _deferred("harness", "_check_session_clients")
 corrective_experiment = _deferred("harness", "corrective_experiment")
 record_sink = _deferred("harness", "record_sink")
 replay_stream = _deferred("harness", "replay_stream")
@@ -95,18 +97,15 @@ def _check_seconds(seconds: float) -> None:
         raise ValueError(f"seconds must be finite and >= 0, got {seconds}")
 
 
-def _check_clients(clients: int) -> None:
-    if clients < 2:
-        raise ValueError(f"a session needs at least 2 clients, got {clients}")
-
-
 _parse_max_clients = _checked(int, lambda n: ServerConfig(max_clients=n))
+_parse_timeout_ms = _checked(int, lambda ms: ServerConfig(client_timeout_us=ms * 1000))
 _parse_capacity = _checked(int, _check_capacity)
 _parse_bpm = _checked(float, lambda bpm: BeatGrid(bpm=bpm))
 _parse_bits = _checked(int, _check_bits)
 _parse_fps = _checked(float, _check_fps)
 _parse_seconds = _checked(float, _check_seconds)
-_parse_clients = _checked(int, _check_clients)
+_parse_clients = _checked(int, _check_session_clients)
+_parse_margin = _checked(float, _check_margin)
 
 
 _SIGNAL_TYPES = {
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("server", help="run a relay server")
     p.add_argument("--bind", type=_parse_addr, default=("0.0.0.0", 31415))
     p.add_argument("--max-clients", type=_parse_max_clients, default=64)
-    p.add_argument("--timeout-ms", type=int, default=5000)
+    p.add_argument("--timeout-ms", type=_parse_timeout_ms, default=5000)
     p.set_defaults(func=_cmd_server)
 
     p = sub.add_parser("replay", help="stream a recording to a server")
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server", type=_parse_addr, required=True)
     p.add_argument("--bounds", required=True)
     p.add_argument("--fps", type=_parse_fps, default=30.0)
-    p.add_argument("--duration", type=float, default=None)
+    p.add_argument("--duration", type=_parse_seconds, default=None)
     p.set_defaults(func=_cmd_record)
 
     p = sub.add_parser("bench", help="run a latency experiment")
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="analyze a corpus into a bounds table")
     p.add_argument("--corpus", required=True)
     p.add_argument("--bits", type=_parse_bits, default=16)
-    p.add_argument("--margin", type=float, default=0.1)
+    p.add_argument("--margin", type=_parse_margin, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bounds)
 

@@ -50,6 +50,11 @@ def _check_bits(bits: int) -> None:
         raise ValueError(f"bits_per_component must be in [8, 24], got {bits}")
 
 
+def _check_margin(margin: float) -> None:
+    if not (0.0 <= margin <= 0.5):
+        raise ValueError(f"margin must be in [0, 0.5], got {margin}")
+
+
 class ShapeMismatchError(ValueError):
     """Frame and table (or corpus streams) disagree on joint layout."""
 
@@ -191,8 +196,7 @@ def analyze_bounds(
     barely move get a floor range of 1e-3 centered on the observed value so
     the quantizer never divides by a degenerate span.
     """
-    if not (0.0 <= margin <= 0.5):
-        raise ValueError(f"margin must be in [0, 0.5], got {margin}")
+    _check_margin(margin)
     mins: np.ndarray | None = None
     maxs: np.ndarray | None = None
     joint_count: int | None = None

@@ -45,7 +45,7 @@ from .rhythm import (
     run_corrective_pipeline,
 )
 from .router import Mode, Origin, SignalDescriptor, SignalRouter, SignalSelector
-from .transport import _RECV_BUFSIZE, Client, RelayServer, ServerConfig, client_connect, mono_us
+from .transport import Client, RelayServer, ServerConfig, client_connect, mono_us
 
 __all__ = [
     "synthesize_sway_recording",
@@ -64,6 +64,7 @@ __all__ = [
 
 _TS_PATCH = struct.Struct("<Q")
 _SINK_POLL_INTERVAL_S = 0.005  # record_sink's nap when its ring is empty
+_RELAY_SPARE_SLOTS = 2  # relay slots beyond a session's dancers
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,6 @@ def replay_stream(
     loop: bool = False,
     stop: threading.Event | None = None,
     max_packets: int | None = None,
-    stats: ReplayStats | None = None,
 ) -> ReplayStats:
     """Emit a recording as pose packets on a steady timer.
 
@@ -174,7 +174,7 @@ def replay_stream(
     every frame is still sent, just faster or slower. Blocks until done; run
     it in a thread to drive a live session.
     """
-    stats = stats if stats is not None else ReplayStats()
+    stats = ReplayStats()
     payloads = encode_recording_payloads(recording, table)
     if not payloads:
         return stats
@@ -309,13 +309,18 @@ class BenchParams:
     fps: float = 30.0
     clients: int = 30
     ring_capacity: int = 64
-    bits: int = 16
-    host: str = "127.0.0.1"
+
+
+def _check_session_clients(clients: int) -> None:
+    """Range of `--clients`: 2 or more, seated with _RELAY_SPARE_SLOTS spares in one relay."""
+    if clients < 2:
+        raise ValueError(f"a session needs at least 2 clients, got {clients}")
+    ServerConfig(max_clients=clients + _RELAY_SPARE_SLOTS)
 
 
 def _bench_payload(params: BenchParams) -> tuple[Recording, BoundsTable]:
     recording = synthesize_sway_recording(duration_s=4.0, fps=params.fps)
-    table = analyze_bounds([recording.frames], margin=0.1, bits=params.bits)
+    table = analyze_bounds([recording.frames], margin=0.1, bits=16)
     return recording, table
 
 
@@ -329,10 +334,10 @@ def _proc_cpu_seconds(pid: int) -> float | None:
         return None
 
 
-def _server_process(conn, host: str, max_clients: int, timeout_us: int) -> None:
-    server = RelayServer(
-        ServerConfig(host=host, port=0, max_clients=max_clients, client_timeout_us=timeout_us)
-    ).start()
+def _server_process(conn, max_clients: int, timeout_us: int) -> None:
+    server = RelayServer(ServerConfig(
+        host="127.0.0.1", port=0, max_clients=max_clients, client_timeout_us=timeout_us
+    )).start()
     conn.send(server.port)
     conn.recv()  # stop request
     stats = vars(server.stats).copy()
@@ -341,11 +346,11 @@ def _server_process(conn, host: str, max_clients: int, timeout_us: int) -> None:
     conn.close()
 
 
-def _start_server(params: BenchParams, max_clients: int):
+def _start_server(max_clients: int):
     parent, child = mp.Pipe()
     proc = mp.Process(
         target=_server_process,
-        args=(child, params.host, max_clients, 30_000_000),
+        args=(child, max_clients, 30_000_000),
         daemon=True,
     )
     proc.start()
@@ -357,7 +362,7 @@ def _start_server(params: BenchParams, max_clients: int):
     except EOFError:
         proc.join()
         raise
-    return proc, parent, (params.host, port)
+    return proc, parent, ("127.0.0.1", port)
 
 
 def _stop_server(proc, conn) -> tuple[dict, float | None]:
@@ -428,14 +433,13 @@ def _run_session(scenario: str, params: BenchParams, clients: int) -> LatencyRep
     """`clients` dancers through one relay child, all in the calling thread.
 
     Every client sends one pose per tick. One `select` waits until the next
-    tick is due; every ready socket is drained with non-blocking `recv` into
-    `Client.ingest`, and then the consumers of those clients are polled (no
-    other consumer can have anything new). Each delivery's produce, enqueue,
-    client_in and consume marks fill one row of a preallocated array. The
-    run ends when every expected delivery has been consumed, or 1 s after
-    the last send.
+    tick is due; every ready client drains its socket with `Client.receive()`,
+    and then the consumers of those clients are polled (no other consumer can
+    have anything new). Each delivery's produce, enqueue, client_in and
+    consume marks fill one row of a preallocated array. The run ends when
+    every expected delivery has been consumed, or 1 s after the last send.
     """
-    server_proc, server_conn, addr = _start_server(params, max_clients=clients + 2)
+    server_proc, server_conn, addr = _start_server(clients + _RELAY_SPARE_SLOTS)
     recording, table = _bench_payload(params)
     payloads = [bytearray(p) for p in encode_recording_payloads(recording, table)]
     members = [
@@ -482,14 +486,7 @@ def _run_session(scenario: str, params: BenchParams, clients: int) -> LatencyRep
             wake = end
         ready = [key.data for key, _ in selector.select(wake - now)]
         for client, _ in ready:
-            recv, ingest = client.sock.recv, client.ingest
-            t_in = mono_us()
-            while True:
-                try:
-                    data = recv(_RECV_BUFSIZE)
-                except BlockingIOError:
-                    break
-                ingest(data, t_in)
+            client.receive()
         for _, consumer in ready:
             while packets := consumer.poll(max_packets=256).packets:
                 t_out = mono_us()

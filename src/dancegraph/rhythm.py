@@ -372,7 +372,6 @@ class RemapResult:
     applied: bool
     reason: str | None
     rate: float
-    grid_spacing_us: float | None
     phase_target_us: float
     warp: list[WarpSample]
 
@@ -539,18 +538,18 @@ def beat_align_remap(
     """
     frames = list(stream)
     if len(frames) < 2:
-        return RemapResult(frames, False, "stream too short", 1.0, None, 0.0, [])
+        return RemapResult(frames, False, "stream too short", 1.0, 0.0, [])
     ref = float(frames[0].timestamp_us if phase_reference_us is None else phase_reference_us)
 
     match = _match_tempo(detected.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
     if match is None:
-        return RemapResult(frames, False, "tempo mismatch", 1.0, None, 0.0, [])
+        return RemapResult(frames, False, "tempo mismatch", 1.0, 0.0, [])
     rate, spacing = match
 
     rotations = np.stack([f.rotations for f in frames])
     steer = {0: (detected, ref, rate, spacing)}
     out, warp = _retime(frames, rotations, grid, params.max_warp_slew, steer)
-    return RemapResult(out, True, None, rate, spacing, warp[0].target_us, warp)
+    return RemapResult(out, True, None, rate, warp[0].target_us, warp)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +662,6 @@ def run_corrective_pipeline(
     skeleton: Skeleton,
     grid: BeatGrid,
     params: CorrectiveParams,
-    *,
-    joints: Sequence[int] | None = None,
 ) -> PipelineResult:
     """Causal windowed beat alignment over a whole stream.
 
@@ -679,18 +676,18 @@ def run_corrective_pipeline(
     window = params.window_frames
     if n < window:
         return PipelineResult(frames, False, "stream shorter than analysis window", [], 1.0, [])
-    joints = list(range(skeleton.joint_count) if joints is None else joints)
 
     hop = window // 2
     ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
     rotations = np.stack([f.rotations for f in frames])  # (n, J, 4)
-    labels = np.repeat(joints, 3).tolist()
+    joints = skeleton.joint_count
+    labels = np.repeat(np.arange(joints), 3).tolist()
     estimates: list[tuple[int, PeriodEstimate | None]] = []
     for end in range(window, n + 1, hop):
         fps = _window_fps(ts[end - window:end])
         # Every x, y, z component of every analysed joint as one zero-mean
         # row, as extract_feature_series builds it: (3 * joints, window).
-        x = np.ascontiguousarray(rotations[end - window:end, joints, :3].reshape(window, -1).T)
+        x = np.ascontiguousarray(rotations[end - window:end, :joints, :3].reshape(window, -1).T)
         x -= x.mean(axis=-1, keepdims=True)
         per_row = _detect_periods(x, fps, params.detection_threshold, labels)
         per_joint: list[PeriodEstimate] = []

@@ -13,6 +13,9 @@ Design notes, all serving the lag-first goal:
 * Sends go to the socket the moment they are produced, and the same payload
   is simultaneously published to the local in-process router, so local
   consumers never wait on the network (the dual path).
+* Client sockets never block. Owners call `Client.receive()`, which drains
+  the socket and keeps the session alive (the join, the receive thread and
+  the latency session runner all do), or feed datagrams to `Client.ingest()`.
 
 Control protocol (signal type = CONTROL):
 
@@ -38,6 +41,7 @@ parties share one host.
 """
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
 import threading
@@ -104,6 +108,8 @@ class ServerConfig:
         # Ids run from 1 to max_clients; UNASSIGNED_ID itself is never handed out.
         if not 2 <= self.max_clients < UNASSIGNED_ID:
             raise ValueError(f"max_clients must be in [2, {UNASSIGNED_ID - 1}]")
+        if self.client_timeout_us < 1:
+            raise ValueError(f"client_timeout_us must be >= 1, got {self.client_timeout_us}")
 
 
 @dataclass
@@ -335,9 +341,9 @@ class Client:
     (signal type, P, NETWORK); everything this client sends is echoed to
     (signal type, own id, LOCAL) at the same time it hits the socket.
 
-    With `start_receiver=False` the owner pumps `ingest()` from its own loop
-    and the client sends no keepalives: it stays registered only while it
-    keeps sending within the relay's client timeout.
+    The socket never blocks. `receive()` drains it and keeps the session
+    registered; a thread runs it (`start_receiver=True`), or the owner calls
+    it from its own loop, or hands the datagrams to `ingest()` itself.
     """
 
     def __init__(
@@ -363,18 +369,11 @@ class Client:
             None if keepalive_interval_s is None else int(keepalive_interval_s * 1e6)
         )
         self._last_tx_us = mono_us()
-        self._join_seq = 1000  # handshake used low numbers
-        self._thread: threading.Thread | None = None
+        self._join_seq = 0
+        self._sock.setblocking(False)
+        self._thread = threading.Thread(target=self._recv_loop, name="client-recv", daemon=True)
         if start_receiver:
-            self._thread = threading.Thread(
-                target=self._recv_loop, name=f"client-{user_id}-recv", daemon=True
-            )
             self._thread.start()
-        else:
-            # Externally driven: the owner pumps ingest() from its own loop
-            # (the latency session runner services every client from one
-            # selector).
-            self._sock.setblocking(False)
 
     @property
     def user_id(self) -> int:
@@ -427,7 +426,7 @@ class Client:
 
     def close(self) -> None:
         self._stop.set()
-        if self._thread is not None:
+        if self._thread.is_alive():
             self._thread.join(timeout=2.0)
         try:
             self._sock.close()
@@ -442,21 +441,32 @@ class Client:
 
     # -- receive path -------------------------------------------------------
 
-    def _recv_loop(self) -> None:
-        sock = self._sock
-        ingest = self.ingest
-        while not self._stop.is_set():
-            if self._keepalive_us is not None:
-                now = mono_us()
-                if now - self._last_tx_us > self._keepalive_us:
-                    self._send_keepalive(now)
+    def receive(self) -> int:
+        """Ingest every queued datagram under one arrival time, then send a
+        keepalive if one is due. Never blocks; returns the datagrams taken."""
+        recv, ingest = self._sock.recv, self.ingest
+        now = mono_us()
+        taken = 0
+        while True:
             try:
-                data, _ = sock.recvfrom(_RECV_BUFSIZE)
-            except socket.timeout:
-                continue
-            except OSError:
+                data = recv(_RECV_BUFSIZE)
+            except BlockingIOError:
                 break
-            ingest(data, mono_us())
+            ingest(data, now)
+            taken += 1
+        if self._keepalive_us is not None and now - self._last_tx_us > self._keepalive_us:
+            self._send_keepalive(now)
+        return taken
+
+    def _recv_loop(self) -> None:
+        with selectors.DefaultSelector() as readable:
+            readable.register(self._sock, selectors.EVENT_READ)
+            while not self._stop.is_set():
+                readable.select(0.05)  # bounds how long close() waits
+                try:
+                    self.receive()
+                except OSError:
+                    break
 
     def _send_keepalive(self, now: int, user_id: int | None = None) -> None:
         # A repeat JOIN doubles as the keepalive: the server refreshes the
@@ -509,10 +519,10 @@ class Client:
             return
         (subject,) = _U16.unpack(packet.payload)
         if packet.user_id == subject:
-            # A JOIN-ACK reaches only the joining endpoint: a different id is
-            # this client's new one after an eviction (the old id may belong
-            # to another dancer now). The next send() closes the echo
-            # streams under the old id.
+            # A JOIN-ACK reaches only the joining endpoint: it names this
+            # client's first id, or its new one after an eviction (the old
+            # id may belong to another dancer now). The next send() closes
+            # the echo streams under the old id.
             self.session.user_id = subject
             return
         if packet.user_id != SERVER_ID:
@@ -534,66 +544,46 @@ class Client:
 def client_connect(
     server_addr: tuple[str, int],
     *,
-    router: SignalRouter | None = None,
     retries: int = 3,
     retry_interval_s: float = 0.2,
     peer_ring_capacity: int = 64,
     start_receiver: bool = True,
     keepalive_interval_s: float | None = 2.0,
 ) -> Client:
-    """Join a relay server: send JOIN, await the assigned id, start receiving.
+    """Join a relay server the way a client re-joins after a LEAVE: send an
+    unassigned JOIN and `receive()` until the ACK's id is adopted.
 
-    Retries the JOIN `retries` times, `retry_interval_s` apart, then raises
-    ConnectTimeoutError. The receive thread keeps the session registered by
-    re-joining every `keepalive_interval_s` of send silence, so consume-only
-    clients are not evicted.
+    Retries the JOIN `retries` times, `retry_interval_s` apart, then closes
+    the client and raises ConnectTimeoutError. `receive()` re-joins after
+    every `keepalive_interval_s` of send silence, so consume-only clients
+    are not evicted; `start_receiver` runs it on a thread.
     """
+    # Resolved once: a bad host name fails here, not as a silent keepalive.
+    server_addr = socket.getaddrinfo(*server_addr, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _CLIENT_RCVBUF)
-    sock.settimeout(retry_interval_s)
-    join_seq = 0
-    try:
-        for _ in range(retries):
-            join_seq += 1
-            sock.sendto(
-                frame_packet(SignalType.CONTROL, UNASSIGNED_ID, join_seq, mono_us()),
-                server_addr,
-            )
-            deadline = time.monotonic() + retry_interval_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                sock.settimeout(remaining)
-                try:
-                    data, _ = sock.recvfrom(_RECV_BUFSIZE)
-                except socket.timeout:
-                    break
-                except OSError:
-                    break
-                try:
-                    packet = parse_packet(data)
-                except CorruptPacketError:
-                    continue
-                if (
-                    packet.signal_type is SignalType.CONTROL
-                    and packet.payload_len == 2
-                    and packet.user_id == _U16.unpack(packet.payload)[0]
-                ):
-                    sock.settimeout(0.05)
-                    return Client(
-                        sock,
-                        server_addr,
-                        packet.user_id,
-                        router if router is not None else SignalRouter(),
-                        peer_ring_capacity=peer_ring_capacity,
-                        start_receiver=start_receiver,
-                        keepalive_interval_s=keepalive_interval_s,
-                    )
-    except Exception:
-        sock.close()
-        raise
-    sock.close()
-    raise ConnectTimeoutError(
-        f"no join acknowledgement from {server_addr} after {retries} attempts"
+    client = Client(
+        sock, server_addr, UNASSIGNED_ID, SignalRouter(),
+        peer_ring_capacity=peer_ring_capacity,
+        start_receiver=False,
+        keepalive_interval_s=keepalive_interval_s,
     )
+    try:
+        with selectors.DefaultSelector() as readable:
+            readable.register(sock, selectors.EVENT_READ)
+            for _ in range(retries):
+                client._send_keepalive(mono_us())
+                deadline = time.monotonic() + retry_interval_s
+                while client.user_id == UNASSIGNED_ID and time.monotonic() < deadline:
+                    readable.select(deadline - time.monotonic())
+                    client.receive()
+                if client.user_id != UNASSIGNED_ID:
+                    if start_receiver:
+                        client._thread.start()
+                    return client
+        raise ConnectTimeoutError(
+            f"no join acknowledgement from {server_addr} after {retries} attempts"
+        )
+    except BaseException:
+        client.close()
+        raise

@@ -460,7 +460,7 @@ class TestBench:
 
         def start():
             try:
-                _start_server(BenchParams(), max_clients=1)
+                _start_server(max_clients=1)
             except EOFError as exc:
                 outcome.append(exc)
 
@@ -591,6 +591,7 @@ class TestCli:
     @pytest.mark.parametrize("option", [
         ["--max-clients", "70000"], ["--max-clients", "1"], ["--max-clients", "some"],
         ["--bind", "127.0.0.1:70000"], ["--bind", "127.0.0.1:-1"],
+        ["--timeout-ms", "0"], ["--timeout-ms", "-1"], ["--timeout-ms", "soon"],
     ], ids="=".join)
     def test_bad_server_option_exits_before_binding(self, monkeypatch, option):
         monkeypatch.setattr(
@@ -602,10 +603,10 @@ class TestCli:
 
     def test_server_option_bounds_are_inclusive(self):
         args = build_parser().parse_args(
-            ["server", "--bind", "127.0.0.1:65535", "--max-clients", "65534"]
+            ["server", "--bind", "127.0.0.1:65535", "--max-clients", "65534", "--timeout-ms", "1"]
         )
         assert args.bind == ("127.0.0.1", 65535)
-        assert args.max_clients == 0xFFFE
+        assert args.max_clients == 0xFFFE and args.timeout_ms == 1
         args = build_parser().parse_args(["server", "--bind", "127.0.0.1:0", "--max-clients", "2"])
         assert args.bind == ("127.0.0.1", 0) and args.max_clients == 2
 
@@ -617,6 +618,8 @@ class TestCli:
         (["bench", "--scenario", "swarm", "--capacity", "8192"], "run_latency_experiment"),
         (["bench", "--scenario", "swarm", "--clients", "-3"], "run_latency_experiment"),
         (["bench", "--scenario", "swarm", "--clients", "1"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--clients", "70000"], "run_latency_experiment"),
+        (["bench", "--scenario", "swarm", "--clients", "65533"], "run_latency_experiment"),
         (["bench", "--scenario", "swarm", "--duration", "-1"], "run_latency_experiment"),
         (["bench", "--scenario", "swarm", "--duration", "nan"], "run_latency_experiment"),
         (["bench", "--scenario", "swarm", "--duration", "inf"], "run_latency_experiment"),
@@ -628,10 +631,17 @@ class TestCli:
         (["synth", "--out", "o.dgrc", "--seconds", "-1"], "save_recording"),
         (["bounds", "--corpus", ".", "--out", "b.json", "--bits", "0"], "load_recording"),
         (["bounds", "--corpus", ".", "--out", "b.json", "--bits", "40"], "load_recording"),
+        (["bounds", "--corpus", ".", "--out", "b.json", "--margin", "0.9"], "load_recording"),
+        (["bounds", "--corpus", ".", "--out", "b.json", "--margin", "-0.1"], "load_recording"),
+        (["bounds", "--corpus", ".", "--out", "b.json", "--margin", "nan"], "load_recording"),
         (["replay", "--file", "take.dgrc", "--server", "127.0.0.1:9", "--fps", "0"],
          "load_recording"),
         (["record", "--out", "o.dgrc", "--server", "127.0.0.1:9", "--bounds", "b.json",
           "--fps", "-30"], "client_connect"),
+        (["record", "--out", "o.dgrc", "--server", "127.0.0.1:9", "--bounds", "b.json",
+          "--duration", "nan"], "client_connect"),
+        (["record", "--out", "o.dgrc", "--server", "127.0.0.1:9", "--bounds", "b.json",
+          "--duration", "-1"], "client_connect"),
     ], ids=lambda v: "=".join(v[-2:]) if isinstance(v, list) else v)
     def test_bad_numeric_option_exits_before_opening(
         self, tmp_path, monkeypatch, capsys, argv, opener
@@ -652,6 +662,12 @@ class TestCli:
             assert args.capacity == int(capacity) and args.fps == 0.5
         args = parse(["bench", "--scenario", "swarm", "--clients", "2", "--duration", "0"])
         assert args.clients == 2 and args.duration == 0.0
+        assert parse(["bench", "--scenario", "swarm", "--clients", "65532"]).clients == 65532
+        for margin in ("0", "0.5"):
+            args = parse(["bounds", "--corpus", "c", "--out", "b", "--margin", margin])
+            assert args.margin == float(margin)
+        args = parse(["record", "--out", "o", "--server", "h:1", "--bounds", "b", "--duration", "0"])
+        assert args.duration == 0.0
         for bpm in ("30", "300"):
             assert parse(["correct", "--in", "a", "--out", "b", "--bpm", bpm]).bpm == float(bpm)
         for bits in ("8", "24"):

@@ -16,8 +16,8 @@ def test_relay_path_and_server_command_load_without_numpy():
         "import sys\n"
         "import dancegraph.transport, dancegraph.packet, dancegraph.router\n"
         "from dancegraph.cli import build_parser\n"
-        "args = build_parser().parse_args(['server', '--bind', '127.0.0.1:0'])\n"
-        "assert args.bind == ('127.0.0.1', 0), args\n"
+        "args = build_parser().parse_args(['server', '--bind', '127.0.0.1:0', '--timeout-ms', '9'])\n"
+        "assert args.bind == ('127.0.0.1', 0) and args.timeout_ms == 9, args\n"
         "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
         "assert not loaded, loaded[:5]\n"
     )

@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import numpy as np
@@ -51,6 +52,47 @@ def raw_join(addr, port=0):
     raw.settimeout(1.0)
     raw.sendto(frame_packet(SignalType.CONTROL, 0xFFFF, 1, mono_us()), addr)
     return raw, parse_packet(raw.recv(2048)).user_id
+
+
+@pytest.fixture
+def fake_relay():
+    """A raw UDP socket standing in for a relay. `start(answer)` serves it
+    on a thread: the n-th datagram received is answered with one CONTROL
+    packet per (header id, payload id) pair in `answer(n)`. Returns the
+    address and the list of received header ids."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(0.05)
+    stop = threading.Event()
+    threads = []
+
+    def start(answer):
+        heard = []
+
+        def serve():
+            while not stop.is_set():
+                try:
+                    data, addr = sock.recvfrom(2048)
+                except socket.timeout:
+                    continue
+                heard.append(parse_packet(data).user_id)
+                for header_id, subject in answer(len(heard)):
+                    reply = frame_packet(
+                        SignalType.CONTROL, header_id, len(heard), mono_us(),
+                        subject.to_bytes(2, "little"),
+                    )
+                    sock.sendto(reply, addr)
+
+        threads.append(threading.Thread(target=serve, daemon=True))
+        threads[-1].start()
+        return sock.getsockname(), heard
+
+    yield start
+    stop.set()
+    for thread in threads:
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+    sock.close()
 
 
 def network_streams(client):
@@ -349,6 +391,73 @@ class TestRelayServer:
         for bad in (1, UNASSIGNED_ID, 1 << 20):
             with pytest.raises(ValueError):
                 ServerConfig(max_clients=bad)
+
+
+    @pytest.mark.parametrize("timeout_us", [0, -1, -5_000_000])
+    def test_client_timeout_must_be_positive(self, timeout_us):
+        # A relay that evicted every client on every scan.
+        with pytest.raises(ValueError, match="client_timeout_us"):
+            ServerConfig(client_timeout_us=timeout_us)
+        assert ServerConfig(client_timeout_us=1).client_timeout_us == 1
+
+
+class TestJoin:
+    def test_join_retries_until_acked(self, fake_relay):
+        addr, heard = fake_relay(lambda n: [] if n == 1 else [(5, 5)])
+        with client_connect(addr, retries=2, start_receiver=False) as client:
+            assert client.user_id == 5
+        assert heard == [UNASSIGNED_ID, UNASSIGNED_ID]
+
+    @pytest.mark.parametrize("subject", [9, UNASSIGNED_ID])
+    def test_leave_before_ack_does_not_end_join(self, fake_relay, subject):
+        addr, _ = fake_relay(lambda n: [(SERVER_ID, subject), (4, 4)])
+        with client_connect(addr, retries=1, start_receiver=False) as client:
+            assert client.user_id == 4
+
+    def test_connect_timeout_closes_the_socket(self, fake_relay, monkeypatch):
+        addr, heard = fake_relay(lambda n: [])
+        closed, close = [], Client.close
+        monkeypatch.setattr(Client, "close", lambda self: closed.append(self) or close(self))
+        with pytest.raises(ConnectTimeoutError):
+            client_connect(addr, retries=2, retry_interval_s=0.05)
+        assert [c.sock.fileno() for c in closed] == [-1]
+        assert heard == [UNASSIGNED_ID, UNASSIGNED_ID]
+
+    def test_bad_host_name_raises_before_joining(self, monkeypatch):
+        def unknown(*args):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", unknown)
+        began = time.monotonic()
+        with pytest.raises(socket.gaierror):
+            client_connect(("relay.invalid", 9))
+        assert time.monotonic() - began < 0.1
+
+    def test_pumped_client_receive_keeps_session_registered(self):
+        srv = RelayServer(ServerConfig(host="127.0.0.1", client_timeout_us=300_000)).start()
+        try:
+            with client_connect(
+                ("127.0.0.1", srv.port), start_receiver=False, keepalive_interval_s=0.05
+            ) as client:
+                assert client.sock.gettimeout() == 0.0
+                until = time.monotonic() + 0.9
+                while time.monotonic() < until:
+                    client.receive()
+                    time.sleep(0.01)
+                assert (srv.stats.joins, srv.stats.evictions) == (1, 0)
+                assert client.user_id == 1
+        finally:
+            srv.stop()
+
+    def test_receive_thread_exits_soon_after_close(self, server):
+        client = client_connect(("127.0.0.1", server.port))
+        thread = client._thread
+        assert thread.is_alive()
+        assert client.sock.gettimeout() == 0.0  # send() drops, never waits
+        began = time.monotonic()
+        client.close()
+        assert time.monotonic() - began < 0.5
+        assert not thread.is_alive()
 
 
 class TestRejoin:
