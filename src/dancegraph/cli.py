@@ -92,6 +92,11 @@ def _check_fps(fps: float) -> None:
         raise ValueError(f"fps must be positive and finite, got {fps}")
 
 
+def _check_finite(value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {value}")
+
+
 def _check_seconds(seconds: float) -> None:
     if not 0.0 <= seconds < math.inf:
         raise ValueError(f"seconds must be finite and >= 0, got {seconds}")
@@ -106,6 +111,9 @@ _parse_fps = _checked(float, _check_fps)
 _parse_seconds = _checked(float, _check_seconds)
 _parse_clients = _checked(int, _check_session_clients)
 _parse_margin = _checked(float, _check_margin)
+_parse_finite = _checked(float, _check_finite)
+# `correct` turns the offset into whole microseconds.
+_parse_phase_ms = _checked(float, lambda ms: _check_finite(ms * 1000.0))
 
 
 _SIGNAL_TYPES = {
@@ -324,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bpm", type=_parse_bpm, default=120.0)
-    p.add_argument("--phase-ms", type=float, default=0.0)
+    p.add_argument("--phase-ms", type=_parse_phase_ms, default=0.0)
     p.add_argument("--gains", type=_parse_gain, nargs="*", default=None, metavar="zone=gain")
     p.add_argument("--config", default=None, help="corrective config JSON overriding the flags")
     p.add_argument("--json", default=None)
@@ -341,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seconds", type=_parse_seconds, default=30.0)
     p.add_argument("--fps", type=_parse_fps, default=30.0)
-    p.add_argument("--hz", type=float, default=1.0)
-    p.add_argument("--amplitude", type=float, default=0.35)
-    p.add_argument("--phase", type=float, default=0.0)
+    p.add_argument("--hz", type=_parse_finite, default=1.0)
+    p.add_argument("--amplitude", type=_parse_finite, default=0.35)
+    p.add_argument("--phase", type=_parse_finite, default=0.0)
     p.set_defaults(func=_cmd_synth)
 
     return parser

@@ -139,12 +139,21 @@ def rows_conjugate(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_half_weight(vn: np.ndarray, w: np.ndarray) -> np.ndarray:
+# Squared norms are floored at this before their square roots, so no
+# division meets a zero: with no vector part the log weight is atan(t)/t ==
+# 1/|w|, and a zero Karcher step scales by sin(t)/t == 1 (t = 1e-150).
+_SQUARED_NORM_FLOOR = 1e-300
+
+
+def _log_half_weight(vn2: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-row f with rows_log_half(q) == f * v for q = (v, w), given the
-    vector norm vn = |v|: the half angle over |v| (1 near the identity),
-    negated where w < 0."""
-    f = np.divide(np.arctan2(vn, np.abs(w)), vn, out=np.ones_like(vn), where=vn > 1e-12)
-    return np.negative(f, out=f, where=w < 0.0)
+    squared vector norm vn2 = |v|^2: the half angle over |v| (1/|w| near
+    the identity), negated where w < 0."""
+    vn = np.sqrt(np.maximum(vn2, _SQUARED_NORM_FLOOR))
+    f = np.arctan2(vn, np.abs(w))
+    f /= vn
+    # w + 0.0 turns -0.0 into +0.0, so only w < 0 gives a negative sign.
+    return np.copysign(f, w + 0.0, out=f)
 
 
 def rows_log_half(arr: np.ndarray) -> np.ndarray:
@@ -153,8 +162,7 @@ def rows_log_half(arr: np.ndarray) -> np.ndarray:
     own direction is used."""
     q = np.asarray(arr, dtype=np.float64)
     v = q[..., :3]
-    vn = np.sqrt(np.einsum("...k,...k->...", v, v))
-    return v * _log_half_weight(vn, q[..., 3])[..., None]
+    return v * _log_half_weight(np.einsum("...k,...k->...", v, v), q[..., 3])[..., None]
 
 
 def rows_exp_half(vec: np.ndarray) -> np.ndarray:
@@ -213,16 +221,6 @@ def rows_slerp(a: np.ndarray, b: np.ndarray, u: float | np.ndarray) -> np.ndarra
     return out
 
 
-# For (x, y, z, w) rows, conj(m) * q == q @ _conj_product_matrix(m) and
-# m * q == q @ _conj_product_matrix(m).T; entry (i, k) is sign * m[index].
-_CONJ_PRODUCT_INDEX = np.array([[3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2], [0, 1, 2, 3]])
-_CONJ_PRODUCT_SIGN = np.array([[1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1], [-1, -1, -1, 1]])
-
-
-def _conj_product_matrix(m: np.ndarray) -> np.ndarray:
-    return m[..., _CONJ_PRODUCT_INDEX] * _CONJ_PRODUCT_SIGN
-
-
 def karcher_mean_rows(
     rows: np.ndarray,
     tolerance: float = 1e-8,
@@ -231,36 +229,42 @@ def karcher_mean_rows(
 ) -> np.ndarray:
     """Tangent-space iterative mean of quaternions: rows (..., N, 4) and init
     (..., 4), one mean per leading index, started from its first row by
-    default. Rows and init are normalized, then _karcher_unit iterates. A
-    mean stops moving once its step angle is below `tolerance`, as if
-    averaged alone; the call returns when every mean has stopped."""
+    default. Rows and init are normalized, then _karcher_columns iterates on
+    the rows transposed. A mean stops moving once its step angle is below
+    `tolerance`, as if averaged alone; the call returns when every mean has
+    stopped."""
     unit = rows_normalize(np.asarray(rows, dtype=np.float64))
     mean = rows_normalize(np.array(unit[..., 0, :] if init is None else init, dtype=np.float64))
-    return _karcher_unit(unit, mean, tolerance, max_iterations)
+    cols = np.ascontiguousarray(np.swapaxes(unit, -1, -2))
+    return _karcher_columns(cols, mean, tolerance, max_iterations)
 
 
-def _karcher_unit(
-    unit: np.ndarray, mean: np.ndarray, tolerance: float, max_iterations: int
+def _karcher_columns(
+    cols: np.ndarray, mean: np.ndarray, tolerance: float, max_iterations: int
 ) -> np.ndarray:
-    """The Karcher iteration on rows (..., N, 4) and means (..., 4) that are
-    already of unit norm, which it requires and does not check.
+    """The Karcher iteration on unit rows stored component-major, cols
+    (..., 4, N), and unit means m (..., 4), which it requires and does not
+    check.
 
-    Each iteration is one matvec, one log-weight and one weighted row sum:
-    w = rows @ mean is the w part of conj(mean) * row, whose vector part then
-    has norm sqrt(1 - w^2); with the log-map weights f the tangent step is
-    vec(conj(mean) * (f @ rows)) / N, the mean of the rows' log maps, since
-    conj(mean) * q is linear in q. The sign of w resolves the double cover
-    towards the current mean.
+    w = m @ cols is the w part of conj(m) * row, whose vector part has norm
+    sqrt(1 - w^2): that gives each row its log-map weight f, and the sign of
+    w resolves the double cover towards m. With s = cols @ f,
+    m * (vec(conj(m) * s), 0) == s - (m . s) m, so the mean log map carried
+    back to m is the tangent step g = (s - (m . s) m) / N, and the new mean
+    is cos|g| m + sin|g| g / |g|, renormalized.
     """
+    n = cols.shape[-1]
     done = np.zeros(mean.shape[:-1], dtype=bool)
     for _ in range(max_iterations):
-        w = (unit @ mean[..., None])[..., 0]
-        weight = _log_half_weight(np.sqrt(np.maximum(1.0 - w * w, 0.0)), w)
-        product = _conj_product_matrix(mean)
-        step = ((weight[..., None, :] @ unit) @ product)[..., 0, :3] / unit.shape[-2]
-        moved = rows_normalize(np.einsum("...jk,...k->...j", product, rows_exp_half(step)))
+        w = (mean[..., None, :] @ cols)[..., 0, :]
+        f = _log_half_weight(1.0 - w * w, w)
+        s = (cols @ f[..., None])[..., 0]
+        g = s - (mean * s).sum(axis=-1, keepdims=True) * mean
+        g /= n
+        half = np.sqrt(np.maximum((g * g).sum(axis=-1, keepdims=True), _SQUARED_NORM_FLOOR))
+        moved = rows_normalize(mean * np.cos(half) + g * (np.sin(half) / half))
         mean = np.where(done[..., None], mean, moved)
-        done |= 2.0 * np.sqrt((step * step).sum(axis=-1)) < tolerance
+        done |= 2.0 * half[..., 0] < tolerance
         if done.all():
             return mean
     raise MeanConvergenceError(

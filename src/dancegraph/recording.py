@@ -12,6 +12,7 @@ partial frame, so every file on disk replays.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,14 @@ class RecordingFormatError(ValueError):
     pass
 
 
+def _check_header(joint_count: int, nominal_fps: float) -> None:
+    if joint_count < 1:
+        raise RecordingFormatError("joint_count must be >= 1")
+    # A NaN or infinite rate has no frame interval to replay or window by.
+    if not 0.0 < nominal_fps < math.inf:
+        raise RecordingFormatError(f"nominal_fps must be positive and finite, got {nominal_fps}")
+
+
 @dataclass
 class Recording:
     joint_count: int
@@ -49,10 +58,7 @@ class Recording:
     version: int = VERSION
 
     def __post_init__(self) -> None:
-        if self.joint_count < 1:
-            raise RecordingFormatError("joint_count must be >= 1")
-        if self.nominal_fps <= 0:
-            raise RecordingFormatError("nominal_fps must be positive")
+        _check_header(self.joint_count, self.nominal_fps)
 
     def validate(self) -> None:
         prev = None
@@ -69,6 +75,7 @@ class RecordingWriter:
     tail so the file always ends on a frame boundary."""
 
     def __init__(self, path: str | Path, joint_count: int, nominal_fps: float):
+        _check_header(joint_count, nominal_fps)
         self.path = Path(path)
         self.joint_count = joint_count
         self._layout = _frame_layout(joint_count)
@@ -132,8 +139,7 @@ def load_recording(path: str | Path) -> Recording:
         raise RecordingFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise RecordingFormatError(f"unsupported recording version {version}")
-    if joint_count < 1:
-        raise RecordingFormatError("joint_count must be >= 1")
+    _check_header(joint_count, fps)
     layout = _frame_layout(joint_count)
     count = (len(data) - _HEADER.size) // layout.itemsize
     body = np.frombuffer(data, dtype=layout, count=count, offset=_HEADER.size)

@@ -48,7 +48,7 @@ from .core import (
     BodyZone,
     PoseFrame,
     Skeleton,
-    _karcher_unit,
+    _karcher_columns,
     rows_normalize,
     rows_scale_rotation,
     rows_slerp,
@@ -568,10 +568,11 @@ def amplify_zones(
     where the reference is the geodesic mean over the trailing
     `reference_window` frames: one batched Karcher mean over all active joints
     per frame, warm-started from the previous frame's. The active tracks are
-    normalized once per take into one contiguous (A, n, 4) block, and each
-    frame's mean iterates on a plain slice of it, one matvec, one log-weight
-    and one weighted row sum per iteration (see _karcher_unit). The root
-    translation's deviation from its rolling mean is scaled by the hips gain.
+    normalized once per take into one contiguous component-major (A, 4, n)
+    block, and each frame's mean iterates on the slice of its window: two
+    matrix-vector products and one tangent-space step per iteration (see
+    _karcher_columns). The root translation's deviation from its rolling
+    mean is scaled by the hips gain.
     Frames before the window fills pass through unchanged. Zones with gain
     exactly 1.0 are left untouched byte-for-byte.
     """
@@ -595,12 +596,12 @@ def amplify_zones(
 
     if active:
         tracks = rotations[:, active]  # (n, A, 4)
-        unit = rows_normalize(np.ascontiguousarray(tracks.swapaxes(0, 1)))  # (A, n, 4)
+        block = np.ascontiguousarray(rows_normalize(tracks).transpose(1, 2, 0))  # (A, 4, n)
         references = np.empty((n - first, len(active), 4))
-        reference = unit[:, 0]
+        reference = block[:, :, 0]
         for i in range(n - first):
-            window = unit[:, i:i + reference_window]
-            reference = references[i] = _karcher_unit(
+            window = block[:, :, i:i + reference_window]
+            reference = references[i] = _karcher_columns(
                 window, reference, 1e-9, _MEAN_MAX_ITERATIONS
             )
         gains = np.array([joint_gain[j] for j in active])[:, None]

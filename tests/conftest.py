@@ -110,6 +110,17 @@ def frames_from_rows(rows: np.ndarray, joint_count: int) -> list[PoseFrame]:
     return frames
 
 
+# For (x, y, z, w) rows, conj(m) * q == q @ _conj_product_matrix(m) and
+# m * q == q @ _conj_product_matrix(m).T; entry (i, k) is sign * m[index].
+# Only the Karcher oracle in test_core.py builds these products.
+_CONJ_PRODUCT_INDEX = np.array([[3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2], [0, 1, 2, 3]])
+_CONJ_PRODUCT_SIGN = np.array([[1, -1, 1, 1], [1, 1, -1, 1], [-1, 1, 1, 1], [-1, -1, -1, 1]])
+
+
+def _conj_product_matrix(m: np.ndarray) -> np.ndarray:
+    return m[..., _CONJ_PRODUCT_INDEX] * _CONJ_PRODUCT_SIGN
+
+
 @pytest.fixture
 def skeleton():
     return default_skeleton()

@@ -17,15 +17,16 @@ from dancegraph.core import (
     rows_conjugate,
     rows_exp_half,
     rows_from_axis_angle,
+    rows_log_half,
     rows_multiply,
     rows_normalize,
     rows_scale_rotation,
     rows_slerp,
 )
-from dancegraph.core import _conj_product_matrix
 
 from conftest import (
     IDENTITY,
+    _conj_product_matrix,
     geodesic_distance,
     rotate_vector,
     scalar_canonicalize,
@@ -496,6 +497,65 @@ class TestKarcherMatchesConjProductKernel:
         assert (rows @ init)[0] == 0.0
         self.assert_matches(rows, 1e-9, init)
         self.assert_matches(np.stack([rows, rows[::-1]]), 1e-9, np.stack([init, init]))
+
+    # The edges below run with every floating-point warning raised: the
+    # kernel floors 1 - w^2 and |g|^2 instead of masking its divisions.
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, 0.5]])
+    def test_rows_on_the_init_mean(self, row):
+        # Rows exactly equal to the mean have w == 1 and 1 - w^2 == 0; two
+        # of the six rows are, among rows up to 0.6 rad away.
+        mean = np.array(row)
+        others = spread_rows(np.random.default_rng(3), (4,), 0.6)
+        rows = np.concatenate([mean[None], others[:2], mean[None], others[2:]])
+        assert 1.0 - (rows @ mean)[0] ** 2 == 0.0
+        with np.errstate(all="raise"):
+            self.assert_matches(rows, 1e-9, mean)
+            self.assert_matches(np.broadcast_to(mean, (7, 4)), 1e-9, mean)
+
+    def test_settled_slice_batched_with_spread(self):
+        # Identical rows on the mean give the step g == 0 exactly, while the
+        # spread slice beside them still moves.
+        settled = np.broadcast_to([0.5, 0.5, 0.5, 0.5], (9, 4))
+        spread = spread_rows(np.random.default_rng(6), (9,), 0.8)
+        rows = np.stack([settled, spread])
+        with np.errstate(all="raise"):
+            self.assert_matches(rows, 1e-9)
+            self.assert_matches(rows, 1e-12, np.stack([settled[0], spread[4]]))
+
+    def test_rows_opposite_the_mean(self):
+        # Negated rows have w < 0 against the mean; -(1, 0, 0, 0) is a
+        # half-turn from the identity, with w == 0.
+        rows = spread_rows(np.random.default_rng(9), (2, 12), 0.5)
+        rows[:, 1::2] *= -1.0
+        init = np.array([0.0, 0.0, 0.0, 1.0])
+        assert np.any(rows @ init < 0.0)
+        half_turn = np.concatenate([[[-1.0, -0.0, -0.0, -0.0]], rot_y(0.2), rot_z(-0.1), rot_x(0.3)])
+        with np.errstate(all="raise"):
+            self.assert_matches(rows, 1e-9)
+            self.assert_matches(rows, 1e-9, np.stack([init, -rows[1, 0]]))
+            self.assert_matches(half_turn, 1e-9, init)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_two_leading_axes(self, warm):
+        rng = np.random.default_rng(12)
+        rows = spread_rows(rng, (2, 3, 30), 0.7)
+        init = rows_canonicalize(rows[..., 5, :] + 0.03) if warm else None
+        with np.errstate(all="raise"):
+            assert karcher_mean_rows(rows, 1e-9, init=init).shape == (2, 3, 4)
+            self.assert_matches(rows, 1e-9, init)
+
+
+class TestLogHalf:
+    def test_sign_rule_at_a_half_turn(self):
+        # Only w < 0 negates the weight: w == -0.0 is the same rotation as
+        # w == +0.0, and the smallest negative w flips the axis.
+        out = rows_log_half(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, -0.0], [1.0, 0.0, 0.0, -1e-300]]))
+        assert out.tolist() == [[math.pi / 2, 0.0, 0.0], [math.pi / 2, 0.0, 0.0], [-math.pi / 2, 0.0, 0.0]]
+
+    def test_identity_has_zero_log(self):
+        with np.errstate(all="raise"):
+            assert rows_log_half(np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]])).tolist() == [[0.0] * 3] * 2
 
 
 class TestScaleRotation:

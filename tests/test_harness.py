@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import threading
 import time
 
@@ -211,6 +212,21 @@ class TestRecordingFile:
         writer.close()
         loaded = load_recording(path)
         assert len(loaded.frames) == 1
+
+    @pytest.mark.parametrize("fps", [math.nan, math.inf, 0.0])
+    def test_header_fps_must_be_positive_and_finite(self, tmp_path, fps):
+        # A take without a usable rate would be replayed at a NaN or zero
+        # interval and windowed by int(nan) in the corrective.
+        path = tmp_path / "bad_fps.dgrc"
+        save_recording(synthesize_sway_recording(duration_s=0.5), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<f", data, 8, fps)
+        path.write_bytes(bytes(data))
+        with pytest.raises(RecordingFormatError, match="nominal_fps"):
+            load_recording(path)
+        with pytest.raises(RecordingFormatError, match="nominal_fps"):
+            RecordingWriter(tmp_path / "never.dgrc", 34, fps)
+        assert not (tmp_path / "never.dgrc").exists()
 
     def test_header_only_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.dgrc"
@@ -626,9 +642,16 @@ class TestCli:
         (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "0"], "load_recording"),
         (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "nan"], "load_recording"),
         (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--bpm", "301"], "load_recording"),
+        (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--phase-ms", "nan"], "load_recording"),
+        (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--phase-ms", "inf"], "load_recording"),
+        (["correct", "--in", "take.dgrc", "--out", "o.dgrc", "--phase-ms", "1e306"], "load_recording"),
         (["synth", "--out", "o.dgrc", "--fps", "0"], "save_recording"),
         (["synth", "--out", "o.dgrc", "--fps", "inf"], "save_recording"),
         (["synth", "--out", "o.dgrc", "--seconds", "-1"], "save_recording"),
+        (["synth", "--out", "o.dgrc", "--hz", "nan"], "save_recording"),
+        (["synth", "--out", "o.dgrc", "--amplitude", "inf"], "save_recording"),
+        (["synth", "--out", "o.dgrc", "--amplitude", "-inf"], "save_recording"),
+        (["synth", "--out", "o.dgrc", "--phase", "nan"], "save_recording"),
         (["bounds", "--corpus", ".", "--out", "b.json", "--bits", "0"], "load_recording"),
         (["bounds", "--corpus", ".", "--out", "b.json", "--bits", "40"], "load_recording"),
         (["bounds", "--corpus", ".", "--out", "b.json", "--margin", "0.9"], "load_recording"),
@@ -673,6 +696,9 @@ class TestCli:
         for bits in ("8", "24"):
             assert parse(["bounds", "--corpus", "c", "--out", "b", "--bits", bits]).bits == int(bits)
         assert parse(["synth", "--out", "o", "--seconds", "0"]).seconds == 0.0
+        args = parse(["synth", "--out", "o", "--hz", "-2.5", "--amplitude", "0", "--phase=-1e300"])
+        assert (args.hz, args.amplitude, args.phase) == (-2.5, 0.0, -1e300)
+        assert parse(["correct", "--in", "a", "--out", "b", "--phase-ms=-1e300"]).phase_ms == -1e300
 
     def test_replay_and_record_cli(self, tmp_path):
         server = RelayServer(
