@@ -28,7 +28,7 @@ _SUBMODULE_OF = {
     ), "recording"),
     **dict.fromkeys((
         "BeatGrid", "CorrectiveParams", "FeatureSeries", "InsufficientDataError",
-        "PeriodEstimate", "aggregate_joint_period", "amplify_zones", "beat_align_remap",
+        "PeriodEstimate", "aggregate_joint_period", "amplify_zones",
         "detect_dominant_period", "extract_feature_series",
     ), "rhythm"),
     **dict.fromkeys((

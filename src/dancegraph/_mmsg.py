@@ -15,7 +15,7 @@ import errno
 import socket
 import struct
 
-__all__ = ["batching_available", "FanoutSender"]
+__all__ = ["FanoutSender"]
 
 _libc = None
 _HAVE = False
@@ -26,10 +26,6 @@ try:
         _HAVE = hasattr(_libc, "sendmmsg")
 except OSError:  # pragma: no cover - exotic platforms
     _HAVE = False
-
-
-def batching_available() -> bool:
-    return _HAVE
 
 
 class _iovec(ctypes.Structure):

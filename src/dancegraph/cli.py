@@ -280,13 +280,18 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    recording = synthesize_sway_recording(
-        duration_s=args.seconds,
-        fps=args.fps,
-        frequency_hz=args.hz,
-        amplitude_rad=args.amplitude,
-        phase_rad=args.phase,
-    )
+    try:
+        recording = synthesize_sway_recording(
+            duration_s=args.seconds,
+            fps=args.fps,
+            frequency_hz=args.hz,
+            amplitude_rad=args.amplitude,
+            phase_rad=args.phase,
+        )
+    except ValueError as exc:
+        # --seconds, --fps and --hz are each in range, but not together.
+        print(f"dancegraph synth: error: {exc}", file=sys.stderr)
+        return 2
     save_recording(recording, args.out)
     print(f"wrote {args.out}: {len(recording.frames)} frames at {args.fps} fps")
     return 0

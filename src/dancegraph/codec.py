@@ -33,8 +33,6 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "max_angular_error",
-    "encoded_frame_bytes",
-    "raw_frame_bytes",
 ]
 
 _COMPONENTS = ("x", "y", "z")
@@ -357,13 +355,3 @@ def max_angular_error(table: BoundsTable) -> float:
     amp = 1.0 / np.maximum(w_min, 0.1)
     bound = 4.0 * np.arcsin(np.minimum(1.0, 0.5 * vec_err * amp))
     return float(bound.max())
-
-
-def encoded_frame_bytes(table: BoundsTable) -> int:
-    """Total EncodedFrame wire size for one frame: timestamp + root + payload."""
-    return _FRAME_PREFIX.size + table.payload_bytes
-
-
-def raw_frame_bytes(joint_count: int) -> int:
-    """Uncompressed frame size: u64 timestamp, 3 x f32 root, 4 x f32 per joint."""
-    return 8 + 12 + joint_count * 16

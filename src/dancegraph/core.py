@@ -408,3 +408,26 @@ class PoseFrame:
         rotations: np.ndarray,
     ) -> "PoseFrame":
         return cls(int(timestamp_us), tuple(map(float, root_translation)), rotations)
+
+
+# A take as one block: timestamps (T,) int64, roots (T, 3) and rotations
+# (T, J, 4) float64. Code that works on whole takes converts with these two.
+
+def _stack_frames(frames: Sequence[PoseFrame]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frames' (timestamps, roots, rotations) block. Unequal joint
+    counts raise ValueError; an empty take has no joints."""
+    ts = np.fromiter((f.timestamp_us for f in frames), dtype=np.int64, count=len(frames))
+    roots = np.array([f.root_translation for f in frames], dtype=np.float64).reshape(-1, 3)
+    if not frames:
+        return ts, roots, np.empty((0, 0, 4))
+    return ts, roots, np.stack([f.rotations for f in frames])
+
+
+def _frames_of(ts: np.ndarray, roots: np.ndarray, rotations: np.ndarray) -> list[PoseFrame]:
+    """Inverse of _stack_frames. `rotations` is marked read-only and each
+    frame shares its row of it."""
+    rotations.setflags(write=False)
+    return [
+        PoseFrame(t, tuple(r), rot)
+        for t, r, rot in zip(ts.tolist(), roots.tolist(), rotations)
+    ]

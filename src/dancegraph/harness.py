@@ -33,9 +33,11 @@ from .codec import (
     decode_frame,
     encode_frame,
 )
-from .core import BodyZone, PoseFrame, Skeleton, default_skeleton, rows_from_axis_angle
+from .core import (
+    BodyZone, PoseFrame, Skeleton, _stack_frames, default_skeleton, rows_from_axis_angle,
+)
 from .packet import SignalPacket, SignalType
-from .recording import Recording, RecordingWriter
+from .recording import Recording, RecordingFormatError, RecordingWriter, save_recording
 from .rhythm import (
     _COMPONENT_INDEX,
     BeatGrid,
@@ -65,6 +67,7 @@ __all__ = [
 _TS_PATCH = struct.Struct("<Q")
 _SINK_POLL_INTERVAL_S = 0.005  # record_sink's nap when its ring is empty
 _RELAY_SPARE_SLOTS = 2  # relay slots beyond a session's dancers
+_MAX_TAKE_BYTES = 1 << 30  # largest rotation block a synthesizer builds
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +88,19 @@ def synthesize_sway_recording(
 ) -> Recording:
     """Build a hip-sway test recording: selected joints rotate about `axis`
     by amplitude * sin(2*pi*f*t + phase); the root sways laterally in step.
-    All other joints hold the identity pose."""
+    All other joints hold the identity pose. A take whose rotation block
+    would exceed 1 GiB, or whose sway phase would overflow, raises
+    ValueError before anything is allocated."""
     skeleton = skeleton or default_skeleton()
     if sway_joints is None:
         sway_joints = skeleton.joints_in_zone(BodyZone.HIPS) or [0]
     frame_count = int(round(duration_s * fps))
+    if frame_count * skeleton.joint_count * 4 * 8 > _MAX_TAKE_BYTES:
+        raise ValueError(f"{frame_count} frames of {skeleton.joint_count} joints exceed 1 GiB")
+    # Bounds every |2 pi f t + phase| below, for t up to the last frame.
+    phase_bound = abs(2.0 * math.pi * frequency_hz) * (frame_count / fps) + abs(phase_rad)
+    if frame_count and not math.isfinite(phase_bound):
+        raise ValueError(f"sway phase at {frequency_hz} Hz over {duration_s} s is not finite")
     dt_us = 1e6 / fps
     rotations = np.zeros((frame_count, skeleton.joint_count, 4))
     rotations[:, :, 3] = 1.0
@@ -214,13 +225,13 @@ def record_sink(
 
     Runs until `stop` is set or `duration_s` elapses, then drains what is
     left in the ring; the file is truncated to the last complete frame on
-    close. Payloads that do not decode for this table, and frames whose
-    timestamp does not advance (a looping replay wraps around), are
-    skipped. Returns the number of frames written.
+    close. Payloads that do not decode for this table, and frames the
+    writer refuses (a timestamp that does not advance, as when a looping
+    replay wraps around, or one past the file's range), are skipped.
+    Returns the number of frames written.
     """
     consumer = router.subscribe(selector, Mode.EVERY)
     deadline = None if duration_s is None else time.monotonic() + duration_s
-    last_ts = None
     with RecordingWriter(path, skeleton.joint_count, nominal_fps) as writer:
         while True:
             stopping = (stop is not None and stop.is_set()) or (
@@ -230,12 +241,9 @@ def record_sink(
             for packet in polled.packets:
                 try:
                     enc = EncodedFrame.from_bytes(packet.payload, table)
-                    frame = decode_frame(enc, table, skeleton)
-                except CorruptFrameError:
+                    writer.write_frame(decode_frame(enc, table, skeleton))
+                except (CorruptFrameError, RecordingFormatError):
                     continue
-                if last_ts is None or frame.timestamp_us > last_ts:
-                    writer.write_frame(frame)
-                    last_ts = frame.timestamp_us
             if not polled.packets:
                 if stopping:
                     break
@@ -556,16 +564,6 @@ def run_latency_experiment(scenario: str, params: BenchParams | None = None) -> 
 # Corrective experiment
 # ---------------------------------------------------------------------------
 
-def _joint_track(frames: Sequence[PoseFrame], joint: int) -> np.ndarray:
-    """(frames, 4) rotations of one joint."""
-    return np.stack([f.rotations for f in frames])[:, joint]
-
-
-def _pick_measurement_component(recording: Recording, joint: int) -> str:
-    track = _joint_track(recording.frames, joint)[:, :3]
-    return "xyz"[int(np.argmax(track.max(axis=0) - track.min(axis=0)))]
-
-
 _EXTREMUM_MIN_PROMINENCE = 0.25  # of the peak deviation
 
 
@@ -579,26 +577,27 @@ def find_extremum_times_us(
     Small wiggles below `_EXTREMUM_MIN_PROMINENCE` of the peak deviation are
     ignored so measurement noise does not read as extra extrema.
     """
-    idx = _COMPONENT_INDEX[component]
-    ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
-    x = _joint_track(frames, joint)[:, idx]
+    ts, _, rotations = _stack_frames(frames)
+    return _extremum_times_us(ts, rotations[:, joint, _COMPONENT_INDEX[component]])
+
+
+def _extremum_times_us(ts: np.ndarray, x: np.ndarray) -> list[float]:
+    """find_extremum_times_us on a take's timestamps and one track of it."""
+    ts = ts.astype(np.float64)
     x = x - x.mean()
     scale = np.abs(x).max()
     if scale <= 0:
         return []
-    out: list[float] = []
-    for i in range(1, len(x) - 1):
-        d1 = x[i] - x[i - 1]
-        d2 = x[i + 1] - x[i]
-        if d1 == 0.0 and d2 == 0.0:
-            continue
-        if (d1 >= 0.0 >= d2 or d1 <= 0.0 <= d2) and abs(x[i]) >= _EXTREMUM_MIN_PROMINENCE * scale:
-            denom = x[i - 1] - 2.0 * x[i] + x[i + 1]
-            delta = 0.0 if denom == 0.0 else 0.5 * (x[i - 1] - x[i + 1]) / denom
-            delta = float(np.clip(delta, -0.5, 0.5))
-            dt = ts[i + 1] - ts[i] if delta >= 0 else ts[i] - ts[i - 1]
-            out.append(ts[i] + delta * dt)
-    return out
+    d = np.diff(x)
+    d1, d2 = d[:-1], d[1:]  # into and out of each interior sample
+    turns = ((d1 >= 0.0) & (d2 <= 0.0)) | ((d1 <= 0.0) & (d2 >= 0.0))
+    prominent = np.abs(x[1:-1]) >= _EXTREMUM_MIN_PROMINENCE * scale
+    i = np.flatnonzero(turns & ((d1 != 0.0) | (d2 != 0.0)) & prominent) + 1
+    denom = x[i - 1] - 2.0 * x[i] + x[i + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.clip(np.where(denom == 0.0, 0.0, 0.5 * (x[i - 1] - x[i + 1]) / denom), -0.5, 0.5)
+    dt = np.where(delta >= 0, ts[i + 1] - ts[i], ts[i] - ts[i - 1])
+    return (ts[i] + delta * dt).tolist()
 
 
 def _beat_errors_us(times_us: Sequence[float], grid: BeatGrid) -> np.ndarray:
@@ -613,13 +612,13 @@ class AlignmentReport:
     applied: bool
     reason: str | None
     no_dominant_period: bool
-    detected_period_us: int | None
-    rate: float
-    measured_joint: int | None
-    measured_component: str | None
-    pre_error_ms: float | None
-    post_error_ms: float | None
-    convergence_us: int | None
+    detected_period_us: int | None = None
+    rate: float = 1.0
+    measured_joint: int | None = None
+    measured_component: str | None = None
+    pre_error_ms: float | None = None
+    post_error_ms: float | None = None
+    convergence_us: int | None = None
     extrema_pre: int = 0
     extrema_post: int = 0
     amplitude_ratio: float | None = None
@@ -696,45 +695,32 @@ def corrective_experiment(
 
     corrected = Recording(recording.joint_count, recording.nominal_fps, list(frames))
     if output_path is not None:
-        from .recording import save_recording
-
         save_recording(corrected, output_path)
-
     if result.detected is None:
-        report = AlignmentReport(
-            applied=False,
-            reason=result.reason,
-            no_dominant_period=True,
-            detected_period_us=None,
-            rate=1.0,
-            measured_joint=None,
-            measured_component=None,
-            pre_error_ms=None,
-            post_error_ms=None,
-            convergence_us=None,
+        return corrected, AlignmentReport(
+            applied=False, reason=result.reason, no_dominant_period=True
         )
-        return corrected, report
 
+    # The measured component is the detected joint's widest-swinging one.
     joint = result.detected.joint
-    component = _pick_measurement_component(recording, joint)
-    pre_times = find_extremum_times_us(recording.frames, joint, component)
-    post_times = find_extremum_times_us(corrected.frames, joint, component)
+    pre_ts, _, pre_rot = _stack_frames(recording.frames)
+    post_ts, _, post_rot = _stack_frames(corrected.frames)
+    idx = int(np.argmax(np.ptp(pre_rot[:, joint, :3], axis=0)))
+    component = "xyz"[idx]
+    pre_times = _extremum_times_us(pre_ts, pre_rot[:, joint, idx])
+    post_times = _extremum_times_us(post_ts, post_rot[:, joint, idx])
     convergence = result.convergence_us()
     if convergence is None:
-        convergence = recording.frames[min(params.window_frames, len(recording.frames) - 1)].timestamp_us
+        convergence = int(pre_ts[min(params.window_frames, len(pre_ts) - 1)])
     post_after = [t for t in post_times if t >= convergence]
 
     pre_err = _beat_errors_us(pre_times, grid) if pre_times else np.array([])
     post_err = _beat_errors_us(post_after, grid) if post_after else np.array([])
 
     amplitude_ratio = None
-    if gains_active and amp_window is not None:
-        start = min(amp_window, len(recording.frames) - 1)
-        idx = _COMPONENT_INDEX[component]
-        pre_vals = _joint_track(recording.frames[start:], joint)[:, idx]
-        post_vals = _joint_track(corrected.frames[start:], joint)[:, idx]
-        pre_amp = (pre_vals.max() - pre_vals.min()) / 2.0
-        post_amp = (post_vals.max() - post_vals.min()) / 2.0
+    if gains_active:
+        start = min(amp_window, len(pre_ts) - 1)
+        pre_amp, post_amp = (np.ptp(rot[start:, joint, idx]) for rot in (pre_rot, post_rot))
         if pre_amp > 0:
             amplitude_ratio = float(post_amp / pre_amp)
 

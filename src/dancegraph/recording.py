@@ -16,9 +16,11 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
+
 import numpy as np
 
-from .core import PoseFrame, rows_canonicalize
+from .core import PoseFrame, _frames_of, _stack_frames, rows_canonicalize
 
 __all__ = [
     "Recording",
@@ -60,14 +62,24 @@ class Recording:
     def __post_init__(self) -> None:
         _check_header(self.joint_count, self.nominal_fps)
 
-    def validate(self) -> None:
-        prev = None
-        for i, frame in enumerate(self.frames):
-            if len(frame.rotations) != self.joint_count:
-                raise RecordingFormatError(f"frame {i} has wrong joint count")
-            if prev is not None and frame.timestamp_us <= prev:
-                raise RecordingFormatError(f"frame {i} timestamp does not increase")
-            prev = frame.timestamp_us
+
+def _records(frames: Sequence[PoseFrame], joint_count: int, last_ts: int = -1) -> np.ndarray:
+    """The frames as one block of file records, once they have joint_count
+    joints each and timestamps that strictly increase from above `last_ts`,
+    the last one written (-1: none, so the first is >= 0)."""
+    try:
+        ts, roots, rotations = _stack_frames(frames)
+    except (ValueError, OverflowError) as exc:  # unequal joint counts, or a timestamp past int64
+        raise RecordingFormatError(f"frames do not form one take: {exc}") from None
+    if not len(ts):  # no frames, so no joints to check
+        return np.empty(0, dtype=_frame_layout(joint_count))
+    if rotations.shape[1:] != (joint_count, 4):
+        raise RecordingFormatError(f"frames have {rotations.shape[1]} joints, not {joint_count}")
+    if np.any(np.diff(ts, prepend=last_ts) <= 0):
+        raise RecordingFormatError("frame timestamps must be >= 0 and strictly increase")
+    records = np.empty(len(ts), dtype=_frame_layout(joint_count))
+    records["ts"], records["root"], records["rot"] = ts, roots, rotations
+    return records
 
 
 class RecordingWriter:
@@ -78,29 +90,22 @@ class RecordingWriter:
         _check_header(joint_count, nominal_fps)
         self.path = Path(path)
         self.joint_count = joint_count
-        self._layout = _frame_layout(joint_count)
-        self.frame_size = self._layout.itemsize
         self._fh = open(self.path, "wb")
         self._fh.write(_HEADER.pack(MAGIC, VERSION, joint_count, nominal_fps))
         self._complete = _HEADER.size
         self.frames_written = 0
-        self._last_ts: int | None = None
+        self._last_ts = -1
 
     def write_frame(self, frame: PoseFrame) -> None:
-        if len(frame.rotations) != self.joint_count:
-            raise RecordingFormatError(
-                f"frame has {len(frame.rotations)} joints, file expects {self.joint_count}"
-            )
-        if self._last_ts is not None and frame.timestamp_us <= self._last_ts:
-            raise RecordingFormatError("frame timestamps must strictly increase")
-        record = np.empty((), dtype=self._layout)
-        record["ts"] = frame.timestamp_us
-        record["root"] = frame.root_translation
-        record["rot"] = frame.rotations
-        self._fh.write(record.tobytes())
-        self._complete += self.frame_size
-        self.frames_written += 1
-        self._last_ts = frame.timestamp_us
+        self._append(_records([frame], self.joint_count, self._last_ts))
+
+    def _append(self, records: np.ndarray) -> None:
+        """Write checked records (see _records) in one call."""
+        self._fh.write(records.tobytes())
+        self._complete += records.nbytes
+        self.frames_written += len(records)
+        if len(records):
+            self._last_ts = int(records["ts"][-1])
 
     def close(self) -> None:
         if self._fh.closed:
@@ -119,10 +124,11 @@ class RecordingWriter:
 
 
 def save_recording(recording: Recording, path: str | Path) -> None:
-    recording.validate()
+    """Write a recording as one block. Every check runs before the file is
+    opened, so a take that fails one leaves the file at `path` as it was."""
+    records = _records(recording.frames, recording.joint_count)
     with RecordingWriter(path, recording.joint_count, recording.nominal_fps) as writer:
-        for frame in recording.frames:
-            writer.write_frame(frame)
+        writer._append(records)
 
 
 def load_recording(path: str | Path) -> Recording:
@@ -147,8 +153,8 @@ def load_recording(path: str | Path) -> Recording:
     backwards = np.flatnonzero(ts[1:] <= ts[:-1])
     if backwards.size:
         raise RecordingFormatError(f"frame {backwards[0] + 1} timestamp does not increase")
-    rotations = rows_canonicalize(body["rot"])
-    rotations.setflags(write=False)
-    roots = map(tuple, body["root"].astype(np.float64).tolist())
-    frames = [PoseFrame(t, r, rot) for t, r, rot in zip(ts.tolist(), roots, rotations)]
+    if count and ts[-1] > np.iinfo(np.int64).max:  # a take's timestamps are int64
+        raise RecordingFormatError(f"frame timestamp {ts[-1]} is past the int64 range")
+    roots = body["root"].astype(np.float64)
+    frames = _frames_of(ts, roots, rows_canonicalize(body["rot"]))
     return Recording(joint_count=joint_count, nominal_fps=fps, frames=frames, version=version)

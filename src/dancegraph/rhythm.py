@@ -22,8 +22,9 @@ Three stages, each usable on its own:
    than half a beat away) and is slew-limited so a live viewer never sees a
    pop; the constant rate factor is bounded separately by max_rate_ratio.
    The warp is stepped frame by frame to get each output frame's source
-   time; the frames are then resampled at those times block by block, each
+   time; the take is then resampled at those times block by block, each
    block's bracketing source rows slerped in one call.
+   run_corrective_pipeline is the one way into the warp.
 
 3. Stylization: per body zone, rotations are geodesically extrapolated away
    from a rolling reference orientation, widening (gain > 1), muting
@@ -32,6 +33,9 @@ Three stages, each usable on its own:
 The feature signal is the raw quaternion component: for a sway about a
 fixed axis it is a monotone function of the sway angle, so extrema timing
 is preserved without needing any skeleton hierarchy.
+
+The stages work on a take as one array block (core._stack_frames); frame
+lists appear only at the public functions' edges.
 """
 from __future__ import annotations
 
@@ -48,7 +52,9 @@ from .core import (
     BodyZone,
     PoseFrame,
     Skeleton,
+    _frames_of,
     _karcher_columns,
+    _stack_frames,
     rows_normalize,
     rows_scale_rotation,
     rows_slerp,
@@ -63,9 +69,7 @@ __all__ = [
     "extract_feature_series",
     "detect_dominant_period",
     "aggregate_joint_period",
-    "beat_align_remap",
     "amplify_zones",
-    "RemapResult",
     "WarpSample",
     "run_corrective_pipeline",
     "PipelineResult",
@@ -224,9 +228,9 @@ def extract_feature_series(
     """
     if component not in _COMPONENT_INDEX:
         raise ValueError(f"component must be one of x, y, z, got {component!r}")
-    ts = np.array([f.timestamp_us for f in window], dtype=np.float64)
+    ts, _, rotations = _stack_frames(window)
     fps = _window_fps(ts)
-    values = np.stack([f.rotations for f in window])[:, joint, _COMPONENT_INDEX[component]]
+    values = rotations[:, joint, _COMPONENT_INDEX[component]]
     return FeatureSeries(joint, component, values - values.mean(), fps, int(ts[0]))
 
 
@@ -366,16 +370,6 @@ class WarpSample(NamedTuple):
     target_us: float   # phase displacement target at this frame
 
 
-@dataclass
-class RemapResult:
-    frames: list[PoseFrame]
-    applied: bool
-    reason: str | None
-    rate: float
-    phase_target_us: float
-    warp: list[WarpSample]
-
-
 def _match_tempo(
     event_period_us: float,
     beat_period_us: float,
@@ -465,91 +459,52 @@ def _phase_misalignment(
 
 
 def _retime(
-    frames: Sequence[PoseFrame],
-    rotations: np.ndarray,
+    ts: np.ndarray,
     grid: BeatGrid,
     slew: float,
     steer: Mapping[int, tuple[PeriodEstimate, float, float, float]],
-) -> tuple[list[PoseFrame], list[WarpSample]]:
-    """Resample frames at warped times, one output frame per input frame on
-    the input's timeline; `rotations` is the frames' (n, J, 4) stack.
+) -> tuple[np.ndarray, list[WarpSample]]:
+    """The warped source time of each frame of a take with timestamps
+    `ts`, each output frame on its input's time, and the warp samples.
 
     The warp controller runs once per frame. steer[i], when present, is
     (estimate, the time its phase refers to, rate, event spacing) and
-    retargets the controller before frame i. The frames are then
-    resampled at the warped times all at once.
+    retargets the controller before frame i.
     """
-    controller = _WarpController(slew, frames[0].timestamp_us)
+    times = ts.tolist()
+    controller = _WarpController(slew, times[0])
     warp: list[WarpSample] = []
-    for i, frame in enumerate(frames):
+    for i, t in enumerate(times):
         if i in steer:
             est, reference, rate, spacing = steer[i]
             controller.rate = rate
             controller.phase_target += _phase_misalignment(
                 controller, est, reference, grid, rate, spacing
             )
-        t = frame.timestamp_us
         s = controller.advance(t) if i else controller.source_prev
         warp.append(WarpSample(t, s, controller.phase_applied, controller.phase_target))
-    source = np.array([w.source_us for w in warp])
-    return _resample(frames, rotations, source), warp
+    return np.array([w.source_us for w in warp]), warp
 
 
 def _resample(
-    frames: Sequence[PoseFrame], rotations: np.ndarray, source_us: np.ndarray
-) -> list[PoseFrame]:
-    """Frame i of the result carries frames[i]'s timestamp and the pose at
-    source_us[i]: the bracketing source frames slerped (roots lerped) at its
-    fraction between them. A time on or outside the source's ends takes
-    that frame's pose exactly."""
-    ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
-    lo = np.clip(np.searchsorted(ts, source_us, side="right") - 1, 0, len(ts) - 2)
-    u = np.clip((source_us - ts[lo]) / (ts[lo + 1] - ts[lo]), 0.0, 1.0)[:, None]
-    roots = np.array([f.root_translation for f in frames], dtype=np.float64)
+    ts: np.ndarray, roots: np.ndarray, rotations: np.ndarray, source_us: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, rotations) of a take sampled at source_us: row i is the pose
+    at source_us[i], the bracketing source rows slerped (roots lerped) at
+    its fraction between them. A time on or outside the take's ends takes
+    that row exactly."""
+    t = ts.astype(np.float64)
+    lo = np.clip(np.searchsorted(t, source_us, side="right") - 1, 0, len(t) - 2)
+    u = np.clip((source_us - t[lo]) / (t[lo + 1] - t[lo]), 0.0, 1.0)[:, None]
     root_a, root_b = roots[lo], roots[lo + 1]
     out_roots = root_a + (root_b - root_a) * u
     np.copyto(out_roots, root_a, where=u == 0.0)
     np.copyto(out_roots, root_b, where=u == 1.0)
-    out: list[PoseFrame] = []
-    for c in range(0, len(ts), _RESAMPLE_BLOCK):
+    out_rot = np.empty((len(source_us), *rotations.shape[1:]))
+    for c in range(0, len(source_us), _RESAMPLE_BLOCK):
         block = slice(c, c + _RESAMPLE_BLOCK)
-        rot = rows_slerp(rotations[lo[block]], rotations[lo[block] + 1], u[block])
-        rot.setflags(write=False)
-        out += map(PoseFrame.from_array, ts[block], out_roots[block], rot)
-    return out
-
-
-def beat_align_remap(
-    stream: Sequence[PoseFrame],
-    detected: PeriodEstimate,
-    grid: BeatGrid,
-    params: CorrectiveParams,
-    *,
-    phase_reference_us: int | None = None,
-) -> RemapResult:
-    """Re-time a stream so detected motion extrema land on the beat grid.
-
-    `detected.phase_rad` is referenced to `phase_reference_us` (defaults to
-    the first frame's timestamp). Output frames keep the original uniform
-    timeline; content is sampled at the warped time by spherical-linear
-    interpolation between the bracketing source frames. On a tempo mismatch
-    beyond max_rate_ratio the stream passes through unchanged and the
-    result is flagged.
-    """
-    frames = list(stream)
-    if len(frames) < 2:
-        return RemapResult(frames, False, "stream too short", 1.0, 0.0, [])
-    ref = float(frames[0].timestamp_us if phase_reference_us is None else phase_reference_us)
-
-    match = _match_tempo(detected.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
-    if match is None:
-        return RemapResult(frames, False, "tempo mismatch", 1.0, 0.0, [])
-    rate, spacing = match
-
-    rotations = np.stack([f.rotations for f in frames])
-    steer = {0: (detected, ref, rate, spacing)}
-    out, warp = _retime(frames, rotations, grid, params.max_warp_slew, steer)
-    return RemapResult(out, True, None, rate, warp[0].target_us, warp)
+        out_rot[block] = rows_slerp(rotations[lo[block]], rotations[lo[block] + 1], u[block])
+    return out_roots, out_rot
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +543,8 @@ def amplify_zones(
     if n < reference_window:
         return frames
 
-    rotations = np.stack([f.rotations for f in frames])  # (n, J, 4)
-    roots = np.array([f.root_translation for f in frames], dtype=np.float64)
-    out_rot = rotations.copy()
-    out_roots = roots.copy()
+    # The stacked block is this call's own: the scaled rows overwrite it.
+    ts, roots, rotations = _stack_frames(frames)
     first = reference_window - 1
 
     if active:
@@ -605,18 +558,14 @@ def amplify_zones(
                 window, reference, 1e-9, _MEAN_MAX_ITERATIONS
             )
         gains = np.array([joint_gain[j] for j in active])[:, None]
-        out_rot[first:, active], _ = rows_scale_rotation(references, tracks[first:], gains)
+        rotations[first:, active], _ = rows_scale_rotation(references, tracks[first:], gains)
 
     if hips_gain != 1.0:
         csum = np.cumsum(np.concatenate([np.zeros_like(roots[:1]), roots]), axis=0)
         means = (csum[reference_window:] - csum[:-reference_window]) / reference_window
-        out_roots[first:] = means + hips_gain * (roots[first:] - means)
+        roots[first:] = means + hips_gain * (roots[first:] - means)
 
-    out_rot.setflags(write=False)
-    out = frames[:first]
-    for i in range(first, n):
-        out.append(PoseFrame.from_array(frames[i].timestamp_us, out_roots[i], out_rot[i]))
-    return out
+    return frames[:first] + _frames_of(ts[first:], roots[first:], rotations[first:])
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +618,9 @@ def run_corrective_pipeline(
     Detection re-runs every half window on the trailing window_frames
     frames, exactly as a live pipeline would see them; each fused estimate
     retargets the warp controller, which then slews toward the new phase
-    target. Frame content is drawn from the stream by interpolation at the
-    warped times.
+    target. A window whose frame timing fails _window_fps (a lost frame, a
+    stall) gives no estimate. Frame content is drawn from the stream by
+    interpolation at the warped times. This is the one way into the warp.
     """
     frames = list(stream)
     n = len(frames)
@@ -679,13 +629,18 @@ def run_corrective_pipeline(
         return PipelineResult(frames, False, "stream shorter than analysis window", [], 1.0, [])
 
     hop = window // 2
-    ts = np.array([f.timestamp_us for f in frames], dtype=np.float64)
-    rotations = np.stack([f.rotations for f in frames])  # (n, J, 4)
+    ts, roots, rotations = _stack_frames(frames)
+    if np.any(np.diff(ts) <= 0):  # the resampler's search needs sorted times
+        raise InsufficientDataError("timestamps must be strictly increasing")
     joints = skeleton.joint_count
     labels = np.repeat(np.arange(joints), 3).tolist()
     estimates: list[tuple[int, PeriodEstimate | None]] = []
     for end in range(window, n + 1, hop):
-        fps = _window_fps(ts[end - window:end])
+        try:
+            fps = _window_fps(ts[end - window:end])
+        except InsufficientDataError:
+            estimates.append((end, None))
+            continue
         # Every x, y, z component of every analysed joint as one zero-mean
         # row, as extract_feature_series builds it: (3 * joints, window).
         x = np.ascontiguousarray(rotations[end - window:end, :joints, :3].reshape(window, -1).T)
@@ -711,10 +666,11 @@ def run_corrective_pipeline(
             continue
         match = _match_tempo(est.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
         if match is not None:
-            steer[end] = (est, frames[end - window].timestamp_us, *match)
+            steer[end] = (est, int(ts[end - window]), *match)
     if not steer:
         return PipelineResult(frames, False, "tempo mismatch", estimates, 1.0, [])
 
-    out, warp = _retime(frames, rotations, grid, params.max_warp_slew, steer)
+    source_us, warp = _retime(ts, grid, params.max_warp_slew, steer)
+    out = _frames_of(ts, *_resample(ts, roots, rotations, source_us))
     rate_used = steer[max(steer)][2]
     return PipelineResult(out, True, None, estimates, rate_used, warp)

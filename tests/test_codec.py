@@ -16,14 +16,13 @@ from dancegraph.codec import (
     analyze_bounds,
     decode_frame,
     encode_frame,
-    encoded_frame_bytes,
     max_angular_error,
-    raw_frame_bytes,
     _pack_ints,
     _unpack_ints,
 )
 from dancegraph.core import PoseFrame, Skeleton, default_skeleton
 from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recording
+from dancegraph.recording import _frame_layout
 
 from conftest import frames_from_rows, w_largest_rows
 
@@ -200,7 +199,7 @@ class TestEncodeDecode:
         enc = encode_frame(identity_frame(2, ts=0x0102030405060708), table)
         data = enc.to_bytes()
         assert data[:8] == bytes.fromhex("0807060504030201")
-        assert len(data) == encoded_frame_bytes(table) == 8 + 12 + 2 * 6
+        assert len(data) == 8 + 12 + 2 * 6
         back = EncodedFrame.from_bytes(data, table)
         assert back.timestamp_us == enc.timestamp_us
         assert back.payload == enc.payload
@@ -415,12 +414,14 @@ class TestCompressionRatio:
     def test_always_at_most_two_thirds_for_real_rigs(self, joints, bits):
         names = tuple(f"j{i}" for i in range(joints))
         table = full_range_table(joint_count=joints, bits=bits, names=names)
-        assert encoded_frame_bytes(table) <= (2 / 3) * raw_frame_bytes(joints)
+        encoded = len(encode_frame(identity_frame(joints), table).to_bytes())
+        # The raw frame is one record of a recording file.
+        assert encoded <= (2 / 3) * _frame_layout(joints).itemsize
 
     def test_default_rig_sizes(self):
         table = full_range_table()
-        assert encoded_frame_bytes(table) == 224
-        assert raw_frame_bytes(34) == 564
+        assert len(encode_frame(identity_frame(), table).to_bytes()) == 224
+        assert _frame_layout(34).itemsize == 564
 
 
 @given(st.integers(0, 2**31), st.integers(2, 6))

@@ -29,6 +29,7 @@ from dancegraph.harness import (
     synthesize_sway_recording,
 )
 from dancegraph.recording import (
+    Recording,
     RecordingFormatError,
     RecordingWriter,
     load_recording,
@@ -228,12 +229,49 @@ class TestRecordingFile:
             RecordingWriter(tmp_path / "never.dgrc", 34, fps)
         assert not (tmp_path / "never.dgrc").exists()
 
+    @pytest.mark.parametrize("fault", ["negative", "backwards", "joints", "ragged"])
+    def test_failed_save_leaves_the_old_file(self, tmp_path, fault):
+        # Every check runs on the whole take before the file is opened.
+        path = tmp_path / "take.dgrc"
+        save_recording(synthesize_sway_recording(duration_s=0.5), path)
+        before = path.read_bytes()
+        frames = list(synthesize_sway_recording(duration_s=0.5, start_us=1000).frames)
+        if fault == "negative":
+            frames[0] = PoseFrame(-1, frames[0].root_translation, frames[0].rotations)
+        elif fault == "backwards":
+            frames[3], frames[4] = frames[4], frames[3]
+        elif fault == "joints":
+            frames = [PoseFrame(f.timestamp_us, (0, 0, 0), f.rotations[:2]) for f in frames]
+        else:
+            frames[5] = PoseFrame(frames[5].timestamp_us, (0, 0, 0), frames[5].rotations[:2])
+        with pytest.raises(RecordingFormatError):
+            save_recording(Recording(34, 30.0, frames), path)
+        assert path.read_bytes() == before
+
+    def test_load_refuses_a_timestamp_past_int64(self, tmp_path):
+        path = tmp_path / "take.dgrc"
+        save_recording(synthesize_sway_recording(duration_s=0.1), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<Q", data, len(data) - 564, 2**63)  # the last frame's timestamp
+        path.write_bytes(bytes(data))
+        with pytest.raises(RecordingFormatError, match="int64"):
+            load_recording(path)
+
+    def test_writer_refuses_a_negative_timestamp(self, tmp_path):
+        with RecordingWriter(tmp_path / "x.dgrc", 1, 30.0) as writer:
+            with pytest.raises(RecordingFormatError, match=">= 0"):
+                writer.write_frame(PoseFrame(-5, (0, 0, 0), ((0, 0, 0, 1),)))
+            writer.write_frame(PoseFrame(0, (0, 0, 0), ((0, 0, 0, 1),)))
+            assert writer.frames_written == 1
+
     def test_header_only_file_is_valid(self, tmp_path):
         path = tmp_path / "empty.dgrc"
         RecordingWriter(path, 34, 30.0).close()
         loaded = load_recording(path)
         assert loaded.frames == []
         assert loaded.joint_count == 34
+        save_recording(loaded, tmp_path / "again.dgrc")
+        assert (tmp_path / "again.dgrc").read_bytes() == path.read_bytes()
 
     def test_load_canonicalizes_hemisphere(self, tmp_path):
         # Another tool may store either sign of a rotation; loading puts
@@ -362,6 +400,10 @@ class TestRecordSink:
         table = analyze_bounds([rec.frames], margin=0.1, bits=16)
         payloads = [encode_frame(f, table).to_bytes() for f in rec.frames]
         payloads.insert(5, b"\x00" * 10)  # a peer payload of the wrong size
+        # A timestamp no file holds, then one that does not advance.
+        payloads.insert(9, encode_frame(PoseFrame(2**64 - 1, (0, 0, 0), rec.frames[0].rotations),
+                                        table).to_bytes())
+        payloads.insert(12, payloads[3])
 
         class PrimedRouter(SignalRouter):
             # Publishes every payload right after the sink subscribes.
@@ -425,6 +467,13 @@ class TestCorrectiveExperiment:
             rec, BeatGrid(bpm=120.0), CorrectiveParams(zone_gains=gains)
         )
         assert report.amplitude_ratio == pytest.approx(2.0, abs=0.05)
+
+
+def lossy_sway_take(path, lost=400):
+    """A 30 s sway take with one frame missing, as a lossy `record` writes it."""
+    rec = synthesize_sway_recording(duration_s=30.0, phase_rad=math.pi / 2 - TWO_PI * 0.23)
+    frames = rec.frames[:lost] + rec.frames[lost + 1:]
+    save_recording(Recording(rec.joint_count, rec.nominal_fps, frames), path)
 
 
 class TestBench:
@@ -517,6 +566,38 @@ class TestCli:
         assert report["applied"] is True
         assert report["amplitude_ratio"] == pytest.approx(2.0, abs=0.05)
         assert load_recording(fixed).joint_count == 34
+
+    def test_correct_survives_a_lost_frame(self, tmp_path):
+        take, fixed, report_json = (tmp_path / n for n in ("take.dgrc", "fixed.dgrc", "r.json"))
+        lossy_sway_take(take)
+        assert cli_main([
+            "correct", "--in", str(take), "--out", str(fixed), "--bpm", "120",
+            "--json", str(report_json),
+        ]) == 0
+        report = json.loads(report_json.read_text())
+        assert report["applied"] is True and report["post_error_ms"] < 33.0
+        assert len(load_recording(fixed).frames) == 899
+
+    @pytest.mark.parametrize("argv", [
+        ["--hz", "1e308", "--seconds", "1"],
+        ["--hz", "1e306", "--seconds", "100", "--fps", "1"],
+        ["--phase", "1.7e308", "--hz", "1e307", "--seconds", "1"],
+        ["--fps", "1000", "--seconds", "1e9"],  # about 1 PB of rotations
+    ], ids=lambda v: "_".join(v))
+    def test_synth_refuses_an_unbounded_take(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.dgrc"
+        assert cli_main(["synth", "--out", str(out), *argv]) == 2
+        assert "synth: error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_take_limit_is_inclusive(self, tmp_path, monkeypatch):
+        # The limit scaled down to 30 frames of the 34-joint rig.
+        monkeypatch.setattr("dancegraph.harness._MAX_TAKE_BYTES", 30 * 34 * 4 * 8)
+        out = tmp_path / "o.dgrc"
+        assert cli_main(["synth", "--out", str(out), "--seconds", "1.0333"]) == 2
+        assert not out.exists()
+        assert cli_main(["synth", "--out", str(out), "--seconds", "1"]) == 0
+        assert len(load_recording(out).frames) == 30
 
     @pytest.mark.parametrize("select", ["bogus:any:network", "pose:someone:network",
                                         "pose:any:nowhere", "pose:any"])

@@ -8,6 +8,8 @@ from dancegraph.core import (
     BodyZone,
     MeanConvergenceError,
     PoseFrame,
+    _frames_of,
+    _stack_frames,
     rows_conjugate,
     rows_exp_half,
     rows_from_axis_angle,
@@ -32,11 +34,11 @@ from dancegraph.rhythm import (
     _match_tempo,
     _phase_misalignment,
     _resample,
+    _retime,
     _WarpController,
     _window_fps,
     aggregate_joint_period,
     amplify_zones,
-    beat_align_remap,
     detect_dominant_period,
     extract_feature_series,
     load_corrective_config,
@@ -210,52 +212,82 @@ class TestAggregateJointPeriod:
         assert fused.energy_ratio == 1.0
 
 
+class TestLostFrame:
+    def test_window_over_a_gap_gives_no_estimate(self, skeleton):
+        # Frame 400 lost, as a lossy `record` writes it: the windows ending
+        # at 512 and 640 span the gap, and the rest of the take still aligns.
+        frames = synthesize_sway_recording(
+            skeleton, duration_s=30.0, phase_rad=math.pi / 2 - TWO_PI * 0.23
+        ).frames
+        frames = frames[:400] + frames[401:]
+        result = run_corrective_pipeline(frames, skeleton, BeatGrid(bpm=120.0), CorrectiveParams())
+        assert [end for end, est in result.estimates if est is None] == [512, 640]
+        assert result.applied and len(result.frames) == len(frames)
+        assert [f.timestamp_us for f in result.frames] == [f.timestamp_us for f in frames]
+
+    @pytest.mark.parametrize("fault", ["swapped", "repeated"])
+    def test_take_out_of_order_is_refused(self, skeleton, fault):
+        # Skipping a window is for gaps; the resampler needs sorted times.
+        frames = list(synthesize_sway_recording(skeleton, duration_s=10.0).frames)
+        if fault == "swapped":
+            frames[280], frames[281] = frames[281], frames[280]
+        else:
+            frames[281] = frames[280]
+        with pytest.raises(InsufficientDataError, match="strictly increasing"):
+            run_corrective_pipeline(frames, skeleton, BeatGrid(bpm=120.0), CorrectiveParams())
+
+
 class TestBeatAlignRemap:
+    """The beat-aligning warp, checked on _retime, _phase_misalignment and
+    run_corrective_pipeline."""
+
     def test_already_on_beat_is_bit_stable(self):
         # Extrema at k * 0.5s on a 120 bpm grid and an exact 1 s estimate:
         # the warp must reduce to a byte-for-byte pass-through.
-        frames = sway_frames(duration_s=10.0, phase=math.pi / 2)
+        ts, roots, rotations = _stack_frames(sway_frames(duration_s=10.0, phase=math.pi / 2))
         detected = PeriodEstimate(1_000_000, phase_rad=0.0, energy_ratio=0.9, joint=0)
-        grid = BeatGrid(bpm=120.0)
-        result = beat_align_remap(frames, detected, grid, CorrectiveParams())
-        assert result.applied and result.rate == 1.0
-        assert result.phase_target_us == 0.0
-        assert all(np.array_equal(a.rotations, b.rotations) for a, b in zip(frames, result.frames))
+        grid, params = BeatGrid(bpm=120.0), CorrectiveParams()
+        rate, spacing = _match_tempo(500_000.0, grid.beat_period_us, params.max_rate_ratio)
+        assert rate == 1.0
+        steer = {0: (detected, int(ts[0]), rate, spacing)}
+        source, warp = _retime(ts, grid, params.max_warp_slew, steer)
+        assert warp[0].target_us == 0.0
+        assert source.tolist() == ts.tolist()
+        _, out = _resample(ts, roots, rotations, source)
+        assert out.tobytes() == rotations.tobytes()
 
-    def test_tempo_mismatch_passes_through_flagged(self):
-        frames = sway_frames(duration_s=6.0)
-        detected = PeriodEstimate(1_000_000, 0.0, 0.9, joint=0)
-        grid = BeatGrid(bpm=75.0)  # 0.8 s beat; 0.5 s extremum interval: off
-        result = beat_align_remap(frames, detected, grid, CorrectiveParams())
+    def test_tempo_mismatch_passes_through_flagged(self, skeleton):
+        frames = synthesize_sway_recording(skeleton, duration_s=20.0).frames
+        # 0.8 s beat; 0.5 s extremum interval: off
+        assert _match_tempo(500_000.0, 800_000.0, CorrectiveParams().max_rate_ratio) is None
+        result = run_corrective_pipeline(frames, skeleton, BeatGrid(bpm=75.0), CorrectiveParams())
+        assert result.detected is not None
         assert not result.applied
         assert result.reason == "tempo mismatch"
-        assert [f.rotations for f in result.frames] == [f.rotations for f in frames]
+        assert all(a is b for a, b in zip(result.frames, frames))
 
-    def test_offset_sway_lands_on_beats(self):
+    def test_offset_sway_lands_on_beats(self, skeleton):
         # Extrema at 0.23 + k * 0.5 s; beats every 0.5 s.
-        phase = math.pi / 2 - TWO_PI * 0.23
-        frames = sway_frames(duration_s=25.0, phase=phase)
-        detected = PeriodEstimate(
-            1_000_000, phase_rad=(phase - math.pi / 2) % TWO_PI, energy_ratio=0.9, joint=0
-        )
-        grid = BeatGrid(bpm=120.0)
-        params = CorrectiveParams()
-        result = beat_align_remap(frames, detected, grid, params)
-        assert result.applied and result.rate == 1.0
-        assert result.phase_target_us == pytest.approx(230_000, abs=2_000)
+        frames = synthesize_sway_recording(
+            skeleton, duration_s=25.0, phase_rad=math.pi / 2 - TWO_PI * 0.23
+        ).frames
+        result = run_corrective_pipeline(frames, skeleton, BeatGrid(bpm=120.0), CorrectiveParams())
+        assert result.applied and result.rate == pytest.approx(1.0, abs=1e-3)
+        first = next(w.target_us for w in result.warp if w.target_us != 0.0)
+        assert first == pytest.approx(230_000, abs=10_000)
 
-        converge_s = abs(result.phase_target_us) / 1e6 / params.max_warp_slew
         x = [f.rotations[0, 0] for f in result.frames]
-        extrema = [t for t in find_extrema_s(x, 30.0) if t > converge_s + 0.5]
+        converged_s = result.convergence_us() / 1e6
+        extrema = [t for t in find_extrema_s(x, 30.0) if t > converged_s + 0.5]
         assert len(extrema) > 10
         errors = [abs(t - round(t / 0.5) * 0.5) for t in extrema]
         assert np.mean(errors) < 0.033
 
-    def test_warp_is_monotonic_and_slew_bounded(self):
-        phase = math.pi / 2 - TWO_PI * 0.23
-        frames = sway_frames(duration_s=12.0, phase=phase)
-        detected = PeriodEstimate(1_000_000, (phase - math.pi / 2) % TWO_PI, 0.9, joint=0)
-        result = beat_align_remap(frames, detected, BeatGrid(bpm=120.0), CorrectiveParams())
+    def test_warp_is_monotonic_and_slew_bounded(self, skeleton):
+        # 117 bpm needs a playback rate other than 1 on top of the phase.
+        frames = dancer_frames(skeleton, phase_rad=math.pi / 2 - TWO_PI * 0.23)
+        result = run_corrective_pipeline(frames, skeleton, BeatGrid(bpm=117.0), CorrectiveParams())
+        assert result.applied and result.rate != 1.0
         warp = result.warp
         assert all(b.source_us > a.source_us for a, b in zip(warp, warp[1:]))
         slew = CorrectiveParams().max_warp_slew
@@ -265,42 +297,40 @@ class TestBeatAlignRemap:
 
     def test_half_beat_shift_is_never_exceeded(self):
         # nearest-beat rule: correction magnitude stays within half a beat
+        grid = BeatGrid(bpm=120.0)
         for offset_s in (0.05, 0.12, 0.2, 0.24, 0.26, 0.35, 0.45):
             phase = math.pi / 2 - TWO_PI * offset_s
-            frames = sway_frames(duration_s=2.0, phase=phase)
             detected = PeriodEstimate(1_000_000, (phase - math.pi / 2) % TWO_PI, 0.9, joint=0)
-            result = beat_align_remap(frames, detected, BeatGrid(bpm=120.0), CorrectiveParams())
-            assert abs(result.phase_target_us) <= 250_000 * (1 + 1e-6)
+            for start_us in (0, 123_457, 10_000_000):
+                controller = _WarpController(0.03, start_us)
+                target = _phase_misalignment(controller, detected, 0.0, grid, 1.0, 500_000.0)
+                assert abs(target) <= 250_000 * (1 + 1e-6)
 
-    def test_second_pass_changes_stream_minimally(self):
-        phase = math.pi / 2 - TWO_PI * 0.1
-        frames = sway_frames(duration_s=20.0, phase=phase)
-        detected = PeriodEstimate(1_000_000, (phase - math.pi / 2) % TWO_PI, 0.9, joint=0)
-        grid = BeatGrid(bpm=120.0)
-        once = beat_align_remap(frames, detected, grid, CorrectiveParams())
+    def test_second_pass_changes_stream_minimally(self, skeleton):
+        frames = synthesize_sway_recording(
+            skeleton, duration_s=30.0, phase_rad=math.pi / 2 - TWO_PI * 0.1
+        ).frames
+        grid, params = BeatGrid(bpm=120.0), CorrectiveParams()
+        once = run_corrective_pipeline(frames, skeleton, grid, params)
         assert once.applied
 
         # The aligned stream's analytic model: extrema on beats, i.e. the
-        # cosine phase at the stream epoch is 0. Remapping again with that
+        # cosine phase at the stream epoch is 0. Warping again with that
         # model and the same grid must be a bit-stable no-op.
+        ts, roots, rotations = _stack_frames(once.frames)
         aligned_model = PeriodEstimate(1_000_000, 0.0, 0.9, joint=0)
-        twice = beat_align_remap(once.frames, aligned_model, grid, CorrectiveParams())
-        assert twice.applied and twice.rate == 1.0 and twice.phase_target_us == 0.0
-        assert all(
-            np.array_equal(a.rotations, b.rotations) for a, b in zip(once.frames, twice.frames)
-        )
+        steer = {0: (aligned_model, int(ts[0]), 1.0, 500_000.0)}
+        source, warp = _retime(ts, grid, params.max_warp_slew, steer)
+        assert warp[0].target_us == 0.0 and source.tolist() == ts.tolist()
+        _, again = _resample(ts, roots, rotations, source)
+        assert again.tobytes() == rotations.tobytes()
 
-        # And a real re-detection on the converged tail confirms the residual
-        # misalignment is a few milliseconds at most.
-        tail = once.frames[344:600]
-        re_detected = detect_dominant_period(extract_feature_series(tail, 0, "x"))
-        assert re_detected is not None
-        recheck = beat_align_remap(
-            tail, re_detected, grid, CorrectiveParams(),
-            phase_reference_us=tail[0].timestamp_us,
-        )
-        assert recheck.applied
-        assert abs(recheck.phase_target_us) < 8_000
+        # And a real second pass over the converged tail retargets the warp
+        # by a few milliseconds at most.
+        converged = np.searchsorted(ts, once.convergence_us())
+        twice = run_corrective_pipeline(once.frames[converged:], skeleton, grid, params)
+        assert twice.applied
+        assert max(abs(w.target_us) for w in twice.warp) < 8_000
 
 
 def reference_log_half(q):
@@ -639,8 +669,9 @@ def reference_warp_frames(frames, controller, retarget=None):
 
 
 def reference_beat_align_remap(frames, detected, grid, params, phase_reference_us=None):
-    """(frames, applied, rate, phase target, warp) as beat_align_remap
-    computed them with a per-frame sampler and an already-aligned branch."""
+    """(frames, applied, rate, phase target, warp) of one estimate steering
+    the warp from the first frame, computed with a per-frame sampler and an
+    already-aligned branch."""
     t0 = frames[0].timestamp_us
     ref = float(t0 if phase_reference_us is None else phase_reference_us)
     match = _match_tempo(detected.period_us / 2.0, grid.beat_period_us, params.max_rate_ratio)
@@ -764,28 +795,37 @@ class TestRetimeMatchesPerFrameOracle:
     @pytest.mark.parametrize("offset_s", [0.0, 0.1, 0.23, 0.41])
     @pytest.mark.parametrize("bpm", [120.0, 113.0, 75.0])
     def test_beat_align_remap(self, skeleton, bpm, offset_s, phase_ref):
+        # One estimate steering the warp from the first frame, its phase
+        # referred to phase_ref (the first frame's time by default).
         phase = math.pi / 2 - TWO_PI * offset_s
         frames = dancer_frames(skeleton, duration_s=10.0, phase_rad=phase)
         detected = PeriodEstimate(
             1_000_000, (phase - math.pi / 2) % TWO_PI, energy_ratio=0.9, joint=0
         )
         grid, params = BeatGrid(bpm=bpm), CorrectiveParams()
-        got = beat_align_remap(frames, detected, grid, params, phase_reference_us=phase_ref)
-        want_frames, applied, rate, target, warp = reference_beat_align_remap(
+        want_frames, applied, rate, target, want_warp = reference_beat_align_remap(
             frames, detected, grid, params, phase_ref
         )
-        assert (got.applied, got.rate, got.phase_target_us, got.warp) == (
-            applied, rate, target, warp
-        )
-        assert_frames_identical(got.frames, want_frames)
+        match = _match_tempo(500_000.0, grid.beat_period_us, params.max_rate_ratio)
+        assert applied == (match is not None)
+        if match is None:
+            return
+        ts, roots, rotations = _stack_frames(frames)
+        ref = frames[0].timestamp_us if phase_ref is None else phase_ref
+        source, warp = _retime(ts, grid, params.max_warp_slew, {0: (detected, ref, *match)})
+        assert (match[0], warp[0].target_us, warp) == (rate, target, want_warp)
+        got = _frames_of(ts, *_resample(ts, roots, rotations, source))
+        assert_frames_identical(got, want_frames)
 
     def test_already_aligned_takes_the_source_rows_exactly(self, skeleton):
         frames = dancer_frames(skeleton, duration_s=10.0, phase_rad=math.pi / 2)
         detected = PeriodEstimate(1_000_000, 0.0, 0.9, joint=0)
-        result = beat_align_remap(frames, detected, BeatGrid(bpm=120.0), CorrectiveParams())
-        assert result.rate == 1.0 and result.phase_target_us == 0.0
-        assert [w.source_us for w in result.warp] == [float(f.timestamp_us) for f in frames]
-        assert_frames_identical(result.frames, frames)
+        ts, roots, rotations = _stack_frames(frames)
+        steer = {0: (detected, int(ts[0]), 1.0, 500_000.0)}
+        source, warp = _retime(ts, BeatGrid(bpm=120.0), CorrectiveParams().max_warp_slew, steer)
+        assert warp[0].target_us == 0.0
+        assert source.tolist() == [float(f.timestamp_us) for f in frames]
+        assert_frames_identical(_frames_of(ts, *_resample(ts, roots, rotations, source)), frames)
 
     def test_resample_at_edges_and_on_frame_times(self, skeleton):
         frames = dancer_frames(skeleton, duration_s=5.0)
@@ -801,7 +841,8 @@ class TestRetimeMatchesPerFrameOracle:
         source = np.sort(source)
         sampler = ReferenceSourceSampler(frames)
         want = [sampler.sample(float(s), t) for s, t in zip(source, ts)]
-        got = _resample(frames, np.stack([f.rotations for f in frames]), source)
+        block = _stack_frames(frames)
+        got = _frames_of(block[0], *_resample(*block, source))
         assert_frames_identical(got, want)
         assert source[0] < ts[0] and source[-1] > ts[-1]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dancegraph import _mmsg
-from dancegraph._mmsg import FanoutSender, batching_available
+from dancegraph._mmsg import FanoutSender
 from dancegraph.codec import analyze_bounds, encode_frame
 from dancegraph.harness import synthesize_sway_recording
 from dancegraph.packet import (
@@ -535,7 +535,7 @@ class TestFanout:
         tx, rxs = self._sockets(3)
         try:
             fan = FanoutSender(tx, [rx.getsockname() for rx in rxs])
-            assert fan._batched == batching_available()
+            assert fan._batched == _mmsg._HAVE
             assert fan.send(b"pose") == 3
             for rx in rxs:
                 assert rx.recv(64) == b"pose"

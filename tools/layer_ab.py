@@ -12,9 +12,11 @@ frame), `parse_packet` and `Client.ingest` of a 224-byte pose datagram, in
 microseconds per call; `run_corrective_pipeline` and `amplify_zones`
 (hips 2.0, hands 0.5) on a synthesized 24 s dancer take, in microseconds per
 frame, with amplification at the window `dancegraph correct` derives from
-the take's pipeline result (whole detected periods, about 240 frames); and
-`karcher_mean_rows`, one warm-started call on the take's 11 active joints
-over such a window, in microseconds per call.
+the take's pipeline result (whole detected periods, about 240 frames);
+`recording.load` and `recording.save` of that take as a file, in
+microseconds per frame; and `karcher_mean_rows`, one warm-started call on
+the take's 11 active joints over such a window, in microseconds per call.
+The files go to a temporary directory that is removed on exit.
 Prints per layer the median microseconds of A and B, the median of the
 per-round ratios B/A, and in how many rounds B was faster.
 """
@@ -28,6 +30,7 @@ import math
 import socket
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,10 +49,11 @@ def load(alias: str, src: Path):
     sys.modules[alias] = module
     spec.loader.exec_module(module)
     return {name: importlib.import_module(f"{alias}.{name}")
-            for name in ("codec", "core", "harness", "packet", "rhythm", "router", "transport")}
+            for name in ("codec", "core", "harness", "packet", "recording", "rhythm", "router",
+                         "transport")}
 
 
-def layers(m):
+def layers(m, scratch: Path):
     codec, packet = m["codec"], m["packet"]
     skeleton = m["core"].default_skeleton()
     rec = m["harness"].synthesize_sway_recording(skeleton, duration_s=2.0)
@@ -114,6 +118,12 @@ def layers(m):
             fn(g, 0)
         return (time.perf_counter_ns() - t0) / CALLS / 1000
 
+    recording = m["recording"]
+    scratch.mkdir()
+    take_file = scratch / "take.dgrc"
+    take_rec = recording.Recording(skeleton.joint_count, sway.nominal_fps, take)
+    recording.save_recording(take_rec, take_file)
+
     def per_frame(fn):
         def timed() -> float:
             t0 = time.perf_counter_ns()
@@ -131,6 +141,10 @@ def layers(m):
             lambda: rhythm.run_corrective_pipeline(take, skeleton, grid, params)
         ),
         "amplify_zones": per_frame(lambda: rhythm.amplify_zones(warped, skeleton, params, window)),
+        "recording.load": per_frame(lambda: recording.load_recording(take_file)),
+        "recording.save": per_frame(
+            lambda: recording.save_recording(take_rec, scratch / "out.dgrc")
+        ),
         "karcher_mean_rows": repeat(lambda: core.karcher_mean_rows(mean_rows, 1e-9, init=warm)),
     }
 
@@ -141,18 +155,20 @@ def main() -> None:
     parser.add_argument("b", type=Path, help="the `src` directory of tree B (the change)")
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args()
-    a, b = layers(load("dancegraph_a", args.a)), layers(load("dancegraph_b", args.b))
-    times = {name: ([], []) for name in a}
-    for r in range(args.rounds):
-        # A layer runs faster right after the same layer on the other tree
-        # (warm caches): with B always second, the same tree read 0.91 on
-        # run_corrective_pipeline. The collection keeps one side's garbage
-        # from being collected on the other side's clock.
-        order = ((0, a), (1, b)) if r % 2 == 0 else ((1, b), (0, a))
-        for name in a:
-            for side, timers in order:
-                gc.collect()
-                times[name][side].append(timers[name]())
+    with tempfile.TemporaryDirectory(prefix="layer_ab-") as tmp:
+        a = layers(load("dancegraph_a", args.a), Path(tmp, "a"))
+        b = layers(load("dancegraph_b", args.b), Path(tmp, "b"))
+        times = {name: ([], []) for name in a}
+        for r in range(args.rounds):
+            # A layer runs faster right after the same layer on the other tree
+            # (warm caches): with B always second, the same tree read 0.91 on
+            # run_corrective_pipeline. The collection keeps one side's garbage
+            # from being collected on the other side's clock.
+            order = ((0, a), (1, b)) if r % 2 == 0 else ((1, b), (0, a))
+            for name in a:
+                for side, timers in order:
+                    gc.collect()
+                    times[name][side].append(timers[name]())
     for name, (ta, tb) in times.items():
         ratios = [y / x for x, y in zip(ta, tb)]
         print(f"{name:24s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
