@@ -21,7 +21,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .core import PoseFrame, Skeleton
+from .core import PoseFrame, Skeleton, _stack_frames
 
 __all__ = [
     "BoundsTable",
@@ -198,11 +198,10 @@ def analyze_bounds(
     mins: np.ndarray | None = None
     maxs: np.ndarray | None = None
     joint_count: int | None = None
-    total_frames = 0
     for stream in corpus:
         if len(stream) == 0:
             continue
-        arr = np.stack([f.rotations for f in stream])  # (frames, J, 4)
+        _, _, arr = _stack_frames(stream)  # (frames, J, 4)
         if joint_count is None:
             joint_count = arr.shape[1]
         elif arr.shape[1] != joint_count:
@@ -216,8 +215,7 @@ def analyze_bounds(
         smax = v.max(axis=0)
         mins = smin if mins is None else np.minimum(mins, smin)
         maxs = smax if maxs is None else np.maximum(maxs, smax)
-        total_frames += arr.shape[0]
-    if joint_count is None or total_frames == 0:
+    if joint_count is None:
         raise ValueError("corpus is empty: need at least one stream with frames")
 
     rng = maxs - mins

@@ -145,12 +145,12 @@ def rows_conjugate(arr: np.ndarray) -> np.ndarray:
 _SQUARED_NORM_FLOOR = 1e-300
 
 
-def _log_half_weight(vn2: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _log_half_weight(vn2: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-row f with rows_log_half(q) == f * v for q = (v, w), given the
-    squared vector norm vn2 = |v|^2: the half angle over |v| (1/|w| near
-    the identity), negated where w < 0."""
-    vn = np.sqrt(np.maximum(vn2, _SQUARED_NORM_FLOOR))
-    f = np.arctan2(vn, np.abs(w))
+    squared vector norm vn2 = |v|^2, which it overwrites: the half angle
+    over |v| (1/|w| near the identity), negated where w < 0."""
+    vn = np.sqrt(np.maximum(vn2, _SQUARED_NORM_FLOOR, out=vn2), out=vn2)
+    f = np.arctan2(vn, np.abs(w, out=out), out=out)
     f /= vn
     # w + 0.0 turns -0.0 into +0.0, so only w < 0 gives a negative sign.
     return np.copysign(f, w + 0.0, out=f)
@@ -229,47 +229,68 @@ def karcher_mean_rows(
 ) -> np.ndarray:
     """Tangent-space iterative mean of quaternions: rows (..., N, 4) and init
     (..., 4), one mean per leading index, started from its first row by
-    default. Rows and init are normalized, then _karcher_columns iterates on
-    the rows transposed. A mean stops moving once its step angle is below
-    `tolerance`, as if averaged alone; the call returns when every mean has
-    stopped."""
+    default. Rows and init are normalized; the rows transposed are the
+    one-window case of _karcher_windows, with no carried step. A mean stops
+    moving once its step angle is below `tolerance`, as if averaged alone;
+    the call returns when every mean has stopped."""
     unit = rows_normalize(np.asarray(rows, dtype=np.float64))
     mean = rows_normalize(np.array(unit[..., 0, :] if init is None else init, dtype=np.float64))
     cols = np.ascontiguousarray(np.swapaxes(unit, -1, -2))
-    return _karcher_columns(cols, mean, tolerance, max_iterations)
+    return _karcher_windows(cols, cols.shape[-1], mean, tolerance, max_iterations)[0]
 
 
-def _karcher_columns(
-    cols: np.ndarray, mean: np.ndarray, tolerance: float, max_iterations: int
+def _karcher_windows(
+    block: np.ndarray, window: int, mean: np.ndarray, tolerance: float,
+    max_iterations: int = _MEAN_MAX_ITERATIONS,
 ) -> np.ndarray:
-    """The Karcher iteration on unit rows stored component-major, cols
-    (..., 4, N), and unit means m (..., 4), which it requires and does not
-    check.
+    """Karcher means of every `window` consecutive columns of unit rows stored
+    component-major, block (..., 4, n), as (n - window + 1, ..., 4); the
+    first window starts from the unit means `mean` (..., 4). Unchecked.
 
-    w = m @ cols is the w part of conj(m) * row, whose vector part has norm
-    sqrt(1 - w^2): that gives each row its log-map weight f, and the sign of
-    w resolves the double cover towards m. With s = cols @ f,
-    m * (vec(conj(m) * s), 0) == s - (m . s) m, so the mean log map carried
-    back to m is the tangent step g = (s - (m . s) m) / N, and the new mean
-    is cos|g| m + sin|g| g / |g|, renormalized.
+    A pass at mean m: w = m @ cols is the w part of conj(m) * row, whose
+    vector part has norm sqrt(1 - w^2): that gives each row its log-map
+    weight f, and the sign of w resolves the double cover towards m. With
+    s = cols @ f, m * (vec(conj(m) * s), 0) == s - (m . s) m, so the tangent
+    step is g = (s - (m . s) m) / N and the new mean cos|g| m + sin|g| g / |g|,
+    renormalized. A mean freezes once its step angle is below `tolerance`.
+
+    A pass also covers the next window's new column: dropping the oldest
+    column's term instead gives the next window's s at the same m, so its
+    first step needs no pass, exact but for the sub-tolerance step m took
+    last. A window with a successor ends on a pass, so the carry is fresh.
     """
-    n = cols.shape[-1]
-    done = np.zeros(mean.shape[:-1], dtype=bool)
-    for _ in range(max_iterations):
-        w = (mean[..., None, :] @ cols)[..., 0, :]
-        f = _log_half_weight(1.0 - w * w, w)
-        s = (cols @ f[..., None])[..., 0]
-        g = s - (mean * s).sum(axis=-1, keepdims=True) * mean
-        g /= n
-        half = np.sqrt(np.maximum((g * g).sum(axis=-1, keepdims=True), _SQUARED_NORM_FLOOR))
-        moved = rows_normalize(mean * np.cos(half) + g * (np.sin(half) / half))
-        mean = np.where(done[..., None], mean, moved)
-        done |= 2.0 * half[..., 0] < tolerance
-        if done.all():
-            return mean
-    raise MeanConvergenceError(
-        f"rotation averaging did not converge in {max_iterations} iterations"
-    )
+    last = block.shape[-1] - window
+    span = window + (last > 0)
+    passes = np.empty((3,) + mean.shape[:-1] + (1, span))  # w, 1 - w^2 then |v|, f
+    s = np.empty(mean.shape + (1,))
+    means = np.empty((last + 1,) + mean.shape)
+    carry = None
+    for i in range(last + 1):
+        cols = block[..., i:i + span]
+        w, v, f = passes[..., :cols.shape[-1]]
+        done = np.zeros(mean.shape[:-1], dtype=bool)
+        for it in range(max_iterations):
+            if it == 0 and carry is not None:
+                (mean, total), carry = carry, None
+            else:
+                np.matmul(mean[..., None, :], cols, out=w)
+                _log_half_weight(np.subtract(1.0, np.square(w, out=v), out=v), w, out=f)
+                total = np.matmul(cols, np.swapaxes(f, -1, -2), out=s)[..., 0]
+                if i < last:
+                    ends = cols[..., ::window] * f[..., ::window]
+                    carry, total = (mean, total - ends[..., 0]), total - ends[..., 1]
+            g = total - (mean * total).sum(axis=-1, keepdims=True) * mean
+            g /= window
+            half = np.sqrt(np.maximum((g * g).sum(axis=-1, keepdims=True), _SQUARED_NORM_FLOOR))
+            moved = rows_normalize(mean * np.cos(half) + g * (np.sin(half) / half))
+            mean = np.where(done[..., None], mean, moved)
+            done |= half[..., 0] < 0.5 * tolerance
+            if done.all() and (carry is not None or i == last):
+                break
+        else:
+            raise MeanConvergenceError(f"mean did not converge in {max_iterations} iterations")
+        means[i] = mean
+    return means
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,11 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    _MEAN_MAX_ITERATIONS,
     BodyZone,
     PoseFrame,
     Skeleton,
     _frames_of,
-    _karcher_columns,
+    _karcher_windows,
     _stack_frames,
     rows_normalize,
     rows_scale_rotation,
@@ -521,13 +520,14 @@ def amplify_zones(
 
     Each joint's output rotation is rows_scale_rotation(reference, input, gain)
     where the reference is the geodesic mean over the trailing
-    `reference_window` frames: one batched Karcher mean over all active joints
-    per frame, warm-started from the previous frame's. The active tracks are
-    normalized once per take into one contiguous component-major (A, 4, n)
-    block, and each frame's mean iterates on the slice of its window: two
-    matrix-vector products and one tangent-space step per iteration (see
-    _karcher_columns). The root translation's deviation from its rolling
-    mean is scaled by the hips gain.
+    `reference_window` frames, batched over all active joints. The active
+    tracks are normalized once per take into one contiguous component-major
+    (A, 4, n) block, and one sliding Karcher loop (_karcher_windows) walks
+    it: each full pass covers a window plus the next frame, so besides this
+    window's step it hands the next window a carried sum, and every window
+    but the first takes its first step from that carry without a pass. The
+    root translation's deviation from its rolling mean is scaled by the
+    hips gain.
     Frames before the window fills pass through unchanged. Zones with gain
     exactly 1.0 are left untouched byte-for-byte.
     """
@@ -550,13 +550,7 @@ def amplify_zones(
     if active:
         tracks = rotations[:, active]  # (n, A, 4)
         block = np.ascontiguousarray(rows_normalize(tracks).transpose(1, 2, 0))  # (A, 4, n)
-        references = np.empty((n - first, len(active), 4))
-        reference = block[:, :, 0]
-        for i in range(n - first):
-            window = block[:, :, i:i + reference_window]
-            reference = references[i] = _karcher_columns(
-                window, reference, 1e-9, _MEAN_MAX_ITERATIONS
-            )
+        references = _karcher_windows(block, reference_window, block[:, :, 0], 1e-9)
         gains = np.array([joint_gain[j] for j in active])[:, None]
         rotations[first:, active], _ = rows_scale_rotation(references, tracks[first:], gains)
 

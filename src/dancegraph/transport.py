@@ -34,6 +34,8 @@ Control protocol (signal type = CONTROL):
   the sender) answers that address with a LEAVE naming the header's user
   id, at most once per _LEAVE_REPLY_INTERVAL_US; a client that hears its
   own id leave re-joins unassigned at once and adopts the id in the ACK.
+* Only the relay sends ACKs and LEAVEs: it drops and counts
+  (`dropped_control`) a client's CONTROL packet that has a payload.
 
 Timestamps are sender-local monotonic microseconds; no cross-host clock
 sync is attempted, so absolute one-way latency is only meaningful when all
@@ -118,6 +120,7 @@ class ServerStats:
     relayed: int = 0
     dropped_stale: int = 0
     dropped_corrupt: int = 0
+    dropped_control: int = 0
     joins: int = 0
     evictions: int = 0
     unknown_sender: int = 0
@@ -206,8 +209,11 @@ class RelayServer:
         sig_type = data[3]
         user_id, seq = struct.unpack_from("<HI", data, 4)
 
-        if sig_type == SignalType.CONTROL and len(data) == HEADER_SIZE:
-            self._handle_join(addr, user_id, now)
+        if sig_type == SignalType.CONTROL:
+            if len(data) == HEADER_SIZE:
+                self._handle_join(addr, user_id, now)
+            else:
+                self.stats.dropped_control += 1
             return
 
         record = self._by_addr.get(addr)

@@ -136,6 +136,26 @@ class TestAnalyzeBounds:
         with pytest.raises(ShapeMismatchError):
             analyze_bounds([[identity_frame(4)], [identity_frame(5)]])
 
+    def test_stream_with_unequal_joint_counts_rejected(self):
+        ragged = [identity_frame(4), identity_frame(5, ts=1)]
+        with pytest.raises(ValueError):
+            analyze_bounds([ragged])
+        with pytest.raises(ShapeMismatchError):
+            analyze_bounds([[identity_frame(4)], [], ragged[1:]])
+
+    def test_bounds_are_the_widened_corpus_extremes(self):
+        # Every component of these takes moves, so no floor or clamp
+        # applies: the bounds are the corpus extremes widened by the
+        # margin, bit for bit, whichever stream holds them.
+        corpus = [
+            synthesize_noise_recording(duration_s=2.0, seed=seed).frames for seed in (1, 2)
+        ]
+        table = analyze_bounds([corpus[0], [], corpus[1]], margin=0.1)
+        v = np.concatenate([np.stack([f.rotations for f in s]) for s in corpus])[..., :3]
+        mins, maxs = v.min(axis=0), v.max(axis=0)
+        assert table.lo.tobytes() == (mins - 0.1 * (maxs - mins)).tobytes()
+        assert table.hi.tobytes() == (maxs + 0.1 * (maxs - mins)).tobytes()
+
     def test_non_canonical_corpus_rejected(self):
         bad = PoseFrame(0, (0, 0, 0), ((0, 0, 0, -1.0),))
         with pytest.raises(ValueError):

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from dancegraph import core
 from dancegraph.core import (
     BodyZone,
     MeanConvergenceError,
     PoseFrame,
     _frames_of,
+    _karcher_windows,
     _stack_frames,
+    rows_canonicalize,
     rows_conjugate,
     rows_exp_half,
     rows_from_axis_angle,
@@ -408,9 +411,7 @@ class TestAmplifyZones:
             skeleton, duration_s=duration_s, amplitude_rad=0.03, seed=4
         )
         frames = [
-            PoseFrame.from_array(
-                s.timestamp_us, s.root_translation, rows_multiply(s.rotations, n.rotations)
-            )
+            PoseFrame(s.timestamp_us, s.root_translation, rows_multiply(s.rotations, n.rotations))
             for s, n in zip(sway.frames, noise.frames)
         ]
         gains = {z: 1.0 for z in BodyZone}
@@ -507,6 +508,118 @@ class TestAmplifyZones:
         assert max(xs) == pytest.approx(0.2, abs=0.01)
         ys = [f.root_translation[1] for f in out[window + 30:]]
         assert all(abs(y - 1.0) < 1e-9 for y in ys)
+
+
+def drifting_tracks(seed, tracks=3, frames=40, spread=0.3):
+    """(tracks, frames, 4) unit rows jittering by up to `spread` radians
+    around a center per track that drifts along the take."""
+    rng = np.random.default_rng(seed)
+    drift = np.linspace(0.0, 1.0, frames)[None, :, None] * rng.normal(size=(tracks, 1, 3))
+    tangent = 0.5 * spread * (drift + rng.uniform(-1.0, 1.0, size=(tracks, frames, 3)))
+    center = rows_canonicalize(rng.normal(size=(tracks, 1, 4)))
+    return rows_multiply(np.broadcast_to(center, tangent.shape[:2] + (4,)), rows_exp_half(tangent))
+
+
+def reference_window_means(tracks, window, tolerance=1e-9):
+    """(windows, tracks, 4): one reference_karcher_mean per track per
+    trailing window, each warm-started from the previous window's mean."""
+    out = np.empty((tracks.shape[1] - window + 1, tracks.shape[0], 4))
+    for a, track in enumerate(rows_normalize(tracks)):
+        mean = None
+        for i in range(len(out)):
+            mean = out[i, a] = reference_karcher_mean(track[i:i + window], tolerance, init=mean)
+    return out
+
+
+def sliding_means(tracks, window, tolerance=1e-9, max_iterations=64):
+    block = np.ascontiguousarray(rows_normalize(tracks).transpose(0, 2, 1))
+    return _karcher_windows(block, window, block[:, :, 0], tolerance, max_iterations)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts full Karcher passes: each calls core._log_half_weight once."""
+    count = [0]
+    log_half_weight = core._log_half_weight
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return log_half_weight(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_log_half_weight", counted)
+    return count
+
+
+class TestSlidingKarcherWindows:
+    """The sliding Karcher loop against per-window means warm-started from the
+    previous window's, the per-frame oracle."""
+
+    def assert_matches(self, tracks, window):
+        got = sliding_means(tracks, window)
+        want = reference_window_means(tracks, window)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_window_equal_to_the_take(self, seed):
+        # One window and no column after it: no carry is ever taken.
+        tracks = drifting_tracks(seed)
+        self.assert_matches(tracks, tracks.shape[1])
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_short_windows(self, window):
+        self.assert_matches(drifting_tracks(3, frames=12), window)
+
+    @pytest.mark.parametrize("window", [5, 30])
+    def test_rows_on_the_far_hemisphere(self, window):
+        # q and -q are one rotation; negated rows have w < 0 against every
+        # mean, so the log-map weight takes its sign path.
+        plain = drifting_tracks(4)
+        tracks = plain.copy()
+        tracks[:, 1::3] *= -1.0
+        means = reference_window_means(tracks, window)
+        assert np.any(np.einsum("tfk,tk->tf", tracks[:, :window], means[0]) < 0.0)
+        self.assert_matches(tracks, window)
+        np.testing.assert_allclose(
+            sliding_means(tracks, window), sliding_means(plain, window), rtol=0.0, atol=1e-12
+        )
+
+    def test_constant_track_converges_at_once(self, passes):
+        row = rows_normalize(np.array([0.1, -0.2, 0.3, 0.9]))
+        constant = np.broadcast_to(row, (1, 20, 4)).copy()
+        got = sliding_means(constant, 6)
+        assert np.abs(got - row).max() <= 1e-15
+        # One pass settles the first window. Every later one settles on its
+        # carried step, and all but the last make one pass for the carry.
+        assert passes[0] == len(got) - 1
+        tracks = np.concatenate([drifting_tracks(5), np.broadcast_to(row, (1, 40, 4))])
+        self.assert_matches(tracks, 8)
+
+    def test_exhausted_budget_raises(self):
+        tracks = drifting_tracks(6)
+        with pytest.raises(MeanConvergenceError):
+            sliding_means(tracks, 10, tolerance=0.0, max_iterations=4)
+        with pytest.raises(MeanConvergenceError):
+            sliding_means(tracks, 10, max_iterations=1)
+        assert sliding_means(tracks, 10, max_iterations=64).shape == (31, 3, 4)
+
+    def test_passes_per_window_on_a_dancer_take(self, skeleton, passes):
+        # amplify_zones' block for the 24 s dancer take at its served
+        # window: the carried first step leaves about two full passes per
+        # window, where a pass per step took 2.95.
+        frames = TAKES["dancer"](skeleton)
+        gains = {z: 1.0 for z in BodyZone}
+        gains[BodyZone.HIPS] = 2.0
+        gains[BodyZone.HANDS] = 0.5
+        params = CorrectiveParams(zone_gains=gains)
+        result = run_corrective_pipeline(frames, skeleton, BeatGrid(bpm=120.0), params)
+        window = _amplify_window_frames(result, params, 30.0)
+        active = sorted(skeleton.joints_in_zone(BodyZone.HIPS) + skeleton.joints_in_zone(BodyZone.HANDS))
+        tracks = np.stack([f.rotations for f in result.frames])[:, active].transpose(1, 0, 2)
+        passes[0] = 0
+        windows = len(sliding_means(tracks, window))
+        assert windows == len(frames) - window + 1 and len(active) == 11
+        assert passes[0] <= 2.2 * windows
 
 
 class TestPipeline:
@@ -652,7 +765,7 @@ class ReferenceSourceSampler:
             return PoseFrame(out_timestamp_us, b.root_translation, b.rotations)
         rot = rows_slerp(a.rotations, b.rotations, float(u))
         root = [x + (y - x) * u for x, y in zip(a.root_translation, b.root_translation)]
-        return PoseFrame.from_array(out_timestamp_us, root, rot)
+        return PoseFrame(out_timestamp_us, tuple(map(float, root)), rot)
 
 
 def reference_warp_frames(frames, controller, retarget=None):
@@ -755,9 +868,7 @@ def dancer_frames(skeleton, duration_s=24.0, phase_rad=0.0, freq=1.0, seed=3):
         skeleton, duration_s=duration_s, amplitude_rad=0.03, seed=seed
     )
     return [
-        PoseFrame.from_array(
-            s.timestamp_us, s.root_translation, rows_multiply(s.rotations, n.rotations)
-        )
+        PoseFrame(s.timestamp_us, s.root_translation, rows_multiply(s.rotations, n.rotations))
         for s, n in zip(sway.frames, noise.frames)
     ]
 

@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 import time
 
@@ -372,6 +373,27 @@ class TestRelayServer:
             got = consumer.poll(max_packets=8).packets
             assert [p.payload for p in got] == [b"legit"]
             assert server.stats.spoofed == 1
+
+    def test_client_control_packet_is_not_relayed(self, server):
+        # A client's CONTROL packet whose payload names its own id reads, at
+        # every peer, like that peer's JOIN-ACK. Relayed, it would make
+        # client 2 adopt client 1's id, and the relay would then drop
+        # client 2's packets as spoofed.
+        addr = ("127.0.0.1", server.port)
+        with client_connect(addr) as a, client_connect(addr) as b, client_connect(addr) as c:
+            b_id = b.user_id
+            consumer = c.router.subscribe(SignalSelector(SignalType.POSE, None, Origin.NETWORK))
+            a.send(struct.pack("<H", a.user_id), SignalType.CONTROL)
+            # The relay handles a's packets in order, and so does b.
+            a.send(b"marker")
+            assert wait_until(lambda: b.session.stats.received >= 1)
+            assert b.user_id == b_id
+            b.send(b"still relayed")
+            assert wait_until(lambda: c.session.stats.received >= 2)
+            got = [(p.user_id, p.payload) for p in consumer.poll(max_packets=8).packets]
+            assert got == [(a.user_id, b"marker"), (b_id, b"still relayed")]
+            assert server.stats.dropped_control == 1
+            assert server.stats.spoofed == 0
 
     def test_max_clients_enforced(self):
         srv = RelayServer(ServerConfig(host="127.0.0.1", max_clients=2)).start()

@@ -1,0 +1,226 @@
+"""The CI workflow's scripted steps, runnable from a checkout without CI.
+
+    python3 tools/ci_steps.py relay        # `dancegraph server` starts and stops on SIGINT
+    python3 tools/ci_steps.py session      # live record/replay through a real relay
+    python3 tools/ci_steps.py corrective   # `dancegraph correct` on a synthesized take
+    python3 tools/ci_steps.py smoke        # 2 s benchmark run; its JSON verdict must pass
+    python3 tools/ci_steps.py latency      # relay latency scenarios keep every stage
+    python3 tools/ci_steps.py all          # every step after Install, with PYTHONPATH=src
+
+`.github/workflows/tests.yml` calls the subcommands; each exits 0 only if
+its step passes. `all` needs no install: it runs the workflow's steps in
+its order from the checkout root with `src/` on PYTHONPATH, each under the
+time limit CI gives it, and exits 1 if any step failed. The files a step
+writes go to a temporary directory, except `latency`, which keeps
+`swarm.json` and `loopback_relay.json` in the working directory for CI to
+upload (under `all`, they too go to the temporary directory).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI = [sys.executable, "-u", "-m", "dancegraph.cli"]
+LATENCY_STAGES = {"produce_to_consume", "enqueue_to_client_in", "client_in_to_consume"}
+
+
+def first_line(proc: subprocess.Popen, prefix: str) -> str:
+    """The process's first output line, which must start with `prefix`
+    within 10 s; otherwise the process is killed and the step fails."""
+    ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+    line = proc.stdout.readline() if ready else ""
+    print(line.strip())
+    if not line.startswith(prefix):
+        proc.kill()
+        sys.exit(f"no {prefix!r} line within 10 s")
+    return line
+
+
+def relay() -> bool:
+    """Start the real `dancegraph server`, wait for it to listen and stop it
+    with SIGINT as an operator would: it must exit 0 and print its counters."""
+    proc = subprocess.Popen(
+        [*CLI, "server", "--bind", "127.0.0.1:0"], stdout=subprocess.PIPE, text=True
+    )
+    first_line(proc, "relay listening")
+    proc.send_signal(signal.SIGINT)
+    out, _ = proc.communicate(timeout=10)
+    print(out.strip())
+    return proc.returncode == 0 and "server stats:" in out
+
+
+def session(work: Path) -> bool:
+    """`record` and `replay` use the default client, whose receive thread no
+    benchmark workload runs: a 3 s take goes through a real `dancegraph
+    server`, and the recording must hold at least 90% of the replayed
+    frames."""
+    from dancegraph.recording import load_recording
+
+    (work / "corpus").mkdir()
+    take, bounds, out = work / "corpus" / "take.dgrc", work / "bounds.json", work / "out.dgrc"
+    subprocess.run([*CLI, "synth", "--out", str(take), "--seconds", "3"], check=True)
+    subprocess.run(
+        [*CLI, "bounds", "--corpus", str(work / "corpus"), "--out", str(bounds)], check=True
+    )
+    server = subprocess.Popen(
+        [*CLI, "server", "--bind", "127.0.0.1:0"], stdout=subprocess.PIPE, text=True
+    )
+    recorder = None
+    try:
+        addr = first_line(server, "relay listening").split()[-1]
+        recorder = subprocess.Popen(
+            [*CLI, "record", "--out", str(out), "--server", addr, "--bounds", str(bounds),
+             "--duration", "6"],
+            stdout=subprocess.PIPE, text=True,
+        )
+        first_line(recorder, "recording")
+        subprocess.run(
+            [*CLI, "replay", "--file", str(take), "--server", addr, "--bounds", str(bounds)],
+            check=True,
+        )
+        print(recorder.communicate(timeout=30)[0].strip())
+        server.send_signal(signal.SIGINT)
+        print(server.communicate(timeout=10)[0].strip())
+    finally:
+        # A failed step must not leave the relay or the recorder running.
+        for proc in (server, recorder):
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    replayed, recorded = len(load_recording(take).frames), len(load_recording(out).frames)
+    print(f"recorded {recorded} of {replayed} replayed frames")
+    return recorder.returncode == 0 and server.returncode == 0 and recorded >= 0.9 * replayed
+
+
+def corrective(work: Path) -> bool:
+    """No other step runs `dancegraph correct`: a synthesized 12 s take is
+    beat-aligned and stylized, and the corrected file must load with the
+    take's frame count."""
+    from dancegraph.recording import load_recording
+
+    take, out = work / "take.dgrc", work / "fixed.dgrc"
+    subprocess.run([*CLI, "synth", "--out", str(take), "--seconds", "12"], check=True)
+    corrected = subprocess.run(
+        [*CLI, "correct", "--in", str(take), "--out", str(out), "--bpm", "120",
+         "--gains", "hips=2.0", "hands=0.5"],
+    )
+    taken, fixed = len(load_recording(take).frames), len(load_recording(out).frames)
+    print(f"correct exited {corrected.returncode}: {fixed} frames out of {taken} in")
+    return corrected.returncode == 0 and fixed == taken
+
+
+def smoke() -> bool:
+    """bench/run.py exits 0 even when its output checks fail, so the verdict
+    is read from the JSON summary on its last line."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--seconds", "2"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    print(run.stdout, end="")
+    lines = run.stdout.strip().splitlines()
+    if not lines:
+        return False
+    verdict = json.loads(lines[-1])
+    print("correct:", verdict["correct"], "failed:", verdict["failed"])
+    return verdict["correct"] is True and verdict["failed"] == 0
+
+
+def latency(out_dir: Path) -> bool:
+    """Each relay latency scenario runs for at most 120 s, and its JSON must
+    report the per-hop p50/p99 of every stage."""
+    files = []
+    for scenario, extra in (("swarm", ["--clients", "30"]), ("loopback_relay", [])):
+        path = out_dir / f"{scenario}.json"
+        subprocess.run(
+            [sys.executable, "-m", "dancegraph.cli", "bench", "--scenario", scenario, *extra,
+             "--duration", "5", "--json", str(path)],
+            check=True, timeout=120,
+        )
+        files.append(path)
+    missing = [
+        str(p) for p in files if not LATENCY_STAGES <= set(json.loads(p.read_text())["stages"])
+    ]
+    print("missing stages:", missing)
+    return not missing
+
+
+# Every step after Install, in the workflow's order: (name, command, time
+# limit in seconds or None). The workflow gives `session` and `corrective`
+# 120 s each; `latency` bounds each of its scenarios itself.
+def all_steps(tmp: Path) -> list[tuple[str, list[str], float | None]]:
+    own = [sys.executable, str(Path(__file__).resolve())]
+    return [
+        ("Tier-1 tests",
+         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], None),
+        ("Benchmark tests", [sys.executable, "-m", "pytest", "-q", "bench/test_bench.py"], None),
+        ("Benchmark smoke run", [*own, "smoke"], None),
+        ("Relay entry point", [*own, "relay"], None),
+        ("Live session over the threaded client", [*own, "session"], 120),
+        ("Corrective CLI", [*own, "corrective"], 120),
+        ("Layer timing tool",
+         [sys.executable, "tools/layer_ab.py", "src", "src", "--rounds", "1"], None),
+        ("Relay latency scenarios", [*own, "latency", "--out-dir", str(tmp)], None),
+    ]
+
+
+def run_all() -> bool:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command, limit in all_steps(Path(tmp)):
+            print(f"== {name}", flush=True)
+            start = time.monotonic()
+            # Its own process group, so a step that times out takes the
+            # relays and clients it started down with it.
+            proc = subprocess.Popen(command, cwd=ROOT, env=env, start_new_session=True)
+            try:
+                ok = proc.wait(timeout=limit) == 0
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                print(f"timed out after {limit} s")
+                ok = False
+            results.append((name, ok, time.monotonic() - start))
+    print("== summary")
+    for name, ok, seconds in results:
+        print(f"{'pass' if ok else 'FAIL'}  {seconds:6.1f} s  {name}")
+    return all(ok for _, ok, _ in results)
+
+
+def in_temp_dir(step) -> bool:
+    with tempfile.TemporaryDirectory() as work:
+        return step(Path(work))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "step", choices=["relay", "session", "corrective", "smoke", "latency", "all"]
+    )
+    parser.add_argument(
+        "--out-dir", type=Path, default=Path("."), help="where `latency` writes its JSON files"
+    )
+    args = parser.parse_args()
+    steps = {
+        "relay": relay,
+        "session": lambda: in_temp_dir(session),
+        "corrective": lambda: in_temp_dir(corrective),
+        "smoke": smoke,
+        "latency": lambda: latency(args.out_dir),
+        "all": run_all,
+    }
+    sys.exit(0 if steps[args.step]() else 1)
+
+
+if __name__ == "__main__":
+    main()
