@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -144,6 +145,12 @@ def rows_conjugate(arr: np.ndarray) -> np.ndarray:
 # 1/|w|, and a zero Karcher step scales by sin(t)/t == 1 (t = 1e-150).
 _SQUARED_NORM_FLOOR = 1e-300
 
+# A window with a successor ends on a pass whose step angle h is below
+# _SETTLE_STEP once the bound 2 * rho * h on its next step is below
+# _SETTLE_BOUND (see _karcher_windows).
+_SETTLE_STEP = 1e-7
+_SETTLE_BOUND = 1e-13
+
 
 def _log_half_weight(vn2: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-row f with rows_log_half(q) == f * v for q = (v, w), given the
@@ -258,12 +265,31 @@ def _karcher_windows(
     column's term instead gives the next window's s at the same m, so its
     first step needs no pass, exact but for the sub-tolerance step m took
     last. A window with a successor ends on a pass, so the carry is fresh.
+
+    Such a window may end on a pass without the pass that would confirm its
+    step. Near the window's mean m*, with m = exp(e) m*, a unit step maps e
+    to C e up to O(|e|^2), where C = I - H is the identity minus the Hessian
+    of half the mean squared half-angle distance d_j to the columns:
+    C = (1/N) sum a_j (P - u_j u_j^T), with P the projection onto the
+    tangent space, u_j the unit direction of column j and a_j = 1 - d_j cot
+    d_j in [0, 1). Each P - u_j u_j^T is a projection, so |C| <= rho =
+    (1/N) sum a_j. As f_j w_j = d_j cot d_j, rho = 1 - (m . s) / N, and the
+    step computes m . s anyway. A step h = |(I - C) e| >= (1 - rho)|e|
+    leaves the error C e, so the next step is at most rho h / (1 - rho),
+    below 2 rho h when rho <= 1/2. When h is below _SETTLE_STEP (the
+    O(h^2) terms are then of order 1e-14) and 2 rho h is below both
+    _SETTLE_BOUND and half the tolerance, the next step would freeze the
+    mean, so it freezes now (_settle); rho <= 1/2 follows, since a mean
+    with h below half the tolerance is frozen already. The mean then
+    differs from the confirmed one by that skipped step alone. The last
+    window, and so karcher_mean_rows, always confirms.
     """
     last = block.shape[-1] - window
     span = window + (last > 0)
     passes = np.empty((3,) + mean.shape[:-1] + (1, span))  # w, 1 - w^2 then |v|, f
     s = np.empty(mean.shape + (1,))
     means = np.empty((last + 1,) + mean.shape)
+    bound = min(_SETTLE_BOUND, 0.5 * tolerance)
     carry = None
     for i in range(last + 1):
         cols = block[..., i:i + span]
@@ -279,18 +305,34 @@ def _karcher_windows(
                 if i < last:
                     ends = cols[..., ::window] * f[..., ::window]
                     carry, total = (mean, total - ends[..., 0]), total - ends[..., 1]
-            g = total - (mean * total).sum(axis=-1, keepdims=True) * mean
+            ms = (mean * total).sum(axis=-1, keepdims=True)
+            g = total - ms * mean
             g /= window
             half = np.sqrt(np.maximum((g * g).sum(axis=-1, keepdims=True), _SQUARED_NORM_FLOOR))
             moved = rows_normalize(mean * np.cos(half) + g * (np.sin(half) / half))
             mean = np.where(done[..., None], mean, moved)
             done |= half[..., 0] < 0.5 * tolerance
-            if done.all() and (carry is not None or i == last):
+            settled = done.all()
+            if carry is not None and not settled:
+                settled = _settle(done, half, ms, window, bound)
+            if settled and (carry is not None or i == last):
                 break
         else:
             raise MeanConvergenceError(f"mean did not converge in {max_iterations} iterations")
         means[i] = mean
     return means
+
+
+def _settle(
+    done: np.ndarray, half: np.ndarray, ms: np.ndarray, window: int, bound: float,
+) -> bool:
+    """Marks done, in place, each mean whose pass took a step `half` below
+    _SETTLE_STEP with 2 * rho * half below `bound`, where rho = 1 - ms /
+    window and ms (..., 1) is m . s over the window (see _karcher_windows).
+    Returns whether every mean is done."""
+    # 2 * rho * half < bound, multiplied through by window / 2.
+    done |= ((half < _SETTLE_STEP) & ((window - ms) * half < 0.5 * bound * window))[..., 0]
+    return done.all()
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +480,10 @@ def _stack_frames(frames: Sequence[PoseFrame]) -> tuple[np.ndarray, np.ndarray, 
     """The frames' (timestamps, roots, rotations) block. Unequal joint
     counts raise ValueError; an empty take has no joints."""
     ts = np.fromiter((f.timestamp_us for f in frames), dtype=np.int64, count=len(frames))
-    roots = np.array([f.root_translation for f in frames], dtype=np.float64).reshape(-1, 3)
+    roots = np.fromiter(
+        chain.from_iterable(f.root_translation for f in frames), dtype=np.float64,
+        count=3 * len(frames),
+    ).reshape(-1, 3)
     if not frames:
         return ts, roots, np.empty((0, 0, 4))
     return ts, roots, np.stack([f.rotations for f in frames])

@@ -329,6 +329,7 @@ class SessionStats:
     dropped_stale: int = 0
     dropped_corrupt: int = 0
     send_errors: int = 0
+    relay_down: int = 0  # ConnectionRefusedError: the relay's port was closed
 
 
 @dataclass
@@ -398,6 +399,13 @@ class Client:
             # Kernel send buffer full: drop rather than stall, lag comes first.
             self.session.stats.send_errors += 1
             return seq
+        except ConnectionRefusedError:
+            # A connected socket's report that an earlier datagram found the
+            # relay's port closed: it restarts or is gone, and keepalives
+            # re-join once it is back. This datagram was dropped.
+            self.session.stats.send_errors += 1
+            self.session.stats.relay_down += 1
+            return seq
         except OSError:
             self.session.stats.send_errors += 1
             raise
@@ -458,6 +466,9 @@ class Client:
                 data = recv(_RECV_BUFSIZE)
             except BlockingIOError:
                 break
+            except ConnectionRefusedError:  # as in send(): the relay is down
+                self.session.stats.relay_down += 1
+                continue
             ingest(data, now)
             taken += 1
         if self._keepalive_us is not None and now - self._last_tx_us > self._keepalive_us:
@@ -496,7 +507,9 @@ class Client:
 
     def ingest(self, data: bytes, now: int) -> None:
         """Process one inbound datagram: stale-filter it and publish it as
-        the sending peer's stream. Hot path; per-packet errors only count."""
+        the sending peer's stream. Hot path; per-packet errors only count.
+        Datagrams handed in here directly skip the source check that
+        client_connect's connected socket makes in the kernel."""
         session = self.session
         try:
             packet = parse_packet(data)
@@ -559,6 +572,11 @@ def client_connect(
     """Join a relay server the way a client re-joins after a LEAVE: send an
     unassigned JOIN and `receive()` until the ACK's id is adopted.
 
+    The socket is connected to the relay, so the kernel drops datagrams
+    from any other address, and a closed relay port reads as
+    ConnectionRefusedError, which send() and receive() count as
+    `relay_down` and ride out.
+
     Retries the JOIN `retries` times, `retry_interval_s` apart, then closes
     the client and raises ConnectTimeoutError. `receive()` re-joins after
     every `keepalive_interval_s` of send silence, so consume-only clients
@@ -568,6 +586,7 @@ def client_connect(
     server_addr = socket.getaddrinfo(*server_addr, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _CLIENT_RCVBUF)
+    sock.connect(server_addr)
     client = Client(
         sock, server_addr, UNASSIGNED_ID, SignalRouter(),
         peer_ring_capacity=peer_ring_capacity,

@@ -11,6 +11,7 @@ from dancegraph.core import (
     MeanConvergenceError,
     PoseFrame,
     Skeleton,
+    _stack_frames,
     default_skeleton,
     karcher_mean_rows,
     rows_canonicalize,
@@ -703,3 +704,31 @@ class TestPoseFrame:
         frame = PoseFrame.from_array(5, (1.0, 2.0, 3.0), arr)
         assert frame.timestamp_us == 5
         assert np.allclose(frame.rotation_array(), arr)
+
+
+def list_stack_frames(frames):
+    """_stack_frames as it built roots before: np.array of the list of root
+    tuples. Kept as the oracle."""
+    ts = np.fromiter((f.timestamp_us for f in frames), dtype=np.int64, count=len(frames))
+    roots = np.array([f.root_translation for f in frames], dtype=np.float64).reshape(-1, 3)
+    if not frames:
+        return ts, roots, np.empty((0, 0, 4))
+    return ts, roots, np.stack([f.rotations for f in frames])
+
+
+class TestStackFrames:
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_block_is_byte_identical_to_the_list_build(self, count):
+        roots = [
+            (0, 1, -2), (-0.0, 1e-310, 3.5e300), (np.float64(0.1), np.float32(0.2), -7),
+            (float("nan"), float("inf"), -float("inf")), (1.0, 1.0, 1.0),
+            (2.0 / 3.0, -1e-17, 4), (5, 6, 7),
+        ]
+        rotations = rows_canonicalize(np.random.default_rng(count).normal(size=(count, 3, 4)))
+        frames = [PoseFrame(10 * i, roots[i], rotations[i]) for i in range(count)]
+        got, want = _stack_frames(frames), list_stack_frames(frames)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+        assert got[1].shape == (count, 3)
+

@@ -1,3 +1,4 @@
+import select
 import socket
 import struct
 import threading
@@ -394,6 +395,49 @@ class TestRelayServer:
             assert got == [(a.user_id, b"marker"), (b_id, b"still relayed")]
             assert server.stats.dropped_control == 1
             assert server.stats.spoofed == 0
+
+    def test_off_path_pose_opens_no_stream(self, server):
+        # A socket that is not the relay sends a POSE straight to a client's
+        # port. Accepted, it would open a NETWORK stream for a user the
+        # relay never admitted.
+        addr = ("127.0.0.1", server.port)
+        with client_connect(addr) as a, client_connect(addr) as b:
+            stray = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                stray.sendto(
+                    frame_packet(SignalType.POSE, 7, 1, mono_us(), b"forged"), b.sock.getsockname()
+                )
+                # Sent first, the stray datagram would be queued before the
+                # relayed marker.
+                a.send(b"marker")
+                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert network_streams(b) == {(SignalType.POSE, a.user_id, Origin.NETWORK)}
+                assert b.session.stats.received == 1
+            finally:
+                stray.close()
+
+    def test_send_and_receive_ride_out_a_closed_relay_port(self):
+        # A connected socket reports the relay's closed port as
+        # ConnectionRefusedError on its next send or receive; neither the
+        # receive thread nor a sender may die of it.
+        srv = RelayServer(ServerConfig(host="127.0.0.1")).start()
+        addr = ("127.0.0.1", srv.port)
+        with client_connect(addr, keepalive_interval_s=None) as watcher, client_connect(
+            addr, start_receiver=False, keepalive_interval_s=None
+        ) as sender:
+            srv.stop()
+            watcher.send(b"to a closed port")
+            assert wait_until(lambda: watcher.session.stats.relay_down >= 1)
+            assert watcher._thread.is_alive()
+            stats = sender.session.stats
+            sender.send(b"first")
+            assert wait_until(lambda: select.select([sender.sock], [], [], 0)[0])
+            sender.send(b"second")  # meets the refusal: dropped and counted
+            assert (stats.relay_down, stats.send_errors, stats.sent) == (1, 1, 1)
+            sender.send(b"third")
+            assert wait_until(lambda: select.select([sender.sock], [], [], 0)[0])
+            assert sender.receive() == 0
+            assert (stats.relay_down, stats.send_errors, stats.sent) == (2, 1, 2)
 
     def test_max_clients_enforced(self):
         srv = RelayServer(ServerConfig(host="127.0.0.1", max_clients=2)).start()

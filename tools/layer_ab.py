@@ -18,7 +18,10 @@ microseconds per frame; and `karcher_mean_rows`, one warm-started call on
 the take's 11 active joints over such a window, in microseconds per call.
 The files go to a temporary directory that is removed on exit.
 Prints per layer the median microseconds of A and B, the median of the
-per-round ratios B/A, and in how many rounds B was faster.
+per-round ratios B/A, and in how many rounds B was faster; next to
+`amplify_zones`, the full Karcher passes per window it makes on the take
+(each pass calls `core._log_half_weight` once), a count that repeats
+exactly from run to run.
 """
 from __future__ import annotations
 
@@ -98,6 +101,29 @@ def layers(m, scratch: Path):
     warm = core.karcher_mean_rows(tracks[:, :-1], 1e-9)
     mean_rows = np.ascontiguousarray(tracks[:, 1:])  # (11, window, 4)
 
+    # One counted amplify_zones call: the passes inside its Karcher loop.
+    karcher, log_half_weight, count = rhythm._karcher_windows, core._log_half_weight, [0, 0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return log_half_weight(*args, **kwargs)
+
+    def counted_windows(*args, **kwargs):
+        core._log_half_weight = counted
+        try:
+            means = karcher(*args, **kwargs)
+        finally:
+            core._log_half_weight = log_half_weight
+        count[1] += len(means)
+        return means
+
+    rhythm._karcher_windows = counted_windows
+    try:
+        rhythm.amplify_zones(warped, skeleton, params, window)
+    finally:
+        rhythm._karcher_windows = karcher
+    passes_per_window = count[0] / count[1]
+
     def repeat(fn):
         def timed() -> float:
             t0 = time.perf_counter_ns()
@@ -146,7 +172,7 @@ def layers(m, scratch: Path):
             lambda: recording.save_recording(take_rec, scratch / "out.dgrc")
         ),
         "karcher_mean_rows": repeat(lambda: core.karcher_mean_rows(mean_rows, 1e-9, init=warm)),
-    }
+    }, passes_per_window
 
 
 def main() -> None:
@@ -156,8 +182,8 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="layer_ab-") as tmp:
-        a = layers(load("dancegraph_a", args.a), Path(tmp, "a"))
-        b = layers(load("dancegraph_b", args.b), Path(tmp, "b"))
+        a, passes_a = layers(load("dancegraph_a", args.a), Path(tmp, "a"))
+        b, passes_b = layers(load("dancegraph_b", args.b), Path(tmp, "b"))
         times = {name: ([], []) for name in a}
         for r in range(args.rounds):
             # A layer runs faster right after the same layer on the other tree
@@ -174,6 +200,8 @@ def main() -> None:
         print(f"{name:24s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
               f"B/A median {statistics.median(ratios):.3f}  "
               f"B faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
+        if name == "amplify_zones":
+            print(f"{'  Karcher passes/window':24s} A {passes_a:6.3f}     B {passes_b:6.3f}")
 
 
 if __name__ == "__main__":
