@@ -145,8 +145,8 @@ def rows_conjugate(arr: np.ndarray) -> np.ndarray:
 # 1/|w|, and a zero Karcher step scales by sin(t)/t == 1 (t = 1e-150).
 _SQUARED_NORM_FLOOR = 1e-300
 
-# A window with a successor ends on a pass whose step angle h is below
-# _SETTLE_STEP once the bound 2 * rho * h on its next step is below
+# A window with a successor ends on a pass whose step angles h are all below
+# _SETTLE_STEP once the bounds 2 * rho * h on their next steps are all below
 # _SETTLE_BOUND (see _karcher_windows).
 _SETTLE_STEP = 1e-7
 _SETTLE_BOUND = 1e-13
@@ -276,13 +276,15 @@ def _karcher_windows(
     (1/N) sum a_j. As f_j w_j = d_j cot d_j, rho = 1 - (m . s) / N, and the
     step computes m . s anyway. A step h = |(I - C) e| >= (1 - rho)|e|
     leaves the error C e, so the next step is at most rho h / (1 - rho),
-    below 2 rho h when rho <= 1/2. When h is below _SETTLE_STEP (the
-    O(h^2) terms are then of order 1e-14) and 2 rho h is below both
-    _SETTLE_BOUND and half the tolerance, the next step would freeze the
-    mean, so it freezes now (_settle); rho <= 1/2 follows, since a mean
-    with h below half the tolerance is frozen already. The mean then
-    differs from the confirmed one by that skipped step alone. The last
-    window, and so karcher_mean_rows, always confirms.
+    below 2 rho h when rho <= 1/2. The window ends on the pass once every
+    mean's h is below _SETTLE_STEP (the O(h^2) terms are then of order
+    1e-14) and its 2 rho h is below both _SETTLE_BOUND and half the
+    tolerance (_settled). rho < 1/2 holds then for each mean whose h is at
+    least half the tolerance; the others freeze by the tolerance anyway.
+    Each mean then differs from its confirmed value by the skipped step
+    alone. Short of ending the window, the bound freezes no mean, so a mean
+    that needs its confirming step gets it. The last window, and so
+    karcher_mean_rows, always confirms.
     """
     last = block.shape[-1] - window
     span = window + (last > 0)
@@ -312,10 +314,9 @@ def _karcher_windows(
             moved = rows_normalize(mean * np.cos(half) + g * (np.sin(half) / half))
             mean = np.where(done[..., None], mean, moved)
             done |= half[..., 0] < 0.5 * tolerance
-            settled = done.all()
-            if carry is not None and not settled:
-                settled = _settle(done, half, ms, window, bound)
-            if settled and (carry is not None or i == last):
+            if (carry is not None or i == last) and (
+                done.all() or carry is not None and _settled(half, ms, window, bound)
+            ):
                 break
         else:
             raise MeanConvergenceError(f"mean did not converge in {max_iterations} iterations")
@@ -323,16 +324,15 @@ def _karcher_windows(
     return means
 
 
-def _settle(
-    done: np.ndarray, half: np.ndarray, ms: np.ndarray, window: int, bound: float,
-) -> bool:
-    """Marks done, in place, each mean whose pass took a step `half` below
-    _SETTLE_STEP with 2 * rho * half below `bound`, where rho = 1 - ms /
-    window and ms (..., 1) is m . s over the window (see _karcher_windows).
-    Returns whether every mean is done."""
-    # 2 * rho * half < bound, multiplied through by window / 2.
-    done |= ((half < _SETTLE_STEP) & ((window - ms) * half < 0.5 * bound * window))[..., 0]
-    return done.all()
+def _settled(half: np.ndarray, ms: np.ndarray, window: int, bound: float) -> bool:
+    """Whether every mean's step `half` (..., 1) leaves a next step below
+    `bound`: (2 rho + _SETTLE_BOUND / _SETTLE_STEP) half < bound, which
+    gives both half < _SETTLE_STEP and 2 rho half < bound, where rho = 1 -
+    ms / window and ms (..., 1) is m . s over the window (see
+    _karcher_windows)."""
+    # Multiplied through by window / 2.
+    lim = window * (1.0 + 0.5 * _SETTLE_BOUND / _SETTLE_STEP)
+    return ((lim - ms) * half).max() < 0.5 * bound * window
 
 
 # ---------------------------------------------------------------------------

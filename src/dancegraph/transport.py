@@ -570,12 +570,14 @@ def client_connect(
     keepalive_interval_s: float | None = 2.0,
 ) -> Client:
     """Join a relay server the way a client re-joins after a LEAVE: send an
-    unassigned JOIN and `receive()` until the ACK's id is adopted.
+    unassigned JOIN and ingest replies until the ACK's id is adopted.
 
-    The socket is connected to the relay, so the kernel drops datagrams
-    from any other address, and a closed relay port reads as
-    ConnectionRefusedError, which send() and receive() count as
-    `relay_down` and ride out.
+    Once the ACK arrives the socket is connected to the address it came
+    from, so the kernel drops datagrams from any other address, and a closed
+    relay port reads as ConnectionRefusedError, which send() and receive()
+    count as `relay_down` and ride out. That address, not the one the JOIN
+    went to: a relay bound to a wildcard address answers from whichever
+    address its route picks.
 
     Retries the JOIN `retries` times, `retry_interval_s` apart, then closes
     the client and raises ConnectTimeoutError. `receive()` re-joins after
@@ -586,7 +588,6 @@ def client_connect(
     server_addr = socket.getaddrinfo(*server_addr, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _CLIENT_RCVBUF)
-    sock.connect(server_addr)
     client = Client(
         sock, server_addr, UNASSIGNED_ID, SignalRouter(),
         peer_ring_capacity=peer_ring_capacity,
@@ -601,8 +602,14 @@ def client_connect(
                 deadline = time.monotonic() + retry_interval_s
                 while client.user_id == UNASSIGNED_ID and time.monotonic() < deadline:
                     readable.select(deadline - time.monotonic())
-                    client.receive()
+                    try:
+                        data, source = sock.recvfrom(_RECV_BUFSIZE)
+                    except BlockingIOError:
+                        continue
+                    client.ingest(data, mono_us())
                 if client.user_id != UNASSIGNED_ID:
+                    sock.connect(source)
+                    client._server_addr = source
                     if start_receiver:
                         client._thread.start()
                     return client

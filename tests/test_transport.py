@@ -416,6 +416,22 @@ class TestRelayServer:
             finally:
                 stray.close()
 
+    def test_joins_a_wildcard_relay_through_another_local_address(self):
+        # A relay bound to 0.0.0.0 answers a JOIN sent to 127.0.0.2 from
+        # 127.0.0.1, the source its route picks. The client takes that ACK
+        # and talks to the address it came from.
+        srv = RelayServer(ServerConfig(host="0.0.0.0")).start()
+        try:
+            addr = ("127.0.0.2", srv.port)
+            with client_connect(addr) as a, client_connect(addr) as b:
+                assert a.sock.getpeername() == ("127.0.0.1", srv.port)
+                a.send(b"pose")
+                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert network_streams(b) == {(SignalType.POSE, a.user_id, Origin.NETWORK)}
+                assert a.session.stats.relay_down == 0
+        finally:
+            srv.stop()
+
     def test_send_and_receive_ride_out_a_closed_relay_port(self):
         # A connected socket reports the relay's closed port as
         # ConnectionRefusedError on its next send or receive; neither the
