@@ -143,8 +143,8 @@ def _parse_gain(text: str) -> tuple[BodyZone, float]:
         zone, gain = BodyZone(name.lower()), float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected zone=gain, got {text!r}") from None
-    if not gain >= 0.0:
-        raise argparse.ArgumentTypeError(f"gain must be >= 0, got {text!r}")
+    if not (math.isfinite(gain) and gain >= 0.0):
+        raise argparse.ArgumentTypeError(f"gain must be finite and >= 0, got {text!r}")
     return zone, gain
 
 

@@ -159,8 +159,8 @@ def _log_half_weight(vn2: np.ndarray, w: np.ndarray, out: np.ndarray | None = No
     vn = np.sqrt(np.maximum(vn2, _SQUARED_NORM_FLOOR, out=vn2), out=vn2)
     f = np.arctan2(vn, np.abs(w, out=out), out=out)
     f /= vn
-    # w + 0.0 turns -0.0 into +0.0, so only w < 0 gives a negative sign.
-    return np.copysign(f, w + 0.0, out=f)
+    # f >= 0, so negating it where w < 0 leaves w == -0.0 positive.
+    return np.negative(f, out=f, where=w < 0.0)
 
 
 def rows_log_half(arr: np.ndarray) -> np.ndarray:
@@ -262,9 +262,13 @@ def _karcher_windows(
     renormalized. A mean freezes once its step angle is below `tolerance`.
 
     A pass also covers the next window's new column: dropping the oldest
-    column's term instead gives the next window's s at the same m, so its
-    first step needs no pass, exact but for the sub-tolerance step m took
-    last. A window with a successor ends on a pass, so the carry is fresh.
+    column's term instead gives the next window's s at the same m, exact but
+    for the sub-tolerance step m took last. Both sums share one buffer, and
+    one _tangent_step call takes both steps from m. Only the first decides
+    whether the window ends; the next window starts from the second, its
+    iteration 0, with no pass or step call of its own. A window with a
+    successor ends on a pass, so the carry is fresh; the carried halves of
+    the passes before it are dropped.
 
     Such a window may end on a pass without the pass that would confirm its
     step. Near the window's mean m*, with m = exp(e) m*, a unit step maps e
@@ -290,38 +294,55 @@ def _karcher_windows(
     span = window + (last > 0)
     passes = np.empty((3,) + mean.shape[:-1] + (1, span))  # w, 1 - w^2 then |v|, f
     s = np.empty(mean.shape + (1,))
+    sums = np.empty((2,) + mean.shape)  # at one m: this window's s, then the next one's
+    # Column-first views: a pass's weights at its newest and oldest column,
+    # and the block's columns.
+    end_weights = np.moveaxis(passes[2], -1, 0)[window::-window]
+    by_column = np.moveaxis(block, -1, 0)
     means = np.empty((last + 1,) + mean.shape)
     bound = min(_SETTLE_BOUND, 0.5 * tolerance)
-    carry = None
+    done = np.zeros(mean.shape[:-1], dtype=bool)
     for i in range(last + 1):
         cols = block[..., i:i + span]
         w, v, f = passes[..., :cols.shape[-1]]
-        done = np.zeros(mean.shape[:-1], dtype=bool)
-        for it in range(max_iterations):
-            if it == 0 and carry is not None:
-                (mean, total), carry = carry, None
-            else:
-                np.matmul(mean[..., None, :], cols, out=w)
-                _log_half_weight(np.subtract(1.0, np.square(w, out=v), out=v), w, out=f)
-                total = np.matmul(cols, np.swapaxes(f, -1, -2), out=s)[..., 0]
-                if i < last:
-                    ends = cols[..., ::window] * f[..., ::window]
-                    carry, total = (mean, total - ends[..., 0]), total - ends[..., 1]
-            ms = (mean * total).sum(axis=-1, keepdims=True)
-            g = total - ms * mean
-            g /= window
-            half = np.sqrt(np.maximum((g * g).sum(axis=-1, keepdims=True), _SQUARED_NORM_FLOOR))
-            moved = rows_normalize(mean * np.cos(half) + g * (np.sin(half) / half))
-            mean = np.where(done[..., None], mean, moved)
-            done |= half[..., 0] < 0.5 * tolerance
-            if (carry is not None or i == last) and (
-                done.all() or carry is not None and _settled(half, ms, window, bound)
-            ):
+        it = 0
+        if i:  # iteration 0: the step carried from window i - 1's last pass
+            mean, done, it = moved[1], half[1, ..., 0] < 0.5 * tolerance, 1
+        while not (i == last and done.all()):
+            if it == max_iterations:
+                raise MeanConvergenceError(f"mean did not converge in {max_iterations} iterations")
+            it += 1
+            np.matmul(mean[..., None, :], cols, out=w)
+            _log_half_weight(np.subtract(1.0, np.square(w, out=v), out=v), w, out=f)
+            total = np.matmul(cols, np.swapaxes(f, -1, -2), out=s)[None, ..., 0]
+            if i < last:
+                ends = by_column[i + window::-window][:2] * end_weights
+                total = np.subtract(total, ends, out=sums)
+            moved, half, ms = _tangent_step(mean, total, window)
+            mean = np.where(done[..., None], mean, moved[0])
+            done |= half[0, ..., 0] < 0.5 * tolerance
+            if i < last and (done.all() or _settled(half[0], ms[0], window, bound)):
                 break
-        else:
-            raise MeanConvergenceError(f"mean did not converge in {max_iterations} iterations")
         means[i] = mean
     return means
+
+
+def _tangent_step(
+    mean: np.ndarray, sums: np.ndarray, window: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit tangent steps from the unit means `mean` (..., 4), one per
+    column sum s in `sums` (k, ..., 4) taken at those means over `window`
+    columns (see _karcher_windows): the moved unit means (k, ..., 4), the
+    step angles |g| (k, ..., 1) and m . s (k, ..., 1)."""
+    ms = np.add.reduce(mean * sums, axis=-1, keepdims=True)
+    g = sums - ms * mean
+    g /= window
+    half = np.add.reduce(g * g, axis=-1, keepdims=True)
+    half = np.sqrt(np.maximum(half, _SQUARED_NORM_FLOOR, out=half), out=half)
+    moved = mean * np.cos(half)
+    moved += g * (np.sin(half) / half)
+    moved /= np.sqrt(np.add.reduce(moved * moved, axis=-1, keepdims=True))
+    return moved, half, ms
 
 
 def _settled(half: np.ndarray, ms: np.ndarray, window: int, bound: float) -> bool:

@@ -152,17 +152,17 @@ class CorrectiveParams:
     def __post_init__(self) -> None:
         if self.window_frames < 16 or self.window_frames & (self.window_frames - 1):
             raise ValueError("window_frames must be a power of two >= 16")
-        if self.max_rate_ratio < 1.0:
-            raise ValueError("max_rate_ratio must be >= 1")
-        if self.max_warp_slew <= 0.0:
-            raise ValueError("max_warp_slew must be positive")
+        if not (math.isfinite(self.max_rate_ratio) and self.max_rate_ratio >= 1.0):
+            raise ValueError("max_rate_ratio must be finite and >= 1")
+        if not (math.isfinite(self.max_warp_slew) and self.max_warp_slew > 0.0):
+            raise ValueError("max_warp_slew must be finite and positive")
         if not (0.0 <= self.detection_threshold <= 1.0):
             raise ValueError("detection_threshold must be in [0, 1]")
         gains = dict(self.zone_gains)
         for zone in BodyZone:
             gains.setdefault(zone, 1.0)
-        if any(g < 0.0 for g in gains.values()):
-            raise ValueError("zone gains must be >= 0")
+        if not all(math.isfinite(g) and g >= 0.0 for g in gains.values()):
+            raise ValueError("zone gains must be finite and >= 0")
         object.__setattr__(self, "zone_gains", gains)
 
     def gain_for(self, zone: BodyZone) -> float:

@@ -617,7 +617,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("gains", [["hipz=2"], ["hips=2", "hands=lots"], ["hips"],
-                                       ["hips=-1"]])
+                                       ["hips=-1"], ["hips=inf"], ["hands=nan"]])
     def test_bad_gain_exits_before_reading(self, tmp_path, monkeypatch, gains):
         take = tmp_path / "take.dgrc"
         save_recording(synthesize_sway_recording(duration_s=1.0), take)

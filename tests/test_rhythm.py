@@ -536,6 +536,59 @@ def sliding_means(tracks, window, tolerance=1e-9, max_iterations=64):
     return _karcher_windows(block, window, block[:, :, 0], tolerance, max_iterations)
 
 
+def previous_karcher_windows(block, window, mean, tolerance, max_iterations=64):
+    """core._karcher_windows as it was when each window took the step
+    carried from the previous window's last pass as a step of its own; kept
+    as the bit-for-bit oracle of the loop that takes both steps of a pass in
+    one call."""
+
+    def log_half_weight(vn2, w, out):
+        vn = np.sqrt(np.maximum(vn2, 1e-300, out=vn2), out=vn2)
+        f = np.arctan2(vn, np.abs(w, out=out), out=out)
+        f /= vn
+        return np.copysign(f, w + 0.0, out=f)
+
+    def settled(half, ms, bound):
+        return ((window * (1.0 + 0.5 * 1e-13 / 1e-7) - ms) * half).max() < 0.5 * bound * window
+
+    last = block.shape[-1] - window
+    span = window + (last > 0)
+    passes = np.empty((3,) + mean.shape[:-1] + (1, span))
+    s = np.empty(mean.shape + (1,))
+    means = np.empty((last + 1,) + mean.shape)
+    bound = min(1e-13, 0.5 * tolerance)
+    carry = None
+    for i in range(last + 1):
+        cols = block[..., i:i + span]
+        w, v, f = passes[..., :cols.shape[-1]]
+        done = np.zeros(mean.shape[:-1], dtype=bool)
+        for it in range(max_iterations):
+            if it == 0 and carry is not None:
+                (mean, total), carry = carry, None
+            else:
+                np.matmul(mean[..., None, :], cols, out=w)
+                log_half_weight(np.subtract(1.0, np.square(w, out=v), out=v), w, out=f)
+                total = np.matmul(cols, np.swapaxes(f, -1, -2), out=s)[..., 0]
+                if i < last:
+                    ends = cols[..., ::window] * f[..., ::window]
+                    carry, total = (mean, total - ends[..., 0]), total - ends[..., 1]
+            ms = (mean * total).sum(axis=-1, keepdims=True)
+            g = total - ms * mean
+            g /= window
+            half = np.sqrt(np.maximum((g * g).sum(axis=-1, keepdims=True), 1e-300))
+            moved = rows_normalize(mean * np.cos(half) + g * (np.sin(half) / half))
+            mean = np.where(done[..., None], mean, moved)
+            done |= half[..., 0] < 0.5 * tolerance
+            if (carry is not None or i == last) and (
+                done.all() or carry is not None and settled(half, ms, bound)
+            ):
+                break
+        else:
+            raise MeanConvergenceError(f"mean did not converge in {max_iterations} iterations")
+        means[i] = mean
+    return means
+
+
 @pytest.fixture
 def passes(monkeypatch):
     """Counts full Karcher passes: each calls core._log_half_weight once."""
@@ -548,6 +601,26 @@ def passes(monkeypatch):
 
     monkeypatch.setattr(core, "_log_half_weight", counted)
     return count
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Records, per core._tangent_step call, how many full Karcher passes
+    (core._log_half_weight calls) came before it."""
+    log = [0, []]
+    log_half_weight, tangent_step = core._log_half_weight, core._tangent_step
+
+    def counted(*args, **kwargs):
+        log[0] += 1
+        return log_half_weight(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        log[1].append(log[0])
+        return tangent_step(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_log_half_weight", counted)
+    monkeypatch.setattr(core, "_tangent_step", recorded)
+    return log
 
 
 @pytest.fixture
@@ -726,6 +799,51 @@ class TestSlidingKarcherWindows:
             assert np.array_equal(sliding_means(tracks, window, tolerance), means)
 
 
+class TestOneStepCallPerPass:
+    """The loop that takes a pass's own step and the next window's carried
+    step in one call, against the loop that took them one at a time."""
+
+    def assert_bit_identical(self, tracks, window):
+        block = np.ascontiguousarray(rows_normalize(tracks).transpose(0, 2, 1))
+        want = previous_karcher_windows(block, window, block[:, :, 0], 1e-9)
+        assert np.array_equal(sliding_means(tracks, window), want)
+
+    @pytest.mark.parametrize("take", ["dancer", "steady_hips", "drifting"])
+    def test_takes(self, skeleton, take):
+        if take == "drifting":
+            self.assert_bit_identical(drifting_tracks(7, tracks=4, frames=120), 40)
+        else:
+            self.assert_bit_identical(*dancer_take_tracks(skeleton, take))
+
+    @pytest.mark.parametrize("window", [5, 30])
+    def test_rows_on_the_far_hemisphere(self, window):
+        tracks = drifting_tracks(4)
+        tracks[:, 1::3] *= -1.0
+        self.assert_bit_identical(tracks, window)
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_short_windows(self, window):
+        self.assert_bit_identical(drifting_tracks(3, frames=12), window)
+
+    def test_constant_track(self):
+        row = rows_normalize(np.array([0.1, -0.2, 0.3, 0.9]))
+        self.assert_bit_identical(np.broadcast_to(row, (1, 20, 4)).copy(), 6)
+        tracks = np.concatenate([drifting_tracks(5), np.broadcast_to(row, (1, 40, 4))])
+        self.assert_bit_identical(tracks, 8)
+
+    @pytest.mark.parametrize("take, most", [("steady_hips", 1.1), ("dancer", 2.05)])
+    def test_one_step_call_per_pass(self, skeleton, steps, take, most):
+        # Each full pass makes exactly one step call, right after it, for
+        # its own step and the carried one together; a carried step makes
+        # none of its own. The separate steps took about 2.0 calls per
+        # window on steady hips and about 3.0 on the dancer take.
+        tracks, window = dancer_take_tracks(skeleton, take)
+        steps[0], steps[1][:] = 0, []
+        windows = len(sliding_means(tracks, window))
+        assert steps[1] == list(range(1, steps[0] + 1))
+        assert len(steps[1]) <= most * windows
+
+
 class TestPipeline:
     def test_noise_stream_passes_through_flagged(self, skeleton):
         noise = synthesize_noise_recording(duration_s=12.0, seed=5)
@@ -787,6 +905,19 @@ class TestConfig:
             BeatGrid(bpm=20.0)
         with pytest.raises(ValueError):
             PeriodEstimate(0, 0.0, 0.5, 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["max_warp_slew", "max_rate_ratio", "hips", "hands"])
+    def test_refuses_non_finite_params(self, field, value):
+        # NaN passes every comparison-based check: a NaN slew removes the
+        # warp's slew limit, a NaN rate ratio reports a tempo mismatch, and
+        # a NaN or infinite gain fails only inside amplify_zones.
+        if field in ("hips", "hands"):
+            kwargs = {"zone_gains": {BodyZone(field): value}}
+        else:
+            kwargs = {field: value}
+        with pytest.raises(ValueError, match="finite"):
+            CorrectiveParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------

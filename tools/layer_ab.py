@@ -20,8 +20,10 @@ The files go to a temporary directory that is removed on exit.
 Prints per layer the median microseconds of A and B, the median of the
 per-round ratios B/A, and in how many rounds B was faster; next to
 `amplify_zones`, the full Karcher passes per window it makes on the take
-(each pass calls `core._log_half_weight` once), a count that repeats
-exactly from run to run.
+(each pass calls `core._log_half_weight` once) and its tangent-step calls
+per window (`core._tangent_step`; in a tree without it, each step ends in
+one `core.rows_normalize` call), counts that repeat exactly from run to
+run.
 """
 from __future__ import annotations
 
@@ -101,20 +103,28 @@ def layers(m, scratch: Path):
     warm = core.karcher_mean_rows(tracks[:, :-1], 1e-9)
     mean_rows = np.ascontiguousarray(tracks[:, 1:])  # (11, window, 4)
 
-    # One counted amplify_zones call: the passes inside its Karcher loop.
-    karcher, log_half_weight, count = rhythm._karcher_windows, core._log_half_weight, [0, 0]
+    # One counted amplify_zones call: the passes and the tangent-step calls
+    # inside its Karcher loop.
+    karcher = rhythm._karcher_windows
+    step_name = "_tangent_step" if hasattr(core, "_tangent_step") else "rows_normalize"
+    spied = {name: getattr(core, name) for name in ("_log_half_weight", step_name)}
+    count = dict.fromkeys([*spied, "windows"], 0)
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return log_half_weight(*args, **kwargs)
+    def counter(name):
+        def counted(*args, **kwargs):
+            count[name] += 1
+            return spied[name](*args, **kwargs)
+        return counted
 
     def counted_windows(*args, **kwargs):
-        core._log_half_weight = counted
+        for name in spied:
+            setattr(core, name, counter(name))
         try:
             means = karcher(*args, **kwargs)
         finally:
-            core._log_half_weight = log_half_weight
-        count[1] += len(means)
+            for name, fn in spied.items():
+                setattr(core, name, fn)
+        count["windows"] += len(means)
         return means
 
     rhythm._karcher_windows = counted_windows
@@ -122,7 +132,7 @@ def layers(m, scratch: Path):
         rhythm.amplify_zones(warped, skeleton, params, window)
     finally:
         rhythm._karcher_windows = karcher
-    passes_per_window = count[0] / count[1]
+    per_window = (count["_log_half_weight"] / count["windows"], count[step_name] / count["windows"])
 
     def repeat(fn):
         def timed() -> float:
@@ -172,7 +182,7 @@ def layers(m, scratch: Path):
             lambda: recording.save_recording(take_rec, scratch / "out.dgrc")
         ),
         "karcher_mean_rows": repeat(lambda: core.karcher_mean_rows(mean_rows, 1e-9, init=warm)),
-    }, passes_per_window
+    }, per_window
 
 
 def main() -> None:
@@ -182,8 +192,8 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="layer_ab-") as tmp:
-        a, passes_a = layers(load("dancegraph_a", args.a), Path(tmp, "a"))
-        b, passes_b = layers(load("dancegraph_b", args.b), Path(tmp, "b"))
+        a, counts_a = layers(load("dancegraph_a", args.a), Path(tmp, "a"))
+        b, counts_b = layers(load("dancegraph_b", args.b), Path(tmp, "b"))
         times = {name: ([], []) for name in a}
         for r in range(args.rounds):
             # A layer runs faster right after the same layer on the other tree
@@ -201,7 +211,8 @@ def main() -> None:
               f"B/A median {statistics.median(ratios):.3f}  "
               f"B faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
         if name == "amplify_zones":
-            print(f"{'  Karcher passes/window':24s} A {passes_a:6.3f}     B {passes_b:6.3f}")
+            for label, ca, cb in zip(("passes", "steps"), counts_a, counts_b):
+                print(f"{'  Karcher ' + label + '/window':24s} A {ca:6.3f}     B {cb:6.3f}")
 
 
 if __name__ == "__main__":
