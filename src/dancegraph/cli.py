@@ -236,7 +236,12 @@ def _cmd_bench(args) -> int:
         clients=args.clients,
         ring_capacity=args.capacity,
     )
-    report = run_latency_experiment(args.scenario, params)
+    try:
+        report = run_latency_experiment(args.scenario, params)
+    except ValueError as exc:
+        # --duration, --fps and --clients are each in range, but not together.
+        print(f"dancegraph bench: error: {exc}", file=sys.stderr)
+        return 2
     print(report.to_text())
     if args.json:
         Path(args.json).write_text(json.dumps(report.to_json_dict(), indent=2))

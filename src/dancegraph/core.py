@@ -11,10 +11,10 @@ the sign is fixed at ingestion.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "BodyZone",
     "Skeleton",
     "PoseFrame",
+    "FrameBlock",
     "InvalidQuaternionError",
     "MeanConvergenceError",
     "default_skeleton",
@@ -497,9 +498,60 @@ class PoseFrame:
 # A take as one block: timestamps (T,) int64, roots (T, 3) and rotations
 # (T, J, 4) float64. Code that works on whole takes converts with these two.
 
+class FrameBlock(Sequence[PoseFrame]):
+    """A take as one read-only block, seen as a sequence of PoseFrames.
+
+    Frame i is built on first access and cached, so an index always returns
+    the same object; it shares row i of `rotations`. (Threads that first
+    read one index at the same moment may each get their own, equal frame.)
+    A slice is a plain list of those frames, and the block equals any
+    sequence of equal frames."""
+
+    __slots__ = ("ts", "roots", "rotations", "_frames")
+
+    def __init__(self, ts: np.ndarray, roots: np.ndarray, rotations: np.ndarray):
+        for arr in (ts, roots, rotations):
+            arr.setflags(write=False)
+        self.ts, self.roots, self.rotations = ts, roots, rotations
+        self._frames: list[PoseFrame | None] = [None] * len(ts)
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        frame = self._frames[index]
+        if frame is None:
+            i = range(len(self))[index]
+            frame = self._frames[i] = PoseFrame(
+                int(self.ts[i]), tuple(self.roots[i].tolist()), self.rotations[i]
+            )
+        return frame
+
+    def __iter__(self):
+        # One sweep over whole-array conversions builds the missing frames
+        # at about 60% of the cost of a __getitem__ call each.
+        frames = self._frames
+        if None in frames:
+            rows = zip(self.ts.tolist(), self.roots.tolist(), self.rotations)
+            for i, (t, root, rot) in enumerate(rows):
+                if frames[i] is None:
+                    frames[i] = PoseFrame(t, tuple(root), rot)
+        return iter(frames)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def _stack_frames(frames: Sequence[PoseFrame]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frames' (timestamps, roots, rotations) block. Unequal joint
-    counts raise ValueError; an empty take has no joints."""
+    """The frames' (timestamps, roots, rotations) block: a FrameBlock's own
+    read-only arrays, or new ones built from any other sequence. Unequal
+    joint counts raise ValueError; an empty list has no joints."""
+    if isinstance(frames, FrameBlock):
+        return frames.ts, frames.roots, frames.rotations
     ts = np.fromiter((f.timestamp_us for f in frames), dtype=np.int64, count=len(frames))
     roots = np.fromiter(
         chain.from_iterable(f.root_translation for f in frames), dtype=np.float64,
@@ -510,11 +562,7 @@ def _stack_frames(frames: Sequence[PoseFrame]) -> tuple[np.ndarray, np.ndarray, 
     return ts, roots, np.stack([f.rotations for f in frames])
 
 
-def _frames_of(ts: np.ndarray, roots: np.ndarray, rotations: np.ndarray) -> list[PoseFrame]:
-    """Inverse of _stack_frames. `rotations` is marked read-only and each
-    frame shares its row of it."""
-    rotations.setflags(write=False)
-    return [
-        PoseFrame(t, tuple(r), rot)
-        for t, r, rot in zip(ts.tolist(), roots.tolist(), rotations)
-    ]
+def _frames_of(ts: np.ndarray, roots: np.ndarray, rotations: np.ndarray) -> FrameBlock:
+    """Inverse of _stack_frames: the arrays as one FrameBlock, marked
+    read-only and not copied."""
+    return FrameBlock(ts, roots, rotations)

@@ -34,7 +34,8 @@ from .codec import (
     encode_frame,
 )
 from .core import (
-    BodyZone, PoseFrame, Skeleton, _stack_frames, default_skeleton, rows_from_axis_angle,
+    BodyZone, PoseFrame, Skeleton, _frames_of, _stack_frames, default_skeleton,
+    rows_from_axis_angle,
 )
 from .packet import SignalPacket, SignalType
 from .recording import Recording, RecordingFormatError, RecordingWriter, save_recording
@@ -67,12 +68,17 @@ __all__ = [
 _TS_PATCH = struct.Struct("<Q")
 _SINK_POLL_INTERVAL_S = 0.005  # record_sink's nap when its ring is empty
 _RELAY_SPARE_SLOTS = 2  # relay slots beyond a session's dancers
-_MAX_TAKE_BYTES = 1 << 30  # largest rotation block a synthesizer builds
+_MAX_TAKE_BYTES = 1 << 30  # largest block a synthesizer or a session preallocates
 
 
 # ---------------------------------------------------------------------------
 # Synthetic motion
 # ---------------------------------------------------------------------------
+
+def _frame_times_us(frame_count: int, fps: float, start_us: int) -> np.ndarray:
+    """Timestamps of frames at `fps` from `start_us`, rounded to the microsecond."""
+    return start_us + np.rint(np.arange(frame_count) * (1e6 / fps)).astype(np.int64)
+
 
 def synthesize_sway_recording(
     skeleton: Skeleton | None = None,
@@ -101,20 +107,17 @@ def synthesize_sway_recording(
     phase_bound = abs(2.0 * math.pi * frequency_hz) * (frame_count / fps) + abs(phase_rad)
     if frame_count and not math.isfinite(phase_bound):
         raise ValueError(f"sway phase at {frequency_hz} Hz over {duration_s} s is not finite")
-    dt_us = 1e6 / fps
     rotations = np.zeros((frame_count, skeleton.joint_count, 4))
     rotations[:, :, 3] = 1.0
-    sway = [
+    sway = np.array([
         math.sin(2.0 * math.pi * frequency_hz * (i / fps) + phase_rad) for i in range(frame_count)
-    ]
+    ])
     axes = np.broadcast_to(axis, (frame_count, 3))
-    quats = rows_from_axis_angle(axes, amplitude_rad * np.array(sway))
+    quats = rows_from_axis_angle(axes, amplitude_rad * sway)
     rotations[:, list(set(sway_joints))] = quats[:, None]
-    rotations.setflags(write=False)
-    frames = [
-        PoseFrame(start_us + int(round(i * dt_us)), (root_amplitude_m * v, 1.0, 0.0), rotations[i])
-        for i, v in enumerate(sway)
-    ]
+    roots = np.zeros((frame_count, 3))
+    roots[:, 0], roots[:, 1] = root_amplitude_m * sway, 1.0
+    frames = _frames_of(_frame_times_us(frame_count, fps, start_us), roots, rotations)
     return Recording(skeleton.joint_count, fps, frames)
 
 
@@ -131,19 +134,17 @@ def synthesize_noise_recording(
     skeleton = skeleton or default_skeleton()
     rng = np.random.default_rng(seed)
     frame_count = int(round(duration_s * fps))
-    dt_us = 1e6 / fps
     joints = skeleton.joint_count
     angles = np.empty((frame_count, joints))
     axes = np.empty((frame_count, joints, 3))
     for i in range(frame_count):
         angles[i] = rng.uniform(-amplitude_rad, amplitude_rad, size=joints)
         axes[i] = rng.normal(size=(joints, 3))
-    rotations = rows_from_axis_angle(axes, angles)
-    rotations.setflags(write=False)
-    frames = [
-        PoseFrame(start_us + int(round(i * dt_us)), (0.0, 1.0, 0.0), rotations[i])
-        for i in range(frame_count)
-    ]
+    roots = np.zeros((frame_count, 3))
+    roots[:, 1] = 1.0
+    frames = _frames_of(
+        _frame_times_us(frame_count, fps, start_us), roots, rows_from_axis_angle(axes, angles)
+    )
     return Recording(skeleton.joint_count, fps, frames)
 
 
@@ -446,7 +447,12 @@ def _run_session(scenario: str, params: BenchParams, clients: int) -> LatencyRep
     have anything new). Each delivery's produce, enqueue, client_in and
     consume marks fill one row of a preallocated array. The run ends when
     every expected delivery has been consumed, or 1 s after the last send.
+    A session whose marks would exceed 1 GiB raises ValueError before the
+    relay child starts.
     """
+    ticks = int(params.duration_s * params.fps)
+    if ticks * clients * (clients - 1) * 4 * 8 > _MAX_TAKE_BYTES:
+        raise ValueError(f"{ticks} ticks of {clients} clients need over 1 GiB of marks")
     server_proc, server_conn, addr = _start_server(clients + _RELAY_SPARE_SLOTS)
     recording, table = _bench_payload(params)
     payloads = [bytearray(p) for p in encode_recording_payloads(recording, table)]
@@ -461,7 +467,6 @@ def _run_session(scenario: str, params: BenchParams, clients: int) -> LatencyRep
     selector = selectors.DefaultSelector()
     for client, consumer in zip(members, consumers):
         selector.register(client.sock, selectors.EVENT_READ, (client, consumer))
-    ticks = int(params.duration_s * params.fps)
     marks = np.empty((ticks * clients * (clients - 1), 4), dtype=np.int64)
     received = dict.fromkeys((c.user_id for c in members), 0)
     consumed = 0
@@ -693,7 +698,7 @@ def corrective_experiment(
         amp_window = _amplify_window_frames(result, params, recording.nominal_fps)
         frames = amplify_zones(frames, skeleton, params, amp_window)
 
-    corrected = Recording(recording.joint_count, recording.nominal_fps, list(frames))
+    corrected = Recording(recording.joint_count, recording.nominal_fps, frames)
     if output_path is not None:
         save_recording(corrected, output_path)
     if result.detected is None:

@@ -54,9 +54,11 @@ def _check_header(joint_count: int, nominal_fps: float) -> None:
 
 @dataclass
 class Recording:
+    """A take: a core.FrameBlock from load_recording, or any frame sequence."""
+
     joint_count: int
     nominal_fps: float
-    frames: list[PoseFrame]
+    frames: Sequence[PoseFrame]
     version: int = VERSION
 
     def __post_init__(self) -> None:
@@ -155,6 +157,7 @@ def load_recording(path: str | Path) -> Recording:
         raise RecordingFormatError(f"frame {backwards[0] + 1} timestamp does not increase")
     if count and ts[-1] > np.iinfo(np.int64).max:  # a take's timestamps are int64
         raise RecordingFormatError(f"frame timestamp {ts[-1]} is past the int64 range")
-    roots = body["root"].astype(np.float64)
-    frames = _frames_of(ts, roots, rows_canonicalize(body["rot"]))
+    frames = _frames_of(
+        ts.astype(np.int64), body["root"].astype(np.float64), rows_canonicalize(body["rot"])
+    )
     return Recording(joint_count=joint_count, nominal_fps=fps, frames=frames, version=version)

@@ -34,8 +34,9 @@ The feature signal is the raw quaternion component: for a sway about a
 fixed axis it is a monotone function of the sway angle, so extrema timing
 is preserved without needing any skeleton hierarchy.
 
-The stages work on a take as one array block (core._stack_frames); frame
-lists appear only at the public functions' edges.
+The stages work on a take as one array block (core._stack_frames). They
+accept any sequence of frames and return a core.FrameBlock, whose frames are
+views built on first access.
 """
 from __future__ import annotations
 
@@ -515,7 +516,7 @@ def amplify_zones(
     skeleton: Skeleton,
     params: CorrectiveParams,
     reference_window: int,
-) -> list[PoseFrame]:
+) -> Sequence[PoseFrame]:
     """Exaggerate (or mute) motion per body zone.
 
     Each joint's output rotation is rows_scale_rotation(reference, input, gain)
@@ -529,25 +530,25 @@ def amplify_zones(
     root translation's deviation from its rolling mean is scaled by the
     hips gain.
     Frames before the window fills pass through unchanged. Zones with gain
-    exactly 1.0 are left untouched byte-for-byte.
+    exactly 1.0 are left untouched byte-for-byte. The result is one new
+    block; a take with no gain to apply, or shorter than the window, is
+    returned as it came.
     """
     if reference_window < 1:
         raise ValueError("reference_window must be >= 1")
-    frames = list(stream)
-    n = len(frames)
+    n = len(stream)
     joint_gain = [params.gain_for(skeleton.zone_of(j)) for j in range(skeleton.joint_count)]
     active = [j for j, g in enumerate(joint_gain) if g != 1.0]
     hips_gain = params.gain_for(BodyZone.HIPS)
-    if not active and hips_gain == 1.0:
-        return frames
-    if n < reference_window:
-        return frames
+    if (not active and hips_gain == 1.0) or n < reference_window:
+        return stream
 
-    # The stacked block is this call's own: the scaled rows overwrite it.
-    ts, roots, rotations = _stack_frames(frames)
+    # The scaled rows overwrite copies: a block's own arrays are read-only.
+    ts, roots, rotations = _stack_frames(stream)
     first = reference_window - 1
 
     if active:
+        rotations = rotations.copy()
         tracks = rotations[:, active]  # (n, A, 4)
         block = np.ascontiguousarray(rows_normalize(tracks).transpose(1, 2, 0))  # (A, 4, n)
         references = _karcher_windows(block, reference_window, block[:, :, 0], 1e-9)
@@ -555,11 +556,12 @@ def amplify_zones(
         rotations[first:, active], _ = rows_scale_rotation(references, tracks[first:], gains)
 
     if hips_gain != 1.0:
+        roots = roots.copy()
         csum = np.cumsum(np.concatenate([np.zeros_like(roots[:1]), roots]), axis=0)
         means = (csum[reference_window:] - csum[:-reference_window]) / reference_window
         roots[first:] = means + hips_gain * (roots[first:] - means)
 
-    return frames[:first] + _frames_of(ts[first:], roots[first:], rotations[first:])
+    return _frames_of(ts, roots, rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +570,7 @@ def amplify_zones(
 
 @dataclass
 class PipelineResult:
-    frames: list[PoseFrame]
+    frames: Sequence[PoseFrame]
     applied: bool
     reason: str | None
     estimates: list[tuple[int, PeriodEstimate | None]]  # (window end index, fused estimate)
@@ -615,15 +617,16 @@ def run_corrective_pipeline(
     target. A window whose frame timing fails _window_fps (a lost frame, a
     stall) gives no estimate. Frame content is drawn from the stream by
     interpolation at the warped times. This is the one way into the warp.
+    The result's frames are one new block, or `stream` itself when the warp
+    is not applied.
     """
-    frames = list(stream)
-    n = len(frames)
+    n = len(stream)
     window = params.window_frames
     if n < window:
-        return PipelineResult(frames, False, "stream shorter than analysis window", [], 1.0, [])
+        return PipelineResult(stream, False, "stream shorter than analysis window", [], 1.0, [])
 
     hop = window // 2
-    ts, roots, rotations = _stack_frames(frames)
+    ts, roots, rotations = _stack_frames(stream)
     if np.any(np.diff(ts) <= 0):  # the resampler's search needs sorted times
         raise InsufficientDataError("timestamps must be strictly increasing")
     joints = skeleton.joint_count
@@ -649,7 +652,7 @@ def run_corrective_pipeline(
         estimates.append((end, aggregate_joint_period(per_joint, params.detection_threshold)))
 
     if all(est is None for _, est in estimates):
-        return PipelineResult(frames, False, "no dominant period", estimates, 1.0, [])
+        return PipelineResult(stream, False, "no dominant period", estimates, 1.0, [])
 
     # An estimate steers the warp from the frame at its window end onwards,
     # so the one for a window ending at the last frame is never used. Its
@@ -662,7 +665,7 @@ def run_corrective_pipeline(
         if match is not None:
             steer[end] = (est, int(ts[end - window]), *match)
     if not steer:
-        return PipelineResult(frames, False, "tempo mismatch", estimates, 1.0, [])
+        return PipelineResult(stream, False, "tempo mismatch", estimates, 1.0, [])
 
     source_us, warp = _retime(ts, grid, params.max_warp_slew, steer)
     out = _frames_of(ts, *_resample(ts, roots, rotations, source_us))

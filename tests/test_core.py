@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from dancegraph.core import (
     BodyZone,
+    FrameBlock,
     InvalidQuaternionError,
     MeanConvergenceError,
     PoseFrame,
     Skeleton,
+    _frames_of,
     _stack_frames,
     default_skeleton,
     karcher_mean_rows,
@@ -732,3 +734,66 @@ class TestStackFrames:
             assert g.tobytes() == w.tobytes()
         assert got[1].shape == (count, 3)
 
+
+def frame_block(count=5, joints=3):
+    rng = np.random.default_rng(count)
+    ts = np.arange(count, dtype=np.int64) * 33_333
+    roots = rng.normal(size=(count, 3))
+    return _frames_of(ts, roots, rows_canonicalize(rng.normal(size=(count, joints, 4))))
+
+
+class TestFrameBlock:
+    def test_an_index_always_returns_the_same_frame(self):
+        block = frame_block()
+        assert isinstance(block, FrameBlock) and len(block) == 5
+        assert block[2] is block[2] is block[-3]
+        assert block[-1] is block[4]
+        frame = block[1]
+        assert type(frame.timestamp_us) is int and frame.timestamp_us == 33_333
+        assert [type(v) for v in frame.root_translation] == [float] * 3
+        assert frame.root_translation == tuple(block.roots[1])
+        assert np.shares_memory(frame.rotations, block.rotations)
+        for index in (5, -6):
+            with pytest.raises(IndexError):
+                block[index]
+
+    def test_slices_are_lists_of_the_cached_frames(self):
+        block = frame_block()
+        head = block[:2]
+        assert type(head) is list and head[1] is block[1]
+        assert block[:2] + block[3:] == [block[i] for i in (0, 1, 3, 4)]
+        assert block[::-2] == [block[4], block[2], block[0]]
+        assert block[7:] == []
+
+    def test_iteration_yields_the_cached_frames(self):
+        block = frame_block()
+        third = block[3]
+        frames = list(block)
+        assert frames[3] is third and all(f is block[i] for i, f in enumerate(frames))
+        assert all(a is b for a, b in zip(block, frames))
+        assert frames == [PoseFrame(int(t), tuple(r), rot)
+                          for t, r, rot in zip(block.ts, block.roots, block.rotations)]
+
+    def test_equals_any_sequence_of_equal_frames(self):
+        block = frame_block()
+        copies = [PoseFrame(f.timestamp_us, f.root_translation, f.rotations.copy()) for f in block]
+        assert block == copies and copies == block and block == tuple(copies)
+        assert block == frame_block()
+        assert block != copies[:-1]
+        assert block != copies[:-1] + [PoseFrame(0, (0.0, 0.0, 0.0), copies[-1].rotations)]
+        assert frame_block(0) == [] and [] == frame_block(0)
+        assert block != frame_block(0)
+        with pytest.raises(TypeError):
+            hash(block)
+
+    def test_arrays_are_read_only(self):
+        block = frame_block()
+        for arr in (block.ts, block.roots, block.rotations):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_stack_frames_returns_the_blocks_own_arrays(self):
+        block = frame_block()
+        ts, roots, rotations = _stack_frames(block)
+        assert ts is block.ts and roots is block.roots and rotations is block.rotations

@@ -1,8 +1,10 @@
 import json
 import math
+import multiprocessing
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -598,6 +600,25 @@ class TestCli:
         assert not out.exists()
         assert cli_main(["synth", "--out", str(out), "--seconds", "1"]) == 0
         assert len(load_recording(out).frames) == 30
+
+    @pytest.mark.parametrize("argv", [
+        ["--clients", "1000", "--duration", "60"],  # about 57 GB of marks
+        ["--clients", "2", "--duration", "1e9"],
+    ], ids=lambda v: "_".join(v))
+    def test_bench_refuses_an_unbounded_session_before_its_relay(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(
+            "dancegraph.harness._start_server", lambda *a: pytest.fail("started the relay")
+        )
+        tracemalloc.start()
+        try:
+            code = cli_main(["bench", "--scenario", "swarm", *argv])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "bench: error" in capsys.readouterr().err
+        assert peak < 1 << 20  # no marks array
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("select", ["bogus:any:network", "pose:someone:network",
                                         "pose:any:nowhere", "pose:any"])

@@ -7,6 +7,7 @@ import pytest
 from dancegraph import core
 from dancegraph.core import (
     BodyZone,
+    FrameBlock,
     MeanConvergenceError,
     PoseFrame,
     _frames_of,
@@ -26,6 +27,7 @@ from dancegraph.harness import (
     synthesize_noise_recording,
     synthesize_sway_recording,
 )
+from dancegraph.recording import Recording, load_recording, save_recording
 from dancegraph.rhythm import (
     DETECTION_BAND_HZ,
     BeatGrid,
@@ -436,6 +438,21 @@ class TestAmplifyZones:
         frames = self._sway()
         out = amplify_zones(frames, skeleton, CorrectiveParams(), 60)
         assert all(a is b for a, b in zip(frames, out))
+
+    def test_a_block_passes_through_as_itself(self, skeleton):
+        take = synthesize_sway_recording(skeleton, duration_s=4.0).frames
+        hips = CorrectiveParams(zone_gains={BodyZone.HIPS: 2.0})
+        assert amplify_zones(take, skeleton, CorrectiveParams(), 60) is take
+        assert amplify_zones(take, skeleton, hips, len(take) + 1) is take
+
+    def test_gain_two_leaves_its_input_block_unchanged(self, skeleton):
+        take = synthesize_sway_recording(skeleton, duration_s=8.0).frames
+        before = [arr.copy() for arr in _stack_frames(take)]
+        params = CorrectiveParams(zone_gains={BodyZone.HIPS: 2.0, BodyZone.HANDS: 0.5})
+        out = amplify_zones(take, skeleton, params, 60)
+        assert isinstance(out, FrameBlock) and out != take
+        for arr, want in zip(_stack_frames(take), before):
+            assert not arr.flags.writeable and arr.tobytes() == want.tobytes()
 
     def test_hips_gain_doubles_sway_angle(self, skeleton):
         # Oracle: axis-angle doubling; +/-10 degrees becomes +/-20 within
@@ -870,6 +887,29 @@ class TestPipeline:
         assert result.detected is not None
         assert abs(result.detected.period_us - 1_000_000) / 1e6 < 0.01
         assert result.convergence_us() is not None
+
+
+class TestBlockAndListTakes:
+    def test_the_corrective_chain_writes_the_same_file(self, skeleton, tmp_path):
+        # load -> pipeline -> amplify -> save on the loaded block, and on a
+        # Recording built from a list of separate frames of the same take.
+        take = tmp_path / "take.dgrc"
+        frames = dancer_frames(skeleton, phase_rad=math.pi / 2 - TWO_PI * 0.17, steady_hips=True)
+        save_recording(Recording(skeleton.joint_count, 30.0, frames), take)
+        block = load_recording(take)
+        listed = Recording(block.joint_count, block.nominal_fps, [
+            PoseFrame(f.timestamp_us, f.root_translation, f.rotations.copy()) for f in block.frames
+        ])
+        assert isinstance(block.frames, FrameBlock) and type(listed.frames) is list
+        grid = BeatGrid(bpm=120.0)
+        params = CorrectiveParams(zone_gains={BodyZone.HIPS: 2.0, BodyZone.HANDS: 0.5})
+        for name, rec in (("block", block), ("list", listed)):
+            result = run_corrective_pipeline(rec.frames, skeleton, grid, params)
+            assert result.applied
+            window = _amplify_window_frames(result, params, rec.nominal_fps)
+            out = amplify_zones(result.frames, skeleton, params, window)
+            save_recording(Recording(rec.joint_count, rec.nominal_fps, out), tmp_path / name)
+        assert (tmp_path / "block").read_bytes() == (tmp_path / "list").read_bytes()
 
 
 class TestConfig:

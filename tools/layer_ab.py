@@ -14,15 +14,18 @@ microseconds per call; `run_corrective_pipeline` and `amplify_zones`
 frame, with amplification at the window `dancegraph correct` derives from
 the take's pipeline result (whole detected periods, about 240 frames);
 `recording.load` and `recording.save` of that take as a file, in
-microseconds per frame; and `karcher_mean_rows`, one warm-started call on
-the take's 11 active joints over such a window, in microseconds per call.
+microseconds per frame; `karcher_mean_rows`, one warm-started call on
+the take's 11 active joints over such a window, in microseconds per call;
+and the `corrective chain`, the benchmark's four calls (load, pipeline,
+amplify, save) from file to file, in microseconds per frame.
 The files go to a temporary directory that is removed on exit.
 Prints per layer the median microseconds of A and B, the median of the
 per-round ratios B/A, and in how many rounds B was faster; next to
 `amplify_zones`, the full Karcher passes per window it makes on the take
 (each pass calls `core._log_half_weight` once) and its tangent-step calls
 per window (`core._tangent_step`; in a tree without it, each step ends in
-one `core.rows_normalize` call), counts that repeat exactly from run to
+one `core.rows_normalize` call); next to the chain, the `PoseFrame`s it
+constructs per frame of the take. These counts repeat exactly from run to
 run.
 """
 from __future__ import annotations
@@ -132,7 +135,10 @@ def layers(m, scratch: Path):
         rhythm.amplify_zones(warped, skeleton, params, window)
     finally:
         rhythm._karcher_windows = karcher
-    per_window = (count["_log_half_weight"] / count["windows"], count[step_name] / count["windows"])
+    counts = {"amplify_zones": {
+        "Karcher passes/window": count["_log_half_weight"] / count["windows"],
+        "Karcher steps/window": count[step_name] / count["windows"],
+    }}
 
     def repeat(fn):
         def timed() -> float:
@@ -167,6 +173,30 @@ def layers(m, scratch: Path):
             return (time.perf_counter_ns() - t0) / len(take) / 1000
         return timed
 
+    def chain() -> None:
+        rec = recording.load_recording(take_file)
+        result = rhythm.run_corrective_pipeline(rec.frames, skeleton, grid, params)
+        amp_window = harness._amplify_window_frames(result, params, rec.nominal_fps)
+        out = rhythm.amplify_zones(result.frames, skeleton, params, amp_window)
+        recording.save_recording(
+            recording.Recording(rec.joint_count, rec.nominal_fps, out), scratch / "chain.dgrc"
+        )
+
+    # One counted chain: every PoseFrame construction runs __post_init__.
+    pose_frame = core.PoseFrame
+    post_init, built = pose_frame.__post_init__, [0]
+
+    def counted_post_init(self) -> None:
+        built[0] += 1
+        post_init(self)
+
+    pose_frame.__post_init__ = counted_post_init
+    try:
+        chain()
+    finally:
+        pose_frame.__post_init__ = post_init
+    counts["corrective chain"] = {"PoseFrames/frame": built[0] / len(take)}
+
     return {
         "encode_frame": repeat(lambda: codec.encode_frame(frame, table, stats)),
         "EncodedFrame.from_bytes": repeat(lambda: codec.EncodedFrame.from_bytes(wire, table)),
@@ -182,7 +212,8 @@ def layers(m, scratch: Path):
             lambda: recording.save_recording(take_rec, scratch / "out.dgrc")
         ),
         "karcher_mean_rows": repeat(lambda: core.karcher_mean_rows(mean_rows, 1e-9, init=warm)),
-    }, per_window
+        "corrective chain": per_frame(chain),
+    }, counts
 
 
 def main() -> None:
@@ -210,9 +241,8 @@ def main() -> None:
         print(f"{name:24s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
               f"B/A median {statistics.median(ratios):.3f}  "
               f"B faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
-        if name == "amplify_zones":
-            for label, ca, cb in zip(("passes", "steps"), counts_a, counts_b):
-                print(f"{'  Karcher ' + label + '/window':24s} A {ca:6.3f}     B {cb:6.3f}")
+        for label, ca in counts_a.get(name, {}).items():
+            print(f"{'  ' + label:24s} A {ca:6.3f}     B {counts_b[name][label]:6.3f}")
 
 
 if __name__ == "__main__":
