@@ -16,8 +16,8 @@ _SUBMODULE_OF = {
         "max_angular_error",
     ), "codec"),
     **dict.fromkeys((
-        "BodyZone", "FrameBlock", "InvalidQuaternionError", "MeanConvergenceError", "PoseFrame",
-        "Skeleton", "default_skeleton",
+        "BodyZone", "FrameBlock", "InvalidQuaternionError", "PoseFrame", "Skeleton",
+        "default_skeleton",
     ), "core"),
     **dict.fromkeys((
         "CorruptPacketError", "PayloadTooLargeError", "SignalPacket", "SignalType",

@@ -27,8 +27,9 @@ Three stages, each usable on its own:
    run_corrective_pipeline is the one way into the warp.
 
 3. Stylization: per body zone, rotations are geodesically extrapolated away
-   from a rolling reference orientation, widening (gain > 1), muting
-   (gain < 1), or freezing (gain 0) the motion of that zone.
+   from a rolling reference orientation, the chordal mean of the trailing
+   window, widening (gain > 1), muting (gain < 1), or freezing (gain 0) the
+   motion of that zone.
 
 The feature signal is the raw quaternion component: for a sway about a
 fixed axis it is a monotone function of the sway angle, so extrema timing
@@ -53,7 +54,6 @@ from .core import (
     PoseFrame,
     Skeleton,
     _frames_of,
-    _karcher_windows,
     _stack_frames,
     rows_normalize,
     rows_scale_rotation,
@@ -511,6 +511,58 @@ def _resample(
 # Zone amplification
 # ---------------------------------------------------------------------------
 
+# Windows per block of moments: it bounds the memory a slide takes, and each
+# block sums its first window afresh, so no slide's rounding spans more.
+_MOMENT_BLOCK = 128
+# A window still moving by _POWER_STEP after _POWER_MAX_ITERATIONS products
+# has a small eigen-gap (it spans a wide rotation, such as a full turn).
+_POWER_STEP = 1e-13
+_POWER_MAX_ITERATIONS = 32
+
+
+def _top_eigvecs(moments: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Top unit eigenvectors (..., 4) of the positive semi-definite moments
+    (..., 4, 4) by power iteration from the unit `seeds` (..., 4), until no
+    vector moves by _POWER_STEP; with the products taken and the mask of
+    vectors still moving after _POWER_MAX_ITERATIONS, which eigh solved."""
+    vec = seeds
+    for taken in range(1, _POWER_MAX_ITERATIONS + 1):
+        nxt = np.matmul(moments, vec[..., None])[..., 0]
+        nxt /= np.sqrt(np.add.reduce(nxt * nxt, axis=-1, keepdims=True))
+        slow = np.add.reduce(np.square(nxt - vec), axis=-1) >= _POWER_STEP * _POWER_STEP
+        vec = nxt
+        if not slow.any():
+            break
+    else:
+        vec[slow] = np.linalg.eigh(moments[slow])[1][..., -1]
+    return vec, taken, slow
+
+
+def _chordal_windows(tracks: np.ndarray, window: int) -> np.ndarray:
+    """The chordal L2 mean of every `window` consecutive rows of the unit
+    tracks (n, A, 4), as (n - window + 1, A, 4): the top unit eigenvector of
+    the window's M = sum q q^T, the same for q and -q. In each block of
+    windows the first M is one matmul, and the rest slide from it by a
+    cumulative sum of entering minus leaving outer products; power iteration
+    starts from each window's newest row."""
+    count = len(tracks) - window + 1
+    means = np.empty((count,) + tracks.shape[1:])
+    for start in range(0, count, _MOMENT_BLOCK):
+        k = min(_MOMENT_BLOCK, count - start)
+        rows = tracks[start:start + window].transpose(1, 2, 0)  # (A, 4, window)
+        moments = np.empty((k,) + tracks.shape[1:] + (4,))
+        np.matmul(rows, rows.transpose(0, 2, 1), out=moments[0])
+        enter = tracks[start + window:start + window + k - 1]
+        leave = tracks[start:start + k - 1]
+        slid = moments[1:]
+        np.multiply(enter[..., :, None], enter[..., None, :], out=slid)
+        slid -= leave[..., :, None] * leave[..., None, :]
+        np.cumsum(slid, axis=0, out=slid)
+        slid += moments[0]
+        means[start:start + k] = _top_eigvecs(moments, tracks[start + window - 1:][:k])[0]
+    return means
+
+
 def amplify_zones(
     stream: Sequence[PoseFrame],
     skeleton: Skeleton,
@@ -520,15 +572,11 @@ def amplify_zones(
     """Exaggerate (or mute) motion per body zone.
 
     Each joint's output rotation is rows_scale_rotation(reference, input, gain)
-    where the reference is the geodesic mean over the trailing
-    `reference_window` frames, batched over all active joints. The active
-    tracks are normalized once per take into one contiguous component-major
-    (A, 4, n) block, and one sliding Karcher loop (_karcher_windows) walks
-    it: each full pass covers a window plus the next frame, so besides this
-    window's step it hands the next window a carried sum, and every window
-    but the first takes its first step from that carry without a pass. The
-    root translation's deviation from its rolling mean is scaled by the
-    hips gain.
+    where the reference is the chordal L2 mean of the trailing
+    `reference_window` frames (_chordal_windows), batched over all active
+    joints. Its sign does not matter: rows_scale_rotation gives the same
+    rows for -reference. The root translation's deviation from its rolling
+    mean is scaled by the hips gain.
     Frames before the window fills pass through unchanged. Zones with gain
     exactly 1.0 are left untouched byte-for-byte. The result is one new
     block; a take with no gain to apply, or shorter than the window, is
@@ -550,8 +598,7 @@ def amplify_zones(
     if active:
         rotations = rotations.copy()
         tracks = rotations[:, active]  # (n, A, 4)
-        block = np.ascontiguousarray(rows_normalize(tracks).transpose(1, 2, 0))  # (A, 4, n)
-        references = _karcher_windows(block, reference_window, block[:, :, 0], 1e-9)
+        references = _chordal_windows(rows_normalize(tracks), reference_window)
         gains = np.array([joint_gain[j] for j in active])[:, None]
         rotations[first:, active], _ = rows_scale_rotation(references, tracks[first:], gains)
 

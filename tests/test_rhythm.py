@@ -4,14 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from dancegraph import core
 from dancegraph.core import (
     BodyZone,
     FrameBlock,
-    MeanConvergenceError,
     PoseFrame,
     _frames_of,
-    _karcher_windows,
     _stack_frames,
     rows_canonicalize,
     rows_conjugate,
@@ -27,6 +24,7 @@ from dancegraph.harness import (
     synthesize_noise_recording,
     synthesize_sway_recording,
 )
+from dancegraph import rhythm
 from dancegraph.recording import Recording, load_recording, save_recording
 from dancegraph.rhythm import (
     DETECTION_BAND_HZ,
@@ -50,7 +48,9 @@ from dancegraph.rhythm import (
     run_corrective_pipeline,
 )
 
+import karcher_oracle
 from conftest import geodesic_distance
+from karcher_oracle import MeanConvergenceError, _karcher_windows
 
 TWO_PI = 2.0 * math.pi
 
@@ -364,9 +364,17 @@ def reference_karcher_mean(rows, tolerance, init=None, max_iterations=64):
     raise MeanConvergenceError("reference mean did not converge")
 
 
+def reference_chordal_mean(rows):
+    """The chordal L2 mean of rows (N, 4): the unit eigenvector of sum q q^T
+    over the normalized rows with the largest eigenvalue, by
+    np.linalg.eigh; its sign is arbitrary."""
+    arr = rows_normalize(np.asarray(rows, dtype=np.float64))
+    return np.linalg.eigh(arr.T @ arr)[1][:, -1]
+
+
 def reference_amplify_zones(frames, skeleton, params, reference_window):
-    """Per-joint, per-frame amplify_zones: one warm-started mean per active
-    joint per frame and a per-frame root loop."""
+    """Per-joint, per-frame amplify_zones: one chordal mean per active joint
+    per frame, each from a fresh eigh, and a per-frame root loop."""
     n = len(frames)
     joint_gain = [params.gain_for(skeleton.zone_of(j)) for j in range(skeleton.joint_count)]
     active = [j for j, g in enumerate(joint_gain) if g != 1.0]
@@ -378,11 +386,9 @@ def reference_amplify_zones(frames, skeleton, params, reference_window):
     first = reference_window - 1
     for j in active:
         track = rotations[:, j, :]
-        references = np.empty((n - first, 4))
-        reference = None
-        for i in range(first, n):
-            reference = reference_karcher_mean(track[i - first:i + 1], 1e-9, init=reference)
-            references[i - first] = reference
+        references = np.array(
+            [reference_chordal_mean(track[i - first:i + 1]) for i in range(first, n)]
+        )
         out_rot[first:, j], _ = rows_scale_rotation(references, track[first:], joint_gain[j])
     if hips_gain != 1.0:
         csum = np.cumsum(roots, axis=0)
@@ -403,7 +409,8 @@ class TestAmplifyZones:
     @pytest.mark.parametrize("case", ["window_60", "served_window", "all_zones"])
     def test_matches_per_joint_reference(self, skeleton, case):
         # A swaying take whose every joint also jitters, hips and hands
-        # active: the batched means must reproduce the per-joint loop. The
+        # active: the sliding moments and batched power iteration must
+        # reproduce a fresh eigh per joint and window. The
         # served case uses the window `dancegraph correct` derives for a
         # 12 s take (whole periods, about 240 frames); the all-zones case
         # makes every joint active.
@@ -554,7 +561,7 @@ def sliding_means(tracks, window, tolerance=1e-9, max_iterations=64):
 
 
 def previous_karcher_windows(block, window, mean, tolerance, max_iterations=64):
-    """core._karcher_windows as it was when each window took the step
+    """karcher_oracle._karcher_windows as it was when each window took the step
     carried from the previous window's last pass as a step of its own; kept
     as the bit-for-bit oracle of the loop that takes both steps of a pass in
     one call."""
@@ -608,24 +615,24 @@ def previous_karcher_windows(block, window, mean, tolerance, max_iterations=64):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts full Karcher passes: each calls core._log_half_weight once."""
+    """Counts full Karcher passes: each calls karcher_oracle._log_half_weight once."""
     count = [0]
-    log_half_weight = core._log_half_weight
+    log_half_weight = karcher_oracle._log_half_weight
 
     def counted(*args, **kwargs):
         count[0] += 1
         return log_half_weight(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_log_half_weight", counted)
+    monkeypatch.setattr(karcher_oracle, "_log_half_weight", counted)
     return count
 
 
 @pytest.fixture
 def steps(monkeypatch):
-    """Records, per core._tangent_step call, how many full Karcher passes
-    (core._log_half_weight calls) came before it."""
+    """Records, per karcher_oracle._tangent_step call, how many full Karcher passes
+    (karcher_oracle._log_half_weight calls) came before it."""
     log = [0, []]
-    log_half_weight, tangent_step = core._log_half_weight, core._tangent_step
+    log_half_weight, tangent_step = karcher_oracle._log_half_weight, karcher_oracle._tangent_step
 
     def counted(*args, **kwargs):
         log[0] += 1
@@ -635,17 +642,17 @@ def steps(monkeypatch):
         log[1].append(log[0])
         return tangent_step(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_log_half_weight", counted)
-    monkeypatch.setattr(core, "_tangent_step", recorded)
+    monkeypatch.setattr(karcher_oracle, "_log_half_weight", counted)
+    monkeypatch.setattr(karcher_oracle, "_tangent_step", recorded)
     return log
 
 
 @pytest.fixture
 def settles(monkeypatch):
-    """Records full Karcher passes (None) and core._settled calls, as (2 *
+    """Records full Karcher passes (None) and karcher_oracle._settled calls, as (2 *
     rho * h per mean, h per mean, the verdict), in the order they happen."""
     events = []
-    log_half_weight, settled = core._log_half_weight, core._settled
+    log_half_weight, settled = karcher_oracle._log_half_weight, karcher_oracle._settled
 
     def counted(*args, **kwargs):
         events.append(None)
@@ -656,14 +663,14 @@ def settles(monkeypatch):
         events.append((2.0 * (1.0 - ms[..., 0] / window) * half[..., 0], half[..., 0], verdict))
         return verdict
 
-    monkeypatch.setattr(core, "_log_half_weight", counted)
-    monkeypatch.setattr(core, "_settled", recorded)
+    monkeypatch.setattr(karcher_oracle, "_log_half_weight", counted)
+    monkeypatch.setattr(karcher_oracle, "_settled", recorded)
     return events
 
 
 def settled_windows(events):
     """(window index, 2 rho h per mean, h per mean) for each window that a
-    core._settled call ended. A window with a successor ends on the pass
+    karcher_oracle._settled call ended. A window with a successor ends on the pass
     that leaves every mean done, with no _settled call after it, or on the
     pass whose _settled call returns True."""
     window, out = 0, []
@@ -812,7 +819,7 @@ class TestSlidingKarcherWindows:
             # near 1e-2) leave a real confirming step: the bound ends no
             # window, and the output is that of the confirming passes.
             assert not ended
-            monkeypatch.setattr(core, "_settled", lambda *args: False)
+            monkeypatch.setattr(karcher_oracle, "_settled", lambda *args: False)
             assert np.array_equal(sliding_means(tracks, window, tolerance), means)
 
 
@@ -859,6 +866,153 @@ class TestOneStepCallPerPass:
         windows = len(sliding_means(tracks, window))
         assert steps[1] == list(range(1, steps[0] + 1))
         assert len(steps[1]) <= most * windows
+
+
+def turning_tracks(frames=150, turn_frames=60):
+    """(frames, 2, 4) unit rows: track 0 sways 0.2 rad about x, except that
+    over `turn_frames` frames from frame 40 it makes one full turn about z
+    at an uneven speed; track 1 sways 0.1 rad about y throughout."""
+    t = np.arange(frames)
+    sway = np.stack([0.2 * np.sin(0.3 * t), 0.1 * np.sin(0.2 * t)], axis=1)
+    axes = np.zeros((frames, 2, 3))
+    axes[:, 0, 0] = axes[:, 1, 1] = 1.0
+    turn = np.clip((t - 40) / turn_frames, 0.0, 1.0)
+    turning = (turn > 0.0) & (turn < 1.0)
+    axes[turning, 0] = (0.0, 0.0, 1.0)
+    sway[turning, 0] = 2.0 * np.pi * (turn + 0.1 * np.sin(2.0 * np.pi * turn))[turning]
+    return rows_from_axis_angle(axes, sway)
+
+
+def hip_jitter_tracks(skeleton, jitter_rad):
+    """The hips' tracks (n, 3, 4) of a 24 s sway at 1 Hz, each frame times a
+    random rotation of up to `jitter_rad` (none at 0), and a window of 8
+    whole periods."""
+    sway = synthesize_sway_recording(skeleton, duration_s=24.0, amplitude_rad=0.2)
+    hips = skeleton.joints_in_zone(BodyZone.HIPS)
+    rot = sway.frames.rotations[:, hips]
+    if jitter_rad:
+        noise = synthesize_noise_recording(skeleton, duration_s=24.0, amplitude_rad=jitter_rad)
+        rot = rows_multiply(rot, noise.frames.rotations[:, hips])
+    return rows_normalize(rot), 240
+
+
+@pytest.fixture
+def power(monkeypatch):
+    """Records (products taken, eigh-fallback windows) per call of
+    rhythm._top_eigvecs, one call per block of windows."""
+    log = []
+    top_eigvecs = rhythm._top_eigvecs
+
+    def recorded(moments, seeds):
+        out = top_eigvecs(moments, seeds)
+        log.append((out[1], int(out[2].sum())))
+        return out
+
+    monkeypatch.setattr(rhythm, "_top_eigvecs", recorded)
+    return log
+
+
+def chordal_oracle_windows(tracks, window):
+    """(windows, tracks, 4): reference_chordal_mean of every window of the
+    tracks (n, tracks, 4)."""
+    return np.array([
+        [reference_chordal_mean(tracks[i:i + window, a]) for a in range(tracks.shape[1])]
+        for i in range(len(tracks) - window + 1)
+    ])
+
+
+def assert_same_axes(got, want, atol):
+    """Unit rows equal up to each row's sign."""
+    sign = np.where(np.einsum("...k,...k->...", got, want) < 0.0, -1.0, 1.0)
+    assert np.abs(got - sign[..., None] * want).max() <= atol
+
+
+class TestChordalReference:
+    """amplify_zones' reference, rhythm._chordal_windows: moments slid in
+    blocks and batched power iteration, against fresh per-window sums and
+    eigh."""
+
+    def test_full_turn_window_takes_eigh(self, power):
+        # Windows holding most of a full turn have eigenvalues too close for
+        # power iteration to settle in its budget; only they take eigh.
+        tracks, window = turning_tracks(), 50
+        got = rhythm._chordal_windows(tracks, window)
+        assert len(power) == 1 and power[0][0] == rhythm._POWER_MAX_ITERATIONS
+        assert 0 < power[0][1] < len(got)
+        assert_same_axes(got, chordal_oracle_windows(tracks, window), 1e-12)
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 60])
+    def test_matches_eigh_on_drifting_tracks(self, window, power):
+        # Three blocks of windows (the last one short) over spread tracks
+        # with negated rows: no row needs its hemisphere aligned.
+        tracks = drifting_tracks(8, frames=2 * rhythm._MOMENT_BLOCK + window + 9).swapaxes(0, 1)
+        tracks[1::3] *= -1.0
+        got = rhythm._chordal_windows(tracks, window)
+        assert got.shape == (len(tracks) - window + 1, 3, 4) and len(power) == 3
+        assert_same_axes(got, chordal_oracle_windows(tracks, window), 1e-12)
+        assert not any(slow for _, slow in power)
+
+    def test_negated_rows_change_only_signs(self):
+        # q q^T is the same for -q, so the moments are identical and each
+        # mean comes out the same up to the sign of its seed.
+        tracks = drifting_tracks(9, frames=80).swapaxes(0, 1)
+        flipped = -tracks
+        flipped[::2] = tracks[::2]
+        got, again = rhythm._chordal_windows(tracks, 20), rhythm._chordal_windows(flipped, 20)
+        assert np.array_equal(np.abs(got), np.abs(again))
+
+    def test_jitter_does_not_change_the_work(self, skeleton, power):
+        # The Karcher loop took two full passes per window on hips that
+        # jitter by 3 mrad and one on hips that do not; the power iteration
+        # takes the same number of products on both.
+        counts = []
+        for jitter in (0.0, 0.003):
+            power[:] = []
+            tracks, window = hip_jitter_tracks(skeleton, jitter)
+            rhythm._chordal_windows(tracks, window)
+            assert not any(slow for _, slow in power)
+            counts.append([taken for taken, _ in power])
+        assert counts[0] == counts[1]
+        assert max(counts[0]) <= 8
+
+    def test_one_hour_moments_match_fresh_sums(self, monkeypatch):
+        # About an hour at 30 fps on one joint. The last block's slid
+        # moments stay within 1.1e-13 of fresh sums; one cumulative sum of
+        # outer products over the whole take drifts past the bound
+        # (5.9e-11).
+        n, window = 108_000, 240
+        rng = np.random.default_rng(10)
+        angle = 0.3 * np.sin(np.arange(n) * 0.2) + rng.uniform(-0.01, 0.01, n)
+        tracks = rows_from_axis_angle(np.broadcast_to([1.0, 0.2, 0.0], (n, 3)), angle)[:, None]
+        blocks, top_eigvecs = [], rhythm._top_eigvecs
+
+        def recorded(moments, seeds):
+            blocks.append(moments)
+            return top_eigvecs(moments, seeds)
+
+        monkeypatch.setattr(rhythm, "_top_eigvecs", recorded)
+        rhythm._chordal_windows(tracks, window)
+        moments = blocks[-1]
+        start = n - window + 1 - len(moments)
+        assert start == rhythm._MOMENT_BLOCK * (len(blocks) - 1)
+        rows = np.lib.stride_tricks.sliding_window_view(tracks[start:, 0], window, axis=0)
+        fresh = rows @ rows.swapaxes(-1, -2)  # (k, 4, 4)
+        assert np.abs(moments[:, 0] - fresh).max() <= 1e-12
+        outer = tracks[:, 0, :, None] * tracks[:, 0, None, :]
+        whole = np.cumsum(np.concatenate([np.zeros((1, 4, 4)), outer]), axis=0)
+        assert np.abs(whole[-len(fresh):] - whole[start:start + len(fresh)] - fresh).max() > 1e-12
+
+    def test_gap_to_the_geodesic_mean_on_a_dancer_take(self, skeleton):
+        # The chordal mean replaced the Karcher (geodesic) mean as the
+        # reference. On the 24 s dancer take at its served window the two
+        # differ by at most 2.57e-5 rad of rotation, on the swaying,
+        # jittering hips; on the hands, by about 1e-7.
+        tracks, window = dancer_take_tracks(skeleton)
+        chordal = rhythm._chordal_windows(rows_normalize(tracks.swapaxes(0, 1)), window)
+        geodesic = sliding_means(tracks, window)
+        rel = rows_multiply(rows_conjugate(chordal), geodesic)
+        gap = 2.0 * np.arcsin(np.minimum(np.linalg.norm(rel[..., :3], axis=-1), 1.0))
+        assert gap.max() <= 3e-5
 
 
 class TestPipeline:

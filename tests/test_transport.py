@@ -416,6 +416,59 @@ class TestRelayServer:
             finally:
                 stray.close()
 
+    def test_corrupt_datagrams_are_counted_and_relaying_goes_on(self, server):
+        # A datagram shorter than a header, one with a bad magic and one
+        # with an unknown wire version are each counted and dropped; the
+        # sender's next valid pose is still relayed.
+        addr = ("127.0.0.1", server.port)
+        with client_connect(addr) as b:
+            raw, uid = raw_join(addr)
+            try:
+                consumer = b.router.subscribe(SignalSelector(SignalType.POSE, uid, Origin.NETWORK))
+                good = frame_packet(SignalType.POSE, uid, 1, mono_us(), b"pose")
+                bad_magic = bytes(m ^ 0xFF for m in MAGIC) + good[2:]
+                bad_version = good[:2] + bytes([(good[2] + 1) % 256]) + good[3:]
+                for data in (good[:HEADER_SIZE - 1], bad_magic, bad_version, good):
+                    raw.sendto(data, addr)
+                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert [p.payload for p in consumer.poll(max_packets=8).packets] == [b"pose"]
+                assert server.stats.dropped_corrupt == 3
+                assert server.stats.relayed == 1
+            finally:
+                raw.close()
+
+    def test_forged_server_leave_from_off_path_makes_no_rejoin(self, server, monkeypatch):
+        # A socket that is not the relay sends a client a LEAVE under the
+        # relay's SERVER_ID naming that client. Read, it would make the
+        # client drop its session and join afresh.
+        addr = ("127.0.0.1", server.port)
+        with client_connect(addr) as a, client_connect(addr) as b:
+            joins = []
+            keepalive = b._send_keepalive
+
+            def recorded(now, user_id=None):
+                joins.append(user_id)
+                keepalive(now, user_id)
+
+            monkeypatch.setattr(b, "_send_keepalive", recorded)
+            forged = frame_packet(
+                SignalType.CONTROL, SERVER_ID, 1, mono_us(), struct.pack("<H", b.user_id)
+            )
+            stray = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            try:
+                stray.sendto(forged, b.sock.getsockname())
+                # Sent first, the forged LEAVE would be read before the
+                # relayed marker.
+                a.send(b"marker")
+                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert UNASSIGNED_ID not in joins
+                # The same datagram handed to ingest does re-join: only the
+                # connected socket's source check keeps it out.
+                b.ingest(forged, mono_us())
+                assert UNASSIGNED_ID in joins
+            finally:
+                stray.close()
+
     def test_joins_a_wildcard_relay_through_another_local_address(self):
         # A relay bound to 0.0.0.0 answers a JOIN sent to 127.0.0.2 from
         # 127.0.0.1, the source its route picks. The client takes that ACK

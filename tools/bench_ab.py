@@ -1,0 +1,194 @@
+"""Paired benchmark runs of two checkouts, written to one JSON file.
+
+    git clone --quiet . /tmp/parent && git -C /tmp/parent checkout --quiet HEAD~1
+    python3 tools/bench_ab.py /tmp/parent . --workload corrective --seed 7 \\
+        --pairs 10 --seconds 10 --out BENCH.json
+
+Each side runs its own checkout's `bench/run.py` (which imports that
+checkout's own `src/`) as a child process, one run at a time. Pairs
+alternate which side goes first: the parent in odd pairs, the change in
+even ones. Every run gets the same workload, seed and length.
+
+The file keeps every run's metrics block, its verdict and its
+`mean_speed_factor` (the host-speed scaling `bench/run.py` applied). Per
+end-to-end metric of `BENCHMARK.json` (read from the change's checkout) it
+holds both medians, the parent's interquartile range, the ratio of the
+medians (change / parent), the pairs the change won (lower, or higher for
+a metric where higher is better) and the metric's bound. It also holds host
+facts (cores, Python, numpy, the CPU time stolen by the hypervisor over
+the whole measurement, read from /proc/stat), both checkouts' git
+revisions and the seed. It changes no workload, bound or seed.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+SCHEMA = 1
+METRIC_KEYS = (
+    "unit", "better", "bound", "parent_median", "change_median", "parent_iqr", "ratio", "wins",
+    "pairs",
+)
+RUN_KEYS = ("pair", "side", "order", "correct", "attempted", "failed", "mean_speed_factor",
+            "metrics")
+
+
+def cpu_ticks() -> dict | None:
+    """The host's total and stolen CPU ticks from /proc/stat's `cpu` line,
+    or None where there is no such file."""
+    try:
+        fields = Path("/proc/stat").read_text().splitlines()[0].split()
+    except OSError:
+        return None
+    ticks = [int(v) for v in fields[1:]]
+    # user nice system idle iowait irq softirq steal guest guest_nice; the
+    # guest ticks are already counted in user and nice.
+    return {"total": sum(ticks[:8]), "steal": ticks[7] if len(ticks) > 7 else 0}
+
+
+def revision(tree: Path) -> dict:
+    """The checkout's git commit and whether its tracked files differ from
+    it; None for a directory that is not a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return {"commit": None, "dirty": None}
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip() != ""
+    return {"commit": head.stdout.strip(), "dirty": dirty}
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `bench/run.py` run in `tree`: its JSON verdict line, plus the
+    mean_speed_factor it printed among its notes."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, stdout=subprocess.PIPE, text=True, timeout=600 + 4 * seconds,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{tree / 'bench' / 'run.py'} exited {proc.returncode}")
+    result = json.loads(lines[-1])
+    speed = None
+    for line in lines[:-1]:
+        parts = line.split()
+        if len(parts) == 3 and parts[:2] == [workload, "mean_speed_factor"]:
+            speed = float(parts[2])
+    result["mean_speed_factor"] = speed
+    return result
+
+
+def summarize(runs: list[dict], spec: dict) -> dict:
+    """Per-metric medians, parent IQR, ratio, wins and bound over the pairs."""
+    out = {}
+    pairs = max(run["pair"] for run in runs)
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        by_pair = {side: [None] * pairs for side in SIDES}
+        for run in runs:
+            by_pair[run["side"]][run["pair"] - 1] = run["metrics"][name]["value"]
+        parent, change = by_pair["parent"], by_pair["change"]
+        lower = metric["better"] == "lower"
+        q1, q3 = np.percentile(parent, [25, 75])
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        out[name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent_median": parent_median,
+            "change_median": change_median,
+            "parent_iqr": float(q3 - q1),
+            "ratio": change_median / parent_median if parent_median else None,
+            "wins": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
+            "pairs": pairs,
+        }
+    return out
+
+
+def schema_problems(doc: dict) -> list[str]:
+    """What a bench_ab file lacks: missing keys, runs or metrics."""
+    problems = [f"missing {key}" for key in (
+        "schema", "workload", "seed", "pairs", "seconds", "revisions", "host", "runs", "metrics"
+    ) if key not in doc]
+    if problems:
+        return problems
+    problems += [f"missing host.{key}" for key in (
+        "cores", "python", "numpy", "steal_ticks", "total_ticks"
+    ) if key not in doc["host"]]
+    problems += [f"missing revisions.{side}" for side in SIDES if side not in doc["revisions"]]
+    if len(doc["runs"]) != 2 * doc["pairs"]:
+        problems.append(f"{len(doc['runs'])} runs for {doc['pairs']} pairs")
+    for i, run in enumerate(doc["runs"]):
+        problems += [f"run {i} missing {key}" for key in RUN_KEYS if key not in run]
+    if not doc["metrics"]:
+        problems.append("no metrics")
+    for name, row in doc["metrics"].items():
+        problems += [f"metric {name} missing {key}" for key in METRIC_KEYS if key not in row]
+    return problems
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+
+    runs = []
+    before = cpu_ticks()
+    for pair in range(1, args.pairs + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for position, side in enumerate(order):
+            result = run_once(trees[side], args.workload, args.seed, args.seconds)
+            runs.append({"pair": pair, "side": side, "order": position, **result})
+            value = result["metrics"].get("frame_cpu_us", {}).get("value")
+            print(f"pair {pair} {side:6s} correct={result['correct']} frame_cpu_us={value}",
+                  flush=True)
+    after = cpu_ticks()
+
+    doc = {
+        "schema": SCHEMA,
+        "workload": args.workload,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "revisions": {side: revision(tree) for side, tree in trees.items()},
+        "host": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "steal_ticks": None if before is None else after["steal"] - before["steal"],
+            "total_ticks": None if before is None else after["total"] - before["total"],
+        },
+        "runs": runs,
+        "metrics": summarize(runs, spec),
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, row in doc["metrics"].items():
+        ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+        print(f"{name:16s} parent {row['parent_median']:10.4f}  change {row['change_median']:10.4f}"
+              f"  ratio {ratio}  parent IQR {row['parent_iqr']:.4f}"
+              f"  change better in {row['wins']}/{row['pairs']}")
+
+
+if __name__ == "__main__":
+    main()

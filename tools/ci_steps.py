@@ -5,6 +5,7 @@
     python3 tools/ci_steps.py corrective   # `dancegraph correct` on a synthesized take
     python3 tools/ci_steps.py smoke        # 2 s benchmark run; its JSON verdict must pass
     python3 tools/ci_steps.py latency      # relay latency scenarios keep every stage
+    python3 tools/ci_steps.py bench-ab     # tools/bench_ab.py writes a complete file
     python3 tools/ci_steps.py all          # every step after Install, with PYTHONPATH=src
 
 `.github/workflows/tests.yml` calls the subcommands; each exits 0 only if
@@ -153,6 +154,24 @@ def latency(out_dir: Path) -> bool:
     return not missing
 
 
+def bench_ab(work: Path) -> bool:
+    """tools/bench_ab.py runs this checkout against itself, 2 pairs of 2 s
+    of `corrective`, and the file it writes must hold every key, run and
+    metric its schema names."""
+    from bench_ab import schema_problems
+
+    out = work / "bench_ab.json"
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_ab.py"), str(ROOT), str(ROOT),
+         "--workload", "corrective", "--pairs", "2", "--seconds", "2", "--out", str(out)],
+    )
+    if run.returncode != 0:
+        return False
+    problems = schema_problems(json.loads(out.read_text()))
+    print("schema problems:", problems)
+    return not problems
+
+
 # Every step after Install, in the workflow's order: (name, command, time
 # limit in seconds or None). The workflow gives `session` and `corrective`
 # 120 s each; `latency` bounds each of its scenarios itself.
@@ -168,6 +187,7 @@ def all_steps(tmp: Path) -> list[tuple[str, list[str], float | None]]:
         ("Corrective CLI", [*own, "corrective"], 120),
         ("Layer timing tool",
          [sys.executable, "tools/layer_ab.py", "src", "src", "--rounds", "1"], None),
+        ("Paired benchmark tool", [*own, "bench-ab"], None),
         ("Relay latency scenarios", [*own, "latency", "--out-dir", str(tmp)], None),
     ]
 
@@ -205,7 +225,8 @@ def in_temp_dir(step) -> bool:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "step", choices=["relay", "session", "corrective", "smoke", "latency", "all"]
+        "step",
+        choices=["relay", "session", "corrective", "smoke", "latency", "bench-ab", "all"],
     )
     parser.add_argument(
         "--out-dir", type=Path, default=Path("."), help="where `latency` writes its JSON files"
@@ -217,6 +238,7 @@ def main() -> None:
         "corrective": lambda: in_temp_dir(corrective),
         "smoke": smoke,
         "latency": lambda: latency(args.out_dir),
+        "bench-ab": lambda: in_temp_dir(bench_ab),
         "all": run_all,
     }
     sys.exit(0 if steps[args.step]() else 1)

@@ -14,17 +14,22 @@ microseconds per call; `run_corrective_pipeline` and `amplify_zones`
 frame, with amplification at the window `dancegraph correct` derives from
 the take's pipeline result (whole detected periods, about 240 frames);
 `recording.load` and `recording.save` of that take as a file, in
-microseconds per frame; `karcher_mean_rows`, one warm-started call on
-the take's 11 active joints over such a window, in microseconds per call;
-and the `corrective chain`, the benchmark's four calls (load, pipeline,
+microseconds per frame; `reference windows`, the reference of every window
+of the take's 11 active joints that `amplify_zones` takes (chordal means
+through `rhythm._chordal_windows`, or in a tree from before them Karcher
+means through `rhythm._karcher_windows`), in microseconds per frame; and
+the `corrective chain`, the benchmark's four calls (load, pipeline,
 amplify, save) from file to file, in microseconds per frame.
 The files go to a temporary directory that is removed on exit.
 Prints per layer the median microseconds of A and B, the median of the
-per-round ratios B/A, and in how many rounds B was faster; next to
-`amplify_zones`, the full Karcher passes per window it makes on the take
-(each pass calls `core._log_half_weight` once) and its tangent-step calls
-per window (`core._tangent_step`; in a tree without it, each step ends in
-one `core.rows_normalize` call); next to the chain, the `PoseFrame`s it
+per-round ratios B/A, and in how many rounds B was faster. Next to
+`reference windows` it prints the work the references take: power
+iterations per block of windows and the windows that fell back to eigh
+(counted through `rhythm._top_eigvecs`), or in a Karcher tree the full
+passes per window (each calls `core._log_half_weight` once) and the
+tangent-step calls per window (`core._tangent_step`; in a tree without it,
+each step ends in one `core.rows_normalize` call); a dash marks work a
+tree does not do. Next to the chain it prints the `PoseFrame`s it
 constructs per frame of the take. These counts repeat exactly from run to
 run.
 """
@@ -59,6 +64,55 @@ def load(alias: str, src: Path):
     return {name: importlib.import_module(f"{alias}.{name}")
             for name in ("codec", "core", "harness", "packet", "recording", "rhythm", "router",
                          "transport")}
+
+
+def reference_work_chordal(rhythm, references) -> dict:
+    """Power iterations per block of windows and eigh-fallback windows in
+    one call of `references`, counted through rhythm._top_eigvecs."""
+    top, log = rhythm._top_eigvecs, []
+
+    def counted(moments, seeds):
+        out = top(moments, seeds)
+        log.append((out[1], int(out[2].sum())))
+        return out
+
+    rhythm._top_eigvecs = counted
+    try:
+        references()
+    finally:
+        rhythm._top_eigvecs = top
+    return {
+        "power iterations/block": sum(taken for taken, _ in log) / len(log),
+        "eigh windows": sum(slow for _, slow in log),
+    }
+
+
+def reference_work_karcher(core, rhythm, references) -> dict:
+    """Full Karcher passes and tangent-step calls per window in one call of
+    `references`, in a tree whose reference is the Karcher mean: each pass
+    calls `core._log_half_weight` once, and each step calls
+    `core._tangent_step` (before it existed, `core.rows_normalize`)."""
+    step_name = "_tangent_step" if hasattr(core, "_tangent_step") else "rows_normalize"
+    spied = {name: getattr(core, name) for name in ("_log_half_weight", step_name)}
+    count = dict.fromkeys(spied, 0)
+
+    def counter(name):
+        def counted(*args, **kwargs):
+            count[name] += 1
+            return spied[name](*args, **kwargs)
+        return counted
+
+    for name in spied:
+        setattr(core, name, counter(name))
+    try:
+        windows = len(references())
+    finally:
+        for name, fn in spied.items():
+            setattr(core, name, fn)
+    return {
+        "Karcher passes/window": count["_log_half_weight"] / windows,
+        "Karcher steps/window": count[step_name] / windows,
+    }
 
 
 def layers(m, scratch: Path):
@@ -98,47 +152,22 @@ def layers(m, scratch: Path):
     result = rhythm.run_corrective_pipeline(take, skeleton, grid, params)
     warped = result.frames
     window = harness._amplify_window_frames(result, params, sway.nominal_fps)
-    # The active joints' last window + 1 frames: the mean of the first window
-    # warm-starts the timed mean of the window one frame later.
+    # The active joints' tracks, whose every window's reference amplify_zones
+    # takes: chordal means, or Karcher means in a tree from before them.
     active = [j for j in range(skeleton.joint_count)
               if params.gain_for(skeleton.zone_of(j)) != 1.0]
-    tracks = np.stack([f.rotations[active] for f in warped[-window - 1:]]).swapaxes(0, 1)
-    warm = core.karcher_mean_rows(tracks[:, :-1], 1e-9)
-    mean_rows = np.ascontiguousarray(tracks[:, 1:])  # (11, window, 4)
+    tracks = core.rows_normalize(np.stack([f.rotations[active] for f in warped]))  # (n, A, 4)
+    chordal = hasattr(rhythm, "_chordal_windows")
+    if chordal:
+        def references():
+            return rhythm._chordal_windows(tracks, window)
+        counts = {"reference windows": reference_work_chordal(rhythm, references)}
+    else:
+        block = np.ascontiguousarray(tracks.transpose(1, 2, 0))  # (A, 4, n)
 
-    # One counted amplify_zones call: the passes and the tangent-step calls
-    # inside its Karcher loop.
-    karcher = rhythm._karcher_windows
-    step_name = "_tangent_step" if hasattr(core, "_tangent_step") else "rows_normalize"
-    spied = {name: getattr(core, name) for name in ("_log_half_weight", step_name)}
-    count = dict.fromkeys([*spied, "windows"], 0)
-
-    def counter(name):
-        def counted(*args, **kwargs):
-            count[name] += 1
-            return spied[name](*args, **kwargs)
-        return counted
-
-    def counted_windows(*args, **kwargs):
-        for name in spied:
-            setattr(core, name, counter(name))
-        try:
-            means = karcher(*args, **kwargs)
-        finally:
-            for name, fn in spied.items():
-                setattr(core, name, fn)
-        count["windows"] += len(means)
-        return means
-
-    rhythm._karcher_windows = counted_windows
-    try:
-        rhythm.amplify_zones(warped, skeleton, params, window)
-    finally:
-        rhythm._karcher_windows = karcher
-    counts = {"amplify_zones": {
-        "Karcher passes/window": count["_log_half_weight"] / count["windows"],
-        "Karcher steps/window": count[step_name] / count["windows"],
-    }}
+        def references():
+            return rhythm._karcher_windows(block, window, block[:, :, 0], 1e-9)
+        counts = {"reference windows": reference_work_karcher(core, rhythm, references)}
 
     def repeat(fn):
         def timed() -> float:
@@ -211,9 +240,14 @@ def layers(m, scratch: Path):
         "recording.save": per_frame(
             lambda: recording.save_recording(take_rec, scratch / "out.dgrc")
         ),
-        "karcher_mean_rows": repeat(lambda: core.karcher_mean_rows(mean_rows, 1e-9, init=warm)),
+        "reference windows": per_frame(references),
         "corrective chain": per_frame(chain),
     }, counts
+
+
+def show(count: float | None) -> str:
+    """A work count, or a dash for a tree that does not do that work."""
+    return "     -" if count is None else f"{count:6.3f}"
 
 
 def main() -> None:
@@ -241,8 +275,9 @@ def main() -> None:
         print(f"{name:24s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
               f"B/A median {statistics.median(ratios):.3f}  "
               f"B faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
-        for label, ca in counts_a.get(name, {}).items():
-            print(f"{'  ' + label:24s} A {ca:6.3f}     B {counts_b[name][label]:6.3f}")
+        ca, cb = counts_a.get(name, {}), counts_b.get(name, {})
+        for label in dict.fromkeys([*ca, *cb]):
+            print(f"{'  ' + label:24s} A {show(ca.get(label))}     B {show(cb.get(label))}")
 
 
 if __name__ == "__main__":
