@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dancegraph import rhythm
 from dancegraph.core import (
     BodyZone,
     FrameBlock,
@@ -24,7 +25,6 @@ from dancegraph.harness import (
     synthesize_noise_recording,
     synthesize_sway_recording,
 )
-from dancegraph import rhythm
 from dancegraph.recording import Recording, load_recording, save_recording
 from dancegraph.rhythm import (
     DETECTION_BAND_HZ,

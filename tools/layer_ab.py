@@ -157,8 +157,7 @@ def layers(m, scratch: Path):
     active = [j for j in range(skeleton.joint_count)
               if params.gain_for(skeleton.zone_of(j)) != 1.0]
     tracks = core.rows_normalize(np.stack([f.rotations[active] for f in warped]))  # (n, A, 4)
-    chordal = hasattr(rhythm, "_chordal_windows")
-    if chordal:
+    if hasattr(rhythm, "_chordal_windows"):
         def references():
             return rhythm._chordal_windows(tracks, window)
         counts = {"reference windows": reference_work_chordal(rhythm, references)}
