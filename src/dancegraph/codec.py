@@ -41,6 +41,11 @@ _RANGE_FLOOR = 1e-3
 
 # EncodedFrame wire prefix: u64 timestamp_us + 3 x f32 root, little-endian.
 _FRAME_PREFIX = struct.Struct("<Qfff")
+_BE_U16 = np.dtype(">u2")
+
+# A table whose every box corner has |v|^2 below 1 - _BALL_MARGIN decodes any
+# payload to w^2 > 0: the margin is far above the dequantize's rounding.
+_BALL_MARGIN = 1e-9
 
 
 def _check_bits(bits: int) -> None:
@@ -98,6 +103,8 @@ class BoundsTable:
         object.__setattr__(self, "_levels", float((1 << self.bits) - 1))
         object.__setattr__(self, "_joints", joints)
         object.__setattr__(self, "_payload_bytes", (joints * 3 * self.bits + 7) // 8)
+        corner = np.maximum(lo * lo, hi * hi).sum(axis=1)
+        object.__setattr__(self, "_in_ball", bool(corner.max() < 1.0 - _BALL_MARGIN))
 
     @property
     def joint_count(self) -> int:
@@ -252,7 +259,7 @@ def _pack_ints(values: np.ndarray, bits: int) -> bytes:
 def _unpack_ints(payload: bytes, count: int, bits: int) -> np.ndarray:
     """Inverse of `_pack_ints`: `count` big-endian unsigned ints."""
     if bits == 16:
-        return np.frombuffer(payload, dtype=">u2")
+        return np.frombuffer(payload, dtype=_BE_U16)
     spread = np.zeros((count, 32), dtype=np.uint8)
     spread[:, 32 - bits:] = np.unpackbits(
         np.frombuffer(payload, dtype=np.uint8), count=count * bits
@@ -303,8 +310,9 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
 
     w = sqrt(max(0, 1 - x^2 - y^2 - z^2)); the result is renormalized only
     when quantization pushed the vector part outside the unit ball, keeping
-    the common path bit-stable. The frame carries `enc`'s timestamp and root
-    translation objects as they are.
+    the common path bit-stable. A table whose box lies inside the ball
+    cannot decode such a vector, so it skips the clamp and the check. The
+    frame carries `enc`'s timestamp and root translation objects as they are.
     """
     joints = table._joints
     if skeleton.joint_count != joints:
@@ -317,8 +325,10 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
             f"payload is {len(payload)} bytes, table dimensions need {table._payload_bytes}"
         )
     # The operation order of lo + ints / levels * (hi - lo), so the rotations
-    # stay bit-identical, in one contiguous buffer.
-    v = _unpack_ints(payload, joints * 3, table.bits).reshape(joints, 3) / table._levels
+    # stay bit-identical, in one contiguous buffer. The ints convert to float
+    # exactly, and converting first is cheaper than dividing big-endian ints.
+    v = _unpack_ints(payload, joints * 3, table.bits).astype(np.float64).reshape(joints, 3)
+    v /= table._levels
     v *= table._span
     v += table.lo
     sq = v * v
@@ -327,8 +337,9 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
     np.subtract(1.0, w2, out=w2)
     quats = np.empty((joints, 4))
     quats[:, :3] = v
-    np.sqrt(np.maximum(w2, 0.0), out=quats[:, 3])
-    if w2.min() < -1e-12:
+    in_ball = table._in_ball
+    np.sqrt(w2 if in_ball else np.maximum(w2, 0.0), out=quats[:, 3])
+    if not in_ball and w2.min() < -1e-12:
         over = w2 < -1e-12
         quats[over] /= np.linalg.norm(quats[over], axis=1, keepdims=True)
     quats.setflags(write=False)

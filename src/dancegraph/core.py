@@ -37,10 +37,6 @@ _ALREADY_UNIT_TOL = 1e-12
 # come out with opposite signs.
 _HALF_TURN_TOL = 1e-12
 
-# Below this |w| the relative rotation is treated as a half-turn, where the
-# log map's axis is ambiguous.
-_DEGENERATE_W = 1e-9
-
 
 class InvalidQuaternionError(ValueError):
     """Raised when an input quaternion cannot represent a rotation."""
@@ -164,20 +160,19 @@ def rows_scale_rotation(
     reference: np.ndarray,
     q: np.ndarray,
     gain: float | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Row-wise reference * exp(gain * log(reference^-1 * q)), canonicalized;
     `gain` is a scalar or an array broadcasting over the leading axes.
 
-    Returns the scaled rows and a per-row flag marking a half-turn relative
-    rotation, whose log axis is ambiguous: the vector part's axis is used
-    instead of failing, so a streaming pipeline never halts on one bad frame.
+    A half-turn relative rotation, whose log axis is ambiguous, takes the
+    vector part's axis instead of failing, so a streaming pipeline never
+    halts on one bad frame.
     """
     if np.any(np.asarray(gain) < 0.0):
         raise ValueError(f"gain must be >= 0, got {gain}")
     rel = rows_multiply(rows_conjugate(reference), q)
-    degenerate = np.abs(rel[..., 3]) < _DEGENERATE_W
     step = rows_exp_half(rows_log_half(rel) * gain)
-    return rows_canonicalize(rows_multiply(reference, step)), degenerate
+    return rows_canonicalize(rows_multiply(reference, step))
 
 
 def rows_slerp(a: np.ndarray, b: np.ndarray, u: float | np.ndarray) -> np.ndarray:

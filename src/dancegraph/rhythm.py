@@ -600,7 +600,7 @@ def amplify_zones(
         tracks = rotations[:, active]  # (n, A, 4)
         references = _chordal_windows(rows_normalize(tracks), reference_window)
         gains = np.array([joint_gain[j] for j in active])[:, None]
-        rotations[first:, active], _ = rows_scale_rotation(references, tracks[first:], gains)
+        rotations[first:, active] = rows_scale_rotation(references, tracks[first:], gains)
 
     if hips_gain != 1.0:
         roots = roots.copy()

@@ -35,6 +35,17 @@ def full_range_table(joint_count=34, bits=16, names=None):
     return BoundsTable(tuple(names), lo, hi, bits=bits)
 
 
+def corner_table(names, corner, bits=16):
+    """A table whose far box corner has |v|^2 == corner, to rounding, for
+    every joint: hi is a seeded positive direction of length sqrt(corner),
+    lo a shorter negative one."""
+    rng = np.random.default_rng(len(names))
+    u = rng.uniform(0.2, 1.0, size=(len(names), 3))
+    hi = u / np.linalg.norm(u, axis=1, keepdims=True) * math.sqrt(corner)
+    lo = -hi * rng.uniform(0.2, 0.9, size=hi.shape)
+    return BoundsTable(tuple(names), lo, hi, bits=bits)
+
+
 def geodesic_rows(a, b):
     dot = np.abs((a * b).sum(axis=1))
     return 2.0 * np.arccos(np.clip(dot, -1.0, 1.0))
@@ -64,9 +75,20 @@ class TestBoundsTable:
     def test_cached_constants_are_not_fields(self):
         table = full_range_table(joint_count=3, bits=11, names=("a", "b", "c"))
         assert [f.name for f in fields(BoundsTable)] == ["joint_names", "lo", "hi", "bits", "version"]
-        assert "_span" not in repr(table)
+        assert "_span" not in repr(table) and "_in_ball" not in repr(table)
         assert table.joint_count == 3 and table.payload_bytes == (3 * 3 * 11 + 7) // 8
         assert np.array_equal(table.step, (table.hi - table.lo) / 2047)
+
+    def test_in_ball_needs_the_margin(self):
+        # Decode skips its w^2 guards only when every far corner stays
+        # 1e-9 inside the unit ball.
+        names = tuple(default_skeleton().joint_names)
+        assert corner_table(names, 1.0 - 2e-9)._in_ball
+        assert not corner_table(names, 1.0 - 0.5e-9)._in_ball
+        assert not corner_table(names, 1.0)._in_ball
+        assert not full_range_table()._in_ball
+        sway = synthesize_sway_recording(duration_s=1.0)
+        assert analyze_bounds([sway.frames], joint_names=names)._in_ball
 
     def test_json_round_trip(self, tmp_path):
         table = analyze_bounds(
@@ -340,18 +362,37 @@ class TestMatchesReference:
         stats = self._check(noise.frames, table, skeleton)
         assert stats.clamped_components > 0
 
-    @pytest.mark.parametrize("bits", [8, 11, 16, 24])
-    def test_any_payload_decodes_like_reference(self, skeleton, bits):
-        sway = synthesize_sway_recording(duration_s=1.0)
-        table = analyze_bounds(
-            [sway.frames], margin=0.3, bits=bits, joint_names=skeleton.joint_names
-        )
+    @pytest.mark.parametrize("bits, box", [
+        pytest.param(bits, box, id=str(bits) if box == "sway" else f"{box}-{bits}")
+        for box in ("sway", "inside", "outside") for bits in (8, 11, 16, 24)
+    ])
+    def test_any_payload_decodes_like_reference(self, skeleton, bits, box):
+        # Besides a corpus table, two boxes whose far corners sit 2e-9 inside
+        # and outside the unit ball: the first still proves w^2 > 0 for every
+        # payload, the second must keep the clamp and the renormalize.
+        if box == "sway":
+            sway = synthesize_sway_recording(duration_s=1.0)
+            table = analyze_bounds(
+                [sway.frames], margin=0.3, bits=bits, joint_names=skeleton.joint_names
+            )
+        else:
+            table = corner_table(skeleton.joint_names, 1.0 + (2e-9 if box == "outside" else -2e-9), bits)
+            assert table._in_ball == (box == "inside")
         rng = np.random.default_rng(bits)
-        for _ in range(50):
-            ints = rng.integers(0, 1 << bits, size=table.joint_count * 3).astype(np.uint32)
-            enc = EncodedFrame(0, (0.0, 0.0, 0.0), big_int_pack(ints, bits))
+        payloads = [rng.integers(0, 1 << bits, size=table.joint_count * 3) for _ in range(50)]
+        # Grid corners, where |v| is largest: each component at 0 or the top.
+        payloads += [rng.integers(0, 2, size=table.joint_count * 3) * table.levels for _ in range(20)]
+        payloads.append(np.full(table.joint_count * 3, table.levels))
+        over = 0
+        for ints in payloads:
+            enc = EncodedFrame(0, (0.0, 0.0, 0.0), big_int_pack(ints.astype(np.uint32), bits))
             dec = decode_frame(enc, table, skeleton)
-            assert dec.rotations.tobytes() == reference_decode(enc, table).tobytes()
+            ref = reference_decode(enc, table)
+            assert dec.rotations.tobytes() == ref.tobytes()
+            # Rows the reference renormalizes, so the decoder did too.
+            v = table.lo + ints.reshape(-1, 3) / table.levels * (table.hi - table.lo)
+            over += int(np.count_nonzero(1.0 - (v * v).sum(axis=1) < -1e-12))
+        assert (over > 0) == (box == "outside")
 
     @pytest.mark.parametrize("bits", [8, 16, 24])
     def test_renormalize_branch(self, bits):

@@ -256,7 +256,7 @@ class TestScalarMatchesRows:
         ),
         st.floats(0.0, 4.0),
     )
-    def test_scale_rotation_with_degenerate_flag(self, cases, gain):
+    def test_scale_rotation_batch_matches_rows_with_half_turns(self, cases, gain):
         # The boolean swaps q for a half-turn away from the reference, the
         # case whose log axis is ambiguous.
         refs = np.array([r for r, _, _ in cases])
@@ -266,12 +266,10 @@ class TestScalarMatchesRows:
             rows_multiply(refs, np.array([1.0, 0.0, 0.0, 0.0])),
             np.array([q for _, q, _ in cases]),
         )
-        batch, flags = rows_scale_rotation(refs, qs, gain)
-        for i, (row, flag) in enumerate(zip(batch, flags)):
-            out, degenerate = rows_scale_rotation(refs[i:i + 1], qs[i:i + 1], gain)
+        batch = rows_scale_rotation(refs, qs, gain)
+        for i, row in enumerate(batch):
+            out = rows_scale_rotation(refs[i:i + 1], qs[i:i + 1], gain)
             np.testing.assert_allclose(out[0], row, rtol=0.0, atol=1e-15)
-            assert degenerate.tolist() == [flag]
-        assert flags[half].all()
 
     @given(unit_quaternions(), unit_quaternions(), st.floats(0.0, 4.0))
     @settings(max_examples=200)
@@ -310,7 +308,7 @@ class TestScalarMatchesRows:
     def test_scale_rotation_matches_pure_python_reference(self, ref, q, gain):
         # Transcendentals come from numpy instead of math: allow rounding.
         expected = reference_scale_rotation(ref, q, gain)
-        out, _ = rows_scale_rotation(np.array([ref]), np.array([q]), gain)
+        out = rows_scale_rotation(np.array([ref]), np.array([q]), gain)
         np.testing.assert_allclose(out[0], expected, rtol=0.0, atol=1e-12)
 
     @given(st.lists(unit_quaternions(min_w=0.7), min_size=1, max_size=8))
@@ -563,18 +561,18 @@ class TestLogHalf:
 class TestScaleRotation:
     def test_gain_one_returns_input(self):
         q = rot_z(0.7)
-        out, _ = rows_scale_rotation(rot_x(0.3), q, 1.0)
+        out = rows_scale_rotation(rot_x(0.3), q, 1.0)
         assert geodesic_distance(out, q) < 1e-9
 
     def test_gain_zero_returns_reference_exactly(self):
         ref = rot_x(0.3)
-        out, _ = rows_scale_rotation(ref, rot_z(0.7), 0.0)
+        out = rows_scale_rotation(ref, rot_z(0.7), 0.0)
         assert np.array_equal(out, rows_canonicalize(ref))
 
     def test_doubling_single_axis(self):
         # Oracle: axis-angle doubling is analytically exact for rotations
         # about one axis.
-        out, _ = rows_scale_rotation(IDENTITY_ROW, rot_z(0.4), 2.0)
+        out = rows_scale_rotation(IDENTITY_ROW, rot_z(0.4), 2.0)
         assert geodesic_distance(out, rot_z(0.8)) < 1e-9
 
     def test_negative_gain_rejected(self):
@@ -586,38 +584,32 @@ class TestScaleRotation:
         refs = spread_rows(rng, (6, 4), 1.0)  # 6 frames x 4 joints
         qs = spread_rows(rng, (6, 4), 1.0)
         gains = np.array([0.0, 0.5, 2.0, 3.5])
-        batch, flags = rows_scale_rotation(refs, qs, gains[:, None])
+        batch = rows_scale_rotation(refs, qs, gains[:, None])
         for j, gain in enumerate(gains):
-            out, flag = rows_scale_rotation(refs[:, j], qs[:, j], gain)
+            out = rows_scale_rotation(refs[:, j], qs[:, j], gain)
             np.testing.assert_array_equal(batch[:, j], out)
-            np.testing.assert_array_equal(flags[:, j], flag)
 
     def test_negative_gain_in_column_rejected(self):
         rows = np.concatenate([rot_x(0.1), rot_x(0.2)])
         with pytest.raises(ValueError):
             rows_scale_rotation(rows, rows, np.array([[1.0], [-0.5]]))
 
-    def test_half_turn_sets_degenerate_flag(self):
-        out, degenerate = rows_scale_rotation(IDENTITY_ROW, rot_x(math.pi), 1.0)
-        assert degenerate.tolist() == [True]
+    def test_half_turn_uses_vector_axis(self):
+        out = rows_scale_rotation(IDENTITY_ROW, rot_x(math.pi), 1.0)
         assert geodesic_distance(out, rot_x(math.pi)) < 1e-9
-
-    def test_non_degenerate_flag_clear(self):
-        _, degenerate = rows_scale_rotation(rot_x(0.1), rot_x(0.5), 2.0)
-        assert degenerate.tolist() == [False]
 
     @given(unit_quaternions(), unit_quaternions())
     @settings(max_examples=200)
     def test_gain_one_property(self, r, q):
         if geodesic_distance(r, q) >= math.pi - 0.1:
             return
-        out, _ = rows_scale_rotation(np.array([r]), np.array([q]), 1.0)
+        out = rows_scale_rotation(np.array([r]), np.array([q]), 1.0)
         assert geodesic_distance(out, q) < 1e-6
 
     @given(unit_quaternions(), unit_quaternions(), st.floats(0.0, 4.0, allow_nan=False))
     @settings(max_examples=200)
     def test_output_unit_norm(self, r, q, gain):
-        out, _ = rows_scale_rotation(np.array([r]), np.array([q]), gain)
+        out = rows_scale_rotation(np.array([r]), np.array([q]), gain)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
 

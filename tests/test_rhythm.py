@@ -389,7 +389,7 @@ def reference_amplify_zones(frames, skeleton, params, reference_window):
         references = np.array(
             [reference_chordal_mean(track[i - first:i + 1]) for i in range(first, n)]
         )
-        out_rot[first:, j], _ = rows_scale_rotation(references, track[first:], joint_gain[j])
+        out_rot[first:, j] = rows_scale_rotation(references, track[first:], joint_gain[j])
     if hips_gain != 1.0:
         csum = np.cumsum(roots, axis=0)
         for i in range(first, n):

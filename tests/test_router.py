@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from dancegraph import router as router_module
 from dancegraph.packet import SignalPacket, SignalType
 from dancegraph.router import (
     Mode,
@@ -138,6 +139,36 @@ class TestPoll:
         assert [p.seq for p in first.packets] == [1, 2]
         second = consumer.poll(max_packets=2)
         assert [p.seq for p in second.packets] == [3]
+
+    def test_overwrite_during_poll_recounts_lost(self, router, monkeypatch):
+        # A producer that laps the ring between the poll's read of the
+        # publish count and its first slot read: the slot the poll wants is
+        # already gone, so it recounts from the writer's trailing edge.
+        capacity = 4
+        handle = router.register_producer(SignalDescriptor(POSE, 1, LOCAL), capacity)
+        consumer = router.subscribe(SignalSelector(POSE, 1, LOCAL))
+        for s in range(1, capacity + 1):
+            handle.publish(pkt(s))
+        read_slot, reads = router_module._Stream.read_slot, []
+
+        def lapped(stream, count):
+            if not reads:
+                for s in range(capacity + 1, 2 * capacity + 1):
+                    handle.publish(pkt(s))
+            packet = read_slot(stream, count)
+            reads.append((count, packet))
+            return packet
+
+        monkeypatch.setattr(router_module._Stream, "read_slot", lapped)
+        polled = consumer.poll()
+        assert reads[0] == (0, None)  # the recount branch ran
+        assert [p.seq for p in polled.packets] == list(range(capacity + 1, 2 * capacity + 1))
+        assert polled.lost == capacity
+        monkeypatch.undo()
+        assert consumer.poll() == ([], 0)
+        handle.publish(pkt(2 * capacity + 1))
+        assert [p.seq for p in consumer.poll().packets] == [2 * capacity + 1]
+        assert consumer.lost_total == capacity
 
     def test_fanout_consumers_see_identical_sequences(self, router):
         handle = router.register_producer(SignalDescriptor(POSE, 1, LOCAL), 128)

@@ -8,7 +8,10 @@ different names, and each round times every layer on both, so a slow phase
 of the host hits both sides alike. Which tree goes first alternates from
 round to round, and every timed call starts right after a full collection. Layers: `encode_frame`,
 `EncodedFrame.from_bytes`, `decode_frame` (34 joints, 16 bits, a sway
-frame), `parse_packet` and `Client.ingest` of a 224-byte pose datagram, in
+frame), `decode_frame (table outside unit ball)` (the same frame against
+a table of full-range bounds, which cannot prove w^2 > 0 and so keeps the
+clamp and the renormalize check; no benchmark workload decodes with such a
+table), `parse_packet` and `Client.ingest` of a 224-byte pose datagram, in
 microseconds per call; `run_corrective_pipeline` and `amplify_zones`
 (hips 2.0, hands 0.5) on a synthesized 24 s dancer take, in microseconds per
 frame, with amplification at the window `dancegraph correct` derives from
@@ -124,6 +127,9 @@ def layers(m, scratch: Path):
     )
     frame = rec.frames[5]
     enc = codec.encode_frame(frame, table)
+    full = np.ones((skeleton.joint_count, 3))
+    outside = codec.BoundsTable(skeleton.joint_names, -full, full, bits=16)
+    enc_outside = codec.encode_frame(frame, outside)
     wire = enc.to_bytes()
     datagram = packet.frame_packet(packet.SignalType.POSE, 7, 1, 0, wire)
     stats = codec.EncoderStats()
@@ -229,6 +235,9 @@ def layers(m, scratch: Path):
         "encode_frame": repeat(lambda: codec.encode_frame(frame, table, stats)),
         "EncodedFrame.from_bytes": repeat(lambda: codec.EncodedFrame.from_bytes(wire, table)),
         "decode_frame": repeat(lambda: codec.decode_frame(enc, table, skeleton)),
+        "decode_frame (table outside unit ball)": repeat(
+            lambda: codec.decode_frame(enc_outside, outside, skeleton)
+        ),
         "parse_packet": repeat(lambda: packet.parse_packet(datagram)),
         "Client.ingest": ingest,
         "run_corrective_pipeline": per_frame(
@@ -269,14 +278,15 @@ def main() -> None:
                 for side, timers in order:
                     gc.collect()
                     times[name][side].append(timers[name]())
+    width = max(map(len, times))
     for name, (ta, tb) in times.items():
         ratios = [y / x for x, y in zip(ta, tb)]
-        print(f"{name:24s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
+        print(f"{name:{width}s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
               f"B/A median {statistics.median(ratios):.3f}  "
               f"B faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
         ca, cb = counts_a.get(name, {}), counts_b.get(name, {})
         for label in dict.fromkeys([*ca, *cb]):
-            print(f"{'  ' + label:24s} A {show(ca.get(label))}     B {show(cb.get(label))}")
+            print(f"{'  ' + label:{width}s} A {show(ca.get(label))}     B {show(cb.get(label))}")
 
 
 if __name__ == "__main__":
