@@ -59,7 +59,6 @@ class Recording:
     joint_count: int
     nominal_fps: float
     frames: Sequence[PoseFrame]
-    version: int = VERSION
 
     def __post_init__(self) -> None:
         _check_header(self.joint_count, self.nominal_fps)
@@ -160,4 +159,4 @@ def load_recording(path: str | Path) -> Recording:
     frames = _frames_of(
         ts.astype(np.int64), body["root"].astype(np.float64), rows_canonicalize(body["rot"])
     )
-    return Recording(joint_count=joint_count, nominal_fps=fps, frames=frames, version=version)
+    return Recording(joint_count=joint_count, nominal_fps=fps, frames=frames)

@@ -9,8 +9,9 @@ the packet tells it which. Overwrite drops the oldest entries (a stale pose
 is worth less than a fresh one), and Every-mode polls report how many
 entries were lost that way.
 
-Registration and subscription take a coarse lock; publish and poll run
-lock-free against the published counter.
+Registration, close and subscription take a coarse lock; publish and poll
+run lock-free against the published counter. A closed stream leaves every
+consumer's cursor list at once, so a poll only walks live streams.
 """
 from __future__ import annotations
 
@@ -121,7 +122,7 @@ class _Stream:
         self.slots: list[tuple[int, SignalPacket | None]] = [(-1, None)] * capacity
         self.pub_count = 0
         self.last_seq: int | None = None
-        self.consumers: list["_Cursor"] = []
+        self.consumers = 0  # cursors attached; the cursors live in their handles
         self.stats = StreamStats()
         self.closed = False
 
@@ -146,7 +147,7 @@ class _Stream:
         self.pub_count = count + 1  # release: consumers read this last value
         self.last_seq = packet.seq
         self.stats.published += 1
-        return len(self.consumers)
+        return self.consumers
 
     def read_slot(self, count: int) -> SignalPacket | None:
         """Entry `count`, or None if a later publish has overwritten it."""
@@ -177,6 +178,11 @@ class ProducerHandle:
     def stats(self) -> StreamStats:
         return self._stream.stats
 
+    @property
+    def last_seq(self) -> int | None:
+        """Sequence number of the newest publish; None before the first."""
+        return self._stream.last_seq
+
     def publish(self, packet: SignalPacket) -> int:
         """Store the packet in the ring; returns the consumer count.
 
@@ -188,7 +194,8 @@ class ProducerHandle:
         return self._stream.publish(packet)
 
     def close(self) -> None:
-        """Unregister the stream; a later re-register starts a fresh ring."""
+        """Unregister the stream and detach it from its consumers; a later
+        re-register starts a fresh ring."""
         self._router._unregister(self._stream)
 
 
@@ -205,21 +212,20 @@ class ConsumerHandle:
 
     @property
     def attached(self) -> list[SignalDescriptor]:
-        return [c.stream.desc for c in self._cursors if not c.stream.closed]
+        return [c.stream.desc for c in self._cursors]
 
     def _attach(self, stream: _Stream) -> None:
-        cursor = _Cursor(stream, stream.pub_count)
         # copy-on-write so in-flight polls see a consistent list
-        self._cursors = self._cursors + [cursor]
-        stream.consumers.append(cursor)
+        self._cursors = self._cursors + [_Cursor(stream, stream.pub_count)]
+        stream.consumers += 1
 
     def poll(self, max_packets: int = 64) -> Polled:
         """Drain pending packets.
 
         Every mode returns up to `max_packets` in publish order per stream
         plus the count of packets lost to ring overwrite. Latest-wins
-        returns at most the newest unread packet per attached stream; the
-        entries it skipped are reported in the same counter.
+        returns at most the newest packet per attached stream; the entries
+        it skipped are reported in the same counter.
 
         Polled packets are the objects the producer published, shared with
         every other consumer of the stream: treat them as read-only.
@@ -228,42 +234,34 @@ class ConsumerHandle:
             raise ValueError("max_packets must be >= 1")
         packets: list[SignalPacket] = []
         lost = 0
+        latest = self.mode is Mode.LATEST_WINS
         for cursor in self._cursors:
-            stream = cursor.stream
-            if stream.closed:
-                continue
-            end = stream.pub_count
-            if end <= cursor.next_count:
-                continue
-            if self.mode is Mode.LATEST_WINS:
-                lost += end - 1 - cursor.next_count
-                for count in range(end - 1, cursor.next_count - 1, -1):
-                    pkt = stream.read_slot(count)
-                    if pkt is not None:
-                        packets.append(pkt)
-                        break
-                cursor.next_count = end
-            else:
-                start = max(cursor.next_count, end - stream.capacity)
-                lost += start - cursor.next_count
-                budget = max_packets - len(packets)
-                stop = min(end, start + budget)
-                count = start
-                while count < stop:
-                    pkt = stream.read_slot(count)
-                    if pkt is None:
-                        # overwritten under our feet: everything up to the
-                        # writer's trailing edge is gone
-                        refreshed = max(count + 1, stream.pub_count - stream.capacity)
-                        lost += refreshed - count
-                        count = refreshed
-                        stop = min(stream.pub_count, start + budget)
-                        continue
-                    packets.append(pkt)
-                    count += 1
-                cursor.next_count = count
             if len(packets) >= max_packets:
                 break
+            stream = cursor.stream
+            count = cursor.next_count
+            if latest:
+                end = stream.pub_count
+                if end > count:
+                    # The newest slot holds entry end - 1 or, if the writer
+                    # lapped it since, a newer one: the newest either way.
+                    tag, packet = stream.slots[(end - 1) & stream.mask]
+                    packets.append(packet)
+                    lost += tag - count
+                    cursor.next_count = tag + 1
+                continue
+            while count < stream.pub_count and len(packets) < max_packets:
+                packet = stream.read_slot(count)
+                if packet is None:
+                    # overwritten: everything before the writer's trailing
+                    # edge is gone
+                    edge = max(count + 1, stream.pub_count - stream.capacity)
+                    lost += edge - count
+                    count = edge
+                    continue
+                packets.append(packet)
+                count += 1
+            cursor.next_count = count
         self.lost_total += lost
         return Polled(packets, lost)
 
@@ -311,16 +309,17 @@ class SignalRouter:
             if handle in self._consumers:
                 self._consumers.remove(handle)
             for cursor in handle._cursors:
-                if cursor in cursor.stream.consumers:
-                    cursor.stream.consumers.remove(cursor)
+                cursor.stream.consumers -= 1
             handle._cursors = []
 
     def _unregister(self, stream: _Stream) -> None:
         with self._lock:
+            if stream.closed:
+                return
             stream.closed = True
-            existing = self._streams.get(stream.desc)
-            if existing is stream:
-                del self._streams[stream.desc]
+            del self._streams[stream.desc]
+            for consumer in self._consumers:  # copy-on-write, as in _attach
+                consumer._cursors = [c for c in consumer._cursors if c.stream is not stream]
 
     def streams(self) -> list[SignalDescriptor]:
         with self._lock:

@@ -7,9 +7,10 @@ Design notes, all serving the lag-first goal:
   had to be resent would arrive after its successor and be discarded anyway.
   Sequence numbers are u32 serial numbers (RFC 1982, `packet.seq_newer`):
   they wrap from 2**32 - 1 to 0, and a flow's first packet is always new.
-* The server never parses payloads. Per packet it reads the 18-byte header,
-  checks staleness, and forwards the original bytes, so relay cost is
-  O(clients) socket writes and payloads arrive byte-identical.
+* The server never parses payloads. Per packet it checks the 18-byte header
+  as `parse_packet` does, checks staleness, and forwards the original
+  bytes, so relay cost is O(clients) socket writes, payloads arrive
+  byte-identical, and no client gets a datagram it would drop as corrupt.
 * Sends go to the socket the moment they are produced, and the same payload
   is simultaneously published to the local in-process router, so local
   consumers never wait on the network (the dual path).
@@ -53,12 +54,11 @@ from dataclasses import dataclass, field
 from ._mmsg import FanoutSender
 from .packet import (
     HEADER_SIZE,
-    MAGIC,
     SEQ_MASK,
-    WIRE_VERSION,
     CorruptPacketError,
     SignalPacket,
     SignalType,
+    _parse_header,
     frame_packet,
     parse_packet,
     seq_newer,
@@ -203,13 +203,13 @@ class RelayServer:
 
     def _handle(self, data: bytes, addr, now: int) -> None:
         self.stats.received += 1
-        if len(data) < HEADER_SIZE or data[:2] != MAGIC or data[2] != WIRE_VERSION:
+        try:
+            sig_type, user_id, seq, _ = _parse_header(data)
+        except CorruptPacketError:
             self.stats.dropped_corrupt += 1
             return
-        sig_type = data[3]
-        user_id, seq = struct.unpack_from("<HI", data, 4)
 
-        if sig_type == SignalType.CONTROL:
+        if sig_type is SignalType.CONTROL:
             if len(data) == HEADER_SIZE:
                 self._handle_join(addr, user_id, now)
             else:
@@ -337,7 +337,6 @@ class SessionState:
     """Receiver-side view of one client's connection."""
 
     user_id: int
-    peer_seq: dict[tuple[int, SignalType], int] = field(default_factory=dict)
     stats: SessionStats = field(default_factory=SessionStats)
 
 
@@ -520,16 +519,15 @@ class Client:
             self._handle_control(packet)
             return
         flow = (packet.user_id, packet.signal_type)
-        if not seq_newer(packet.seq, session.peer_seq.get(flow)):
-            session.stats.dropped_stale += 1
-            return
-        session.peer_seq[flow] = packet.seq
-        packet.recv_timestamp_us = now
         producer = self._peer_producers.get(flow)
         if producer is None:
             desc = SignalDescriptor(packet.signal_type, packet.user_id, Origin.NETWORK)
             producer = self.router.register_producer(desc, self._peer_ring_capacity)
             self._peer_producers[flow] = producer
+        elif not seq_newer(packet.seq, producer.last_seq):  # the flow's stream keeps its order
+            session.stats.dropped_stale += 1
+            return
+        packet.recv_timestamp_us = now
         producer.publish(packet)
         session.stats.received += 1
 
@@ -557,7 +555,6 @@ class Client:
         """Peer left: close its streams so a rejoining peer starts fresh."""
         for flow in [f for f in self._peer_producers if f[0] == peer_id]:
             self._peer_producers.pop(flow).close()
-            self.session.peer_seq.pop(flow, None)
 
 
 def client_connect(

@@ -32,6 +32,25 @@ def router():
     return SignalRouter()
 
 
+def lap_on_first_read(handle, seqs):
+    """Make the stream's first slot read publish `seqs` before it reads: a
+    producer that laps the ring between a poll's read of the publish count
+    and its slot read."""
+    stream = handle._stream
+
+    class LappingSlots(list):
+        lapped = False
+
+        def __getitem__(self, index):
+            if not self.lapped:
+                self.lapped = True
+                for s in seqs:
+                    handle.publish(pkt(s))
+            return super().__getitem__(index)
+
+    stream.slots = LappingSlots(stream.slots)
+
+
 def drain(consumer, max_packets=64):
     seqs, lost = [], 0
     while True:
@@ -170,6 +189,21 @@ class TestPoll:
         assert [p.seq for p in consumer.poll().packets] == [2 * capacity + 1]
         assert consumer.lost_total == capacity
 
+    def test_budget_left_after_an_overwrite_recount_is_used(self, router):
+        # The lap of the test above under a budget of 3: the poll that
+        # counts the 4 lost entries also returns the next 3 survivors.
+        capacity = 4
+        handle = router.register_producer(SignalDescriptor(POSE, 1, LOCAL), capacity)
+        consumer = router.subscribe(SignalSelector(POSE, 1, LOCAL))
+        for s in range(1, capacity + 1):
+            handle.publish(pkt(s))
+        lap_on_first_read(handle, range(capacity + 1, 2 * capacity + 1))
+        polled = consumer.poll(3)
+        assert [p.seq for p in polled.packets] == [5, 6, 7]
+        assert polled.lost == capacity
+        assert [p.seq for p in consumer.poll(3).packets] == [8]
+        assert consumer.lost_total == capacity
+
     def test_fanout_consumers_see_identical_sequences(self, router):
         handle = router.register_producer(SignalDescriptor(POSE, 1, LOCAL), 128)
         a = router.subscribe(SignalSelector(POSE, 1, LOCAL))
@@ -257,6 +291,35 @@ class TestLatestWins:
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)
 
+    def test_lap_during_poll_returns_newest_and_counts_each_skip_once(self, router):
+        # The writer laps the ring between the poll's read of the publish
+        # count and its slot read: the slot then holds a newer entry, which
+        # is the one to return. Entries 1-7 are each skipped exactly once
+        # over this poll and the next.
+        capacity = 4
+        handle = router.register_producer(SignalDescriptor(POSE, 1, LOCAL), capacity)
+        consumer = router.subscribe(SignalSelector(POSE, 1, LOCAL), Mode.LATEST_WINS)
+        for s in range(1, capacity + 1):
+            handle.publish(pkt(s))
+        lap_on_first_read(handle, range(capacity + 1, 2 * capacity + 1))
+        first = consumer.poll()
+        assert [p.seq for p in first.packets] == [2 * capacity]
+        second = consumer.poll()
+        assert second == ([], 0)
+        assert first.lost + second.lost == consumer.lost_total == 2 * capacity - 1
+        handle.publish(pkt(2 * capacity + 1))
+        newest = consumer.poll()
+        assert ([p.seq for p in newest.packets], newest.lost) == ([2 * capacity + 1], 0)
+
+    def test_budget_bounds_the_streams_served(self, router):
+        handles = [router.register_producer(SignalDescriptor(POSE, u, NETWORK), 8)
+                   for u in (1, 2, 3)]
+        consumer = router.subscribe(SignalSelector(POSE, None, NETWORK), Mode.LATEST_WINS)
+        for h in handles:
+            h.publish(pkt(1, user=0))
+        assert [p.user_id for p in consumer.poll(2).packets] == [1, 2]
+        assert [p.user_id for p in consumer.poll(2).packets] == [3]
+
 
 class TestSelectors:
     def test_wildcard_auto_attaches_new_streams(self, router):
@@ -282,6 +345,33 @@ class TestSelectors:
         handle.publish(pkt(1))
         assert handle.publish(pkt(2)) == 0
         assert consumer.attached == []
+
+    def test_closed_stream_detaches_from_consumers(self, router):
+        # A wildcard consumer of a flow that closes and re-registers 1,000
+        # times (a peer that leaves and rejoins) walks one cursor, not 1,000.
+        desc = SignalDescriptor(POSE, 1, NETWORK)
+        consumer = router.subscribe(SignalSelector(POSE, None, NETWORK))
+        for _ in range(1000):
+            router.register_producer(desc, 4).close()
+        handle = router.register_producer(desc, 4)
+        assert [c.stream.desc for c in consumer._cursors] == [desc]
+        assert consumer.attached == [desc]
+        assert handle.publish(pkt(1)) == 1
+        assert [p.seq for p in consumer.poll().packets] == [1]
+
+    def test_close_and_unsubscribe_twice_keep_streams_and_counts(self, router):
+        desc = SignalDescriptor(POSE, 1, LOCAL)
+        old = router.register_producer(desc, 4)
+        wide = router.subscribe(SignalSelector(POSE, None, LOCAL))
+        narrow = router.subscribe(SignalSelector(POSE, 1, LOCAL))
+        old.close()
+        fresh = router.register_producer(desc, 4)
+        old.close()  # must not unregister the fresh stream
+        router.unsubscribe(wide)
+        router.unsubscribe(wide)
+        assert router.streams() == [desc]
+        assert fresh.publish(pkt(1)) == 1
+        assert [p.seq for p in narrow.poll().packets] == [1]
 
 
 class TestZeroAllocationPublish:

@@ -358,7 +358,7 @@ class TestRelayServer:
             consumer = b.router.subscribe(SignalSelector(SignalType.POSE, uid, Origin.NETWORK))
             for seq in [1, 2, 2, 1, 3, 3, 2, 4]:
                 raw.sendto(frame_packet(SignalType.POSE, uid, seq, mono_us(), b"s%d" % seq), addr)
-            assert wait_until(lambda: b.session.peer_seq.get((uid, SignalType.POSE), 0) >= 4)
+            assert wait_until(lambda: b.session.stats.received >= 4)
             delivered = [p.seq for p in consumer.poll(max_packets=64).packets]
             assert delivered == [1, 2, 3, 4]
             assert server.stats.dropped_stale == 4
@@ -417,9 +417,11 @@ class TestRelayServer:
                 stray.close()
 
     def test_corrupt_datagrams_are_counted_and_relaying_goes_on(self, server):
-        # A datagram shorter than a header, one with a bad magic and one
-        # with an unknown wire version are each counted and dropped; the
-        # sender's next valid pose is still relayed.
+        # A datagram shorter than a header, one with a bad magic, one with
+        # an unknown wire version, one with an unknown signal type and one
+        # with a payload past MAX_PAYLOAD are each counted and dropped at
+        # the relay, which forwards nothing a client would drop as corrupt;
+        # the sender's next valid pose is still relayed.
         addr = ("127.0.0.1", server.port)
         with client_connect(addr) as b:
             raw, uid = raw_join(addr)
@@ -428,12 +430,16 @@ class TestRelayServer:
                 good = frame_packet(SignalType.POSE, uid, 1, mono_us(), b"pose")
                 bad_magic = bytes(m ^ 0xFF for m in MAGIC) + good[2:]
                 bad_version = good[:2] + bytes([(good[2] + 1) % 256]) + good[3:]
-                for data in (good[:HEADER_SIZE - 1], bad_magic, bad_version, good):
+                bad_type = good[:3] + bytes([9]) + good[4:]
+                oversize = good[:HEADER_SIZE] + bytes(MAX_PAYLOAD + 1)
+                for data in (good[:HEADER_SIZE - 1], bad_magic, bad_version, bad_type, oversize,
+                             good):
                     raw.sendto(data, addr)
                 assert wait_until(lambda: b.session.stats.received >= 1)
                 assert [p.payload for p in consumer.poll(max_packets=8).packets] == [b"pose"]
-                assert server.stats.dropped_corrupt == 3
+                assert server.stats.dropped_corrupt == 5
                 assert server.stats.relayed == 1
+                assert b.session.stats.dropped_corrupt == 0
             finally:
                 raw.close()
 
@@ -861,6 +867,39 @@ class TestRelayRestart:
 
 
 class TestNoHeadOfLineBlocking:
+    def test_full_send_buffer_drops_the_datagram_and_the_next_goes_out(self):
+        # A full kernel send buffer (BlockingIOError from the non-blocking
+        # socket) drops that one datagram rather than stall the sender.
+        class FullOnce:
+            def __init__(self):
+                self.full, self.sent = True, []
+
+            def setblocking(self, flag):
+                pass
+
+            def sendto(self, data, addr):
+                if self.full:
+                    self.full = False
+                    raise BlockingIOError
+                self.sent.append(data)
+
+            def close(self):
+                pass
+
+        sock = FullOnce()
+        client = Client(sock, ("127.0.0.1", 9), 1, SignalRouter(), start_receiver=False,
+                        keepalive_interval_s=None)
+        echo = client.router.subscribe(SignalSelector(SignalType.POSE, 1, Origin.LOCAL))
+        stats = client.session.stats
+        assert client.send(b"dropped") == 1
+        assert (stats.send_errors, stats.sent) == (1, 0)
+        assert echo.poll() == ([], 0)
+        assert client.send(b"next") == 2
+        assert (stats.send_errors, stats.sent) == (1, 1)
+        assert [parse_packet(d).seq for d in sock.sent] == [2]
+        assert [(p.seq, p.payload) for p in echo.poll().packets] == [(2, b"next")]
+        client.close()
+
     def test_loss_on_one_flow_leaves_other_flow_healthy(self, server):
         # Flow A loses half its datagrams before they reach the socket;
         # flow B's delivery latency through the relay must stay in the

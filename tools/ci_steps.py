@@ -4,7 +4,7 @@
     python3 tools/ci_steps.py session      # live record/replay through a real relay
     python3 tools/ci_steps.py corrective   # `dancegraph correct` on a synthesized take
     python3 tools/ci_steps.py smoke        # 2 s benchmark run; its JSON verdict must pass
-    python3 tools/ci_steps.py latency      # relay latency scenarios keep every stage
+    python3 tools/ci_steps.py latency      # relay latency scenarios keep every stage, swarm no gap
     python3 tools/ci_steps.py bench-ab     # tools/bench_ab.py writes a complete file
     python3 tools/ci_steps.py all          # every step after Install, with PYTHONPATH=src
 
@@ -137,7 +137,9 @@ def smoke() -> bool:
 
 def latency(out_dir: Path) -> bool:
     """Each relay latency scenario runs for at most 120 s, and its JSON must
-    report the per-hop p50/p99 of every stage."""
+    report the per-hop p50/p99 of every stage. The 30-client swarm drains
+    every peer stream through the router's poll, which must lose no packet
+    to ring overwrite: its `extras.router_gaps` must be 0."""
     files = []
     for scenario, extra in (("swarm", ["--clients", "30"]), ("loopback_relay", [])):
         path = out_dir / f"{scenario}.json"
@@ -147,11 +149,11 @@ def latency(out_dir: Path) -> bool:
             check=True, timeout=120,
         )
         files.append(path)
-    missing = [
-        str(p) for p in files if not LATENCY_STAGES <= set(json.loads(p.read_text())["stages"])
-    ]
-    print("missing stages:", missing)
-    return not missing
+    reports = [json.loads(p.read_text()) for p in files]
+    missing = [str(p) for p, r in zip(files, reports) if not LATENCY_STAGES <= set(r["stages"])]
+    gaps = reports[0]["extras"]["router_gaps"]
+    print("missing stages:", missing, "swarm router gaps:", gaps)
+    return not missing and gaps == 0
 
 
 def bench_ab(work: Path) -> bool:

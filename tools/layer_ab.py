@@ -12,29 +12,29 @@ frame), `decode_frame (table outside unit ball)` (the same frame against
 a table of full-range bounds, which cannot prove w^2 > 0 and so keeps the
 clamp and the renormalize check; no benchmark workload decodes with such a
 table), `parse_packet` and `Client.ingest` of a 224-byte pose datagram, in
-microseconds per call; `run_corrective_pipeline` and `amplify_zones`
-(hips 2.0, hands 0.5) on a synthesized 24 s dancer take, in microseconds per
-frame, with amplification at the window `dancegraph correct` derives from
-the take's pipeline result (whole detected periods, about 240 frames);
+microseconds per call; `poll latest-wins (29 streams)`, one latest-wins
+poll over 29 peer streams that each got one new packet, in microseconds
+per poll; `Client.ingest + poll (29-peer tick)`, one tick of 29 peers'
+pose datagrams ingested and then polled latest-wins, as a client of a
+30-dancer session receives them, in microseconds per peer-frame;
+`run_corrective_pipeline` and `amplify_zones` (hips 2.0, hands 0.5) on a
+synthesized 24 s dancer take, in microseconds per frame, with
+amplification at the window `dancegraph correct` derives from the take's
+pipeline result (whole detected periods, about 240 frames);
 `recording.load` and `recording.save` of that take as a file, in
-microseconds per frame; `reference windows`, the reference of every window
-of the take's 11 active joints that `amplify_zones` takes (chordal means
-through `rhythm._chordal_windows`, or in a tree from before them Karcher
-means through `rhythm._karcher_windows`), in microseconds per frame; and
-the `corrective chain`, the benchmark's four calls (load, pipeline,
-amplify, save) from file to file, in microseconds per frame.
+microseconds per frame; `reference windows`, the chordal reference of
+every window of the take's 11 active joints that `amplify_zones` takes
+(`rhythm._chordal_windows`), in microseconds per frame; and the
+`corrective chain`, the benchmark's four calls (load, pipeline, amplify,
+save) from file to file, in microseconds per frame.
 The files go to a temporary directory that is removed on exit.
 Prints per layer the median microseconds of A and B, the median of the
 per-round ratios B/A, and in how many rounds B was faster. Next to
 `reference windows` it prints the work the references take: power
 iterations per block of windows and the windows that fell back to eigh
-(counted through `rhythm._top_eigvecs`), or in a Karcher tree the full
-passes per window (each calls `core._log_half_weight` once) and the
-tangent-step calls per window (`core._tangent_step`; in a tree without it,
-each step ends in one `core.rows_normalize` call); a dash marks work a
-tree does not do. Next to the chain it prints the `PoseFrame`s it
-constructs per frame of the take. These counts repeat exactly from run to
-run.
+(counted through `rhythm._top_eigvecs`). Next to the chain it prints the
+`PoseFrame`s it constructs per frame of the take. These counts repeat
+exactly from run to run.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 CALLS = 2000  # calls per layer per round
+PEERS = 29  # the peers one client of a 30-dancer session receives
 
 
 def load(alias: str, src: Path):
@@ -87,34 +88,6 @@ def reference_work_chordal(rhythm, references) -> dict:
     return {
         "power iterations/block": sum(taken for taken, _ in log) / len(log),
         "eigh windows": sum(slow for _, slow in log),
-    }
-
-
-def reference_work_karcher(core, rhythm, references) -> dict:
-    """Full Karcher passes and tangent-step calls per window in one call of
-    `references`, in a tree whose reference is the Karcher mean: each pass
-    calls `core._log_half_weight` once, and each step calls
-    `core._tangent_step` (before it existed, `core.rows_normalize`)."""
-    step_name = "_tangent_step" if hasattr(core, "_tangent_step") else "rows_normalize"
-    spied = {name: getattr(core, name) for name in ("_log_half_weight", step_name)}
-    count = dict.fromkeys(spied, 0)
-
-    def counter(name):
-        def counted(*args, **kwargs):
-            count[name] += 1
-            return spied[name](*args, **kwargs)
-        return counted
-
-    for name in spied:
-        setattr(core, name, counter(name))
-    try:
-        windows = len(references())
-    finally:
-        for name, fn in spied.items():
-            setattr(core, name, fn)
-    return {
-        "Karcher passes/window": count["_log_half_weight"] / windows,
-        "Karcher steps/window": count[step_name] / windows,
     }
 
 
@@ -159,20 +132,14 @@ def layers(m, scratch: Path):
     warped = result.frames
     window = harness._amplify_window_frames(result, params, sway.nominal_fps)
     # The active joints' tracks, whose every window's reference amplify_zones
-    # takes: chordal means, or Karcher means in a tree from before them.
+    # takes.
     active = [j for j in range(skeleton.joint_count)
               if params.gain_for(skeleton.zone_of(j)) != 1.0]
     tracks = core.rows_normalize(np.stack([f.rotations[active] for f in warped]))  # (n, A, 4)
-    if hasattr(rhythm, "_chordal_windows"):
-        def references():
-            return rhythm._chordal_windows(tracks, window)
-        counts = {"reference windows": reference_work_chordal(rhythm, references)}
-    else:
-        block = np.ascontiguousarray(tracks.transpose(1, 2, 0))  # (A, 4, n)
 
-        def references():
-            return rhythm._karcher_windows(block, window, block[:, :, 0], 1e-9)
-        counts = {"reference windows": reference_work_karcher(core, rhythm, references)}
+    def references():
+        return rhythm._chordal_windows(tracks, window)
+    counts = {"reference windows": reference_work_chordal(rhythm, references)}
 
     def repeat(fn):
         def timed() -> float:
@@ -193,6 +160,50 @@ def layers(m, scratch: Path):
         for g in grams:
             fn(g, 0)
         return (time.perf_counter_ns() - t0) / CALLS / 1000
+
+    # A 30-dancer session as one receiver sees it: 29 peers' streams read by
+    # one latest-wins consumer. Publish counts keep rising across rounds.
+    router, peers = m["router"], range(2, 2 + PEERS)
+    pose = packet.SignalType.POSE
+    hub = router.SignalRouter()
+    producers = [hub.register_producer(router.SignalDescriptor(pose, u, router.Origin.NETWORK))
+                 for u in peers]
+    latest = hub.subscribe(router.SignalSelector(pose, None, router.Origin.NETWORK),
+                           router.Mode.LATEST_WINS)
+    ticks = [0]
+
+    def poll_latest() -> float:
+        total = 0
+        for _ in range(CALLS):
+            ticks[0] += 1
+            for producer in producers:
+                producer.publish(packet.SignalPacket(pose, 0, ticks[0], 0, wire))
+            t0 = time.perf_counter_ns()
+            latest.poll(64)
+            total += time.perf_counter_ns() - t0
+        return total / CALLS / 1000
+
+    receiver = m["transport"].Client(
+        socket.socket(socket.AF_INET, socket.SOCK_DGRAM), ("127.0.0.1", 9), 1,
+        router.SignalRouter(), start_receiver=False, keepalive_interval_s=None,
+    )
+    tick_poll = receiver.router.subscribe(
+        router.SignalSelector(pose, None, router.Origin.NETWORK), router.Mode.LATEST_WINS
+    ).poll
+    tick_laps = [0]
+
+    def ingest_tick() -> float:
+        base = tick_laps[0] * CALLS
+        tick_laps[0] += 1
+        grams = [[packet.frame_packet(pose, u, base + i + 1, 0, wire) for u in peers]
+                 for i in range(CALLS)]
+        fn = receiver.ingest
+        t0 = time.perf_counter_ns()
+        for tick in grams:
+            for g in tick:
+                fn(g, 0)
+            tick_poll(64)
+        return (time.perf_counter_ns() - t0) / (CALLS * PEERS) / 1000
 
     recording = m["recording"]
     scratch.mkdir()
@@ -240,6 +251,8 @@ def layers(m, scratch: Path):
         ),
         "parse_packet": repeat(lambda: packet.parse_packet(datagram)),
         "Client.ingest": ingest,
+        "poll latest-wins (29 streams)": poll_latest,
+        "Client.ingest + poll (29-peer tick)": ingest_tick,
         "run_corrective_pipeline": per_frame(
             lambda: rhythm.run_corrective_pipeline(take, skeleton, grid, params)
         ),
@@ -251,11 +264,6 @@ def layers(m, scratch: Path):
         "reference windows": per_frame(references),
         "corrective chain": per_frame(chain),
     }, counts
-
-
-def show(count: float | None) -> str:
-    """A work count, or a dash for a tree that does not do that work."""
-    return "     -" if count is None else f"{count:6.3f}"
 
 
 def main() -> None:
@@ -284,9 +292,8 @@ def main() -> None:
         print(f"{name:{width}s} A {statistics.median(ta):6.2f} us  B {statistics.median(tb):6.2f} us  "
               f"B/A median {statistics.median(ratios):.3f}  "
               f"B faster in {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
-        ca, cb = counts_a.get(name, {}), counts_b.get(name, {})
-        for label in dict.fromkeys([*ca, *cb]):
-            print(f"{'  ' + label:{width}s} A {show(ca.get(label))}     B {show(cb.get(label))}")
+        for label, count in counts_a.get(name, {}).items():
+            print(f"{'  ' + label:{width}s} A {count:6.3f}     B {counts_b[name][label]:6.3f}")
 
 
 if __name__ == "__main__":
