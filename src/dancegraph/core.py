@@ -76,11 +76,11 @@ def rows_canonicalize(arr: np.ndarray) -> np.ndarray:
     n2 = x * x + y * y + z * z + w * w
     if not np.all(np.isfinite(n2) & (n2 > 0.0)):
         raise InvalidQuaternionError("quaternion norms must be positive and finite")
-    rescale = np.abs(n2 - 1.0) > _ALREADY_UNIT_TOL
-    if np.any(rescale):
-        out[rescale] *= (1.0 / np.sqrt(n2[rescale]))[:, None]
-    w = out[..., 3]
-    out[w < -_HALF_TURN_TOL] *= -1.0
+    # One multiply rescales and flips every row: by 1.0 or -1.0 it is exact,
+    # so the rows that need neither keep their bits.
+    scale = np.where(np.abs(n2 - 1.0) > _ALREADY_UNIT_TOL, 1.0 / np.sqrt(n2), 1.0)
+    np.negative(scale, out=scale, where=w * scale < -_HALF_TURN_TOL)
+    out *= scale[..., None]
     tie = w <= _HALF_TURN_TOL  # every w left below -_HALF_TURN_TOL was flipped
     if np.any(tie):
         w[tie] = 0.0

@@ -641,9 +641,11 @@ class AlignmentReport:
             f"detected period: {self.detected_period_us} us, playback rate {self.rate:.4f}",
         ]
         if self.pre_error_ms is not None:
+            # No extremum may follow a late convergence: post is then None.
+            post = "n/a" if self.post_error_ms is None else f"{self.post_error_ms:.1f} ms"
             lines.append(
                 f"beat alignment error: pre {self.pre_error_ms:.1f} ms "
-                f"({self.extrema_pre} extrema), post {self.post_error_ms:.1f} ms "
+                f"({self.extrema_pre} extrema), post {post} "
                 f"({self.extrema_post} extrema, after convergence)"
             )
         if self.convergence_us is not None:

@@ -21,9 +21,9 @@ Three stages, each usable on its own:
    the constant that puts extrema on the nearest grid points (never more
    than half a beat away) and is slew-limited so a live viewer never sees a
    pop; the constant rate factor is bounded separately by max_rate_ratio.
-   The warp is stepped frame by frame to get each output frame's source
-   time; the take is then resampled at those times block by block, each
-   block's bracketing source rows slerped in one call.
+   The warp is stepped frame by frame, one loop per steer segment, to get
+   each output frame's source time; a time on a source frame takes that row,
+   and the rest are slerped from their bracketing rows in blocks.
    run_corrective_pipeline is the one way into the warp.
 
 3. Stylization: per body zone, rotations are geodesically extrapolated away
@@ -395,7 +395,8 @@ def _match_tempo(
 
 
 class _WarpController:
-    """Monotonic warp: constant playback rate plus slewed phase displacement.
+    """State of a monotonic warp: constant playback rate plus slewed phase
+    displacement, as of output time t_prev. _retime advances it.
 
     Output time t samples the source at s(t); s advances by rate * dt plus
     a phase step bounded by max_warp_slew * dt, so the warp cannot reverse
@@ -410,16 +411,6 @@ class _WarpController:
         self.source_prev = float(start_us)
         self.phase_applied = 0.0
         self.phase_target = 0.0
-
-    def advance(self, t_us: float) -> float:
-        dt = t_us - self.t_prev
-        limit = self.slew * dt
-        want = self.phase_target - self.phase_applied
-        step = min(max(want, -limit), limit)
-        self.phase_applied += step
-        self.source_prev = self.source_prev + self.rate * dt + step
-        self.t_prev = t_us
-        return self.source_prev
 
 
 def _signed_mod(x: float, period: float) -> float:
@@ -467,23 +458,36 @@ def _retime(
     """The warped source time of each frame of a take with timestamps
     `ts`, each output frame on its input's time, and the warp samples.
 
-    The warp controller runs once per frame. steer[i], when present, is
-    (estimate, the time its phase refers to, rate, event spacing) and
-    retargets the controller before frame i.
+    steer[i], when present, is (estimate, the time its phase refers to,
+    rate, event spacing) and retargets the controller before frame i. Between
+    retargets the controller advances frame by frame in one loop over local
+    variables; frame 0 advances by dt = 0, which moves nothing.
     """
     times = ts.tolist()
     controller = _WarpController(slew, times[0])
-    warp: list[WarpSample] = []
-    for i, t in enumerate(times):
-        if i in steer:
-            est, reference, rate, spacing = steer[i]
+    sources, phases, targets = [], [], []
+    starts = sorted(steer.keys() | {0})
+    for start, stop in zip(starts, starts[1:] + [len(times)]):
+        if start in steer:
+            est, reference, rate, spacing = steer[start]
             controller.rate = rate
             controller.phase_target += _phase_misalignment(
                 controller, est, reference, grid, rate, spacing
             )
-        s = controller.advance(t) if i else controller.source_prev
-        warp.append(WarpSample(t, s, controller.phase_applied, controller.phase_target))
-    return np.array([w.source_us for w in warp]), warp
+        rate, target = controller.rate, controller.phase_target
+        t_prev, source, applied = controller.t_prev, controller.source_prev, controller.phase_applied
+        for t in times[start:stop]:
+            dt = t - t_prev
+            limit = slew * dt
+            step = min(max(target - applied, -limit), limit)
+            applied += step
+            source = source + rate * dt + step
+            t_prev = t
+            sources.append(source)
+            phases.append(applied)
+        targets += [target] * (stop - start)
+        controller.t_prev, controller.source_prev, controller.phase_applied = t_prev, source, applied
+    return np.array(sources), list(map(WarpSample._make, zip(times, sources, phases, targets)))
 
 
 def _resample(
@@ -491,8 +495,9 @@ def _resample(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(roots, rotations) of a take sampled at source_us: row i is the pose
     at source_us[i], the bracketing source rows slerped (roots lerped) at
-    its fraction between them. A time on or outside the take's ends takes
-    that row exactly."""
+    its fraction between them. A time on a source frame, or on or outside
+    the take's ends, takes that row exactly: only the rows strictly between
+    two source frames are slerped."""
     t = ts.astype(np.float64)
     lo = np.clip(np.searchsorted(t, source_us, side="right") - 1, 0, len(t) - 2)
     u = np.clip((source_us - t[lo]) / (t[lo + 1] - t[lo]), 0.0, 1.0)[:, None]
@@ -500,10 +505,11 @@ def _resample(
     out_roots = root_a + (root_b - root_a) * u
     np.copyto(out_roots, root_a, where=u == 0.0)
     np.copyto(out_roots, root_b, where=u == 1.0)
-    out_rot = np.empty((len(source_us), *rotations.shape[1:]))
-    for c in range(0, len(source_us), _RESAMPLE_BLOCK):
-        block = slice(c, c + _RESAMPLE_BLOCK)
-        out_rot[block] = rows_slerp(rotations[lo[block]], rotations[lo[block] + 1], u[block])
+    out_rot = rotations[lo + (u[:, 0] == 1.0)]
+    between = np.flatnonzero((u[:, 0] > 0.0) & (u[:, 0] < 1.0))
+    for c in range(0, len(between), _RESAMPLE_BLOCK):
+        rows = between[c:c + _RESAMPLE_BLOCK]
+        out_rot[rows] = rows_slerp(rotations[lo[rows]], rotations[lo[rows] + 1], u[rows])
     return out_roots, out_rot
 
 
@@ -524,12 +530,14 @@ def _top_eigvecs(moments: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, in
     """Top unit eigenvectors (..., 4) of the positive semi-definite moments
     (..., 4, 4) by power iteration from the unit `seeds` (..., 4), until no
     vector moves by _POWER_STEP; with the products taken and the mask of
-    vectors still moving after _POWER_MAX_ITERATIONS, which eigh solved."""
+    vectors still moving after _POWER_MAX_ITERATIONS, which eigh solved.
+    einsum takes these small products in about half the time of matmul."""
     vec = seeds
     for taken in range(1, _POWER_MAX_ITERATIONS + 1):
-        nxt = np.matmul(moments, vec[..., None])[..., 0]
-        nxt /= np.sqrt(np.add.reduce(nxt * nxt, axis=-1, keepdims=True))
-        slow = np.add.reduce(np.square(nxt - vec), axis=-1) >= _POWER_STEP * _POWER_STEP
+        nxt = np.einsum("...ij,...j->...i", moments, vec)
+        nxt /= np.sqrt(np.einsum("...i,...i->...", nxt, nxt))[..., None]
+        moved = nxt - vec
+        slow = np.einsum("...i,...i->...", moved, moved) >= _POWER_STEP * _POWER_STEP
         vec = nxt
         if not slow.any():
             break

@@ -63,7 +63,7 @@ from .packet import (
     parse_packet,
     seq_newer,
 )
-from .router import Origin, SignalDescriptor, SignalRouter
+from .router import Origin, SignalDescriptor, SignalRouter, StreamConflictError
 
 __all__ = [
     "ServerConfig",
@@ -328,6 +328,7 @@ class SessionStats:
     received: int = 0
     dropped_stale: int = 0
     dropped_corrupt: int = 0
+    dropped_conflict: int = 0  # the local router already has a producer for the flow
     send_errors: int = 0
     relay_down: int = 0  # ConnectionRefusedError: the relay's port was closed
 
@@ -522,7 +523,11 @@ class Client:
         producer = self._peer_producers.get(flow)
         if producer is None:
             desc = SignalDescriptor(packet.signal_type, packet.user_id, Origin.NETWORK)
-            producer = self.router.register_producer(desc, self._peer_ring_capacity)
+            try:
+                producer = self.router.register_producer(desc, self._peer_ring_capacity)
+            except StreamConflictError:  # the application produces this stream itself
+                session.stats.dropped_conflict += 1
+                return
             self._peer_producers[flow] = producer
         elif not seq_newer(packet.seq, producer.last_seq):  # the flow's stream keeps its order
             session.stats.dropped_stale += 1

@@ -131,6 +131,65 @@ class TestRowsCanonicalize:
             rows_canonicalize(np.array([(0.0, 0.0, 0.0, 1.0), bad]))
 
 
+def masked_rows_canonicalize(arr):
+    """rows_canonicalize as it was when it rescaled and flipped only the rows
+    that need it, through boolean gathers and scatters. Kept as the oracle."""
+    out = np.array(arr, dtype=np.float64)
+    x, y, z, w = out[..., 0], out[..., 1], out[..., 2], out[..., 3]
+    n2 = x * x + y * y + z * z + w * w
+    if not np.all(np.isfinite(n2) & (n2 > 0.0)):
+        raise InvalidQuaternionError("quaternion norms must be positive and finite")
+    rescale = np.abs(n2 - 1.0) > 1e-12
+    if np.any(rescale):
+        out[rescale] *= (1.0 / np.sqrt(n2[rescale]))[:, None]
+    w = out[..., 3]
+    out[w < -1e-12] *= -1.0
+    tie = w <= 1e-12
+    if np.any(tie):
+        w[tie] = 0.0
+        v = out[..., :3]
+        first = np.argmax(np.abs(v) > 1e-12, axis=-1)
+        lead = np.take_along_axis(v, first[..., None], axis=-1)[..., 0]
+        v[tie & (lead < 0.0)] *= -1.0
+    return out
+
+
+class TestRowsCanonicalizeMatchesMaskedOracle:
+    def rows(self, seed=4, shape=(300, 7, 4)):
+        return rows_normalize(np.random.default_rng(seed).normal(size=shape))
+
+    @pytest.mark.parametrize("case", [
+        "f32_widened", "off_unit_norm", "w_negative", "half_turn_ties", "canonical", "mixed",
+    ])
+    def test_bit_for_bit(self, case):
+        q = self.rows()
+        if case == "f32_widened":  # as load_recording widens a file's rows
+            q = q.astype(np.float32).astype(np.float64)
+        elif case == "off_unit_norm":
+            q = q * np.random.default_rng(5).uniform(0.1, 10.0, size=q.shape[:-1] + (1,))
+        elif case == "w_negative":
+            q[..., 3] = -np.abs(q[..., 3])
+        elif case == "half_turn_ties":
+            q[..., 3] = np.random.default_rng(6).choice([0.0, -0.0, 1e-13, -1e-13, 5e-300],
+                                                        size=q.shape[:-1])
+            q[::3, :, 0] = 0.0
+            q[::5, :, 1] = -1e-17
+        elif case == "canonical":
+            q = masked_rows_canonicalize(q)
+        else:  # every kind above, row by row
+            q[0::4] = q[0::4].astype(np.float32)
+            q[1::4, :, 3] = -np.abs(q[1::4, :, 3]) * 3.0
+            q[2::4, :, 3] = -0.0
+        got = rows_canonicalize(q)
+        assert got.tobytes() == masked_rows_canonicalize(q).tobytes()
+        assert rows_canonicalize(got).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (3, 2, 5, 4)])
+    def test_any_leading_shape(self, shape):
+        q = np.random.default_rng(7).normal(size=shape)
+        assert rows_canonicalize(q).tobytes() == masked_rows_canonicalize(q).tobytes()
+
+
 def _multiply(a, b):
     """Pure-Python quaternion product a * b, in rows_multiply's term order."""
     ax, ay, az, aw = a

@@ -18,6 +18,7 @@ from dancegraph.core import (
     default_skeleton,
 )
 from dancegraph.harness import (
+    AlignmentReport,
     BenchParams,
     FlowStats,
     LatencyReport,
@@ -470,6 +471,19 @@ class TestCorrectiveExperiment:
         )
         assert report.amplitude_ratio == pytest.approx(2.0, abs=0.05)
 
+    def test_text_of_a_warp_that_converges_after_the_last_extremum(self):
+        # `correct --phase-ms 150` on a 12 s `synth` take: the warp lands at
+        # 11.93 s, after the take's last extremum.
+        report = AlignmentReport(
+            applied=True, reason=None, no_dominant_period=False,
+            detected_period_us=1_000_573, rate=1.000573, measured_joint=0,
+            measured_component="x", pre_error_ms=100.0, post_error_ms=None,
+            convergence_us=11_933_333, extrema_pre=48, extrema_post=0, amplitude_ratio=1.97,
+        )
+        text = report.to_text()
+        assert "pre 100.0 ms (48 extrema), post n/a (0 extrema, after convergence)" in text
+        assert "warp converged at 11.93 s" in text
+
 
 def lossy_sway_take(path, lost=400):
     """A 30 s sway take with one frame missing, as a lossy `record` writes it."""
@@ -579,6 +593,19 @@ class TestCli:
         report = json.loads(report_json.read_text())
         assert report["applied"] is True and report["post_error_ms"] < 33.0
         assert len(load_recording(fixed).frames) == 899
+
+    def test_correct_exits_zero_when_no_extremum_follows_convergence(self, tmp_path):
+        take, fixed, report_json = (tmp_path / n for n in ("take.dgrc", "fixed.dgrc", "r.json"))
+        assert cli_main(["synth", "--out", str(take), "--seconds", "12"]) == 0
+        assert cli_main([
+            "correct", "--in", str(take), "--out", str(fixed), "--bpm", "120",
+            "--phase-ms", "150", "--gains", "hips=2.0", "hands=0.5", "--json", str(report_json),
+        ]) == 0
+        report = json.loads(report_json.read_text())
+        assert report["applied"] is True
+        assert (report["post_error_ms"], report["extrema_post"]) == (None, 0)
+        assert report["amplitude_ratio"] == pytest.approx(2.0, abs=0.05)
+        assert len(load_recording(fixed).frames) == 360
 
     @pytest.mark.parametrize("argv", [
         ["--hz", "1e308", "--seconds", "1"],

@@ -38,7 +38,6 @@ from dancegraph.rhythm import (
     _phase_misalignment,
     _resample,
     _retime,
-    _WarpController,
     _window_fps,
     aggregate_joint_period,
     amplify_zones,
@@ -51,6 +50,7 @@ from dancegraph.rhythm import (
 import karcher_oracle
 from conftest import geodesic_distance
 from karcher_oracle import MeanConvergenceError, _karcher_windows
+from warp_oracle import SteppedWarpController
 
 TWO_PI = 2.0 * math.pi
 
@@ -307,7 +307,7 @@ class TestBeatAlignRemap:
             phase = math.pi / 2 - TWO_PI * offset_s
             detected = PeriodEstimate(1_000_000, (phase - math.pi / 2) % TWO_PI, 0.9, joint=0)
             for start_us in (0, 123_457, 10_000_000):
-                controller = _WarpController(0.03, start_us)
+                controller = SteppedWarpController(0.03, start_us)
                 target = _phase_misalignment(controller, detected, 0.0, grid, 1.0, 500_000.0)
                 assert abs(target) <= 250_000 * (1 + 1e-6)
 
@@ -1220,7 +1220,7 @@ def reference_beat_align_remap(frames, detected, grid, params, phase_reference_u
     if match is None:
         return frames, False, 1.0, 0.0, []
     rate, spacing = match
-    controller = _WarpController(params.max_warp_slew, t0)
+    controller = SteppedWarpController(params.max_warp_slew, t0)
     controller.rate = rate
     controller.phase_target = _phase_misalignment(controller, detected, ref, grid, rate, spacing)
     if rate == 1.0 and controller.phase_target == 0.0:
@@ -1265,7 +1265,7 @@ def reference_run_corrective_pipeline(frames, skeleton, grid, params):
             steer[end] = (est, *match)
     if not steer:
         return frames, False, estimates, 1.0, []
-    controller = _WarpController(params.max_warp_slew, frames[0].timestamp_us)
+    controller = SteppedWarpController(params.max_warp_slew, frames[0].timestamp_us)
 
     def retarget(i):
         if i in steer:
@@ -1389,6 +1389,65 @@ class TestRetimeMatchesPerFrameOracle:
         got = _frames_of(block[0], *_resample(*block, source))
         assert_frames_identical(got, want)
         assert source[0] < ts[0] and source[-1] > ts[-1]
+
+
+def slerped_rows(monkeypatch):
+    """The row count of each rhythm.rows_slerp call, as a list that fills."""
+    counts, slerp = [], rhythm.rows_slerp
+
+    def counted(a, b, u):
+        counts.append(len(a))
+        return slerp(a, b, u)
+
+    monkeypatch.setattr(rhythm, "rows_slerp", counted)
+    return counts
+
+
+class TestResampleSlerpsOnlyBetweenFrames:
+    def test_only_rows_strictly_between_source_frames(self, skeleton, monkeypatch):
+        frames = dancer_frames(skeleton, duration_s=10.0)
+        ts, roots, rotations = _stack_frames(frames)
+        n = len(frames)
+        # Half the times on source frames, the rest between them, and a few
+        # before the first frame and past the last.
+        source = ts.astype(np.float64)
+        source[1::2] += 0.37 * np.diff(ts)[::2][: len(source[1::2])]
+        source[:3] -= 90_000.0
+        source[-3:] += 90_000.0
+        source.sort()
+        inside = (source > ts[0]) & (source < ts[-1]) & ~np.isin(source, ts)
+        counts = slerped_rows(monkeypatch)
+        _, got = _resample(ts, roots, rotations, source)
+        assert sum(counts) == int(inside.sum()) > n // 3
+        assert max(counts) <= rhythm._RESAMPLE_BLOCK
+        sampler = ReferenceSourceSampler(frames)
+        want = [sampler.sample(float(s), t) for s, t in zip(source, ts)]
+        assert got.tobytes() == np.stack([f.rotations for f in want]).tobytes()
+
+    def test_already_aligned_take_slerps_nothing(self, skeleton, monkeypatch):
+        frames = dancer_frames(skeleton, duration_s=10.0, phase_rad=math.pi / 2)
+        ts, roots, rotations = _stack_frames(frames)
+        detected = PeriodEstimate(1_000_000, 0.0, 0.9, joint=0)
+        steer = {0: (detected, int(ts[0]), 1.0, 500_000.0)}
+        source, _ = _retime(ts, BeatGrid(bpm=120.0), CorrectiveParams().max_warp_slew, steer)
+        counts = slerped_rows(monkeypatch)
+        _, got = _resample(ts, roots, rotations, source)
+        assert sum(counts) == 0
+        assert got.tobytes() == rotations.tobytes()
+
+    def test_rows_at_u_one_take_the_upper_source_row(self, skeleton, monkeypatch):
+        # On and past the last frame the bracket is its last interval and
+        # u is 1: those rows are row lo + 1, the last, bit for bit.
+        frames = dancer_frames(skeleton, duration_s=2.0)
+        ts, roots, rotations = _stack_frames(frames)
+        source = np.array([ts[0], ts[-1], ts[-1] + 1.0, ts[-1] + 1e6], dtype=np.float64)
+        counts = slerped_rows(monkeypatch)
+        out_roots, got = _resample(ts, roots, rotations, source)
+        assert sum(counts) == 0
+        assert got[0].tobytes() == rotations[0].tobytes()
+        for row, root in zip(got[1:], out_roots[1:]):
+            assert row.tobytes() == rotations[-1].tobytes()
+            assert root.tobytes() == roots[-1].tobytes()
 
 
 class TestDetectionKernelMatchesPerSeriesOracle:

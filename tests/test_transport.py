@@ -24,7 +24,7 @@ from dancegraph.packet import (
     parse_packet,
     seq_newer,
 )
-from dancegraph.router import Origin, SignalRouter, SignalSelector
+from dancegraph.router import Origin, SignalDescriptor, SignalRouter, SignalSelector
 from dancegraph.transport import (
     _LEAVE_REPLY_INTERVAL_US,
     _LEAVE_REPLY_SLOTS,
@@ -240,6 +240,28 @@ class TestStaleDropFilter:
             client.ingest(b"garbage", mono_us())
             client.ingest(b"", mono_us())
             assert client.session.stats.dropped_corrupt == 2
+        finally:
+            client.close()
+
+    def test_flow_the_application_produces_is_dropped_and_counted(self):
+        # The application already produces (POSE, 7, NETWORK) on the
+        # client's router: peer 7's datagrams are counted and dropped, and
+        # other peers' flows still arrive.
+        client = self._bare_client()
+        try:
+            own = client.router.register_producer(
+                SignalDescriptor(SignalType.POSE, 7, Origin.NETWORK)
+            )
+            consumer = client.router.subscribe(SignalSelector(SignalType.POSE, None, Origin.NETWORK))
+            for user, seq in [(7, 1), (8, 1), (7, 2)]:
+                client.ingest(frame_packet(SignalType.POSE, user, seq, 0, b"p"), mono_us())
+            stats = client.session.stats
+            assert (stats.dropped_conflict, stats.received) == (2, 1)
+            assert [(p.user_id, p.seq) for p in consumer.poll(max_packets=64).packets] == [(8, 1)]
+            # Once the application lets go of the stream, peer 7's flow takes it.
+            own.close()
+            client.ingest(frame_packet(SignalType.POSE, 7, 3, 0, b"p"), mono_us())
+            assert [(p.user_id, p.seq) for p in consumer.poll(max_packets=64).packets] == [(7, 3)]
         finally:
             client.close()
 

@@ -104,19 +104,36 @@ def session(work: Path) -> bool:
 
 def corrective(work: Path) -> bool:
     """No other step runs `dancegraph correct`: a synthesized 12 s take is
-    beat-aligned and stylized, and the corrected file must load with the
-    take's frame count."""
+    beat-aligned and stylized (hips 2.0, hands 0.5) on the beat grid and on
+    a grid shifted by 150 ms, whose warp converges after the take's last
+    extremum. Each run must exit 0, its corrected file must load with the
+    take's frame count, and its --json report must be applied with the hips'
+    amplitude ratio within 2 +- 0.05."""
+    from dancegraph.core import BodyZone, default_skeleton
     from dancegraph.recording import load_recording
 
-    take, out = work / "take.dgrc", work / "fixed.dgrc"
+    hips = default_skeleton().joints_in_zone(BodyZone.HIPS)
+    take = work / "take.dgrc"
     subprocess.run([*CLI, "synth", "--out", str(take), "--seconds", "12"], check=True)
-    corrected = subprocess.run(
-        [*CLI, "correct", "--in", str(take), "--out", str(out), "--bpm", "120",
-         "--gains", "hips=2.0", "hands=0.5"],
-    )
-    taken, fixed = len(load_recording(take).frames), len(load_recording(out).frames)
-    print(f"correct exited {corrected.returncode}: {fixed} frames out of {taken} in")
-    return corrected.returncode == 0 and fixed == taken
+    taken = len(load_recording(take).frames)
+    ok = True
+    for phase_ms in ("0", "150"):
+        out, report = work / f"fixed-{phase_ms}.dgrc", work / f"report-{phase_ms}.json"
+        corrected = subprocess.run(
+            [*CLI, "correct", "--in", str(take), "--out", str(out), "--bpm", "120",
+             "--phase-ms", phase_ms, "--gains", "hips=2.0", "hands=0.5", "--json", str(report)],
+        )
+        fixed = len(load_recording(out).frames) if out.exists() else 0
+        doc = json.loads(report.read_text()) if report.exists() else {}
+        ratio = doc.get("amplitude_ratio")
+        print(f"correct --phase-ms {phase_ms} exited {corrected.returncode}: {fixed} frames out "
+              f"of {taken} in, applied {doc.get('applied')}, joint {doc.get('measured_joint')} "
+              f"amplitude ratio {ratio}")
+        ok &= (
+            corrected.returncode == 0 and fixed == taken and doc.get("applied") is True
+            and doc.get("measured_joint") in hips and ratio is not None and abs(ratio - 2.0) <= 0.05
+        )
+    return ok
 
 
 def smoke() -> bool:

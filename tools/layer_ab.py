@@ -21,6 +21,10 @@ pose datagrams ingested and then polled latest-wins, as a client of a
 synthesized 24 s dancer take, in microseconds per frame, with
 amplification at the window `dancegraph correct` derives from the take's
 pipeline result (whole detected periods, about 240 frames);
+`retime` and `resample`, the pipeline's two warp steps
+(`rhythm._retime`, the warped source time of every frame, and
+`rhythm._resample`, the take sampled at those times) with the arguments
+the pipeline passes them on that take, in microseconds per frame;
 `recording.load` and `recording.save` of that take as a file, in
 microseconds per frame; `reference windows`, the chordal reference of
 every window of the take's 11 active joints that `amplify_zones` takes
@@ -33,7 +37,8 @@ per-round ratios B/A, and in how many rounds B was faster. Next to
 `reference windows` it prints the work the references take: power
 iterations per block of windows and the windows that fell back to eigh
 (counted through `rhythm._top_eigvecs`). Next to the chain it prints the
-`PoseFrame`s it constructs per frame of the take. These counts repeat
+`PoseFrame`s it constructs per frame of the take, and the rows it slerps
+per frame (counted through `rhythm.rows_slerp`). These counts repeat
 exactly from run to run.
 """
 from __future__ import annotations
@@ -128,7 +133,25 @@ def layers(m, scratch: Path):
     params = rhythm.CorrectiveParams(
         zone_gains={core.BodyZone.HIPS: 2.0, core.BodyZone.HANDS: 0.5}
     )
-    result = rhythm.run_corrective_pipeline(take, skeleton, grid, params)
+    # One pipeline run records the arguments of its two warp steps.
+    warp_args = {}
+
+    def recorded(name):
+        step = getattr(rhythm, name)
+
+        def spy(*args):
+            warp_args[name] = args
+            return step(*args)
+        return step, spy
+
+    steps = {name: recorded(name) for name in ("_retime", "_resample")}
+    for name, (_, spy) in steps.items():
+        setattr(rhythm, name, spy)
+    try:
+        result = rhythm.run_corrective_pipeline(take, skeleton, grid, params)
+    finally:
+        for name, (step, _) in steps.items():
+            setattr(rhythm, name, step)
     warped = result.frames
     window = harness._amplify_window_frames(result, params, sway.nominal_fps)
     # The active joints' tracks, whose every window's reference amplify_zones
@@ -227,20 +250,31 @@ def layers(m, scratch: Path):
             recording.Recording(rec.joint_count, rec.nominal_fps, out), scratch / "chain.dgrc"
         )
 
-    # One counted chain: every PoseFrame construction runs __post_init__.
+    # One counted chain: every PoseFrame construction runs __post_init__, and
+    # every slerped row goes through rhythm.rows_slerp.
     pose_frame = core.PoseFrame
     post_init, built = pose_frame.__post_init__, [0]
+    slerp, slerped = rhythm.rows_slerp, [0]
 
     def counted_post_init(self) -> None:
         built[0] += 1
         post_init(self)
 
+    def counted_slerp(a, b, u):
+        slerped[0] += len(a)
+        return slerp(a, b, u)
+
     pose_frame.__post_init__ = counted_post_init
+    rhythm.rows_slerp = counted_slerp
     try:
         chain()
     finally:
         pose_frame.__post_init__ = post_init
-    counts["corrective chain"] = {"PoseFrames/frame": built[0] / len(take)}
+        rhythm.rows_slerp = slerp
+    counts["corrective chain"] = {
+        "PoseFrames/frame": built[0] / len(take),
+        "slerped rows/frame": slerped[0] / len(take),
+    }
 
     return {
         "encode_frame": repeat(lambda: codec.encode_frame(frame, table, stats)),
@@ -256,6 +290,8 @@ def layers(m, scratch: Path):
         "run_corrective_pipeline": per_frame(
             lambda: rhythm.run_corrective_pipeline(take, skeleton, grid, params)
         ),
+        "retime": per_frame(lambda: rhythm._retime(*warp_args["_retime"])),
+        "resample": per_frame(lambda: rhythm._resample(*warp_args["_resample"])),
         "amplify_zones": per_frame(lambda: rhythm.amplify_zones(warped, skeleton, params, window)),
         "recording.load": per_frame(lambda: recording.load_recording(take_file)),
         "recording.save": per_frame(
