@@ -404,8 +404,7 @@ class _WarpController:
     to its target without visible jumps.
     """
 
-    def __init__(self, slew: float, start_us: float):
-        self.slew = slew
+    def __init__(self, start_us: float):
         self.rate = 1.0
         self.t_prev = float(start_us)
         self.source_prev = float(start_us)
@@ -464,7 +463,7 @@ def _retime(
     variables; frame 0 advances by dt = 0, which moves nothing.
     """
     times = ts.tolist()
-    controller = _WarpController(slew, times[0])
+    controller = _WarpController(times[0])
     sources, phases, targets = [], [], []
     starts = sorted(steer.keys() | {0})
     for start, stop in zip(starts, starts[1:] + [len(times)]):

@@ -11,6 +11,10 @@ from dancegraph.rhythm import _WarpController
 
 
 class SteppedWarpController(_WarpController):
+    def __init__(self, slew: float, start_us: float):
+        super().__init__(start_us)
+        self.slew = slew
+
     def advance(self, t_us: float) -> float:
         dt = t_us - self.t_prev
         limit = self.slew * dt
