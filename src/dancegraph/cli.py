@@ -75,13 +75,13 @@ def _parse_addr(text: str) -> tuple[str, int]:
 def _checked(parse, check):
     """An argparse `type=` that parses the text and hands the value to
     `check`, which raises ValueError outside the range. The range's owner
-    does the checking, and a bad value becomes a usage error (exit status 2)
-    before any relay child, socket or file is opened."""
+    does the checking, and a bad value (or unreadable file) becomes a usage
+    error (exit status 2) before any relay child, socket or take is opened."""
     def convert(text: str):
         try:
             value = parse(text)
             check(value)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return convert
@@ -114,6 +114,7 @@ _parse_margin = _checked(float, _check_margin)
 _parse_finite = _checked(float, _check_finite)
 # `correct` turns the offset into whole microseconds.
 _parse_phase_ms = _checked(float, lambda ms: _check_finite(ms * 1000.0))
+_parse_config = _checked(load_corrective_config, lambda config: None)
 
 
 _SIGNAL_TYPES = {
@@ -252,7 +253,7 @@ def _cmd_bench(args) -> int:
 def _cmd_correct(args) -> int:
     recording = load_recording(args.infile)
     if args.config:
-        grid, params = load_corrective_config(args.config)
+        grid, params = args.config
     else:
         grid = BeatGrid(bpm=args.bpm, phase_offset_us=int(args.phase_ms * 1000))
         params = CorrectiveParams(zone_gains=dict(args.gains or []))
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bpm", type=_parse_bpm, default=120.0)
     p.add_argument("--phase-ms", type=_parse_phase_ms, default=0.0)
     p.add_argument("--gains", type=_parse_gain, nargs="*", default=None, metavar="zone=gain")
-    p.add_argument("--config", default=None, help="corrective config JSON overriding the flags")
+    p.add_argument("--config", type=_parse_config, help="corrective config JSON overriding the flags")
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_correct)
 

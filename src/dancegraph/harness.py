@@ -595,9 +595,10 @@ def _extremum_times_us(ts: np.ndarray, x: np.ndarray) -> list[float]:
         return []
     d = np.diff(x)
     d1, d2 = d[:-1], d[1:]  # into and out of each interior sample
-    turns = ((d1 >= 0.0) & (d2 <= 0.0)) | ((d1 <= 0.0) & (d2 >= 0.0))
+    # Strict on the way in: of a flat top's equal samples only the first turns.
+    turns = ((d1 > 0.0) & (d2 <= 0.0)) | ((d1 < 0.0) & (d2 >= 0.0))
     prominent = np.abs(x[1:-1]) >= _EXTREMUM_MIN_PROMINENCE * scale
-    i = np.flatnonzero(turns & ((d1 != 0.0) | (d2 != 0.0)) & prominent) + 1
+    i = np.flatnonzero(turns & prominent) + 1
     denom = x[i - 1] - 2.0 * x[i] + x[i + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = np.clip(np.where(denom == 0.0, 0.0, 0.5 * (x[i - 1] - x[i + 1]) / denom), -0.5, 0.5)
@@ -641,7 +642,7 @@ class AlignmentReport:
             f"detected period: {self.detected_period_us} us, playback rate {self.rate:.4f}",
         ]
         if self.pre_error_ms is not None:
-            # No extremum may follow a late convergence: post is then None.
+            # No extremum may follow a late convergence or count without one.
             post = "n/a" if self.post_error_ms is None else f"{self.post_error_ms:.1f} ms"
             lines.append(
                 f"beat alignment error: pre {self.pre_error_ms:.1f} ms "
@@ -650,6 +651,8 @@ class AlignmentReport:
             )
         if self.convergence_us is not None:
             lines.append(f"warp converged at {self.convergence_us / 1e6:.2f} s")
+        elif self.applied:
+            lines.append("warp did not converge within the take")
         if self.amplitude_ratio is not None:
             lines.append(f"sway amplitude ratio post/pre: {self.amplitude_ratio:.3f}")
         return "\n".join(lines)
@@ -683,7 +686,8 @@ def corrective_experiment(
     (windowed, causal) and report pre/post beat alignment.
 
     Post-alignment error is measured from warp convergence onwards; the
-    slewed correction needs |phase shift| / max_warp_slew seconds to land.
+    slewed correction needs |phase shift| / max_warp_slew seconds to land,
+    so a warp that lands after the take ends reports neither.
     """
     if skeleton is None:
         skeleton = default_skeleton()
@@ -717,9 +721,7 @@ def corrective_experiment(
     pre_times = _extremum_times_us(pre_ts, pre_rot[:, joint, idx])
     post_times = _extremum_times_us(post_ts, post_rot[:, joint, idx])
     convergence = result.convergence_us()
-    if convergence is None:
-        convergence = int(pre_ts[min(params.window_frames, len(pre_ts) - 1)])
-    post_after = [t for t in post_times if t >= convergence]
+    post_after = [] if convergence is None else [t for t in post_times if t >= convergence]
 
     pre_err = _beat_errors_us(pre_times, grid) if pre_times else np.array([])
     post_err = _beat_errors_us(post_after, grid) if post_after else np.array([])

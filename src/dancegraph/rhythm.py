@@ -194,6 +194,8 @@ def load_corrective_config(src: str | Path) -> tuple[BeatGrid, CorrectiveParams]
     """Read the JSON corrective config: beat grid plus corrective parameters."""
     with open(src, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if "bpm" not in doc:
+        raise ValueError(f"corrective config {src} has no bpm")
     grid = BeatGrid(
         bpm=float(doc["bpm"]),
         phase_offset_us=int(round(float(doc.get("phase_offset_ms", 0.0)) * 1000.0)),

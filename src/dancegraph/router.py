@@ -1,13 +1,14 @@
 """In-process signal manager connecting producers to consumers.
 
-One exclusive publisher per stream, any number of polling consumers. Each
-stream owns a ring of `capacity` slots, and each slot holds a published
-packet itself: publish and poll copy nothing, because payloads are
-immutable bytes. A slot is replaced in one assignment, so a reader sees
-either the old entry or the new one, and the publish count stored next to
-the packet tells it which. Overwrite drops the oldest entries (a stale pose
-is worth less than a fresh one), and Every-mode polls report how many
-entries were lost that way.
+One exclusive publisher per stream, any number of polling consumers. A
+stream is one object, the `ProducerHandle` that `register_producer`
+returns, and every consumer's cursor points at it. Its ring of `capacity`
+slots holds the published packets themselves: publish and poll copy
+nothing, because payloads are immutable bytes. A slot is replaced in one
+assignment, so a reader sees either the old entry or the new one, and the
+publish count stored next to the packet tells it which. Overwrite drops
+the oldest entries (a stale pose is worth less than a fresh one), and
+Every-mode polls report how many entries were lost that way.
 
 Registration, close and subscription take a coarse lock; publish and poll
 run lock-free against the published counter. A closed stream leaves every
@@ -16,7 +17,6 @@ consumer's cursor list at once, so a poll only walks live streams.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -96,48 +96,56 @@ class Polled(NamedTuple):
     lost: int
 
 
-@dataclass
-class StreamStats:
-    published: int = 0
-    ordering_errors: int = 0
+class _Cursor:
+    __slots__ = ("stream", "next_count")
+
+    def __init__(self, stream: ProducerHandle, next_count: int):
+        self.stream = stream
+        self.next_count = next_count
 
 
-class _Stream:
-    """One descriptor's packet ring.
+class ProducerHandle:
+    """One descriptor's stream: its packet ring and the exclusive right to
+    publish into it (only `SignalRouter.register_producer` makes one).
 
     `slots[count & mask]` holds `(count, packet)` for the newest publish
-    that landed there; the ring keeps the last `capacity` packets alive and
+    that landed there; the ring keeps the last `mask + 1` packets alive and
     nothing more.
     """
 
     __slots__ = (
-        "desc", "capacity", "mask", "slots", "pub_count", "last_seq",
-        "consumers", "stats", "closed",
+        "_router", "descriptor", "mask", "slots", "pub_count", "last_seq", "consumers",
+        "ordering_errors", "closed",
     )
 
-    def __init__(self, desc: SignalDescriptor, capacity: int):
-        self.desc = desc
-        self.capacity = capacity
+    def __init__(self, router: SignalRouter, desc: SignalDescriptor, capacity: int):
+        self._router = router
+        self.descriptor = desc
         self.mask = capacity - 1
         self.slots: list[tuple[int, SignalPacket | None]] = [(-1, None)] * capacity
         self.pub_count = 0
-        self.last_seq: int | None = None
+        self.last_seq: int | None = None  # the newest publish's; None before the first
         self.consumers = 0  # cursors attached; the cursors live in their handles
-        self.stats = StreamStats()
+        self.ordering_errors = 0  # publishes refused with SequenceError
         self.closed = False
 
     def publish(self, packet: SignalPacket) -> int:
+        """Store the packet in the ring; returns the consumer count.
+
+        The router stamps the stream's signal type, user id and origin onto
+        the packet, and a payload that is not `bytes` is copied to `bytes`.
+        """
+        desc = self.descriptor
+        if self.closed:
+            raise StreamConflictError(f"stream {desc} is closed")
         if not seq_newer(packet.seq, self.last_seq):
-            self.stats.ordering_errors += 1
-            raise SequenceError(
-                f"sequence {packet.seq} not after {self.last_seq} on {self.desc}"
-            )
+            self.ordering_errors += 1
+            raise SequenceError(f"sequence {packet.seq} not after {self.last_seq} on {desc}")
         payload = packet.payload
         if not isinstance(payload, bytes):
             payload = bytes(payload)  # a reused publisher buffer must not leak in
         if len(payload) > MAX_PAYLOAD:
             raise ValueError(f"payload {len(payload)} exceeds {MAX_PAYLOAD} bytes")
-        desc = self.desc
         packet.payload = payload
         packet.signal_type = desc.signal_type
         packet.user_id = desc.user_id
@@ -146,57 +154,12 @@ class _Stream:
         self.slots[count & self.mask] = (count, packet)
         self.pub_count = count + 1  # release: consumers read this last value
         self.last_seq = packet.seq
-        self.stats.published += 1
         return self.consumers
-
-    def read_slot(self, count: int) -> SignalPacket | None:
-        """Entry `count`, or None if a later publish has overwritten it."""
-        tag, packet = self.slots[count & self.mask]
-        return packet if tag == count else None
-
-
-class _Cursor:
-    __slots__ = ("stream", "next_count")
-
-    def __init__(self, stream: _Stream, next_count: int):
-        self.stream = stream
-        self.next_count = next_count
-
-
-class ProducerHandle:
-    """Exclusive publish rights for one stream."""
-
-    def __init__(self, router: "SignalRouter", stream: _Stream):
-        self._router = router
-        self._stream = stream
-
-    @property
-    def descriptor(self) -> SignalDescriptor:
-        return self._stream.desc
-
-    @property
-    def stats(self) -> StreamStats:
-        return self._stream.stats
-
-    @property
-    def last_seq(self) -> int | None:
-        """Sequence number of the newest publish; None before the first."""
-        return self._stream.last_seq
-
-    def publish(self, packet: SignalPacket) -> int:
-        """Store the packet in the ring; returns the consumer count.
-
-        The router stamps the stream's signal type, user id and origin onto
-        the packet, and a payload that is not `bytes` is copied to `bytes`.
-        """
-        if self._stream.closed:
-            raise StreamConflictError(f"stream {self._stream.desc} is closed")
-        return self._stream.publish(packet)
 
     def close(self) -> None:
         """Unregister the stream and detach it from its consumers; a later
         re-register starts a fresh ring."""
-        self._router._unregister(self._stream)
+        self._router._unregister(self)
 
 
 class ConsumerHandle:
@@ -212,9 +175,9 @@ class ConsumerHandle:
 
     @property
     def attached(self) -> list[SignalDescriptor]:
-        return [c.stream.desc for c in self._cursors]
+        return [c.stream.descriptor for c in self._cursors]
 
-    def _attach(self, stream: _Stream) -> None:
+    def _attach(self, stream: ProducerHandle) -> None:
         # copy-on-write so in-flight polls see a consistent list
         self._cursors = self._cursors + [_Cursor(stream, stream.pub_count)]
         stream.consumers += 1
@@ -251,11 +214,11 @@ class ConsumerHandle:
                     cursor.next_count = tag + 1
                 continue
             while count < stream.pub_count and len(packets) < max_packets:
-                packet = stream.read_slot(count)
-                if packet is None:
+                tag, packet = stream.slots[count & stream.mask]
+                if tag != count:
                     # overwritten: everything before the writer's trailing
                     # edge is gone
-                    edge = max(count + 1, stream.pub_count - stream.capacity)
+                    edge = max(count + 1, stream.pub_count - stream.mask - 1)
                     lost += edge - count
                     count = edge
                     continue
@@ -271,7 +234,7 @@ class SignalRouter:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._streams: dict[SignalDescriptor, _Stream] = {}
+        self._streams: dict[SignalDescriptor, ProducerHandle] = {}
         self._consumers: list[ConsumerHandle] = []
 
     def register_producer(self, desc: SignalDescriptor, capacity: int = 64) -> ProducerHandle:
@@ -284,12 +247,12 @@ class SignalRouter:
         with self._lock:
             if desc in self._streams:
                 raise StreamConflictError(f"producer already registered for {desc}")
-            stream = _Stream(desc, capacity)
+            stream = ProducerHandle(self, desc, capacity)
             self._streams[desc] = stream
             for consumer in self._consumers:
                 if consumer.selector.matches(desc):
                     consumer._attach(stream)
-            return ProducerHandle(self, stream)
+            return stream
 
     def subscribe(self, selector: SignalSelector, mode: Mode = Mode.EVERY) -> ConsumerHandle:
         """Attach to every current and future stream matching the selector.
@@ -312,12 +275,12 @@ class SignalRouter:
                 cursor.stream.consumers -= 1
             handle._cursors = []
 
-    def _unregister(self, stream: _Stream) -> None:
+    def _unregister(self, stream: ProducerHandle) -> None:
         with self._lock:
             if stream.closed:
                 return
             stream.closed = True
-            del self._streams[stream.desc]
+            del self._streams[stream.descriptor]
             for consumer in self._consumers:  # copy-on-write, as in _attach
                 consumer._cursors = [c for c in consumer._cursors if c.stream is not stream]
 

@@ -15,8 +15,9 @@ Design notes, all serving the lag-first goal:
   is simultaneously published to the local in-process router, so local
   consumers never wait on the network (the dual path).
 * Client sockets never block. Owners call `Client.receive()`, which drains
-  the socket and keeps the session alive (the join, the receive thread and
-  the latency session runner all do), or feed datagrams to `Client.ingest()`.
+  the socket and keeps the session alive (the receive thread and the
+  latency session runner do), or feed datagrams to `Client.ingest()` (the
+  join does: it reads with `recvfrom` for the ACK's source address).
 
 Control protocol (signal type = CONTROL):
 

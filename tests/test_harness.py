@@ -25,6 +25,7 @@ from dancegraph.harness import (
     StageStats,
     _start_server,
     corrective_experiment,
+    find_extremum_times_us,
     record_sink,
     replay_stream,
     run_latency_experiment,
@@ -478,11 +479,35 @@ class TestCorrectiveExperiment:
             applied=True, reason=None, no_dominant_period=False,
             detected_period_us=1_000_573, rate=1.000573, measured_joint=0,
             measured_component="x", pre_error_ms=100.0, post_error_ms=None,
-            convergence_us=11_933_333, extrema_pre=48, extrema_post=0, amplitude_ratio=1.97,
+            convergence_us=11_933_333, extrema_pre=24, extrema_post=0, amplitude_ratio=1.97,
         )
         text = report.to_text()
-        assert "pre 100.0 ms (48 extrema), post n/a (0 extrema, after convergence)" in text
+        assert "pre 100.0 ms (24 extrema), post n/a (0 extrema, after convergence)" in text
         assert "warp converged at 11.93 s" in text
+
+    def test_a_warp_that_does_not_land_within_the_take_reports_no_convergence(self):
+        # A 1 Hz sway on a 120 bpm grid has its extrema half a beat off: the
+        # warp's -247.75 ms target at slew 0.03 needs 8.26 s from 8.53 s, so
+        # it lands after the 12 s take ends and no extremum is "post".
+        rec = synthesize_sway_recording(duration_s=12.0)
+        _, report = corrective_experiment(rec, BeatGrid(bpm=120.0), CorrectiveParams())
+        assert report.applied and report.pre_error_ms == pytest.approx(250.0, abs=1.0)
+        assert (report.convergence_us, report.post_error_ms, report.extrema_post) == (None, None, 0)
+        text = report.to_text()
+        assert "warp did not converge within the take" in text
+        assert "converged at" not in text
+
+    def test_a_flat_topped_extremum_counts_once(self, tmp_path):
+        # The 12 s take's 1 Hz peaks fall midway between two frames at
+        # 30 fps, so a peak's two samples can be equal (in the stored
+        # float32 take, every peak's are): 24 extrema, each counted once.
+        rec = synthesize_sway_recording(duration_s=12.0)
+        save_recording(rec, tmp_path / "take.dgrc")
+        expected = [250_000.0 + 500_000.0 * k for k in range(24)]
+        for take in (rec, load_recording(tmp_path / "take.dgrc")):
+            times = find_extremum_times_us(take.frames, 0, "x")
+            assert len(times) == len(set(times)) == 24
+            assert times == pytest.approx(expected, abs=2_000)
 
 
 def lossy_sway_take(path, lost=400):
@@ -677,6 +702,41 @@ class TestCli:
             cli_main(["correct", "--in", str(take), "--out", str(fixed), "--gains", *gains])
         assert exc.value.code == 2
         assert not fixed.exists()
+
+    @pytest.mark.parametrize("config", [
+        {"bpm": 120, "zone_gains": {"hipz": 2.0}},
+        {"zone_gains": {"hips": 2.0}},
+        {"bpm": 120, "window_frames": 100},
+        None,  # no file
+    ], ids=["unknown_zone", "no_bpm", "window_frames_100", "missing"])
+    def test_bad_config_exits_before_reading(self, tmp_path, monkeypatch, capsys, config):
+        take, path = tmp_path / "take.dgrc", tmp_path / "config.json"
+        save_recording(synthesize_sway_recording(duration_s=1.0), take)
+        if config is not None:
+            path.write_text(json.dumps(config))
+        monkeypatch.setattr(
+            "dancegraph.cli.load_recording", lambda *a, **k: pytest.fail("read the take")
+        )
+        fixed = tmp_path / "fixed.dgrc"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["correct", "--in", str(take), "--out", str(fixed), "--config", str(path)])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not fixed.exists()
+
+    def test_config_overrides_the_flags(self, tmp_path):
+        take, path, fixed, report_json = (
+            tmp_path / n for n in ("take.dgrc", "config.json", "fixed.dgrc", "r.json")
+        )
+        assert cli_main(["synth", "--out", str(take), "--seconds", "12"]) == 0
+        path.write_text(json.dumps({"bpm": 120, "zone_gains": {"hips": 2.0}}))
+        assert cli_main([
+            "correct", "--in", str(take), "--out", str(fixed), "--bpm", "60",
+            "--config", str(path), "--json", str(report_json),
+        ]) == 0
+        report = json.loads(report_json.read_text())
+        assert report["applied"] is True
+        assert report["amplitude_ratio"] == pytest.approx(2.0, abs=0.05)
 
     def test_bounds_accepts_non_canonical_file(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -1088,6 +1088,12 @@ class TestConfig:
         assert params.window_frames == 128
         assert params.max_warp_slew == 0.04
 
+    def test_config_without_bpm_is_a_value_error(self, tmp_path):
+        path = tmp_path / "corrective.json"
+        path.write_text(json.dumps({"zone_gains": {"hips": 2.0}}))
+        with pytest.raises(ValueError, match="bpm"):
+            load_corrective_config(path)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             CorrectiveParams(window_frames=100)

@@ -104,11 +104,14 @@ def session(work: Path) -> bool:
 
 def corrective(work: Path) -> bool:
     """No other step runs `dancegraph correct`: a synthesized 12 s take is
-    beat-aligned and stylized (hips 2.0, hands 0.5) on the beat grid and on
-    a grid shifted by 150 ms, whose warp converges after the take's last
-    extremum. Each run must exit 0, its corrected file must load with the
-    take's frame count, and its --json report must be applied with the hips'
-    amplitude ratio within 2 +- 0.05."""
+    beat-aligned and stylized (hips 2.0, hands 0.5) on the beat grid, whose
+    warp does not land within the take, and on a grid shifted by 150 ms,
+    whose warp converges after the take's last extremum. Each run must exit
+    0, its corrected file must load with the take's frame count, and its
+    --json report must be applied, count each of the take's 24 extrema once,
+    report a convergence only for the shifted grid, and give the hips'
+    amplitude ratio within 2 +- 0.05. A malformed --config must exit 2
+    before anything is written."""
     from dancegraph.core import BodyZone, default_skeleton
     from dancegraph.recording import load_recording
 
@@ -125,15 +128,24 @@ def corrective(work: Path) -> bool:
         )
         fixed = len(load_recording(out).frames) if out.exists() else 0
         doc = json.loads(report.read_text()) if report.exists() else {}
-        ratio = doc.get("amplitude_ratio")
+        ratio, converged = doc.get("amplitude_ratio"), doc.get("convergence_us")
         print(f"correct --phase-ms {phase_ms} exited {corrected.returncode}: {fixed} frames out "
               f"of {taken} in, applied {doc.get('applied')}, joint {doc.get('measured_joint')} "
-              f"amplitude ratio {ratio}")
+              f"amplitude ratio {ratio}, {doc.get('extrema_pre')} extrema, "
+              f"converged at {converged} us")
         ok &= (
             corrected.returncode == 0 and fixed == taken and doc.get("applied") is True
             and doc.get("measured_joint") in hips and ratio is not None and abs(ratio - 2.0) <= 0.05
+            and doc.get("extrema_pre") == 24 and (converged is None) == (phase_ms == "0")
         )
-    return ok
+    config, out = work / "bad-config.json", work / "fixed-bad-config.dgrc"
+    config.write_text(json.dumps({"bpm": 120, "zone_gains": {"hipz": 2.0}}))
+    refused = subprocess.run(
+        [*CLI, "correct", "--in", str(take), "--out", str(out), "--config", str(config)]
+    )
+    print(f"correct with an unknown zone in --config exited {refused.returncode}, "
+          f"wrote --out: {out.exists()}")
+    return ok and refused.returncode == 2 and not out.exists()
 
 
 def smoke() -> bool:
