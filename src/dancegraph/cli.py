@@ -33,7 +33,6 @@ def _deferred(module: str, name: str):
     return call
 
 
-_bounds_from_json = _deferred("codec", "BoundsTable.from_json")
 _check_bits = _deferred("codec", "_check_bits")
 _check_margin = _deferred("codec", "_check_margin")
 analyze_bounds = _deferred("codec", "analyze_bounds")
@@ -51,6 +50,7 @@ save_recording = _deferred("recording", "save_recording")
 BeatGrid = _deferred("rhythm", "BeatGrid")
 CorrectiveParams = _deferred("rhythm", "CorrectiveParams")
 load_corrective_config = _deferred("rhythm", "load_corrective_config")
+_phase_us = _deferred("rhythm", "_phase_us")
 
 
 def _on_interrupt(stop: threading.Event) -> None:
@@ -81,7 +81,7 @@ def _checked(parse, check):
         try:
             value = parse(text)
             check(value)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OverflowError, OSError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return convert
@@ -112,9 +112,9 @@ _parse_seconds = _checked(float, _check_seconds)
 _parse_clients = _checked(int, _check_session_clients)
 _parse_margin = _checked(float, _check_margin)
 _parse_finite = _checked(float, _check_finite)
-# `correct` turns the offset into whole microseconds.
-_parse_phase_ms = _checked(float, lambda ms: _check_finite(ms * 1000.0))
+_parse_phase_ms = _checked(float, _phase_us)
 _parse_config = _checked(load_corrective_config, lambda config: None)
+_parse_bounds = _checked(_deferred("codec", "BoundsTable.from_json"), lambda table: None)
 
 
 _SIGNAL_TYPES = {
@@ -150,8 +150,8 @@ def _parse_gain(text: str) -> tuple[BodyZone, float]:
 
 
 def _table_for_recording(args, recording):
-    if getattr(args, "bounds", None):
-        return _bounds_from_json(args.bounds)
+    if args.bounds is not None:
+        return args.bounds
     # No table supplied: derive one from the recording itself, which by
     # construction never clamps on replay of that same recording.
     names = None
@@ -201,12 +201,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_record(args) -> int:
-    if not args.bounds:
-        print("record needs --bounds to decode incoming payloads", file=sys.stderr)
-        return 2
-    table = _bounds_from_json(args.bounds)
     skeleton = default_skeleton()
-    if table.joint_count != skeleton.joint_count:
+    if args.bounds.joint_count != skeleton.joint_count:
         print("bounds table joint count does not match the default skeleton", file=sys.stderr)
         return 2
     client = client_connect(args.server)
@@ -218,7 +214,7 @@ def _cmd_record(args) -> int:
             client.router,
             args.select,
             args.out,
-            table,
+            args.bounds,
             skeleton,
             nominal_fps=args.fps,
             stop=stop,
@@ -255,7 +251,7 @@ def _cmd_correct(args) -> int:
     if args.config:
         grid, params = args.config
     else:
-        grid = BeatGrid(bpm=args.bpm, phase_offset_us=int(args.phase_ms * 1000))
+        grid = BeatGrid(bpm=args.bpm, phase_offset_us=_phase_us(args.phase_ms))
         params = CorrectiveParams(zone_gains=dict(args.gains or []))
     corrected, report = corrective_experiment(
         recording, grid, params, output_path=args.out
@@ -318,14 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server", type=_parse_addr, required=True)
     p.add_argument("--fps", type=_parse_fps, default=None)
     p.add_argument("--loop", action="store_true")
-    p.add_argument("--bounds", default=None, help="bounds table JSON (default: derive from the recording)")
+    p.add_argument("--bounds", type=_parse_bounds, default=None,
+                   help="bounds table JSON (default: derive from the recording)")
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("record", help="record incoming streams to a file")
     p.add_argument("--out", required=True)
     p.add_argument("--select", type=_parse_selector, default="pose:any:network")
     p.add_argument("--server", type=_parse_addr, required=True)
-    p.add_argument("--bounds", required=True)
+    p.add_argument("--bounds", type=_parse_bounds, required=True)
     p.add_argument("--fps", type=_parse_fps, default=30.0)
     p.add_argument("--duration", type=_parse_seconds, default=None)
     p.set_defaults(func=_cmd_record)

@@ -17,7 +17,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class BoundsTable:
         if lo.shape[0] == 0:
             raise ShapeMismatchError("bounds must cover at least one joint")
         _check_bits(self.bits)
-        if np.any(lo >= hi):
+        if not np.all(lo < hi):
             raise ValueError("every bound must satisfy lo < hi")
         if np.any(lo < -1.0) or np.any(hi > 1.0):
             raise ValueError("bounds must lie within [-1, 1]")
@@ -99,16 +99,14 @@ class BoundsTable:
         object.__setattr__(self, "hi", hi)
         # Constants of the per-frame codec, computed once per table. They are
         # plain attributes, not fields: equality, repr and JSON ignore them.
+        object.__setattr__(self, "joint_count", joints)
+        object.__setattr__(self, "payload_bytes", (joints * 3 * self.bits + 7) // 8)
         object.__setattr__(self, "_span", span)
+        # A float: an in-place multiply by a Python float costs less than
+        # half of one by an int.
         object.__setattr__(self, "_levels", float((1 << self.bits) - 1))
-        object.__setattr__(self, "_joints", joints)
-        object.__setattr__(self, "_payload_bytes", (joints * 3 * self.bits + 7) // 8)
         corner = np.maximum(lo * lo, hi * hi).sum(axis=1)
         object.__setattr__(self, "_in_ball", bool(corner.max() < 1.0 - _BALL_MARGIN))
-
-    @property
-    def joint_count(self) -> int:
-        return self._joints
 
     @property
     def levels(self) -> int:
@@ -119,11 +117,7 @@ class BoundsTable:
         """Quantization step per joint component, shape (joints, 3)."""
         return self._span / self.levels
 
-    @property
-    def payload_bytes(self) -> int:
-        return self._payload_bytes
-
-    def to_json(self, dest: str | Path | IO[str]) -> None:
+    def to_json(self, dest: str | Path) -> None:
         doc = {
             "version": self.version,
             "bits": self.bits,
@@ -137,24 +131,25 @@ class BoundsTable:
                 for j, name in enumerate(self.joint_names)
             ],
         }
-        if hasattr(dest, "write"):
-            json.dump(doc, dest, indent=2)
-        else:
-            with open(dest, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
+        with open(dest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
 
     @classmethod
-    def from_json(cls, src: str | Path | IO[str]) -> "BoundsTable":
-        if hasattr(src, "read"):
-            doc = json.load(src)
-        else:
-            with open(src, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        joints = doc["joints"]
-        names = tuple(entry["name"] for entry in joints)
-        lo = np.array([[entry[c][0] for c in _COMPONENTS] for entry in joints])
-        hi = np.array([[entry[c][1] for c in _COMPONENTS] for entry in joints])
-        return cls(names, lo, hi, bits=int(doc["bits"]), version=int(doc["version"]))
+    def from_json(cls, src: str | Path) -> "BoundsTable":
+        """The table in a file written by to_json. A document of any other
+        shape raises ValueError."""
+        with open(src, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        try:
+            joints = doc["joints"]
+            names = tuple(entry["name"] for entry in joints)
+            pairs = np.array([[entry[c] for c in _COMPONENTS] for entry in joints], dtype=float)
+            bits, version = int(doc["bits"]), int(doc["version"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{src} is not a bounds table: {exc!r}") from None
+        if pairs.shape != (len(names), 3, 2):
+            raise ValueError(f"{src} is not a bounds table: bounds are not [lo, hi] pairs")
+        return cls(names, pairs[..., 0], pairs[..., 1], bits=bits, version=version)
 
 
 @dataclass
@@ -179,7 +174,7 @@ class EncodedFrame:
 
     @classmethod
     def from_bytes(cls, data: bytes, table: BoundsTable) -> "EncodedFrame":
-        need = _FRAME_PREFIX.size + table._payload_bytes
+        need = _FRAME_PREFIX.size + table.payload_bytes
         if len(data) != need:
             raise CorruptFrameError(f"expected {need} bytes, got {len(data)}")
         ts, rx, ry, rz = _FRAME_PREFIX.unpack_from(data)
@@ -281,9 +276,9 @@ def encode_frame(
     layout.
     """
     arr = frame.rotations
-    if arr.shape[0] != table._joints:
+    if arr.shape[0] != table.joint_count:
         raise ShapeMismatchError(
-            f"frame has {arr.shape[0]} joints, table has {table._joints}"
+            f"frame has {arr.shape[0]} joints, table has {table.joint_count}"
         )
     if arr[:, 3].min() < 0.0:
         raise ValueError("frame must be canonicalized (w >= 0) before encoding")
@@ -314,15 +309,15 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
     cannot decode such a vector, so it skips the clamp and the check. The
     frame carries `enc`'s timestamp and root translation objects as they are.
     """
-    joints = table._joints
+    joints = table.joint_count
     if skeleton.joint_count != joints:
         raise ShapeMismatchError(
             f"skeleton has {skeleton.joint_count} joints, table has {joints}"
         )
     payload = enc.payload
-    if len(payload) != table._payload_bytes:
+    if len(payload) != table.payload_bytes:
         raise CorruptFrameError(
-            f"payload is {len(payload)} bytes, table dimensions need {table._payload_bytes}"
+            f"payload is {len(payload)} bytes, table dimensions need {table.payload_bytes}"
         )
     # The operation order of lo + ints / levels * (hi - lo), so the rotations
     # stay bit-identical, in one contiguous buffer. The ints convert to float

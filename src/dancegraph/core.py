@@ -407,9 +407,3 @@ def _stack_frames(frames: Sequence[PoseFrame]) -> tuple[np.ndarray, np.ndarray, 
     if not frames:
         return ts, roots, np.empty((0, 0, 4))
     return ts, roots, np.stack([f.rotations for f in frames])
-
-
-def _frames_of(ts: np.ndarray, roots: np.ndarray, rotations: np.ndarray) -> FrameBlock:
-    """Inverse of _stack_frames: the arrays as one FrameBlock, marked
-    read-only and not copied."""
-    return FrameBlock(ts, roots, rotations)

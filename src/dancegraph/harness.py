@@ -34,7 +34,7 @@ from .codec import (
     encode_frame,
 )
 from .core import (
-    BodyZone, PoseFrame, Skeleton, _frames_of, _stack_frames, default_skeleton,
+    BodyZone, FrameBlock, PoseFrame, Skeleton, _stack_frames, default_skeleton,
     rows_from_axis_angle,
 )
 from .packet import SignalPacket, SignalType
@@ -117,7 +117,7 @@ def synthesize_sway_recording(
     rotations[:, list(set(sway_joints))] = quats[:, None]
     roots = np.zeros((frame_count, 3))
     roots[:, 0], roots[:, 1] = root_amplitude_m * sway, 1.0
-    frames = _frames_of(_frame_times_us(frame_count, fps, start_us), roots, rotations)
+    frames = FrameBlock(_frame_times_us(frame_count, fps, start_us), roots, rotations)
     return Recording(skeleton.joint_count, fps, frames)
 
 
@@ -142,7 +142,7 @@ def synthesize_noise_recording(
         axes[i] = rng.normal(size=(joints, 3))
     roots = np.zeros((frame_count, 3))
     roots[:, 1] = 1.0
-    frames = _frames_of(
+    frames = FrameBlock(
         _frame_times_us(frame_count, fps, start_us), roots, rows_from_axis_angle(axes, angles)
     )
     return Recording(skeleton.joint_count, fps, frames)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PoseFrame, _frames_of, _stack_frames, rows_canonicalize
+from .core import FrameBlock, PoseFrame, _stack_frames, rows_canonicalize
 
 __all__ = [
     "Recording",
@@ -156,7 +156,7 @@ def load_recording(path: str | Path) -> Recording:
         raise RecordingFormatError(f"frame {backwards[0] + 1} timestamp does not increase")
     if count and ts[-1] > np.iinfo(np.int64).max:  # a take's timestamps are int64
         raise RecordingFormatError(f"frame timestamp {ts[-1]} is past the int64 range")
-    frames = _frames_of(
+    frames = FrameBlock(
         ts.astype(np.int64), body["root"].astype(np.float64), rows_canonicalize(body["rot"])
     )
     return Recording(joint_count=joint_count, nominal_fps=fps, frames=frames)

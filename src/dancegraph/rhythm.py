@@ -22,8 +22,10 @@ Three stages, each usable on its own:
    than half a beat away) and is slew-limited so a live viewer never sees a
    pop; the constant rate factor is bounded separately by max_rate_ratio.
    The warp is stepped frame by frame, one loop per steer segment, to get
-   each output frame's source time; a time on a source frame takes that row,
-   and the rest are slerped from their bracketing rows in blocks.
+   each output frame's source time; its state is five locals of _retime
+   (the last output time and source time, the rate, and the phase
+   displacement applied and targeted). A time on a source frame takes that
+   row, and the rest are slerped from their bracketing rows in blocks.
    run_corrective_pipeline is the one way into the warp.
 
 3. Stylization: per body zone, rotations are geodesically extrapolated away
@@ -51,9 +53,9 @@ import numpy as np
 
 from .core import (
     BodyZone,
+    FrameBlock,
     PoseFrame,
     Skeleton,
-    _frames_of,
     _stack_frames,
     rows_normalize,
     rows_scale_rotation,
@@ -138,17 +140,13 @@ class PeriodEstimate:
             raise ValueError("energy_ratio must be in [0, 1]")
 
 
-def _default_gains() -> dict[BodyZone, float]:
-    return {zone: 1.0 for zone in BodyZone}
-
-
 @dataclass(frozen=True)
 class CorrectiveParams:
     window_frames: int = 256
     detection_threshold: float = 0.2
     max_warp_slew: float = 0.03  # seconds of added warp per second of playback
     max_rate_ratio: float = 1.1
-    zone_gains: Mapping[BodyZone, float] = field(default_factory=_default_gains)
+    zone_gains: Mapping[BodyZone, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.window_frames < 16 or self.window_frames & (self.window_frames - 1):
@@ -167,7 +165,7 @@ class CorrectiveParams:
         object.__setattr__(self, "zone_gains", gains)
 
     def gain_for(self, zone: BodyZone) -> float:
-        return self.zone_gains.get(zone, 1.0)
+        return self.zone_gains[zone]
 
 
 @dataclass(frozen=True)
@@ -190,25 +188,33 @@ class FeatureSeries:
             raise ValueError("fps must be positive")
 
 
+def _phase_us(ms: float) -> int:
+    """A phase offset in milliseconds as whole microseconds, rounded;
+    ValueError for one that is not finite in microseconds."""
+    us = float(ms) * 1000.0
+    if not math.isfinite(us):
+        raise ValueError(f"phase offset must be finite, got {ms} ms")
+    return round(us)
+
+
 def load_corrective_config(src: str | Path) -> tuple[BeatGrid, CorrectiveParams]:
-    """Read the JSON corrective config: beat grid plus corrective parameters."""
+    """Read the JSON corrective config: beat grid plus corrective parameters.
+    A config without a bpm, or whose zone_gains is not an object, raises
+    ValueError."""
     with open(src, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "bpm" not in doc:
+    if not isinstance(doc, dict) or "bpm" not in doc:
         raise ValueError(f"corrective config {src} has no bpm")
-    grid = BeatGrid(
-        bpm=float(doc["bpm"]),
-        phase_offset_us=int(round(float(doc.get("phase_offset_ms", 0.0)) * 1000.0)),
-    )
-    gains = _default_gains()
-    for name, value in doc.get("zone_gains", {}).items():
-        gains[BodyZone(name.lower())] = float(value)
+    gains = doc.get("zone_gains", {})
+    if not isinstance(gains, dict):
+        raise ValueError(f"corrective config {src}: zone_gains must be an object")
+    grid = BeatGrid(bpm=float(doc["bpm"]), phase_offset_us=_phase_us(doc.get("phase_offset_ms", 0.0)))
     params = CorrectiveParams(
         window_frames=int(doc.get("window_frames", 256)),
         detection_threshold=float(doc.get("detection_threshold", 0.2)),
         max_warp_slew=float(doc.get("max_warp_slew", 0.03)),
         max_rate_ratio=float(doc.get("max_rate_ratio", 1.1)),
-        zone_gains=gains,
+        zone_gains={BodyZone(name.lower()): float(value) for name, value in gains.items()},
     )
     return grid, params
 
@@ -396,53 +402,37 @@ def _match_tempo(
     return rate, spacing
 
 
-class _WarpController:
-    """State of a monotonic warp: constant playback rate plus slewed phase
-    displacement, as of output time t_prev. _retime advances it.
-
-    Output time t samples the source at s(t); s advances by rate * dt plus
-    a phase step bounded by max_warp_slew * dt, so the warp cannot reverse
-    (rate >= 1/max_rate_ratio > slew) and the phase displacement converges
-    to its target without visible jumps.
-    """
-
-    def __init__(self, start_us: float):
-        self.rate = 1.0
-        self.t_prev = float(start_us)
-        self.source_prev = float(start_us)
-        self.phase_applied = 0.0
-        self.phase_target = 0.0
-
-
 def _signed_mod(x: float, period: float) -> float:
     """Fold x into [-period/2, period/2)."""
     return (x + period / 2.0) % period - period / 2.0
 
 
 def _phase_misalignment(
-    controller: _WarpController,
+    t_prev: float,
+    source_prev: float,
+    pending: float,
     estimate: PeriodEstimate,
     phase_reference_us: float,
     grid: BeatGrid,
     rate: float,
     event_spacing_us: float,
 ) -> float:
-    """Phase-displacement increment that puts upcoming extrema on the grid.
+    """Phase-displacement increment that puts upcoming extrema on the grid,
+    for a warp that sampled the source at source_prev at output time t_prev
+    and still has `pending` of phase displacement to slew in.
 
     The nearest-beat rule: extrema are aligned to the closest point of the
     beat grid (or its subdivision grid when extrema are faster than beats),
     so the correction never exceeds half a beat period in either direction.
     """
     omega = _TWO_PI / estimate.period_us  # radians per source microsecond
-    s_now = controller.source_prev
     # Source-time of the extremum (model phase = multiple of pi) nearest the
     # current source cursor.
-    k = round((omega * (s_now - phase_reference_us) + estimate.phase_rad) / math.pi)
+    k = round((omega * (source_prev - phase_reference_us) + estimate.phase_rad) / math.pi)
     s_event = phase_reference_us + (k * math.pi - estimate.phase_rad) / omega
     # Where that extremum will land on the output timeline once the phase
     # displacement already in flight has finished slewing in.
-    pending = controller.phase_target - controller.phase_applied
-    t_event = controller.t_prev + (s_event - s_now - pending) / rate
+    t_event = t_prev + (s_event - source_prev - pending) / rate
     target_spacing = min(grid.beat_period_us, event_spacing_us)
     d = _signed_mod(t_event - grid.phase_offset_us, target_spacing)
     if abs(d) < _PHASE_SNAP_US:
@@ -459,24 +449,27 @@ def _retime(
     """The warped source time of each frame of a take with timestamps
     `ts`, each output frame on its input's time, and the warp samples.
 
-    steer[i], when present, is (estimate, the time its phase refers to,
-    rate, event spacing) and retargets the controller before frame i. Between
-    retargets the controller advances frame by frame in one loop over local
-    variables; frame 0 advances by dt = 0, which moves nothing.
+    The warp is a constant playback rate plus a slewed phase displacement:
+    output time t samples the source at s(t), and s advances by rate * dt
+    plus a phase step bounded by slew * dt, so the warp cannot reverse
+    (rate >= 1/max_rate_ratio > slew) and the displacement `applied`
+    converges to its `target` without visible jumps. steer[i], when
+    present, is (estimate, the time its phase refers to, rate, event
+    spacing) and retargets the warp before frame i. Between retargets the
+    warp advances frame by frame in one loop; frame 0 advances by dt = 0,
+    which moves nothing.
     """
     times = ts.tolist()
-    controller = _WarpController(times[0])
+    t_prev = source = float(times[0])
+    rate, applied, target = 1.0, 0.0, 0.0
     sources, phases, targets = [], [], []
     starts = sorted(steer.keys() | {0})
     for start, stop in zip(starts, starts[1:] + [len(times)]):
         if start in steer:
             est, reference, rate, spacing = steer[start]
-            controller.rate = rate
-            controller.phase_target += _phase_misalignment(
-                controller, est, reference, grid, rate, spacing
+            target += _phase_misalignment(
+                t_prev, source, target - applied, est, reference, grid, rate, spacing
             )
-        rate, target = controller.rate, controller.phase_target
-        t_prev, source, applied = controller.t_prev, controller.source_prev, controller.phase_applied
         for t in times[start:stop]:
             dt = t - t_prev
             limit = slew * dt
@@ -487,7 +480,6 @@ def _retime(
             sources.append(source)
             phases.append(applied)
         targets += [target] * (stop - start)
-        controller.t_prev, controller.source_prev, controller.phase_applied = t_prev, source, applied
     return np.array(sources), list(map(WarpSample._make, zip(times, sources, phases, targets)))
 
 
@@ -617,7 +609,7 @@ def amplify_zones(
         means = (csum[reference_window:] - csum[:-reference_window]) / reference_window
         roots[first:] = means + hips_gain * (roots[first:] - means)
 
-    return _frames_of(ts, roots, rotations)
+    return FrameBlock(ts, roots, rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +661,9 @@ def run_corrective_pipeline(
 
     Detection re-runs every half window on the trailing window_frames
     frames, exactly as a live pipeline would see them; each fused estimate
-    retargets the warp controller, which then slews toward the new phase
-    target. A window whose frame timing fails _window_fps (a lost frame, a
-    stall) gives no estimate. Frame content is drawn from the stream by
+    retargets the warp, which then slews toward the new phase target. A
+    window whose frame timing fails _window_fps (a lost frame, a stall)
+    gives no estimate. Frame content is drawn from the stream by
     interpolation at the warped times. This is the one way into the warp.
     The result's frames are one new block, or `stream` itself when the warp
     is not applied.
@@ -724,6 +716,6 @@ def run_corrective_pipeline(
         return PipelineResult(stream, False, "tempo mismatch", estimates, 1.0, [])
 
     source_us, warp = _retime(ts, grid, params.max_warp_slew, steer)
-    out = _frames_of(ts, *_resample(ts, roots, rotations, source_us))
+    out = FrameBlock(ts, *_resample(ts, roots, rotations, source_us))
     rate_used = steer[max(steer)][2]
     return PipelineResult(out, True, None, estimates, rate_used, warp)

@@ -8,6 +8,25 @@ from dancegraph.core import InvalidQuaternionError, PoseFrame, default_skeleton
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 
+# Bounds-table documents not of the shape the README gives, each of which
+# BoundsTable.from_json refuses with ValueError.
+_JOINT = {"name": "hips", "x": [-0.5, 0.5], "y": [-0.5, 0.5], "z": [-0.5, 0.5]}
+_HEADER = {"version": 1, "bits": 16}
+MALFORMED_TABLES = [
+    {"bits": 16, "joints": []},
+    dict(_HEADER),
+    [_JOINT],
+    dict(_HEADER, joints=[{k: v for k, v in _JOINT.items() if k != "y"}]),
+    dict(_HEADER, joints=[dict(_JOINT, x=[None, None])]),
+    dict(_HEADER, joints=[dict(_JOINT, x=[0.5])]),
+    dict(_HEADER, joints=[dict(_JOINT, x=0.5)]),
+    dict(_HEADER, joints="hips"),
+]
+MALFORMED_TABLE_IDS = [
+    "no_version", "no_joints", "list", "joint_without_y", "null_bounds", "one_bound",
+    "scalar_bound", "joints_string",
+]
+
 
 def unit_quaternions(min_w: float | None = None):
     """Strategy for canonical unit quaternions, as (x, y, z, w) tuples,

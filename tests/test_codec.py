@@ -24,7 +24,7 @@ from dancegraph.core import PoseFrame, Skeleton, default_skeleton
 from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recording
 from dancegraph.recording import _frame_layout
 
-from conftest import frames_from_rows, w_largest_rows
+from conftest import MALFORMED_TABLE_IDS, MALFORMED_TABLES, frames_from_rows, w_largest_rows
 
 
 def full_range_table(joint_count=34, bits=16, names=None):
@@ -108,6 +108,13 @@ class TestBoundsTable:
         assert loaded.joint_names == table.joint_names
         assert loaded.bits == table.bits and loaded.version == table.version
         assert np.array_equal(loaded.lo, table.lo) and np.array_equal(loaded.hi, table.hi)
+
+    @pytest.mark.parametrize("doc", MALFORMED_TABLES, ids=MALFORMED_TABLE_IDS)
+    def test_malformed_json_is_a_value_error(self, tmp_path, doc):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            BoundsTable.from_json(path)
 
 
 class TestAnalyzeBounds:

@@ -11,7 +11,6 @@ from dancegraph.core import (
     InvalidQuaternionError,
     PoseFrame,
     Skeleton,
-    _frames_of,
     _stack_frames,
     default_skeleton,
     rows_canonicalize,
@@ -789,7 +788,7 @@ def frame_block(count=5, joints=3):
     rng = np.random.default_rng(count)
     ts = np.arange(count, dtype=np.int64) * 33_333
     roots = rng.normal(size=(count, 3))
-    return _frames_of(ts, roots, rows_canonicalize(rng.normal(size=(count, joints, 4))))
+    return FrameBlock(ts, roots, rows_canonicalize(rng.normal(size=(count, joints, 4))))
 
 
 class TestFrameBlock:

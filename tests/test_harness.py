@@ -44,7 +44,7 @@ from dancegraph.router import Mode, Origin, SignalDescriptor, SignalRouter, Sign
 from dancegraph.packet import SignalPacket, SignalType
 from dancegraph.transport import RelayServer, ServerConfig, client_connect
 
-from conftest import scalar_from_axis_angle
+from conftest import MALFORMED_TABLE_IDS, MALFORMED_TABLES, scalar_from_axis_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -708,7 +708,13 @@ class TestCli:
         {"zone_gains": {"hips": 2.0}},
         {"bpm": 120, "window_frames": 100},
         None,  # no file
-    ], ids=["unknown_zone", "no_bpm", "window_frames_100", "missing"])
+        {"bpm": 120, "zone_gains": ["hips"]},
+        {"bpm": 120, "zone_gains": "hips"},
+        {"bpm": 120, "zone_gains": None},
+        {"bpm": 120, "phase_offset_ms": 1e306},
+        {"bpm": 120, "window_frames": math.inf},
+    ], ids=["unknown_zone", "no_bpm", "window_frames_100", "missing", "gains_list",
+            "gains_string", "gains_null", "phase_1e306", "window_frames_inf"])
     def test_bad_config_exits_before_reading(self, tmp_path, monkeypatch, capsys, config):
         take, path = tmp_path / "take.dgrc", tmp_path / "config.json"
         save_recording(synthesize_sway_recording(duration_s=1.0), take)
@@ -737,6 +743,44 @@ class TestCli:
         report = json.loads(report_json.read_text())
         assert report["applied"] is True
         assert report["amplitude_ratio"] == pytest.approx(2.0, abs=0.05)
+
+    def test_flag_and_config_phase_round_alike(self, tmp_path):
+        # 1.001 ms is 1000.9999999999999 us: both ways round it to 1001 us.
+        take, path = tmp_path / "take.dgrc", tmp_path / "config.json"
+        assert cli_main(["synth", "--out", str(take), "--seconds", "12"]) == 0
+        path.write_text(json.dumps(
+            {"bpm": 120, "phase_offset_ms": 1.001, "zone_gains": {"hips": 2.0, "hands": 0.5}}
+        ))
+        runs = {
+            "flags": ["--bpm", "120", "--phase-ms", "1.001", "--gains", "hips=2.0", "hands=0.5"],
+            "config": ["--config", str(path)],
+        }
+        for name, argv in runs.items():
+            assert cli_main([
+                "correct", "--in", str(take), "--out", str(tmp_path / f"{name}.dgrc"),
+                "--json", str(tmp_path / f"{name}.json"), *argv,
+            ]) == 0
+        assert (tmp_path / "flags.json").read_text() == (tmp_path / "config.json").read_text()
+        assert (tmp_path / "flags.dgrc").read_bytes() == (tmp_path / "config.dgrc").read_bytes()
+
+    @pytest.mark.parametrize("command", ["record", "replay"])
+    @pytest.mark.parametrize("doc", MALFORMED_TABLES, ids=MALFORMED_TABLE_IDS)
+    def test_malformed_bounds_exits_before_opening(
+        self, tmp_path, monkeypatch, capsys, command, doc
+    ):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps(doc))
+        for opener in ("client_connect", "load_recording"):
+            monkeypatch.setattr(
+                f"dancegraph.cli.{opener}", lambda *a, _o=opener, **k: pytest.fail(f"called {_o}")
+            )
+        take = tmp_path / "take.dgrc"
+        target = ["--out", str(take)] if command == "record" else ["--file", str(take)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, *target, "--server", "127.0.0.1:9", "--bounds", str(bounds)])
+        assert exc.value.code == 2
+        assert "--bounds" in capsys.readouterr().err
+        assert not take.exists()
 
     def test_bounds_accepts_non_canonical_file(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -859,6 +903,8 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys, argv, opener
     ):
         monkeypatch.chdir(tmp_path)
+        # A valid table, so that a refusal comes from the option under test.
+        analyze_bounds([synthesize_sway_recording(duration_s=1.0).frames]).to_json("b.json")
         monkeypatch.setattr(
             f"dancegraph.cli.{opener}", lambda *a, **k: pytest.fail(f"called {opener}")
         )
@@ -867,8 +913,10 @@ class TestCli:
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
 
-    def test_numeric_option_bounds_are_inclusive(self):
+    def test_numeric_option_bounds_are_inclusive(self, tmp_path):
         parse = build_parser().parse_args
+        bounds = str(tmp_path / "b.json")  # --bounds loads the table while parsing
+        analyze_bounds([synthesize_sway_recording(duration_s=1.0).frames]).to_json(bounds)
         for capacity in ("2", "4096"):
             args = parse(["bench", "--scenario", "swarm", "--capacity", capacity, "--fps", "0.5"])
             assert args.capacity == int(capacity) and args.fps == 0.5
@@ -878,7 +926,7 @@ class TestCli:
         for margin in ("0", "0.5"):
             args = parse(["bounds", "--corpus", "c", "--out", "b", "--margin", margin])
             assert args.margin == float(margin)
-        args = parse(["record", "--out", "o", "--server", "h:1", "--bounds", "b", "--duration", "0"])
+        args = parse(["record", "--out", "o", "--server", "h:1", "--bounds", bounds, "--duration", "0"])
         assert args.duration == 0.0
         for bpm in ("30", "300"):
             assert parse(["correct", "--in", "a", "--out", "b", "--bpm", bpm]).bpm == float(bpm)

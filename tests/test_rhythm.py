@@ -9,7 +9,6 @@ from dancegraph.core import (
     BodyZone,
     FrameBlock,
     PoseFrame,
-    _frames_of,
     _stack_frames,
     rows_canonicalize,
     rows_conjugate,
@@ -35,7 +34,6 @@ from dancegraph.rhythm import (
     PeriodEstimate,
     WarpSample,
     _match_tempo,
-    _phase_misalignment,
     _resample,
     _retime,
     _window_fps,
@@ -308,7 +306,7 @@ class TestBeatAlignRemap:
             detected = PeriodEstimate(1_000_000, (phase - math.pi / 2) % TWO_PI, 0.9, joint=0)
             for start_us in (0, 123_457, 10_000_000):
                 controller = SteppedWarpController(0.03, start_us)
-                target = _phase_misalignment(controller, detected, 0.0, grid, 1.0, 500_000.0)
+                target = controller.misalignment(detected, 0.0, grid, 1.0, 500_000.0)
                 assert abs(target) <= 250_000 * (1 + 1e-6)
 
     def test_second_pass_changes_stream_minimally(self, skeleton):
@@ -1094,6 +1092,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="bpm"):
             load_corrective_config(path)
 
+    @pytest.mark.parametrize("doc", [
+        {"bpm": 120, "zone_gains": ["hips"]},
+        {"bpm": 120, "zone_gains": "hips"},
+        {"bpm": 120, "zone_gains": None},
+        {"bpm": 120, "phase_offset_ms": 1e306},
+    ], ids=["gains_list", "gains_string", "gains_null", "phase_1e306"])
+    def test_malformed_config_is_a_value_error(self, tmp_path, doc):
+        path = tmp_path / "corrective.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_corrective_config(path)
+
+    def test_phase_rounds_to_whole_microseconds(self, tmp_path):
+        # 1.001 ms is 1000.9999999999999 us in binary: rounded, not truncated.
+        assert rhythm._phase_us(1.001) == 1001 and rhythm._phase_us(-1.001) == -1001
+        assert rhythm._phase_us(0.0004) == 0 and rhythm._phase_us(150) == 150_000
+        for ms in (1e306, -1e306, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                rhythm._phase_us(ms)
+        path = tmp_path / "corrective.json"
+        path.write_text(json.dumps({"bpm": 120, "phase_offset_ms": 1.001}))
+        assert load_corrective_config(path)[0].phase_offset_us == 1001
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             CorrectiveParams(window_frames=100)
@@ -1228,7 +1249,7 @@ def reference_beat_align_remap(frames, detected, grid, params, phase_reference_u
     rate, spacing = match
     controller = SteppedWarpController(params.max_warp_slew, t0)
     controller.rate = rate
-    controller.phase_target = _phase_misalignment(controller, detected, ref, grid, rate, spacing)
+    controller.phase_target = controller.misalignment(detected, ref, grid, rate, spacing)
     if rate == 1.0 and controller.phase_target == 0.0:
         warp = [WarpSample(f.timestamp_us, float(f.timestamp_us), 0.0, 0.0) for f in frames]
         return list(frames), True, 1.0, 0.0, warp
@@ -1277,8 +1298,8 @@ def reference_run_corrective_pipeline(frames, skeleton, grid, params):
         if i in steer:
             est, rate, spacing = steer[i]
             controller.rate = rate
-            controller.phase_target += _phase_misalignment(
-                controller, est, frames[i - window].timestamp_us, grid, rate, spacing
+            controller.phase_target += controller.misalignment(
+                est, frames[i - window].timestamp_us, grid, rate, spacing
             )
 
     out, warp = reference_warp_frames(frames, controller, retarget)
@@ -1364,7 +1385,7 @@ class TestRetimeMatchesPerFrameOracle:
         ref = frames[0].timestamp_us if phase_ref is None else phase_ref
         source, warp = _retime(ts, grid, params.max_warp_slew, {0: (detected, ref, *match)})
         assert (match[0], warp[0].target_us, warp) == (rate, target, want_warp)
-        got = _frames_of(ts, *_resample(ts, roots, rotations, source))
+        got = FrameBlock(ts, *_resample(ts, roots, rotations, source))
         assert_frames_identical(got, want_frames)
 
     def test_already_aligned_takes_the_source_rows_exactly(self, skeleton):
@@ -1375,7 +1396,7 @@ class TestRetimeMatchesPerFrameOracle:
         source, warp = _retime(ts, BeatGrid(bpm=120.0), CorrectiveParams().max_warp_slew, steer)
         assert warp[0].target_us == 0.0
         assert source.tolist() == [float(f.timestamp_us) for f in frames]
-        assert_frames_identical(_frames_of(ts, *_resample(ts, roots, rotations, source)), frames)
+        assert_frames_identical(FrameBlock(ts, *_resample(ts, roots, rotations, source)), frames)
 
     def test_resample_at_edges_and_on_frame_times(self, skeleton):
         frames = dancer_frames(skeleton, duration_s=5.0)
@@ -1392,7 +1413,7 @@ class TestRetimeMatchesPerFrameOracle:
         sampler = ReferenceSourceSampler(frames)
         want = [sampler.sample(float(s), t) for s, t in zip(source, ts)]
         block = _stack_frames(frames)
-        got = _frames_of(block[0], *_resample(*block, source))
+        got = FrameBlock(block[0], *_resample(*block, source))
         assert_frames_identical(got, want)
         assert source[0] < ts[0] and source[-1] > ts[-1]
 

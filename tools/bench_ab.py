@@ -17,11 +17,15 @@ medians (change / parent), the pairs the change won (lower, or higher for
 a metric where higher is better) and the metric's bound. It also holds host
 facts (cores, Python, numpy, the CPU time stolen by the hypervisor over
 the whole measurement, read from /proc/stat), both checkouts' git
-revisions and the seed. It changes no workload, bound or seed.
+revisions and the seed. A checkout whose tracked files differ from its
+commit also gets the sha256 of its `git diff HEAD --binary`, which names
+the uncommitted change that was measured. It changes no workload, bound or
+seed.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -33,13 +37,14 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-SCHEMA = 1
+SCHEMA = 2
 METRIC_KEYS = (
     "unit", "better", "bound", "parent_median", "change_median", "parent_iqr", "ratio", "wins",
     "pairs",
 )
 RUN_KEYS = ("pair", "side", "order", "correct", "attempted", "failed", "mean_speed_factor",
             "metrics")
+REVISION_KEYS = ("commit", "dirty", "diff_sha256")
 
 
 def cpu_ticks() -> dict | None:
@@ -56,16 +61,21 @@ def cpu_ticks() -> dict | None:
 
 
 def revision(tree: Path) -> dict:
-    """The checkout's git commit and whether its tracked files differ from
-    it; None for a directory that is not a git checkout."""
+    """The checkout's git commit, whether its tracked files differ from it,
+    and the sha256 of `git diff HEAD --binary` when they do (None when they
+    do not); all None for a directory that is not a git checkout."""
     def git(*args):
-        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True)
 
     head = git("rev-parse", "HEAD")
     if head.returncode != 0:
-        return {"commit": None, "dirty": None}
-    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip() != ""
-    return {"commit": head.stdout.strip(), "dirty": dirty}
+        return dict.fromkeys(REVISION_KEYS)
+    diff = git("diff", "HEAD", "--binary").stdout
+    return {
+        "commit": head.stdout.decode().strip(),
+        "dirty": diff != b"",
+        "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
+    }
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -126,7 +136,14 @@ def schema_problems(doc: dict) -> list[str]:
     problems += [f"missing host.{key}" for key in (
         "cores", "python", "numpy", "steal_ticks", "total_ticks"
     ) if key not in doc["host"]]
-    problems += [f"missing revisions.{side}" for side in SIDES if side not in doc["revisions"]]
+    for side in SIDES:
+        rev = doc["revisions"].get(side)
+        if rev is None:
+            problems.append(f"missing revisions.{side}")
+            continue
+        problems += [f"missing revisions.{side}.{key}" for key in REVISION_KEYS if key not in rev]
+        if rev.get("dirty") and not isinstance(rev.get("diff_sha256"), str):
+            problems.append(f"revisions.{side} is dirty but names no diff")
     if len(doc["runs"]) != 2 * doc["pairs"]:
         problems.append(f"{len(doc['runs'])} runs for {doc['pairs']} pairs")
     for i, run in enumerate(doc["runs"]):

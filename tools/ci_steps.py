@@ -19,6 +19,7 @@ upload (under `all`, they too go to the temporary directory).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import select
@@ -110,8 +111,11 @@ def corrective(work: Path) -> bool:
     0, its corrected file must load with the take's frame count, and its
     --json report must be applied, count each of the take's 24 extrema once,
     report a convergence only for the shifted grid, and give the hips'
-    amplitude ratio within 2 +- 0.05. A malformed --config must exit 2
-    before anything is written."""
+    amplitude ratio within 2 +- 0.05. A malformed --config (an unknown
+    zone, zone_gains not an object, a phase beyond any float) must exit 2
+    before anything is written. The same settings at a 1.001 ms phase, once
+    as flags and once as a --config, must write the same report and the
+    same corrected file: both round the phase to whole microseconds."""
     from dancegraph.core import BodyZone, default_skeleton
     from dancegraph.recording import load_recording
 
@@ -138,14 +142,40 @@ def corrective(work: Path) -> bool:
             and doc.get("measured_joint") in hips and ratio is not None and abs(ratio - 2.0) <= 0.05
             and doc.get("extrema_pre") == 24 and (converged is None) == (phase_ms == "0")
         )
-    config, out = work / "bad-config.json", work / "fixed-bad-config.dgrc"
-    config.write_text(json.dumps({"bpm": 120, "zone_gains": {"hipz": 2.0}}))
-    refused = subprocess.run(
-        [*CLI, "correct", "--in", str(take), "--out", str(out), "--config", str(config)]
-    )
-    print(f"correct with an unknown zone in --config exited {refused.returncode}, "
-          f"wrote --out: {out.exists()}")
-    return ok and refused.returncode == 2 and not out.exists()
+    bad = {
+        "an unknown zone": {"zone_gains": {"hipz": 2.0}},
+        "zone_gains a list": {"zone_gains": ["hips"]},
+        "phase_offset_ms 1e306": {"phase_offset_ms": 1e306},
+    }
+    for name, fields in bad.items():
+        config, out = work / "bad-config.json", work / "fixed-bad-config.dgrc"
+        config.write_text(json.dumps({"bpm": 120, **fields}))
+        refused = subprocess.run(
+            [*CLI, "correct", "--in", str(take), "--out", str(out), "--config", str(config)]
+        )
+        print(f"correct with {name} in --config exited {refused.returncode}, "
+              f"wrote --out: {out.exists()}")
+        ok &= refused.returncode == 2 and not out.exists()
+    config = work / "config.json"
+    config.write_text(json.dumps(
+        {"bpm": 120, "phase_offset_ms": 1.001, "zone_gains": {"hips": 2.0, "hands": 0.5}}
+    ))
+    settings = {
+        "flags": ["--bpm", "120", "--phase-ms", "1.001", "--gains", "hips=2.0", "hands=0.5"],
+        "config": ["--config", str(config)],
+    }
+    written = {}
+    for name, argv in settings.items():
+        out, report = work / f"fixed-{name}.dgrc", work / f"report-{name}.json"
+        run = subprocess.run(
+            [*CLI, "correct", "--in", str(take), "--out", str(out), "--json", str(report), *argv]
+        )
+        written[name] = (run.returncode, out.read_bytes() if out.exists() else None,
+                         report.read_text() if report.exists() else None)
+    same = written["flags"] == written["config"] and written["flags"][0] == 0
+    print(f"--phase-ms 1.001 as flags and as --config: exit codes "
+          f"{[w[0] for w in written.values()]}, same report and file: {same}")
+    return ok and same
 
 
 def smoke() -> bool:
@@ -188,7 +218,8 @@ def latency(out_dir: Path) -> bool:
 def bench_ab(work: Path) -> bool:
     """tools/bench_ab.py runs this checkout against itself, 2 pairs of 2 s
     of `corrective`, and the file it writes must hold every key, run and
-    metric its schema names."""
+    metric its schema names, with each side's diff hash the sha256 of this
+    checkout's `git diff HEAD --binary` (None on a clean checkout)."""
     from bench_ab import schema_problems
 
     out = work / "bench_ab.json"
@@ -198,9 +229,16 @@ def bench_ab(work: Path) -> bool:
     )
     if run.returncode != 0:
         return False
-    problems = schema_problems(json.loads(out.read_text()))
+    doc = json.loads(out.read_text())
+    problems = schema_problems(doc)
     print("schema problems:", problems)
-    return not problems
+    diff = subprocess.run(
+        ["git", "-C", str(ROOT), "diff", "HEAD", "--binary"], capture_output=True
+    ).stdout
+    want = hashlib.sha256(diff).hexdigest() if diff else None
+    got = [doc["revisions"][side].get("diff_sha256") for side in ("parent", "change")]
+    print("diff sha256:", got, "expected:", want)
+    return not problems and got == [want, want]
 
 
 # Every step after Install, in the workflow's order: (name, command, time
