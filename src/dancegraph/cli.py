@@ -47,8 +47,7 @@ run_latency_experiment = _deferred("harness", "run_latency_experiment")
 synthesize_sway_recording = _deferred("harness", "synthesize_sway_recording")
 load_recording = _deferred("recording", "load_recording")
 save_recording = _deferred("recording", "save_recording")
-BeatGrid = _deferred("rhythm", "BeatGrid")
-CorrectiveParams = _deferred("rhythm", "CorrectiveParams")
+corrective_settings = _deferred("rhythm", "corrective_settings")
 load_corrective_config = _deferred("rhythm", "load_corrective_config")
 _phase_us = _deferred("rhythm", "_phase_us")
 
@@ -105,7 +104,7 @@ def _check_seconds(seconds: float) -> None:
 _parse_max_clients = _checked(int, lambda n: ServerConfig(max_clients=n))
 _parse_timeout_ms = _checked(int, lambda ms: ServerConfig(client_timeout_us=ms * 1000))
 _parse_capacity = _checked(int, _check_capacity)
-_parse_bpm = _checked(float, lambda bpm: BeatGrid(bpm=bpm))
+_parse_bpm = _checked(float, corrective_settings)
 _parse_bits = _checked(int, _check_bits)
 _parse_fps = _checked(float, _check_fps)
 _parse_seconds = _checked(float, _check_seconds)
@@ -149,14 +148,18 @@ def _parse_gain(text: str) -> tuple[BodyZone, float]:
     return zone, gain
 
 
+def _joint_names(joint_count: int):
+    """The default skeleton's joint names for its joint count, else None."""
+    skeleton = default_skeleton()
+    return skeleton.joint_names if joint_count == skeleton.joint_count else None
+
+
 def _table_for_recording(args, recording):
     if args.bounds is not None:
         return args.bounds
     # No table supplied: derive one from the recording itself, which by
     # construction never clamps on replay of that same recording.
-    names = None
-    if recording.joint_count == default_skeleton().joint_count:
-        names = default_skeleton().joint_names
+    names = _joint_names(recording.joint_count)
     return analyze_bounds([recording.frames], margin=0.1, bits=16, joint_names=names)
 
 
@@ -185,6 +188,9 @@ def _cmd_server(args) -> int:
 def _cmd_replay(args) -> int:
     recording = load_recording(args.file)
     table = _table_for_recording(args, recording)
+    if table.joint_count != recording.joint_count:
+        print("bounds table joint count does not match the take", file=sys.stderr)
+        return 2
     client = client_connect(args.server)
     print(f"connected as user {client.user_id}; replaying {len(recording.frames)} frames")
     stop = threading.Event()
@@ -248,11 +254,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_correct(args) -> int:
     recording = load_recording(args.infile)
-    if args.config:
-        grid, params = args.config
-    else:
-        grid = BeatGrid(bpm=args.bpm, phase_offset_us=_phase_us(args.phase_ms))
-        params = CorrectiveParams(zone_gains=dict(args.gains or []))
+    if recording.joint_count != default_skeleton().joint_count:
+        print("take joint count does not match the default skeleton", file=sys.stderr)
+        return 2
+    grid, params = args.config or corrective_settings(args.bpm, args.phase_ms, dict(args.gains))
     corrected, report = corrective_experiment(
         recording, grid, params, output_path=args.out
     )
@@ -270,9 +275,7 @@ def _cmd_bounds(args) -> int:
         print(f"no .dgrc recordings under {corpus_dir}", file=sys.stderr)
         return 2
     recordings = [load_recording(f) for f in files]
-    names = None
-    if recordings[0].joint_count == default_skeleton().joint_count:
-        names = default_skeleton().joint_names
+    names = _joint_names(recordings[0].joint_count)
     streams = [r.frames for r in recordings]
     table = analyze_bounds(streams, margin=args.margin, bits=args.bits, joint_names=names)
     table.to_json(args.out)
@@ -341,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bpm", type=_parse_bpm, default=120.0)
     p.add_argument("--phase-ms", type=_parse_phase_ms, default=0.0)
-    p.add_argument("--gains", type=_parse_gain, nargs="*", default=None, metavar="zone=gain")
+    p.add_argument("--gains", type=_parse_gain, nargs="*", default=[], metavar="zone=gain")
     p.add_argument("--config", type=_parse_config, help="corrective config JSON overriding the flags")
     p.add_argument("--json", default=None)
     p.set_defaults(func=_cmd_correct)

@@ -17,7 +17,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class BoundsTable:
     lo: np.ndarray  # (joints, 3) in x, y, z column order
     hi: np.ndarray
     bits: int = 16
-    version: int = 1
+    version: ClassVar[int] = 1  # the one table format
 
     def __post_init__(self) -> None:
         lo = np.array(self.lo, dtype=np.float64)
@@ -137,7 +137,7 @@ class BoundsTable:
     @classmethod
     def from_json(cls, src: str | Path) -> "BoundsTable":
         """The table in a file written by to_json. A document of any other
-        shape raises ValueError."""
+        shape or version raises ValueError."""
         with open(src, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
@@ -149,7 +149,9 @@ class BoundsTable:
             raise ValueError(f"{src} is not a bounds table: {exc!r}") from None
         if pairs.shape != (len(names), 3, 2):
             raise ValueError(f"{src} is not a bounds table: bounds are not [lo, hi] pairs")
-        return cls(names, pairs[..., 0], pairs[..., 1], bits=bits, version=version)
+        if version != cls.version:
+            raise ValueError(f"{src}: bounds table version {version} is not {cls.version}")
+        return cls(names, pairs[..., 0], pairs[..., 1], bits=bits)
 
 
 @dataclass
@@ -187,7 +189,6 @@ def analyze_bounds(
     bits: int = 16,
     *,
     joint_names: Sequence[str] | None = None,
-    version: int = 1,
 ) -> BoundsTable:
     """Measure per-joint component ranges over a corpus of pose streams.
 
@@ -238,7 +239,7 @@ def analyze_bounds(
         joint_names = tuple(f"joint_{i:02d}" for i in range(joint_count))
     elif len(joint_names) != joint_count:
         raise ShapeMismatchError("joint_names length must match corpus joint count")
-    return BoundsTable(tuple(joint_names), lo, hi, bits=bits, version=version)
+    return BoundsTable(tuple(joint_names), lo, hi, bits=bits)
 
 
 def _pack_ints(values: np.ndarray, bits: int) -> bytes:

@@ -679,22 +679,18 @@ def corrective_experiment(
     grid: BeatGrid,
     params: CorrectiveParams,
     *,
-    skeleton: Skeleton | None = None,
     output_path: str | Path | None = None,
 ) -> tuple[Recording, AlignmentReport]:
-    """Run the rhythm correctives over a recording as a live pipeline would
-    (windowed, causal) and report pre/post beat alignment.
+    """Run the rhythm correctives over a recording of the default skeleton
+    as a live pipeline would (windowed, causal); report pre/post alignment.
 
     Post-alignment error is measured from warp convergence onwards; the
     slewed correction needs |phase shift| / max_warp_slew seconds to land,
     so a warp that lands after the take ends reports neither.
     """
-    if skeleton is None:
-        skeleton = default_skeleton()
-        if recording.joint_count != skeleton.joint_count:
-            raise ValueError(
-                f"recording has {recording.joint_count} joints; pass a matching skeleton"
-            )
+    skeleton = default_skeleton()
+    if recording.joint_count != skeleton.joint_count:
+        raise ValueError(f"{recording.joint_count} recorded joints, not {skeleton.joint_count}")
     result = run_corrective_pipeline(recording.frames, skeleton, grid, params)
     frames = result.frames
 

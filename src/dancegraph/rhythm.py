@@ -39,7 +39,8 @@ is preserved without needing any skeleton hierarchy.
 
 The stages work on a take as one array block (core._stack_frames). They
 accept any sequence of frames and return a core.FrameBlock, whose frames are
-views built on first access.
+views built on first access. A caller sets the beat grid and the zone gains
+(corrective_settings); the window, threshold, slew and rate bound are fixed.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,6 +77,7 @@ __all__ = [
     "run_corrective_pipeline",
     "PipelineResult",
     "load_corrective_config",
+    "corrective_settings",
 ]
 
 DETECTION_BAND_HZ = (0.25, 4.0)
@@ -142,21 +144,15 @@ class PeriodEstimate:
 
 @dataclass(frozen=True)
 class CorrectiveParams:
-    window_frames: int = 256
-    detection_threshold: float = 0.2
-    max_warp_slew: float = 0.03  # seconds of added warp per second of playback
-    max_rate_ratio: float = 1.1
+    """Per-zone gains, 1 where unset; the other settings are constants."""
+
+    window_frames: ClassVar[int] = 256
+    detection_threshold: ClassVar[float] = 0.2
+    max_warp_slew: ClassVar[float] = 0.03  # seconds of added warp per second of playback
+    max_rate_ratio: ClassVar[float] = 1.1
     zone_gains: Mapping[BodyZone, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.window_frames < 16 or self.window_frames & (self.window_frames - 1):
-            raise ValueError("window_frames must be a power of two >= 16")
-        if not (math.isfinite(self.max_rate_ratio) and self.max_rate_ratio >= 1.0):
-            raise ValueError("max_rate_ratio must be finite and >= 1")
-        if not (math.isfinite(self.max_warp_slew) and self.max_warp_slew > 0.0):
-            raise ValueError("max_warp_slew must be finite and positive")
-        if not (0.0 <= self.detection_threshold <= 1.0):
-            raise ValueError("detection_threshold must be in [0, 1]")
         gains = dict(self.zone_gains)
         for zone in BodyZone:
             gains.setdefault(zone, 1.0)
@@ -176,7 +172,6 @@ class FeatureSeries:
     component: str
     samples: np.ndarray
     fps: float
-    start_us: int = 0
 
     def __post_init__(self) -> None:
         if self.component not in _COMPONENT_INDEX:
@@ -197,26 +192,30 @@ def _phase_us(ms: float) -> int:
     return round(us)
 
 
+def corrective_settings(
+    bpm: float, phase_ms: float = 0.0, zone_gains: Mapping[BodyZone, float] | None = None
+) -> tuple[BeatGrid, CorrectiveParams]:
+    """`dancegraph correct`'s settings, from its flags or its config alike."""
+    grid = BeatGrid(bpm=float(bpm), phase_offset_us=_phase_us(phase_ms))
+    return grid, CorrectiveParams(zone_gains=zone_gains or {})
+
+
 def load_corrective_config(src: str | Path) -> tuple[BeatGrid, CorrectiveParams]:
-    """Read the JSON corrective config: beat grid plus corrective parameters.
-    A config without a bpm, or whose zone_gains is not an object, raises
-    ValueError."""
+    """Read the JSON corrective config: bpm, phase_offset_ms and zone_gains.
+    A config without a bpm, with any other key, or whose zone_gains is not
+    an object, raises ValueError."""
     with open(src, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "bpm" not in doc:
         raise ValueError(f"corrective config {src} has no bpm")
+    unknown = sorted(doc.keys() - {"bpm", "phase_offset_ms", "zone_gains"})
+    if unknown:
+        raise ValueError(f"corrective config {src}: unknown keys {unknown}")
     gains = doc.get("zone_gains", {})
     if not isinstance(gains, dict):
         raise ValueError(f"corrective config {src}: zone_gains must be an object")
-    grid = BeatGrid(bpm=float(doc["bpm"]), phase_offset_us=_phase_us(doc.get("phase_offset_ms", 0.0)))
-    params = CorrectiveParams(
-        window_frames=int(doc.get("window_frames", 256)),
-        detection_threshold=float(doc.get("detection_threshold", 0.2)),
-        max_warp_slew=float(doc.get("max_warp_slew", 0.03)),
-        max_rate_ratio=float(doc.get("max_rate_ratio", 1.1)),
-        zone_gains={BodyZone(name.lower()): float(value) for name, value in gains.items()},
-    )
-    return grid, params
+    gains = {BodyZone(name.lower()): float(value) for name, value in gains.items()}
+    return corrective_settings(doc["bpm"], doc.get("phase_offset_ms", 0.0), gains)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def extract_feature_series(
     ts, _, rotations = _stack_frames(window)
     fps = _window_fps(ts)
     values = rotations[:, joint, _COMPONENT_INDEX[component]]
-    return FeatureSeries(joint, component, values - values.mean(), fps, int(ts[0]))
+    return FeatureSeries(joint, component, values - values.mean(), fps)
 
 
 def _window_fps(ts: np.ndarray) -> float:

@@ -8,8 +8,8 @@ from dancegraph.core import InvalidQuaternionError, PoseFrame, default_skeleton
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 
-# Bounds-table documents not of the shape the README gives, each of which
-# BoundsTable.from_json refuses with ValueError.
+# Bounds-table documents not of the shape or version the README gives, each
+# of which BoundsTable.from_json refuses with ValueError.
 _JOINT = {"name": "hips", "x": [-0.5, 0.5], "y": [-0.5, 0.5], "z": [-0.5, 0.5]}
 _HEADER = {"version": 1, "bits": 16}
 MALFORMED_TABLES = [
@@ -21,10 +21,11 @@ MALFORMED_TABLES = [
     dict(_HEADER, joints=[dict(_JOINT, x=[0.5])]),
     dict(_HEADER, joints=[dict(_JOINT, x=0.5)]),
     dict(_HEADER, joints="hips"),
+    dict(_HEADER, version=7, joints=[_JOINT]),
 ]
 MALFORMED_TABLE_IDS = [
     "no_version", "no_joints", "list", "joint_without_y", "null_bounds", "one_bound",
-    "scalar_bound", "joints_string",
+    "scalar_bound", "joints_string", "version_7",
 ]
 
 

@@ -74,7 +74,7 @@ class TestBoundsTable:
 
     def test_cached_constants_are_not_fields(self):
         table = full_range_table(joint_count=3, bits=11, names=("a", "b", "c"))
-        assert [f.name for f in fields(BoundsTable)] == ["joint_names", "lo", "hi", "bits", "version"]
+        assert [f.name for f in fields(BoundsTable)] == ["joint_names", "lo", "hi", "bits"]
         assert "_span" not in repr(table) and "_in_ball" not in repr(table)
         assert table.joint_count == 3 and table.payload_bytes == (3 * 3 * 11 + 7) // 8
         assert np.array_equal(table.step, (table.hi - table.lo) / 2047)
@@ -96,13 +96,12 @@ class TestBoundsTable:
             margin=0.1,
             bits=12,
             joint_names=default_skeleton().joint_names,
-            version=7,
         )
         path = tmp_path / "bounds.json"
         table.to_json(path)
         doc = json.loads(path.read_text())
         assert set(doc.keys()) == {"version", "bits", "joints"}
-        assert doc["version"] == 7 and doc["bits"] == 12
+        assert doc["version"] == 1 and doc["bits"] == 12
         assert set(doc["joints"][0].keys()) == {"name", "x", "y", "z"}
         loaded = BoundsTable.from_json(path)
         assert loaded.joint_names == table.joint_names

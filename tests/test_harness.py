@@ -763,6 +763,29 @@ class TestCli:
         assert (tmp_path / "flags.json").read_text() == (tmp_path / "config.json").read_text()
         assert (tmp_path / "flags.dgrc").read_bytes() == (tmp_path / "config.dgrc").read_bytes()
 
+    def test_correct_refuses_a_take_of_another_joint_count(self, tmp_path, capsys):
+        rig = Skeleton(("a", "b"), {0: BodyZone.HIPS, 1: BodyZone.HANDS})
+        take, fixed = tmp_path / "take.dgrc", tmp_path / "fixed.dgrc"
+        save_recording(synthesize_sway_recording(rig, duration_s=12.0), take)
+        assert cli_main(["correct", "--in", str(take), "--out", str(fixed)]) == 2
+        assert "joint count" in capsys.readouterr().err
+        assert not fixed.exists()
+
+    def test_replay_refuses_a_table_of_another_joint_count_before_joining(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        take, bounds = tmp_path / "take.dgrc", tmp_path / "bounds.json"
+        save_recording(synthesize_sway_recording(duration_s=1.0), take)
+        rig = Skeleton(("a", "b"), {0: BodyZone.HIPS, 1: BodyZone.HANDS})
+        analyze_bounds([synthesize_sway_recording(rig, duration_s=1.0).frames]).to_json(bounds)
+        monkeypatch.setattr(
+            "dancegraph.cli.client_connect", lambda *a, **k: pytest.fail("joined the relay")
+        )
+        assert cli_main([
+            "replay", "--file", str(take), "--server", "127.0.0.1:9", "--bounds", str(bounds),
+        ]) == 2
+        assert "joint count" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["record", "replay"])
     @pytest.mark.parametrize("doc", MALFORMED_TABLES, ids=MALFORMED_TABLE_IDS)
     def test_malformed_bounds_exits_before_opening(

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -1070,10 +1071,6 @@ class TestConfig:
             "bpm": 118.0,
             "phase_offset_ms": 125.5,
             "zone_gains": {"hips": 2.0, "hands": 0.5},
-            "max_warp_slew": 0.04,
-            "max_rate_ratio": 1.2,
-            "window_frames": 128,
-            "detection_threshold": 0.3,
         }
         path = tmp_path / "corrective.json"
         path.write_text(json.dumps(doc))
@@ -1083,8 +1080,6 @@ class TestConfig:
         assert params.zone_gains[BodyZone.HIPS] == 2.0
         assert params.zone_gains[BodyZone.HANDS] == 0.5
         assert params.zone_gains[BodyZone.HEAD] == 1.0
-        assert params.window_frames == 128
-        assert params.max_warp_slew == 0.04
 
     def test_config_without_bpm_is_a_value_error(self, tmp_path):
         path = tmp_path / "corrective.json"
@@ -1097,7 +1092,13 @@ class TestConfig:
         {"bpm": 120, "zone_gains": "hips"},
         {"bpm": 120, "zone_gains": None},
         {"bpm": 120, "phase_offset_ms": 1e306},
-    ], ids=["gains_list", "gains_string", "gains_null", "phase_1e306"])
+        {"bpm": 120, "zone_gain": {"hips": 2.0}},
+        {"bpm": 120, "window_frames": 256},
+        {"bpm": 120, "detection_threshold": 0.2},
+        {"bpm": 120, "max_warp_slew": 0.03},
+        {"bpm": 120, "max_rate_ratio": 1.1},
+    ], ids=["gains_list", "gains_string", "gains_null", "phase_1e306", "zone_gain_typo",
+            "window_frames", "detection_threshold", "max_warp_slew", "max_rate_ratio"])
     def test_malformed_config_is_a_value_error(self, tmp_path, doc):
         path = tmp_path / "corrective.json"
         path.write_text(json.dumps(doc))
@@ -1115,11 +1116,13 @@ class TestConfig:
         path.write_text(json.dumps({"bpm": 120, "phase_offset_ms": 1.001}))
         assert load_corrective_config(path)[0].phase_offset_us == 1001
 
+    def test_only_the_gains_are_settable(self):
+        assert [f.name for f in fields(CorrectiveParams)] == ["zone_gains"]
+        params = CorrectiveParams()
+        assert (params.window_frames, params.detection_threshold) == (256, 0.2)
+        assert (params.max_warp_slew, params.max_rate_ratio) == (0.03, 1.1)
+
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            CorrectiveParams(window_frames=100)
-        with pytest.raises(ValueError):
-            CorrectiveParams(max_rate_ratio=0.9)
         with pytest.raises(ValueError):
             CorrectiveParams(zone_gains={BodyZone.HIPS: -1.0})
         with pytest.raises(ValueError):
@@ -1128,17 +1131,12 @@ class TestConfig:
             PeriodEstimate(0, 0.0, 0.5, 0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["max_warp_slew", "max_rate_ratio", "hips", "hands"])
+    @pytest.mark.parametrize("field", ["hips", "hands"])
     def test_refuses_non_finite_params(self, field, value):
-        # NaN passes every comparison-based check: a NaN slew removes the
-        # warp's slew limit, a NaN rate ratio reports a tempo mismatch, and
-        # a NaN or infinite gain fails only inside amplify_zones.
-        if field in ("hips", "hands"):
-            kwargs = {"zone_gains": {BodyZone(field): value}}
-        else:
-            kwargs = {field: value}
+        # NaN passes every comparison-based check: a NaN or infinite gain
+        # would fail only inside amplify_zones.
         with pytest.raises(ValueError, match="finite"):
-            CorrectiveParams(**kwargs)
+            CorrectiveParams(zone_gains={BodyZone(field): value})
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,28 @@
 """Paired benchmark runs of two checkouts, written to one JSON file.
 
     git clone --quiet . /tmp/parent && git -C /tmp/parent checkout --quiet HEAD~1
-    python3 tools/bench_ab.py /tmp/parent . --workload corrective --seed 7 \\
-        --pairs 10 --seconds 10 --out BENCH.json
+    python3 tools/bench_ab.py /tmp/parent . --workload corrective \\
+        --workload relay_stream --seed 7 --pairs 10 --seconds 10 --out BENCH.json
 
 Each side runs its own checkout's `bench/run.py` (which imports that
-checkout's own `src/`) as a child process, one run at a time. Pairs
-alternate which side goes first: the parent in odd pairs, the change in
-even ones. Every run gets the same workload, seed and length.
+checkout's own `src/`) as a child process, one run at a time. Each pair
+runs every `--workload` in the order given, both sides on one workload
+before the next; pairs alternate which side goes first: the parent in odd
+pairs, the change in even ones. Every run of a workload gets the same seed
+and length.
 
-The file keeps every run's metrics block, its verdict and its
+The file keeps every run's workload, metrics block, verdict and
 `mean_speed_factor` (the host-speed scaling `bench/run.py` applied). Per
-end-to-end metric of `BENCHMARK.json` (read from the change's checkout) it
-holds both medians, the parent's interquartile range, the ratio of the
-medians (change / parent), the pairs the change won (lower, or higher for
-a metric where higher is better) and the metric's bound. It also holds host
-facts (cores, Python, numpy, the CPU time stolen by the hypervisor over
-the whole measurement, read from /proc/stat), both checkouts' git
-revisions and the seed. A checkout whose tracked files differ from its
-commit also gets the sha256 of its `git diff HEAD --binary`, which names
-the uncommitted change that was measured. It changes no workload, bound or
-seed.
+workload and end-to-end metric of `BENCHMARK.json` (read from the change's
+checkout) it holds both medians, the parent's interquartile range, the
+ratio of the medians (change / parent), the pairs the change won (lower, or
+higher for a metric where higher is better) and the metric's bound. It also
+holds host facts (cores, Python, numpy, the CPU time stolen by the
+hypervisor over the whole measurement, read from /proc/stat), both
+checkouts' git revisions and the seed. A checkout whose tracked files
+differ from its commit also gets the sha256 of its `git diff HEAD
+--binary`, which names the uncommitted change that was measured. It
+changes no workload, bound or seed.
 """
 from __future__ import annotations
 
@@ -37,13 +39,13 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-SCHEMA = 2
+SCHEMA = 3
 METRIC_KEYS = (
     "unit", "better", "bound", "parent_median", "change_median", "parent_iqr", "ratio", "wins",
     "pairs",
 )
-RUN_KEYS = ("pair", "side", "order", "correct", "attempted", "failed", "mean_speed_factor",
-            "metrics")
+RUN_KEYS = ("workload", "pair", "side", "order", "correct", "attempted", "failed",
+            "mean_speed_factor", "metrics")
 REVISION_KEYS = ("commit", "dirty", "diff_sha256")
 
 
@@ -100,7 +102,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list[dict], spec: dict) -> dict:
-    """Per-metric medians, parent IQR, ratio, wins and bound over the pairs."""
+    """Per-metric medians, parent IQR, ratio, wins and bound over the pairs
+    of one workload's runs."""
     out = {}
     pairs = max(run["pair"] for run in runs)
     for metric in spec["end_to_end"]:
@@ -127,12 +130,15 @@ def summarize(runs: list[dict], spec: dict) -> dict:
 
 
 def schema_problems(doc: dict) -> list[str]:
-    """What a bench_ab file lacks: missing keys, runs or metrics."""
+    """What a bench_ab file lacks: missing keys, runs or metrics, or another
+    schema."""
     problems = [f"missing {key}" for key in (
-        "schema", "workload", "seed", "pairs", "seconds", "revisions", "host", "runs", "metrics"
+        "schema", "workloads", "seed", "pairs", "seconds", "revisions", "host", "runs", "metrics"
     ) if key not in doc]
     if problems:
         return problems
+    if doc["schema"] != SCHEMA:
+        problems.append(f"schema {doc['schema']}, not {SCHEMA}")
     problems += [f"missing host.{key}" for key in (
         "cores", "python", "numpy", "steal_ticks", "total_ticks"
     ) if key not in doc["host"]]
@@ -144,14 +150,22 @@ def schema_problems(doc: dict) -> list[str]:
         problems += [f"missing revisions.{side}.{key}" for key in REVISION_KEYS if key not in rev]
         if rev.get("dirty") and not isinstance(rev.get("diff_sha256"), str):
             problems.append(f"revisions.{side} is dirty but names no diff")
-    if len(doc["runs"]) != 2 * doc["pairs"]:
-        problems.append(f"{len(doc['runs'])} runs for {doc['pairs']} pairs")
+    for workload in doc["workloads"]:
+        runs = [run for run in doc["runs"] if run.get("workload") == workload]
+        if len(runs) != 2 * doc["pairs"]:
+            problems.append(f"{len(runs)} {workload} runs for {doc['pairs']} pairs")
+        metrics = doc["metrics"].get(workload)
+        if not metrics:
+            problems.append(f"no {workload} metrics")
+            continue
+        for name, row in metrics.items():
+            problems += [f"{workload} metric {name} missing {key}"
+                         for key in METRIC_KEYS if key not in row]
+    if len(doc["runs"]) != 2 * doc["pairs"] * len(doc["workloads"]):
+        problems.append(f"{len(doc['runs'])} runs for {doc['pairs']} pairs "
+                        f"of {len(doc['workloads'])} workloads")
     for i, run in enumerate(doc["runs"]):
         problems += [f"run {i} missing {key}" for key in RUN_KEYS if key not in run]
-    if not doc["metrics"]:
-        problems.append("no metrics")
-    for name, row in doc["metrics"].items():
-        problems += [f"metric {name} missing {key}" for key in METRIC_KEYS if key not in row]
     return problems
 
 
@@ -159,7 +173,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", dest="workloads", action="append", required=True,
+                        help="a workload of bench/run.py; repeat it for several")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
@@ -167,6 +182,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if len(set(args.workloads)) != len(args.workloads):
+        parser.error("each --workload may be given once")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
@@ -174,17 +191,20 @@ def main() -> None:
     before = cpu_ticks()
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
-        for position, side in enumerate(order):
-            result = run_once(trees[side], args.workload, args.seed, args.seconds)
-            runs.append({"pair": pair, "side": side, "order": position, **result})
-            value = result["metrics"].get("frame_cpu_us", {}).get("value")
-            print(f"pair {pair} {side:6s} correct={result['correct']} frame_cpu_us={value}",
-                  flush=True)
+        for workload in args.workloads:
+            for position, side in enumerate(order):
+                result = run_once(trees[side], workload, args.seed, args.seconds)
+                runs.append(
+                    {"workload": workload, "pair": pair, "side": side, "order": position, **result}
+                )
+                value = result["metrics"].get("frame_cpu_us", {}).get("value")
+                print(f"pair {pair} {workload} {side:6s} correct={result['correct']} "
+                      f"frame_cpu_us={value}", flush=True)
     after = cpu_ticks()
 
     doc = {
         "schema": SCHEMA,
-        "workload": args.workload,
+        "workloads": args.workloads,
         "seed": args.seed,
         "pairs": args.pairs,
         "seconds": args.seconds,
@@ -197,14 +217,20 @@ def main() -> None:
             "total_ticks": None if before is None else after["total"] - before["total"],
         },
         "runs": runs,
-        "metrics": summarize(runs, spec),
+        "metrics": {
+            workload: summarize([run for run in runs if run["workload"] == workload], spec)
+            for workload in args.workloads
+        },
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, row in doc["metrics"].items():
-        ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
-        print(f"{name:16s} parent {row['parent_median']:10.4f}  change {row['change_median']:10.4f}"
-              f"  ratio {ratio}  parent IQR {row['parent_iqr']:.4f}"
-              f"  change better in {row['wins']}/{row['pairs']}")
+    for workload, metrics in doc["metrics"].items():
+        print(workload)
+        for name, row in metrics.items():
+            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
+            print(f"  {name:16s} parent {row['parent_median']:10.4f}"
+                  f"  change {row['change_median']:10.4f}  ratio {ratio}"
+                  f"  parent IQR {row['parent_iqr']:.4f}"
+                  f"  change better in {row['wins']}/{row['pairs']}")
 
 
 if __name__ == "__main__":

@@ -112,12 +112,15 @@ def corrective(work: Path) -> bool:
     --json report must be applied, count each of the take's 24 extrema once,
     report a convergence only for the shifted grid, and give the hips'
     amplitude ratio within 2 +- 0.05. A malformed --config (an unknown
-    zone, zone_gains not an object, a phase beyond any float) must exit 2
-    before anything is written. The same settings at a 1.001 ms phase, once
-    as flags and once as a --config, must write the same report and the
-    same corrected file: both round the phase to whole microseconds."""
-    from dancegraph.core import BodyZone, default_skeleton
-    from dancegraph.recording import load_recording
+    zone, zone_gains not an object, a phase beyond any float, a misspelt
+    `zone_gain`, a fixed setting such as `window_frames`) must exit 2
+    before anything is written, and so must a 2-joint take. The same
+    settings at a 1.001 ms phase, once as flags and once as a --config, must
+    write the same report and the same corrected file: both round the phase
+    to whole microseconds."""
+    from dancegraph.core import BodyZone, Skeleton, default_skeleton
+    from dancegraph.harness import synthesize_sway_recording
+    from dancegraph.recording import load_recording, save_recording
 
     hips = default_skeleton().joints_in_zone(BodyZone.HIPS)
     take = work / "take.dgrc"
@@ -146,6 +149,8 @@ def corrective(work: Path) -> bool:
         "an unknown zone": {"zone_gains": {"hipz": 2.0}},
         "zone_gains a list": {"zone_gains": ["hips"]},
         "phase_offset_ms 1e306": {"phase_offset_ms": 1e306},
+        "zone_gain for zone_gains": {"zone_gain": {"hips": 2.0}},
+        "the fixed window_frames": {"window_frames": 256},
     }
     for name, fields in bad.items():
         config, out = work / "bad-config.json", work / "fixed-bad-config.dgrc"
@@ -156,6 +161,12 @@ def corrective(work: Path) -> bool:
         print(f"correct with {name} in --config exited {refused.returncode}, "
               f"wrote --out: {out.exists()}")
         ok &= refused.returncode == 2 and not out.exists()
+    pair, out = work / "two-joints.dgrc", work / "fixed-two-joints.dgrc"
+    rig = Skeleton(("hips", "hand"), {0: BodyZone.HIPS, 1: BodyZone.HANDS})
+    save_recording(synthesize_sway_recording(rig, duration_s=12.0), pair)
+    refused = subprocess.run([*CLI, "correct", "--in", str(pair), "--out", str(out)])
+    print(f"correct on a 2-joint take exited {refused.returncode}, wrote --out: {out.exists()}")
+    ok &= refused.returncode == 2 and not out.exists()
     config = work / "config.json"
     config.write_text(json.dumps(
         {"bpm": 120, "phase_offset_ms": 1.001, "zone_gains": {"hips": 2.0, "hands": 0.5}}
@@ -217,15 +228,17 @@ def latency(out_dir: Path) -> bool:
 
 def bench_ab(work: Path) -> bool:
     """tools/bench_ab.py runs this checkout against itself, 2 pairs of 2 s
-    of `corrective`, and the file it writes must hold every key, run and
-    metric its schema names, with each side's diff hash the sha256 of this
-    checkout's `git diff HEAD --binary` (None on a clean checkout)."""
+    of `corrective` and of `session_receive` into one file, which must hold
+    every key, and each workload's runs and metrics, that its schema names,
+    with each side's diff hash the sha256 of this checkout's `git diff HEAD
+    --binary` (None on a clean checkout)."""
     from bench_ab import schema_problems
 
     out = work / "bench_ab.json"
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_ab.py"), str(ROOT), str(ROOT),
-         "--workload", "corrective", "--pairs", "2", "--seconds", "2", "--out", str(out)],
+         "--workload", "corrective", "--workload", "session_receive", "--pairs", "2",
+         "--seconds", "2", "--out", str(out)],
     )
     if run.returncode != 0:
         return False
