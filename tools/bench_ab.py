@@ -150,6 +150,8 @@ def schema_problems(doc: dict) -> list[str]:
         problems += [f"missing revisions.{side}.{key}" for key in REVISION_KEYS if key not in rev]
         if rev.get("dirty") and not isinstance(rev.get("diff_sha256"), str):
             problems.append(f"revisions.{side} is dirty but names no diff")
+    if not doc["workloads"]:
+        problems.append("no workloads")
     for workload in doc["workloads"]:
         runs = [run for run in doc["runs"] if run.get("workload") == workload]
         if len(runs) != 2 * doc["pairs"]:
