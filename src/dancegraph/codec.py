@@ -49,8 +49,8 @@ _BALL_MARGIN = 1e-9
 
 
 def _check_bits(bits: int) -> None:
-    if not (8 <= bits <= 24):
-        raise ValueError(f"bits_per_component must be in [8, 24], got {bits}")
+    if not (isinstance(bits, int) and not isinstance(bits, bool) and 8 <= bits <= 24):
+        raise ValueError(f"bits_per_component must be an int in [8, 24], got {bits!r}")
 
 
 def _check_margin(margin: float) -> None:
@@ -107,6 +107,17 @@ class BoundsTable:
         object.__setattr__(self, "_levels", float((1 << self.bits) - 1))
         corner = np.maximum(lo * lo, hi * hi).sum(axis=1)
         object.__setattr__(self, "_in_ball", bool(corner.max() < 1.0 - _BALL_MARGIN))
+        # Decode's (joints, 4) layout: row j gathers payload components 3j,
+        # 3j + 1 and 3j + 2, and its w column, overwritten by the decode,
+        # dequantizes finitely against span 1 and lo 0.
+        gather = 3 * np.arange(joints, dtype=np.intp)[:, None] + np.array([0, 1, 2, 0])
+        span4 = np.hstack([span, np.ones((joints, 1))])
+        lo4 = np.hstack([lo, np.zeros((joints, 1))])
+        for arr in (gather, span4, lo4):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_gather", gather)
+        object.__setattr__(self, "_span4", span4)
+        object.__setattr__(self, "_lo4", lo4)
 
     @property
     def levels(self) -> int:
@@ -144,9 +155,12 @@ class BoundsTable:
             joints = doc["joints"]
             names = tuple(entry["name"] for entry in joints)
             pairs = np.array([[entry[c] for c in _COMPONENTS] for entry in joints], dtype=float)
-            bits, version = int(doc["bits"]), int(doc["version"])
+            bits, version = doc["bits"], doc["version"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{src} is not a bounds table: {exc!r}") from None
+        for key, value in (("version", version), ("bits", bits)):
+            if type(value) is not int:
+                raise ValueError(f"{src}: bounds table {key} {value!r} is not an integer")
         if pairs.shape != (len(names), 3, 2):
             raise ValueError(f"{src} is not a bounds table: bounds are not [lo, hi] pairs")
         if version != cls.version:
@@ -180,7 +194,13 @@ class EncodedFrame:
         if len(data) != need:
             raise CorruptFrameError(f"expected {need} bytes, got {len(data)}")
         ts, rx, ry, rz = _FRAME_PREFIX.unpack_from(data)
-        return cls(ts, (rx, ry, rz), bytes(data[_FRAME_PREFIX.size:]))
+        # The fields as __init__ would set them, without its frozen setattrs.
+        enc = object.__new__(cls)
+        enc.__dict__.update(
+            timestamp_us=ts, root_translation=(rx, ry, rz),
+            payload=bytes(data[_FRAME_PREFIX.size:]),
+        )
+        return enc
 
 
 def analyze_bounds(
@@ -308,7 +328,10 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
     when quantization pushed the vector part outside the unit ball, keeping
     the common path bit-stable. A table whose box lies inside the ball
     cannot decode such a vector, so it skips the clamp and the check. The
-    frame carries `enc`'s timestamp and root translation objects as they are.
+    rotations are built in their (joints, 4) layout by one gather of the
+    payload's integers, and the frame takes that new read-only array without
+    checking it again. The frame carries `enc`'s timestamp and root
+    translation objects as they are.
     """
     joints = table.joint_count
     if skeleton.joint_count != joints:
@@ -321,25 +344,24 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
             f"payload is {len(payload)} bytes, table dimensions need {table.payload_bytes}"
         )
     # The operation order of lo + ints / levels * (hi - lo), so the rotations
-    # stay bit-identical, in one contiguous buffer. The ints convert to float
-    # exactly, and converting first is cheaper than dividing big-endian ints.
-    v = _unpack_ints(payload, joints * 3, table.bits).astype(np.float64).reshape(joints, 3)
-    v /= table._levels
-    v *= table._span
-    v += table.lo
-    sq = v * v
+    # stay bit-identical, in the frame's own (joints, 4) buffer. The ints
+    # convert to float exactly, and converting first is cheaper than dividing
+    # big-endian ints.
+    quats = _unpack_ints(payload, joints * 3, table.bits)[table._gather].astype(np.float64)
+    quats /= table._levels
+    quats *= table._span4
+    quats += table._lo4
+    sq = quats * quats
     w2 = sq[:, 0] + sq[:, 1]
     w2 += sq[:, 2]
-    np.subtract(1.0, w2, out=w2)
-    quats = np.empty((joints, 4))
-    quats[:, :3] = v
+    w2 = 1.0 - w2
     in_ball = table._in_ball
     np.sqrt(w2 if in_ball else np.maximum(w2, 0.0), out=quats[:, 3])
     if not in_ball and w2.min() < -1e-12:
         over = w2 < -1e-12
         quats[over] /= np.linalg.norm(quats[over], axis=1, keepdims=True)
     quats.setflags(write=False)
-    return PoseFrame(enc.timestamp_us, enc.root_translation, quats)
+    return PoseFrame._trusted(enc.timestamp_us, enc.root_translation, quats)
 
 
 def max_angular_error(table: BoundsTable) -> float:

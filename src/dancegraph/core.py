@@ -319,6 +319,18 @@ class PoseFrame:
         if rot.ndim != 2 or rot.shape[1] != 4:
             raise ValueError(f"rotations must have shape (joints, 4), got {rot.shape}")
 
+    @classmethod
+    def _trusted(
+        cls, timestamp_us: int, root_translation: tuple[float, float, float], rotations: np.ndarray
+    ) -> "PoseFrame":
+        """The frame of a read-only float64 (joints, 4) array that the caller
+        has just built, without the checks of __post_init__."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(
+            timestamp_us=timestamp_us, root_translation=root_translation, rotations=rotations
+        )
+        return frame
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PoseFrame):
             return NotImplemented

@@ -22,10 +22,17 @@ MALFORMED_TABLES = [
     dict(_HEADER, joints=[dict(_JOINT, x=0.5)]),
     dict(_HEADER, joints="hips"),
     dict(_HEADER, version=7, joints=[_JOINT]),
+    # Values that int() would have coerced to version 1 or 16 bits.
+    dict(_HEADER, version=1.9, joints=[_JOINT]),
+    dict(_HEADER, version="1", joints=[_JOINT]),
+    dict(_HEADER, version=True, joints=[_JOINT]),
+    dict(_HEADER, bits=16.7, joints=[_JOINT]),
+    dict(_HEADER, bits="16", joints=[_JOINT]),
 ]
 MALFORMED_TABLE_IDS = [
     "no_version", "no_joints", "list", "joint_without_y", "null_bounds", "one_bound",
-    "scalar_bound", "joints_string", "version_7",
+    "scalar_bound", "joints_string", "version_7", "version_float", "version_string",
+    "version_bool", "bits_float", "bits_string",
 ]
 
 

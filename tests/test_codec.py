@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -78,6 +78,28 @@ class TestBoundsTable:
         assert "_span" not in repr(table) and "_in_ball" not in repr(table)
         assert table.joint_count == 3 and table.payload_bytes == (3 * 3 * 11 + 7) // 8
         assert np.array_equal(table.step, (table.hi - table.lo) / 2047)
+
+    @pytest.mark.parametrize("bits", [16.7, 16.0, "16", True])
+    def test_bits_must_be_an_int(self, bits):
+        with pytest.raises(ValueError):
+            full_range_table(bits=bits)
+
+    def test_decode_layout(self):
+        # Row j of the gather holds payload components 3j, 3j + 1 and 3j + 2;
+        # its w column holds some valid index and dequantizes to a finite
+        # value, which the decode overwrites.
+        names = ("a", "b", "c")
+        table = corner_table(names, 0.5, bits=11)
+        gather = table._gather
+        assert gather.dtype == np.intp and gather.shape == (3, 4)
+        assert np.array_equal(gather[:, :3], np.arange(9).reshape(3, 3))
+        assert 0 <= gather.min() and gather.max() < 9
+        assert np.array_equal(table._span4[:, :3], table.hi - table.lo)
+        assert np.array_equal(table._lo4[:, :3], table.lo)
+        assert np.all(np.isfinite(table._span4)) and np.all(np.isfinite(table._lo4))
+        for arr in (gather, table._span4, table._lo4):
+            assert not arr.flags.writeable
+        assert not any(name in repr(table) for name in ("_gather", "_span4", "_lo4"))
 
     def test_in_ball_needs_the_margin(self):
         # Decode skips its w^2 guards only when every far corner stays
@@ -254,6 +276,18 @@ class TestEncodeDecode:
         with pytest.raises(CorruptFrameError):
             EncodedFrame.from_bytes(data[:-1], table)
 
+    def test_from_bytes_is_an_ordinary_encoded_frame(self):
+        table = full_range_table(joint_count=2, names=("a", "b"))
+        payload = encode_frame(identity_frame(2), table).payload
+        built = EncodedFrame(123456, (0.5, -1.0, 2.0), payload)
+        data = built.to_bytes()
+        back = EncodedFrame.from_bytes(data, table)
+        assert type(back) is EncodedFrame
+        assert back == built and hash(back) == hash(built)
+        assert back.to_bytes() == data
+        with pytest.raises(FrozenInstanceError):
+            back.payload = b""
+
     @pytest.mark.parametrize("bits", [8, 11, 16, 24])
     def test_round_trip_idempotent_across_bit_widths(self, bits):
         rng = np.random.default_rng(99)
@@ -417,6 +451,47 @@ class TestMatchesReference:
         assert np.allclose(np.linalg.norm(dec.rotations, axis=1), 1.0, rtol=0, atol=1e-15)
         assert np.allclose(dec.rotations[0], [3 ** -0.5] * 3 + [0.0], rtol=0, atol=1e-15)
         assert dec.rotations[1, 3] > 0.99
+
+
+class TestDecodedFrame:
+    """The frame decode_frame hands over owns a new read-only (joints, 4)
+    float64 array and carries the encoded frame's own timestamp and root."""
+
+    @pytest.mark.parametrize("box", ["inside", "outside"])
+    @pytest.mark.parametrize("bits", [8, 11, 16, 24])
+    def test_frame_owns_its_rotations(self, skeleton, bits, box):
+        table = corner_table(skeleton.joint_names, 1.0 + (2e-9 if box == "outside" else -2e-9), bits)
+        rng = np.random.default_rng(bits)
+        payloads = [rng.integers(0, 1 << bits, size=table.joint_count * 3) for _ in range(4)]
+        # The far corner of every box: renormalized outside the unit ball.
+        payloads.append(np.full(table.joint_count * 3, table.levels))
+        previous = None
+        for i, ints in enumerate(payloads):
+            enc = EncodedFrame(10**12 + i, (0.5, -1.0, 2.0 + i), big_int_pack(ints.astype(np.uint32), bits))
+            frame = decode_frame(enc, table, skeleton)
+            rot = frame.rotations
+            assert rot.dtype == np.float64 and rot.shape == (table.joint_count, 4)
+            assert rot.flags.c_contiguous and not rot.flags.writeable
+            assert frame.timestamp_us is enc.timestamp_us
+            assert frame.root_translation is enc.root_translation
+            if previous is not None:
+                assert not np.shares_memory(rot, previous)
+            again = PoseFrame(frame.timestamp_us, frame.root_translation, rot)
+            assert again == frame and again.rotations is rot
+            previous = rot
+
+    def test_decode_does_not_check_its_own_array_again(self, skeleton, monkeypatch):
+        table = full_range_table()
+        enc = encode_frame(identity_frame(), table)
+        expected = decode_frame(enc, table, skeleton)
+
+        def refuse(frame):
+            raise AssertionError("PoseFrame.__post_init__ ran")
+
+        monkeypatch.setattr(PoseFrame, "__post_init__", refuse)
+        frame = decode_frame(enc, table, skeleton)
+        assert type(frame) is PoseFrame
+        assert frame.rotations.tobytes() == expected.rotations.tobytes()
 
 
 class TestMaxAngularError:

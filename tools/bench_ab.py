@@ -19,10 +19,14 @@ ratio of the medians (change / parent), the pairs the change won (lower, or
 higher for a metric where higher is better) and the metric's bound. It also
 holds host facts (cores, Python, numpy, the CPU time stolen by the
 hypervisor over the whole measurement, read from /proc/stat), both
-checkouts' git revisions and the seed. A checkout whose tracked files
-differ from its commit also gets the sha256 of its `git diff HEAD
---binary`, which names the uncommitted change that was measured. It
-changes no workload, bound or seed.
+checkouts' git revisions and the seed, and each side's deterministic work
+counts from `tools/layer_ab.py` (`PoseFrame`s built and rows slerped per
+frame of its corrective chain, power iterations per block of reference
+windows and windows that fell back to eigh), taken in this process before
+the first run. A checkout whose tracked files differ from its commit also
+gets the sha256 of its `git diff HEAD --binary`, which names the
+uncommitted change that was measured. It changes no workload, bound or
+seed.
 """
 from __future__ import annotations
 
@@ -38,8 +42,10 @@ from pathlib import Path
 
 import numpy as np
 
+from layer_ab import work_counts
+
 SIDES = ("parent", "change")
-SCHEMA = 3
+SCHEMA = 4
 METRIC_KEYS = (
     "unit", "better", "bound", "parent_median", "change_median", "parent_iqr", "ratio", "wins",
     "pairs",
@@ -47,6 +53,7 @@ METRIC_KEYS = (
 RUN_KEYS = ("workload", "pair", "side", "order", "correct", "attempted", "failed",
             "mean_speed_factor", "metrics")
 REVISION_KEYS = ("commit", "dirty", "diff_sha256")
+COUNT_KEYS = ("PoseFrames/frame", "slerped rows/frame", "power iterations/block", "eigh windows")
 
 
 def cpu_ticks() -> dict | None:
@@ -101,6 +108,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def counts(tree: Path, side: str) -> dict:
+    """The layer_ab work counts of the checkout's `src/`, by COUNT_KEYS."""
+    by_layer = work_counts(tree / "src", f"dancegraph_{side}")
+    flat = {**by_layer["corrective chain"], **by_layer["reference windows"]}
+    return {key: flat[key] for key in COUNT_KEYS}
+
+
 def summarize(runs: list[dict], spec: dict) -> dict:
     """Per-metric medians, parent IQR, ratio, wins and bound over the pairs
     of one workload's runs."""
@@ -133,7 +147,8 @@ def schema_problems(doc: dict) -> list[str]:
     """What a bench_ab file lacks: missing keys, runs or metrics, or another
     schema."""
     problems = [f"missing {key}" for key in (
-        "schema", "workloads", "seed", "pairs", "seconds", "revisions", "host", "runs", "metrics"
+        "schema", "workloads", "seed", "pairs", "seconds", "revisions", "host", "work_counts",
+        "runs", "metrics",
     ) if key not in doc]
     if problems:
         return problems
@@ -150,6 +165,12 @@ def schema_problems(doc: dict) -> list[str]:
         problems += [f"missing revisions.{side}.{key}" for key in REVISION_KEYS if key not in rev]
         if rev.get("dirty") and not isinstance(rev.get("diff_sha256"), str):
             problems.append(f"revisions.{side} is dirty but names no diff")
+        side_counts = doc["work_counts"].get(side)
+        if side_counts is None:
+            problems.append(f"missing work_counts.{side}")
+            continue
+        problems += [f"missing work_counts.{side}.{key}"
+                     for key in COUNT_KEYS if key not in side_counts]
     if not doc["workloads"]:
         problems.append("no workloads")
     for workload in doc["workloads"]:
@@ -188,6 +209,7 @@ def main() -> None:
         parser.error("each --workload may be given once")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    side_counts = {side: counts(tree, side) for side, tree in trees.items()}
 
     runs = []
     before = cpu_ticks()
@@ -218,6 +240,7 @@ def main() -> None:
             "steal_ticks": None if before is None else after["steal"] - before["steal"],
             "total_ticks": None if before is None else after["total"] - before["total"],
         },
+        "work_counts": side_counts,
         "runs": runs,
         "metrics": {
             workload: summarize([run for run in runs if run["workload"] == workload], spec)
@@ -225,6 +248,9 @@ def main() -> None:
         },
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for key in COUNT_KEYS:
+        print(f"{key:22s} parent {side_counts['parent'][key]:8.3f}"
+              f"  change {side_counts['change'][key]:8.3f}")
     for workload, metrics in doc["metrics"].items():
         print(workload)
         for name, row in metrics.items():

@@ -231,7 +231,8 @@ def bench_ab(work: Path) -> bool:
     of `corrective` and of `session_receive` into one file, which must hold
     every key, and each workload's runs and metrics, that its schema names,
     with each side's diff hash the sha256 of this checkout's `git diff HEAD
-    --binary` (None on a clean checkout)."""
+    --binary` (None on a clean checkout), and with both sides' layer_ab work
+    counts present and equal, as they must be for one tree."""
     from bench_ab import schema_problems
 
     out = work / "bench_ab.json"
@@ -251,7 +252,10 @@ def bench_ab(work: Path) -> bool:
     want = hashlib.sha256(diff).hexdigest() if diff else None
     got = [doc["revisions"][side].get("diff_sha256") for side in ("parent", "change")]
     print("diff sha256:", got, "expected:", want)
-    return not problems and got == [want, want]
+    work = doc.get("work_counts", {})
+    same_counts = bool(work.get("parent")) and work.get("parent") == work.get("change")
+    print("work counts:", work)
+    return not problems and got == [want, want] and same_counts
 
 
 # Every step after Install, in the workflow's order: (name, command, time

@@ -37,9 +37,11 @@ per-round ratios B/A, and in how many rounds B was faster. Next to
 `reference windows` it prints the work the references take: power
 iterations per block of windows and the windows that fell back to eigh
 (counted through `rhythm._top_eigvecs`). Next to the chain it prints the
-`PoseFrame`s it constructs per frame of the take, and the rows it slerps
-per frame (counted through `rhythm.rows_slerp`). These counts repeat
-exactly from run to run.
+`PoseFrame`s it constructs per frame of the take, through the public
+constructor or `PoseFrame._trusted` (where the tree has it), and the rows
+it slerps per frame (counted through `rhythm.rows_slerp`). These counts
+repeat exactly from run to run; `work_counts` returns them alone, and
+`tools/bench_ab.py` records them for both sides of a paired run.
 """
 from __future__ import annotations
 
@@ -250,26 +252,36 @@ def layers(m, scratch: Path):
             recording.Recording(rec.joint_count, rec.nominal_fps, out), scratch / "chain.dgrc"
         )
 
-    # One counted chain: every PoseFrame construction runs __post_init__, and
-    # every slerped row goes through rhythm.rows_slerp.
+    # One counted chain: every PoseFrame is built by its public constructor,
+    # which runs __post_init__, or by PoseFrame._trusted where the tree has
+    # it; every slerped row goes through rhythm.rows_slerp.
     pose_frame = core.PoseFrame
     post_init, built = pose_frame.__post_init__, [0]
+    trusted = vars(pose_frame).get("_trusted")  # the classmethod itself
     slerp, slerped = rhythm.rows_slerp, [0]
 
     def counted_post_init(self) -> None:
         built[0] += 1
         post_init(self)
 
+    def counted_trusted(cls, *args):
+        built[0] += 1
+        return trusted.__func__(cls, *args)
+
     def counted_slerp(a, b, u):
         slerped[0] += len(a)
         return slerp(a, b, u)
 
     pose_frame.__post_init__ = counted_post_init
+    if trusted is not None:
+        pose_frame._trusted = classmethod(counted_trusted)
     rhythm.rows_slerp = counted_slerp
     try:
         chain()
     finally:
         pose_frame.__post_init__ = post_init
+        if trusted is not None:
+            pose_frame._trusted = trusted
         rhythm.rows_slerp = slerp
     counts["corrective chain"] = {
         "PoseFrames/frame": built[0] / len(take),
@@ -300,6 +312,13 @@ def layers(m, scratch: Path):
         "reference windows": per_frame(references),
         "corrective chain": per_frame(chain),
     }, counts
+
+
+def work_counts(src: Path, alias: str) -> dict:
+    """The work counts of tree `src` (imported as package `alias`), keyed by
+    layer and then by count, without timing anything."""
+    with tempfile.TemporaryDirectory(prefix="layer_ab-") as tmp:
+        return layers(load(alias, src), Path(tmp, "counts"))[1]
 
 
 def main() -> None:
