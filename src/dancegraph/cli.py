@@ -116,18 +116,11 @@ _parse_config = _checked(load_corrective_config, lambda config: None)
 _parse_bounds = _checked(_deferred("codec", "BoundsTable.from_json"), lambda table: None)
 
 
-_SIGNAL_TYPES = {
-    "pose": SignalType.POSE,
-    "control": SignalType.CONTROL,
-    "telemetry": SignalType.TELEMETRY,
-}
-
-
 def _parse_selector(text: str) -> SignalSelector:
     try:
         type_name, user, origin = text.lower().split(":")
         return SignalSelector(
-            _SIGNAL_TYPES[type_name],
+            SignalType[type_name.upper()],
             None if user in ("any", "*") else int(user),
             None if origin in ("any", "*") else Origin(origin),
         )

@@ -66,9 +66,10 @@ class CorruptFrameError(ValueError):
     """Encoded payload cannot be a well-formed frame for the given table."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsTable:
-    """Per-joint, per-component quantization ranges learned from a corpus."""
+    """Per-joint, per-component quantization ranges learned from a corpus;
+    compared and hashed by identity."""
 
     joint_names: tuple[str, ...]
     lo: np.ndarray  # (joints, 3) in x, y, z column order
@@ -98,7 +99,7 @@ class BoundsTable:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         # Constants of the per-frame codec, computed once per table. They are
-        # plain attributes, not fields: equality, repr and JSON ignore them.
+        # plain attributes, not fields: repr and JSON ignore them.
         object.__setattr__(self, "joint_count", joints)
         object.__setattr__(self, "payload_bytes", (joints * 3 * self.bits + 7) // 8)
         object.__setattr__(self, "_span", span)

@@ -28,7 +28,6 @@ from .codec import (
     BoundsTable,
     CorruptFrameError,
     EncodedFrame,
-    EncoderStats,
     analyze_bounds,
     decode_frame,
     encode_frame,
@@ -165,8 +164,7 @@ class ReplayStats:
 
 def encode_recording_payloads(recording: Recording, table: BoundsTable) -> list[bytes]:
     """Pre-encode every frame once; latency runs patch timestamps in place."""
-    stats = EncoderStats()
-    return [encode_frame(f, table, stats).to_bytes() for f in recording.frames]
+    return [encode_frame(f, table).to_bytes() for f in recording.frames]
 
 
 def replay_stream(

@@ -164,7 +164,7 @@ class CorrectiveParams:
         return self.zone_gains[zone]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSeries:
     """One quaternion component of one joint over a uniform window."""
 

@@ -79,6 +79,15 @@ class TestBoundsTable:
         assert table.joint_count == 3 and table.payload_bytes == (3 * 3 * 11 + 7) // 8
         assert np.array_equal(table.step, (table.hi - table.lo) / 2047)
 
+    def test_equality_and_hash_are_identity(self):
+        lo, hi = np.full((2, 3), -0.5), np.full((2, 3), 0.5)
+        table = BoundsTable(("a", "b"), lo, hi)
+        twin = BoundsTable(("a", "b"), lo, hi)
+        assert table == table and not (table != table)
+        assert table != twin and not (table == twin)
+        assert hash(table) == hash(table)
+        assert len({table, twin}) == 2
+
     @pytest.mark.parametrize("bits", [16.7, 16.0, "16", True])
     def test_bits_must_be_an_int(self, bits):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Each process loads only the modules it runs: the relay path has no numpy."""
+"""Each process loads only the modules it runs: the package root imports
+nothing, and the relay path has no numpy."""
 import importlib
 import pkgutil
 import subprocess
@@ -27,17 +28,27 @@ def test_relay_path_and_server_command_load_without_numpy():
     assert done.returncode == 0, done.stderr
 
 
+def test_package_root_imports_nothing():
+    script = (
+        "import sys\n"
+        "import dancegraph\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('dancegraph.') or m == 'numpy')\n"
+        "assert not loaded, loaded\n"
+        "public = [name for name in dir(dancegraph) if not name.startswith('_')]\n"
+        "assert not public, public\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_every_public_name_and_submodule_resolves():
-    for name in dancegraph.__all__:
-        assert getattr(dancegraph, name) is not None, name
-        assert name in dir(dancegraph)
     for info in pkgutil.iter_modules(dancegraph.__path__):
         module = importlib.import_module(f"dancegraph.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{info.name}.{name}"
     assert isinstance(dancegraph.codec, types.ModuleType)
-    assert dancegraph.codec.encode_frame is dancegraph.encode_frame
-    assert dancegraph.transport.RelayServer is dancegraph.RelayServer
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -131,6 +131,15 @@ class TestExtractFeatureSeries:
         with pytest.raises(ValueError):
             extract_feature_series(sway_frames(duration_s=2)[:32], 0, "q")
 
+    def test_equality_and_hash_are_identity(self):
+        samples = np.linspace(-1.0, 1.0, 64)
+        series = FeatureSeries(0, "x", samples, fps=30.0)
+        twin = FeatureSeries(0, "x", samples, fps=30.0)
+        assert series == series and not (series != series)
+        assert series != twin and not (series == twin)
+        assert hash(series) == hash(series)
+        assert len({series, twin}) == 2
+
 
 class TestDetectDominantPeriod:
     @pytest.mark.parametrize("freq", [0.5, 1.0, 2.0])
