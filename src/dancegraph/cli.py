@@ -114,6 +114,7 @@ _parse_finite = _checked(float, _check_finite)
 _parse_phase_ms = _checked(float, _phase_us)
 _parse_config = _checked(load_corrective_config, lambda config: None)
 _parse_bounds = _checked(_deferred("codec", "BoundsTable.from_json"), lambda table: None)
+_parse_take = _checked(load_recording, lambda recording: None)
 
 
 def _parse_selector(text: str) -> SignalSelector:
@@ -147,15 +148,6 @@ def _joint_names(joint_count: int):
     return skeleton.joint_names if joint_count == skeleton.joint_count else None
 
 
-def _table_for_recording(args, recording):
-    if args.bounds is not None:
-        return args.bounds
-    # No table supplied: derive one from the recording itself, which by
-    # construction never clamps on replay of that same recording.
-    names = _joint_names(recording.joint_count)
-    return analyze_bounds([recording.frames], margin=0.1, bits=16, joint_names=names)
-
-
 def _cmd_server(args) -> int:
     host, port = args.bind
     config = ServerConfig(
@@ -179,18 +171,22 @@ def _cmd_server(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    recording = load_recording(args.file)
-    table = _table_for_recording(args, recording)
-    if table.joint_count != recording.joint_count:
+    table = args.bounds
+    if table is None:
+        # No table supplied: derive one from the take itself, which by
+        # construction never clamps on replay of that same take.
+        names = _joint_names(args.take.joint_count)
+        table = analyze_bounds([args.take.frames], margin=0.1, bits=16, joint_names=names)
+    if table.joint_count != args.take.joint_count:
         print("bounds table joint count does not match the take", file=sys.stderr)
         return 2
     client = client_connect(args.server)
-    print(f"connected as user {client.user_id}; replaying {len(recording.frames)} frames")
+    print(f"connected as user {client.user_id}; replaying {len(args.take.frames)} frames")
     stop = threading.Event()
     _on_interrupt(stop)
     try:
         stats = replay_stream(
-            client, recording, table, fps=args.fps, loop=args.loop, stop=stop
+            client, args.take, table, fps=args.fps, loop=args.loop, stop=stop
         )
         print(f"emitted {stats.emitted} packets, p99 timer lateness "
               f"{stats.jitter_percentile_us(99)}us")
@@ -210,7 +206,7 @@ def _cmd_record(args) -> int:
     print(f"recording {args.select} to {args.out} (ctrl-c to stop)")
     try:
         written = record_sink(
-            client.router,
+            client,
             args.select,
             args.out,
             args.bounds,
@@ -246,13 +242,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_correct(args) -> int:
-    recording = load_recording(args.infile)
-    if recording.joint_count != default_skeleton().joint_count:
+    if args.take.joint_count != default_skeleton().joint_count:
         print("take joint count does not match the default skeleton", file=sys.stderr)
         return 2
     grid, params = args.config or corrective_settings(args.bpm, args.phase_ms, dict(args.gains))
     corrected, report = corrective_experiment(
-        recording, grid, params, output_path=args.out
+        args.take, grid, params, output_path=args.out
     )
     print(report.to_text())
     if args.json:
@@ -267,9 +262,15 @@ def _cmd_bounds(args) -> int:
     if not files:
         print(f"no .dgrc recordings under {corpus_dir}", file=sys.stderr)
         return 2
-    recordings = [load_recording(f) for f in files]
-    names = _joint_names(recordings[0].joint_count)
-    streams = [r.frames for r in recordings]
+    takes = []
+    try:
+        for f in files:
+            takes.append(load_recording(f))
+    except (ValueError, OSError) as exc:
+        print(f"dancegraph bounds: error: {f}: {exc}", file=sys.stderr)
+        return 2
+    names = _joint_names(takes[0].joint_count)
+    streams = [t.frames for t in takes]
     table = analyze_bounds(streams, margin=args.margin, bits=args.bits, joint_names=names)
     table.to_json(args.out)
     print(f"analyzed {len(files)} recordings -> {args.out} "
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_server)
 
     p = sub.add_parser("replay", help="stream a recording to a server")
-    p.add_argument("--file", required=True)
+    p.add_argument("--file", dest="take", type=_parse_take, required=True)
     p.add_argument("--server", type=_parse_addr, required=True)
     p.add_argument("--fps", type=_parse_fps, default=None)
     p.add_argument("--loop", action="store_true")
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("correct", help="beat-align and stylize a recording")
-    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--in", dest="take", type=_parse_take, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bpm", type=_parse_bpm, default=120.0)
     p.add_argument("--phase-ms", type=_parse_phase_ms, default=0.0)

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 _TS_PATCH = struct.Struct("<Q")
-_SINK_POLL_INTERVAL_S = 0.005  # record_sink's nap when its ring is empty
+_SINK_POLL_INTERVAL_S = 0.005  # record_sink's longest wait on an empty ring
 _RELAY_SPARE_SLOTS = 2  # relay slots beyond a session's dancers
 _MAX_TAKE_BYTES = 1 << 30  # largest block a synthesizer or a session preallocates
 
@@ -180,9 +180,9 @@ def replay_stream(
     """Emit a recording as pose packets on a steady timer.
 
     Frames are encoded up front; emission only hands the datagram to the
-    client. fps overrides the recording's nominal rate without resampling:
-    every frame is still sent, just faster or slower. Blocks until done; run
-    it in a thread to drive a live session.
+    client, then its `receive()` hears a restarted relay's LEAVE and sends
+    keepalives. fps overrides the recording's nominal rate without
+    resampling: every frame is still sent, just faster or slower.
     """
     stats = ReplayStats()
     payloads = encode_recording_payloads(recording, table)
@@ -205,12 +205,13 @@ def replay_stream(
         client.send(payloads[idx], SignalType.POSE)
         stats.emitted += 1
         stats.late_us.append(max(0, int((time.monotonic() - target) * 1e6)))
+        client.receive()
         k += 1
     return stats
 
 
 def record_sink(
-    router: SignalRouter,
+    client: Client,
     selector: SignalSelector,
     path: str | Path,
     table: BoundsTable,
@@ -220,22 +221,25 @@ def record_sink(
     stop: threading.Event | None = None,
     duration_s: float | None = None,
 ) -> int:
-    """Subscribe in Every mode and write decoded frames in arrival order.
+    """Record what the client's router delivers in Every mode, driving `receive()`.
 
     Runs until `stop` is set or `duration_s` elapses, then drains what is
     left in the ring; the file is truncated to the last complete frame on
     close. Payloads that do not decode for this table, and frames the
     writer refuses (a timestamp that does not advance, as when a looping
-    replay wraps around, or one past the file's range), are skipped.
-    Returns the number of frames written.
+    replay wraps around, one past the file's range, or a non-finite root),
+    are skipped. Returns the number of frames written.
     """
-    consumer = router.subscribe(selector, Mode.EVERY)
+    consumer = client.router.subscribe(selector, Mode.EVERY)
     deadline = None if duration_s is None else time.monotonic() + duration_s
-    with RecordingWriter(path, skeleton.joint_count, nominal_fps) as writer:
+    with RecordingWriter(path, skeleton.joint_count, nominal_fps) as writer, \
+            selectors.DefaultSelector() as readable:
+        readable.register(client.sock, selectors.EVENT_READ)
         while True:
             stopping = (stop is not None and stop.is_set()) or (
                 deadline is not None and time.monotonic() > deadline
             )
+            client.receive()
             polled = consumer.poll(max_packets=256)
             for packet in polled.packets:
                 try:
@@ -246,9 +250,9 @@ def record_sink(
             if not polled.packets:
                 if stopping:
                     break
-                time.sleep(_SINK_POLL_INTERVAL_S)
+                readable.select(_SINK_POLL_INTERVAL_S)
         written = writer.frames_written
-    router.unsubscribe(consumer)
+    client.router.unsubscribe(consumer)
     return written
 
 
@@ -455,8 +459,7 @@ def _run_session(scenario: str, params: BenchParams, clients: int) -> LatencyRep
     recording, table = _bench_payload(params)
     payloads = [bytearray(p) for p in encode_recording_payloads(recording, table)]
     members = [
-        client_connect(addr, peer_ring_capacity=params.ring_capacity, start_receiver=False)
-        for _ in range(clients)
+        client_connect(addr, peer_ring_capacity=params.ring_capacity) for _ in range(clients)
     ]
     consumers = [
         c.router.subscribe(SignalSelector(SignalType.POSE, None, Origin.NETWORK), Mode.EVERY)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FrameBlock, PoseFrame, _stack_frames, rows_canonicalize
+from .core import FrameBlock, InvalidQuaternionError, PoseFrame, _stack_frames, rows_canonicalize
 
 __all__ = [
     "Recording",
@@ -66,8 +66,8 @@ class Recording:
 
 def _records(frames: Sequence[PoseFrame], joint_count: int, last_ts: int = -1) -> np.ndarray:
     """The frames as one block of file records, once they have joint_count
-    joints each and timestamps that strictly increase from above `last_ts`,
-    the last one written (-1: none, so the first is >= 0)."""
+    joints each, float32-finite roots, and timestamps that strictly increase
+    from above `last_ts`, the last one written (-1: none, so the first is >= 0)."""
     try:
         ts, roots, rotations = _stack_frames(frames)
     except (ValueError, OverflowError) as exc:  # unequal joint counts, or a timestamp past int64
@@ -78,6 +78,8 @@ def _records(frames: Sequence[PoseFrame], joint_count: int, last_ts: int = -1) -
         raise RecordingFormatError(f"frames have {rotations.shape[1]} joints, not {joint_count}")
     if np.any(np.diff(ts, prepend=last_ts) <= 0):
         raise RecordingFormatError("frame timestamps must be >= 0 and strictly increase")
+    if not np.all(np.abs(roots) <= np.finfo(np.float32).max):  # NaN fails this too
+        raise RecordingFormatError("root translations must be finite as float32")
     records = np.empty(len(ts), dtype=_frame_layout(joint_count))
     records["ts"], records["root"], records["rot"] = ts, roots, rotations
     return records
@@ -136,7 +138,8 @@ def load_recording(path: str | Path) -> Recording:
     """Load a recording, dropping any trailing partial frame.
 
     This is an ingestion point: every rotation is canonicalized (unit norm,
-    w >= 0) on the way in, whatever tool wrote the file.
+    w >= 0) on the way in, whatever tool wrote the file. A non-finite root,
+    or a rotation that cannot be normalized, raises RecordingFormatError.
     """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -156,7 +159,14 @@ def load_recording(path: str | Path) -> Recording:
         raise RecordingFormatError(f"frame {backwards[0] + 1} timestamp does not increase")
     if count and ts[-1] > np.iinfo(np.int64).max:  # a take's timestamps are int64
         raise RecordingFormatError(f"frame timestamp {ts[-1]} is past the int64 range")
-    frames = FrameBlock(
-        ts.astype(np.int64), body["root"].astype(np.float64), rows_canonicalize(body["rot"])
-    )
+    bad_root = np.flatnonzero(~np.isfinite(body["root"]).all(axis=1))
+    if bad_root.size:
+        raise RecordingFormatError(f"frame {bad_root[0]} root translation is not finite")
+    try:
+        rotations = rows_canonicalize(body["rot"])
+    except InvalidQuaternionError:  # the norms again, only to name the frame
+        n2 = np.square(body["rot"], dtype=np.float64).sum(axis=-1)
+        bad = np.flatnonzero(~(np.isfinite(n2) & (n2 > 0.0)).all(axis=1))[0]
+        raise RecordingFormatError(f"frame {bad} rotation has zero or non-finite norm") from None
+    frames = FrameBlock(ts.astype(np.int64), body["root"].astype(np.float64), rotations)
     return Recording(joint_count=joint_count, nominal_fps=fps, frames=frames)

@@ -14,10 +14,10 @@ Design notes, all serving the lag-first goal:
 * Sends go to the socket the moment they are produced, and the same payload
   is simultaneously published to the local in-process router, so local
   consumers never wait on the network (the dual path).
-* Client sockets never block. Owners call `Client.receive()`, which drains
-  the socket and keeps the session alive (the receive thread and the
-  latency session runner do), or feed datagrams to `Client.ingest()` (the
-  join does: it reads with `recvfrom` for the ACK's source address).
+* A client has no thread and its socket never blocks. Its owner's loop
+  calls `Client.receive()`, which drains the socket and keeps the session
+  alive, or feeds datagrams to `Client.ingest()` (the join does: it reads
+  with `recvfrom` for the ACK's source address).
 
 Control protocol (signal type = CONTROL):
 
@@ -349,9 +349,9 @@ class Client:
     (signal type, P, NETWORK); everything this client sends is echoed to
     (signal type, own id, LOCAL) at the same time it hits the socket.
 
-    The socket never blocks. `receive()` drains it and keeps the session
-    registered; a thread runs it (`start_receiver=True`), or the owner calls
-    it from its own loop, or hands the datagrams to `ingest()` itself.
+    A client is used from one thread, its owner's, and its socket never
+    blocks: the owner's loop calls `receive()`, which drains the socket and
+    keeps the session registered, or hands the datagrams to `ingest()`.
     """
 
     def __init__(
@@ -361,9 +361,12 @@ class Client:
         user_id: int,
         router: SignalRouter,
         peer_ring_capacity: int = 64,
-        start_receiver: bool = True,
+        start_receiver: bool = False,
         keepalive_interval_s: float | None = 2.0,
     ):
+        if start_receiver:  # the client owns the socket it is handed, even when it refuses
+            sock.close()
+            raise ValueError("a Client has no receive thread; call receive() from the owner's loop")
         self._sock = sock
         self._server_addr = server_addr
         self.router = router
@@ -372,16 +375,12 @@ class Client:
         self._seq = 0
         self._echo_producers = {}
         self._peer_producers = {}
-        self._stop = threading.Event()
         self._keepalive_us = (
             None if keepalive_interval_s is None else int(keepalive_interval_s * 1e6)
         )
         self._last_tx_us = mono_us()
         self._join_seq = 0
         self._sock.setblocking(False)
-        self._thread = threading.Thread(target=self._recv_loop, name="client-recv", daemon=True)
-        if start_receiver:
-            self._thread.start()
 
     @property
     def user_id(self) -> int:
@@ -427,7 +426,7 @@ class Client:
 
     def _register_echo(self, signal_type: SignalType, user_id: int):
         # Echo streams under an id this client no longer holds (see
-        # _handle_control) are closed here, by the thread that publishes them.
+        # _handle_control) are closed here, on the next send under the new id.
         for key in [k for k in self._echo_producers if k[1] != user_id]:
             self._echo_producers.pop(key).close()
         desc = SignalDescriptor(signal_type, user_id, Origin.LOCAL)
@@ -440,9 +439,6 @@ class Client:
         return self._sock
 
     def close(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=2.0)
         try:
             self._sock.close()
         except OSError:
@@ -475,16 +471,6 @@ class Client:
         if self._keepalive_us is not None and now - self._last_tx_us > self._keepalive_us:
             self._send_keepalive(now)
         return taken
-
-    def _recv_loop(self) -> None:
-        with selectors.DefaultSelector() as readable:
-            readable.register(self._sock, selectors.EVENT_READ)
-            while not self._stop.is_set():
-                readable.select(0.05)  # bounds how long close() waits
-                try:
-                    self.receive()
-                except OSError:
-                    break
 
     def _send_keepalive(self, now: int, user_id: int | None = None) -> None:
         # A repeat JOIN doubles as the keepalive: the server refreshes the
@@ -569,7 +555,7 @@ def client_connect(
     retries: int = 3,
     retry_interval_s: float = 0.2,
     peer_ring_capacity: int = 64,
-    start_receiver: bool = True,
+    start_receiver: bool = False,
     keepalive_interval_s: float | None = 2.0,
 ) -> Client:
     """Join a relay server the way a client re-joins after a LEAVE: send an
@@ -583,9 +569,9 @@ def client_connect(
     address its route picks.
 
     Retries the JOIN `retries` times, `retry_interval_s` apart, then closes
-    the client and raises ConnectTimeoutError. `receive()` re-joins after
-    every `keepalive_interval_s` of send silence, so consume-only clients
-    are not evicted; `start_receiver` runs it on a thread.
+    the client and raises ConnectTimeoutError. Starts no thread: the
+    caller's loop calls `receive()`, which re-joins after every
+    `keepalive_interval_s` of send silence, so consume-only clients stay registered.
     """
     # Resolved once: a bad host name fails here, not as a silent keepalive.
     server_addr = socket.getaddrinfo(*server_addr, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
@@ -594,7 +580,7 @@ def client_connect(
     client = Client(
         sock, server_addr, UNASSIGNED_ID, SignalRouter(),
         peer_ring_capacity=peer_ring_capacity,
-        start_receiver=False,
+        start_receiver=start_receiver,
         keepalive_interval_s=keepalive_interval_s,
     )
     try:
@@ -613,8 +599,6 @@ def client_connect(
                 if client.user_id != UNASSIGNED_ID:
                     sock.connect(source)
                     client._server_addr = source
-                    if start_receiver:
-                        client._thread.start()
                     return client
         raise ConnectTimeoutError(
             f"no join acknowledgement from {server_addr} after {retries} attempts"

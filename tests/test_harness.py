@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import socket
 import struct
 import threading
 import time
@@ -42,7 +43,7 @@ from dancegraph.recording import (
 from dancegraph.rhythm import BeatGrid, BodyZone, CorrectiveParams
 from dancegraph.router import Mode, Origin, SignalDescriptor, SignalRouter, SignalSelector
 from dancegraph.packet import SignalPacket, SignalType
-from dancegraph.transport import RelayServer, ServerConfig, client_connect
+from dancegraph.transport import Client, RelayServer, ServerConfig, client_connect
 
 from conftest import MALFORMED_TABLE_IDS, MALFORMED_TABLES, scalar_from_axis_angle
 
@@ -108,6 +109,42 @@ def scalar_noise_recording(
         (start_us + int(round(i * dt_us)), (0.0, 1.0, 0.0), rotations[i])
         for i in range(frame_count)
     ]
+
+
+def bare_client(router):
+    """A Client around `router` whose socket nothing sends to."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    return Client(sock, ("127.0.0.1", 9), 1, router, keepalive_interval_s=None)
+
+
+TAKE_FAULTS = ["missing", "junk", "short_header", "zero_rotation", "nan_rotation", "inf_root"]
+_FRAME_PATCHES = {  # (offset in the frame record, struct format, values)
+    "zero_rotation": (20, "<4f", (0.0, 0.0, 0.0, 0.0)),
+    "nan_rotation": (20, "<4f", (math.nan, 0.0, 0.0, 1.0)),
+    "inf_rotation": (20, "<4f", (math.inf, 0.0, 0.0, 1.0)),
+    "inf_root": (8, "<f", (math.inf,)),
+    "nan_root": (8, "<f", (math.nan,)),
+}
+
+
+def damaged_take(path, fault):
+    """Write a file at `path` that load_recording refuses: none at all
+    (a dangling link), junk, a short header, or a 0.5 s take whose frame 2
+    holds the patch named `fault`."""
+    if fault == "missing":
+        path.symlink_to(path.with_name("gone.dgrc"))
+    elif fault == "junk":
+        path.write_bytes(b"not a take, only words")
+    elif fault == "short_header":
+        path.write_bytes(b"DGRC\x01\x00")
+    else:
+        rec = synthesize_sway_recording(duration_s=0.5)
+        save_recording(rec, path)
+        data = bytearray(path.read_bytes())
+        offset, fmt, values = _FRAME_PATCHES[fault]
+        struct.pack_into(fmt, data, 12 + 2 * (20 + 16 * rec.joint_count) + offset, *values)
+        path.write_bytes(bytes(data))
 
 
 def assert_same_take(recording, oracle_frames):
@@ -233,7 +270,9 @@ class TestRecordingFile:
             RecordingWriter(tmp_path / "never.dgrc", 34, fps)
         assert not (tmp_path / "never.dgrc").exists()
 
-    @pytest.mark.parametrize("fault", ["negative", "backwards", "joints", "ragged"])
+    @pytest.mark.parametrize(
+        "fault", ["negative", "backwards", "joints", "ragged", "inf_root", "nan_root", "f32_root"]
+    )
     def test_failed_save_leaves_the_old_file(self, tmp_path, fault):
         # Every check runs on the whole take before the file is opened.
         path = tmp_path / "take.dgrc"
@@ -246,8 +285,11 @@ class TestRecordingFile:
             frames[3], frames[4] = frames[4], frames[3]
         elif fault == "joints":
             frames = [PoseFrame(f.timestamp_us, (0, 0, 0), f.rotations[:2]) for f in frames]
-        else:
+        elif fault == "ragged":
             frames[5] = PoseFrame(frames[5].timestamp_us, (0, 0, 0), frames[5].rotations[:2])
+        else:  # a root the file cannot hold as a finite float32
+            x = {"inf_root": math.inf, "nan_root": math.nan, "f32_root": 1e39}[fault]
+            frames[5] = PoseFrame(frames[5].timestamp_us, (x, 0.0, 0.0), frames[5].rotations)
         with pytest.raises(RecordingFormatError):
             save_recording(Recording(34, 30.0, frames), path)
         assert path.read_bytes() == before
@@ -259,6 +301,16 @@ class TestRecordingFile:
         struct.pack_into("<Q", data, len(data) - 564, 2**63)  # the last frame's timestamp
         path.write_bytes(bytes(data))
         with pytest.raises(RecordingFormatError, match="int64"):
+            load_recording(path)
+
+    @pytest.mark.parametrize("fault", [*TAKE_FAULTS[3:], "inf_rotation", "nan_root"])
+    def test_load_names_the_frame_it_cannot_use(self, tmp_path, fault):
+        # Not InvalidQuaternionError for a rotation, and no take with an
+        # infinite root: a file is either loaded whole or refused in the
+        # loader's own terms.
+        path = tmp_path / "take.dgrc"
+        damaged_take(path, fault)
+        with pytest.raises(RecordingFormatError, match="frame 2 "):
             load_recording(path)
 
     def test_writer_refuses_a_negative_timestamp(self, tmp_path):
@@ -330,6 +382,49 @@ class TestReplay:
             stats = replay_stream(client, rec, table, loop=True, max_packets=40)
         assert stats.emitted == 40
 
+    def test_replay_survives_a_relay_restart_on_the_same_port(self, tmp_path):
+        # The restarted relay knows neither client. The replayer's next pose
+        # draws a LEAVE, which only replay_stream's receive() hears; the
+        # replayer re-joins, the listener's keepalive re-registers it, and
+        # the second half of the take reaches the recording.
+        rec = synthesize_sway_recording(duration_s=2.0)
+        table = analyze_bounds([rec.frames], margin=0.1, bits=16)
+        first, second = (
+            Recording(rec.joint_count, rec.nominal_fps, rec.frames[i:i + 30]) for i in (0, 30)
+        )
+        srv = RelayServer(ServerConfig(host="127.0.0.1")).start()
+        port = srv.port
+        out = tmp_path / "heard.dgrc"
+        stop = threading.Event()
+        try:
+            with client_connect(("127.0.0.1", port)) as replayer, client_connect(
+                ("127.0.0.1", port), keepalive_interval_s=0.1
+            ) as listener:
+                sink = threading.Thread(
+                    target=record_sink,
+                    args=(listener, SignalSelector(SignalType.POSE, None, Origin.NETWORK), out,
+                          table, default_skeleton()),
+                    kwargs={"stop": stop},
+                    daemon=True,
+                )
+                sink.start()
+                try:
+                    replay_stream(replayer, first, table)
+                    srv.stop()
+                    srv = RelayServer(ServerConfig(host="127.0.0.1", port=port)).start()
+                    replay_stream(replayer, second, table)
+                    time.sleep(0.3)
+                finally:
+                    stop.set()
+                    sink.join(timeout=5)
+                assert not sink.is_alive()
+        finally:
+            srv.stop()
+        heard = [f.timestamp_us for f in load_recording(out).frames]
+        restart_us = second.frames[0].timestamp_us
+        assert any(t < restart_us for t in heard)
+        assert sum(t >= restart_us for t in heard) >= 20
+
     def test_replay_payloads_are_deterministic(self):
         # two replays of one recording carry identical payload bytes
         # (emission timestamps live in the packet header, not the payload)
@@ -344,8 +439,10 @@ class TestReplay:
 
 class TestRecordSink:
     def test_record_of_replay_matches_source_within_codec_bound(self, tmp_path):
-        # Closure: replaying a recording through the local (lossless) path
-        # and recording it back reproduces the source to codec precision.
+        # Closure: replaying a recording through the relay to a second
+        # client on loopback and recording it there reproduces the source to
+        # codec precision. Each client is driven by one thread: the replayer
+        # by this one, the listener by the sink's.
         server = RelayServer(
             ServerConfig(host="127.0.0.1", client_timeout_us=60_000_000)
         ).start()
@@ -354,20 +451,22 @@ class TestRecordSink:
             table = analyze_bounds([rec.frames], margin=0.1, bits=16)
             skeleton = default_skeleton()
             out = tmp_path / "loopback.dgrc"
-            with client_connect(("127.0.0.1", server.port)) as client:
-                selector = SignalSelector(SignalType.POSE, client.user_id, Origin.LOCAL)
+            addr = ("127.0.0.1", server.port)
+            with client_connect(addr) as replayer, client_connect(addr) as listener:
+                selector = SignalSelector(SignalType.POSE, replayer.user_id, Origin.NETWORK)
                 stop = threading.Event()
                 sink = threading.Thread(
                     target=record_sink,
-                    args=(client.router, selector, out, table, skeleton),
+                    args=(listener, selector, out, table, skeleton),
                     kwargs={"nominal_fps": rec.nominal_fps, "stop": stop},
                     daemon=True,
                 )
                 sink.start()
-                replay_stream(client, rec, table)
+                replay_stream(replayer, rec, table)
                 time.sleep(0.3)
                 stop.set()
                 sink.join(timeout=5)
+                assert not sink.is_alive()
             recorded = load_recording(out)
             assert len(recorded.frames) == len(rec.frames)
             bound = max_angular_error(table)
@@ -388,14 +487,15 @@ class TestRecordSink:
             [synthesize_sway_recording(duration_s=0.5).frames], margin=0.1, bits=16
         )
         out = tmp_path / "empty.dgrc"
-        written = record_sink(
-            router,
-            SignalSelector(SignalType.POSE, None, Origin.NETWORK),
-            out,
-            table,
-            default_skeleton(),
-            duration_s=0.2,
-        )
+        with bare_client(router) as client:
+            written = record_sink(
+                client,
+                SignalSelector(SignalType.POSE, None, Origin.NETWORK),
+                out,
+                table,
+                default_skeleton(),
+                duration_s=0.2,
+            )
         assert written == 0
         assert load_recording(out).frames == []
 
@@ -408,6 +508,11 @@ class TestRecordSink:
         payloads.insert(9, encode_frame(PoseFrame(2**64 - 1, (0, 0, 0), rec.frames[0].rotations),
                                         table).to_bytes())
         payloads.insert(12, payloads[3])
+        # A root no file holds, at a timestamp between two frames.
+        after = rec.frames[10]
+        infinite = PoseFrame(after.timestamp_us + 1, (math.inf, 0.0, 0.0), after.rotations)
+        payloads.insert(payloads.index(encode_frame(after, table).to_bytes()) + 1,
+                        encode_frame(infinite, table).to_bytes())
 
         class PrimedRouter(SignalRouter):
             # Publishes every payload right after the sink subscribes.
@@ -423,14 +528,15 @@ class TestRecordSink:
         stop = threading.Event()
         stop.set()  # drain what is queued, then return
         out = tmp_path / "sink.dgrc"
-        written = record_sink(
-            PrimedRouter(),
-            SignalSelector(SignalType.POSE, None, Origin.NETWORK),
-            out,
-            table,
-            default_skeleton(),
-            stop=stop,
-        )
+        with bare_client(PrimedRouter()) as client:
+            written = record_sink(
+                client,
+                SignalSelector(SignalType.POSE, None, Origin.NETWORK),
+                out,
+                table,
+                default_skeleton(),
+                stop=stop,
+            )
         assert written == len(rec.frames)
         recorded = load_recording(out)
         assert [f.timestamp_us for f in recorded.frames] == [f.timestamp_us for f in rec.frames]
@@ -695,7 +801,7 @@ class TestCli:
         take = tmp_path / "take.dgrc"
         save_recording(synthesize_sway_recording(duration_s=1.0), take)
         monkeypatch.setattr(
-            "dancegraph.cli.load_recording", lambda *a, **k: pytest.fail("read the take")
+            "dancegraph.cli.corrective_experiment", lambda *a, **k: pytest.fail("ran the take")
         )
         fixed = tmp_path / "fixed.dgrc"
         with pytest.raises(SystemExit) as exc:
@@ -721,7 +827,7 @@ class TestCli:
         if config is not None:
             path.write_text(json.dumps(config))
         monkeypatch.setattr(
-            "dancegraph.cli.load_recording", lambda *a, **k: pytest.fail("read the take")
+            "dancegraph.cli.corrective_experiment", lambda *a, **k: pytest.fail("ran the take")
         )
         fixed = tmp_path / "fixed.dgrc"
         with pytest.raises(SystemExit) as exc:
@@ -797,13 +903,44 @@ class TestCli:
             monkeypatch.setattr(
                 f"dancegraph.cli.{opener}", lambda *a, _o=opener, **k: pytest.fail(f"called {_o}")
             )
-        take = tmp_path / "take.dgrc"
-        target = ["--out", str(take)] if command == "record" else ["--file", str(take)]
+        take, source = tmp_path / "take.dgrc", tmp_path / "source.dgrc"
+        save_recording(synthesize_sway_recording(duration_s=1.0), source)
+        target = ["--out", str(take)] if command == "record" else ["--file", str(source)]
         with pytest.raises(SystemExit) as exc:
             cli_main([command, *target, "--server", "127.0.0.1:9", "--bounds", str(bounds)])
         assert exc.value.code == 2
-        assert "--bounds" in capsys.readouterr().err
+        assert "argument --bounds" in capsys.readouterr().err.splitlines()[-1]
         assert not take.exists()
+
+    @pytest.mark.parametrize("command", ["correct", "replay", "bounds"])
+    @pytest.mark.parametrize("fault", TAKE_FAULTS)
+    def test_bad_take_exits_with_one_line_before_opening(
+        self, tmp_path, monkeypatch, capsys, command, fault
+    ):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        corpus.mkdir()
+        save_recording(synthesize_sway_recording(duration_s=0.5), corpus / "a.dgrc")
+        take = corpus / "b.dgrc"  # sorts after the good take
+        damaged_take(take, fault)
+        monkeypatch.setattr(
+            "dancegraph.cli.client_connect", lambda *a, **k: pytest.fail("joined the relay")
+        )
+        argv, named_by = {
+            "correct": (["--in", str(take), "--out", str(out)], "argument --in: "),
+            "replay": (["--file", str(take), "--server", "127.0.0.1:9"], "argument --file: "),
+            "bounds": (["--corpus", str(corpus), "--out", str(out)], f"{take}: "),
+        }[command]
+        try:
+            code = cli_main([command, *argv])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        # argparse prints its usage first; bounds prints the one line alone.
+        assert [line for line in err if ": error: " in line] == err[-1:]
+        assert named_by in err[-1]
+        assert command != "bounds" or len(err) == 1
+        assert not out.exists()
 
     def test_bounds_accepts_non_canonical_file(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -926,20 +1063,24 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys, argv, opener
     ):
         monkeypatch.chdir(tmp_path)
-        # A valid table, so that a refusal comes from the option under test.
-        analyze_bounds([synthesize_sway_recording(duration_s=1.0).frames]).to_json("b.json")
+        # A valid table and take, so that a refusal comes from the option under test.
+        take = synthesize_sway_recording(duration_s=1.0)
+        analyze_bounds([take.frames]).to_json("b.json")
+        save_recording(take, "take.dgrc")
         monkeypatch.setattr(
             f"dancegraph.cli.{opener}", lambda *a, **k: pytest.fail(f"called {opener}")
         )
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
-        assert argv[-2] in capsys.readouterr().err
+        assert f"argument {argv[-2]}" in capsys.readouterr().err.splitlines()[-1]
 
     def test_numeric_option_bounds_are_inclusive(self, tmp_path):
         parse = build_parser().parse_args
-        bounds = str(tmp_path / "b.json")  # --bounds loads the table while parsing
+        # --bounds loads the table while parsing, and --in the take.
+        bounds, take = str(tmp_path / "b.json"), str(tmp_path / "take.dgrc")
         analyze_bounds([synthesize_sway_recording(duration_s=1.0).frames]).to_json(bounds)
+        save_recording(synthesize_sway_recording(duration_s=1.0), take)
         for capacity in ("2", "4096"):
             args = parse(["bench", "--scenario", "swarm", "--capacity", capacity, "--fps", "0.5"])
             assert args.capacity == int(capacity) and args.fps == 0.5
@@ -952,13 +1093,13 @@ class TestCli:
         args = parse(["record", "--out", "o", "--server", "h:1", "--bounds", bounds, "--duration", "0"])
         assert args.duration == 0.0
         for bpm in ("30", "300"):
-            assert parse(["correct", "--in", "a", "--out", "b", "--bpm", bpm]).bpm == float(bpm)
+            assert parse(["correct", "--in", take, "--out", "b", "--bpm", bpm]).bpm == float(bpm)
         for bits in ("8", "24"):
             assert parse(["bounds", "--corpus", "c", "--out", "b", "--bits", bits]).bits == int(bits)
         assert parse(["synth", "--out", "o", "--seconds", "0"]).seconds == 0.0
         args = parse(["synth", "--out", "o", "--hz", "-2.5", "--amplitude", "0", "--phase=-1e300"])
         assert (args.hz, args.amplitude, args.phase) == (-2.5, 0.0, -1e300)
-        assert parse(["correct", "--in", "a", "--out", "b", "--phase-ms=-1e300"]).phase_ms == -1e300
+        assert parse(["correct", "--in", take, "--out", "b", "--phase-ms=-1e300"]).phase_ms == -1e300
 
     def test_replay_and_record_cli(self, tmp_path):
         server = RelayServer(

@@ -101,13 +101,24 @@ def network_streams(client):
     return {tuple(d) for d in client.router.streams()}
 
 
-def wait_until(predicate, timeout=3.0, interval=0.01):
+def wait_until(predicate, *clients, timeout=3.0, interval=0.01):
+    """Poll `predicate` until it holds or `timeout` passes. Between polls,
+    wait up to `interval` for a datagram to any of `clients` and call each
+    one's `receive()`, as the loop that owns them would."""
+    socks = [client.sock for client in clients]
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
+    while (left := deadline - time.monotonic()) > 0:
         if predicate():
             return True
-        time.sleep(interval)
+        select.select(socks, [], [], min(interval, left))
+        for client in clients:
+            client.receive()
     return predicate()
+
+
+def pump(seconds, *clients):
+    """Drive the clients' `receive()` for `seconds`."""
+    wait_until(lambda: False, *clients, timeout=seconds)
 
 
 class TestWireFormat:
@@ -199,7 +210,7 @@ class TestStaleDropFilter:
     def _bare_client(self):
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind(("127.0.0.1", 0))
-        return Client(sock, ("127.0.0.1", 9), 42, SignalRouter(), start_receiver=False)
+        return Client(sock, ("127.0.0.1", 9), 42, SignalRouter())
 
     @given(
         st.lists(st.integers(1, 60), min_size=1, max_size=120),
@@ -307,7 +318,7 @@ class TestSequenceWrap:
             a._seq = 2**32 - 2
             sent = [a.send(b"w%d" % i) for i in range(4)]
             assert sent == [2**32 - 1, 0, 1, 2]
-            assert wait_until(lambda: b.session.stats.received >= 4)
+            assert wait_until(lambda: b.session.stats.received >= 4, a, b)
             assert [p.seq for p in consumer.poll(max_packets=64).packets] == sent
             assert [p.seq for p in echo.poll(max_packets=64).packets] == sent
             assert server.stats.dropped_stale == 0
@@ -335,7 +346,7 @@ class TestRelayServer:
             payloads = [bytes([i]) * (i + 1) for i in range(40)]
             for p in payloads:
                 a.send(p)
-            assert wait_until(lambda: b.session.stats.received >= 40)
+            assert wait_until(lambda: b.session.stats.received >= 40, a, b)
             polled = consumer.poll(max_packets=64)
             got = [(p.seq, p.payload) for p in polled.packets]
             assert [g[1] for g in got] == payloads  # byte-identical payloads
@@ -349,11 +360,11 @@ class TestRelayServer:
             b.send(b"y")
             assert wait_until(
                 lambda: (SignalType.POSE, a.user_id, Origin.NETWORK)
-                in {tuple(d) for d in b.router.streams()}
+                in {tuple(d) for d in b.router.streams()}, a, b
             )
             assert wait_until(
                 lambda: (SignalType.POSE, b.user_id, Origin.NETWORK)
-                in {tuple(d) for d in a.router.streams()}
+                in {tuple(d) for d in a.router.streams()}, a, b
             )
 
     def test_local_echo_is_immediate(self, server):
@@ -380,7 +391,7 @@ class TestRelayServer:
             consumer = b.router.subscribe(SignalSelector(SignalType.POSE, uid, Origin.NETWORK))
             for seq in [1, 2, 2, 1, 3, 3, 2, 4]:
                 raw.sendto(frame_packet(SignalType.POSE, uid, seq, mono_us(), b"s%d" % seq), addr)
-            assert wait_until(lambda: b.session.stats.received >= 4)
+            assert wait_until(lambda: b.session.stats.received >= 4, b)
             delivered = [p.seq for p in consumer.poll(max_packets=64).packets]
             assert delivered == [1, 2, 3, 4]
             assert server.stats.dropped_stale == 4
@@ -392,7 +403,7 @@ class TestRelayServer:
             consumer = b.router.subscribe(SignalSelector(SignalType.POSE, None, Origin.NETWORK))
             a.sock.sendto(frame_packet(SignalType.POSE, a.user_id + 50, 1, mono_us(), b"x"), addr)
             a.send(b"legit")
-            assert wait_until(lambda: b.session.stats.received >= 1)
+            assert wait_until(lambda: b.session.stats.received >= 1, a, b)
             got = consumer.poll(max_packets=8).packets
             assert [p.payload for p in got] == [b"legit"]
             assert server.stats.spoofed == 1
@@ -409,10 +420,10 @@ class TestRelayServer:
             a.send(struct.pack("<H", a.user_id), SignalType.CONTROL)
             # The relay handles a's packets in order, and so does b.
             a.send(b"marker")
-            assert wait_until(lambda: b.session.stats.received >= 1)
+            assert wait_until(lambda: b.session.stats.received >= 1, a, b, c)
             assert b.user_id == b_id
             b.send(b"still relayed")
-            assert wait_until(lambda: c.session.stats.received >= 2)
+            assert wait_until(lambda: c.session.stats.received >= 2, a, b, c)
             got = [(p.user_id, p.payload) for p in consumer.poll(max_packets=8).packets]
             assert got == [(a.user_id, b"marker"), (b_id, b"still relayed")]
             assert server.stats.dropped_control == 1
@@ -432,7 +443,7 @@ class TestRelayServer:
                 # Sent first, the stray datagram would be queued before the
                 # relayed marker.
                 a.send(b"marker")
-                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert wait_until(lambda: b.session.stats.received >= 1, a, b)
                 assert network_streams(b) == {(SignalType.POSE, a.user_id, Origin.NETWORK)}
                 assert b.session.stats.received == 1
             finally:
@@ -457,7 +468,7 @@ class TestRelayServer:
                 for data in (good[:HEADER_SIZE - 1], bad_magic, bad_version, bad_type, oversize,
                              good):
                     raw.sendto(data, addr)
-                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert wait_until(lambda: b.session.stats.received >= 1, b)
                 assert [p.payload for p in consumer.poll(max_packets=8).packets] == [b"pose"]
                 assert server.stats.dropped_corrupt == 5
                 assert server.stats.relayed == 1
@@ -488,7 +499,7 @@ class TestRelayServer:
                 # Sent first, the forged LEAVE would be read before the
                 # relayed marker.
                 a.send(b"marker")
-                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert wait_until(lambda: b.session.stats.received >= 1, a, b)
                 assert UNASSIGNED_ID not in joins
                 # The same datagram handed to ingest does re-join: only the
                 # connected socket's source check keeps it out.
@@ -507,7 +518,7 @@ class TestRelayServer:
             with client_connect(addr) as a, client_connect(addr) as b:
                 assert a.sock.getpeername() == ("127.0.0.1", srv.port)
                 a.send(b"pose")
-                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert wait_until(lambda: b.session.stats.received >= 1, a, b)
                 assert network_streams(b) == {(SignalType.POSE, a.user_id, Origin.NETWORK)}
                 assert a.session.stats.relay_down == 0
         finally:
@@ -515,17 +526,16 @@ class TestRelayServer:
 
     def test_send_and_receive_ride_out_a_closed_relay_port(self):
         # A connected socket reports the relay's closed port as
-        # ConnectionRefusedError on its next send or receive; neither the
-        # receive thread nor a sender may die of it.
+        # ConnectionRefusedError on its next send or receive; neither
+        # receive() nor send() may die of it.
         srv = RelayServer(ServerConfig(host="127.0.0.1")).start()
         addr = ("127.0.0.1", srv.port)
         with client_connect(addr, keepalive_interval_s=None) as watcher, client_connect(
-            addr, start_receiver=False, keepalive_interval_s=None
+            addr, keepalive_interval_s=None
         ) as sender:
             srv.stop()
             watcher.send(b"to a closed port")
-            assert wait_until(lambda: watcher.session.stats.relay_down >= 1)
-            assert watcher._thread.is_alive()
+            assert wait_until(lambda: watcher.session.stats.relay_down >= 1, watcher)
             stats = sender.session.stats
             sender.send(b"first")
             assert wait_until(lambda: select.select([sender.sock], [], [], 0)[0])
@@ -567,14 +577,14 @@ class TestRelayServer:
 class TestJoin:
     def test_join_retries_until_acked(self, fake_relay):
         addr, heard = fake_relay(lambda n: [] if n == 1 else [(5, 5)])
-        with client_connect(addr, retries=2, start_receiver=False) as client:
+        with client_connect(addr, retries=2) as client:
             assert client.user_id == 5
         assert heard == [UNASSIGNED_ID, UNASSIGNED_ID]
 
     @pytest.mark.parametrize("subject", [9, UNASSIGNED_ID])
     def test_leave_before_ack_does_not_end_join(self, fake_relay, subject):
         addr, _ = fake_relay(lambda n: [(SERVER_ID, subject), (4, 4)])
-        with client_connect(addr, retries=1, start_receiver=False) as client:
+        with client_connect(addr, retries=1) as client:
             assert client.user_id == 4
 
     def test_connect_timeout_closes_the_socket(self, fake_relay, monkeypatch):
@@ -600,7 +610,7 @@ class TestJoin:
         srv = RelayServer(ServerConfig(host="127.0.0.1", client_timeout_us=300_000)).start()
         try:
             with client_connect(
-                ("127.0.0.1", srv.port), start_receiver=False, keepalive_interval_s=0.05
+                ("127.0.0.1", srv.port), keepalive_interval_s=0.05
             ) as client:
                 assert client.sock.gettimeout() == 0.0
                 until = time.monotonic() + 0.9
@@ -612,15 +622,21 @@ class TestJoin:
         finally:
             srv.stop()
 
-    def test_receive_thread_exits_soon_after_close(self, server):
+    def test_client_starts_no_thread(self, server):
+        before = set(threading.enumerate())
         client = client_connect(("127.0.0.1", server.port))
-        thread = client._thread
-        assert thread.is_alive()
-        assert client.sock.gettimeout() == 0.0  # send() drops, never waits
-        began = time.monotonic()
+        assert set(threading.enumerate()) <= before
+        client.receive()
+        assert set(threading.enumerate()) <= before
         client.close()
-        assert time.monotonic() - began < 0.5
-        assert not thread.is_alive()
+        assert set(threading.enumerate()) <= before
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        with pytest.raises(ValueError, match="no receive thread"):
+            Client(sock, ("127.0.0.1", 9), 1, SignalRouter(), start_receiver=True)
+        assert sock.fileno() == -1  # the refused client closed the socket it was handed
+        with pytest.raises(ValueError, match="no receive thread"):
+            client_connect(("127.0.0.1", server.port), start_receiver=True)
+        assert set(threading.enumerate()) <= before
 
 
 class TestRejoin:
@@ -631,7 +647,7 @@ class TestRejoin:
             port = raw.getsockname()[1]
             for seq in range(1, 51):
                 raw.sendto(frame_packet(SignalType.POSE, uid, seq, mono_us(), b"old"), addr)
-            assert wait_until(lambda: b.session.stats.received >= 50)
+            assert wait_until(lambda: b.session.stats.received >= 50, b)
             raw.close()
             # A restarted client on the same port joins afresh and numbers
             # its poses from 1 again.
@@ -639,12 +655,12 @@ class TestRejoin:
             try:
                 assert again == uid
                 assert wait_until(
-                    lambda: (SignalType.POSE, uid, Origin.NETWORK) not in network_streams(b)
+                    lambda: (SignalType.POSE, uid, Origin.NETWORK) not in network_streams(b), b
                 )
                 for seq in range(1, 51):
                     raw.sendto(frame_packet(SignalType.POSE, uid, seq, mono_us(), b"new"), addr)
-                assert wait_until(lambda: b.session.stats.received >= 100)
-                assert wait_until(lambda: server.stats.relayed >= 100)
+                assert wait_until(lambda: b.session.stats.received >= 100, b)
+                assert wait_until(lambda: server.stats.relayed >= 100, b)
                 assert server.stats.dropped_stale == 0
                 assert server.stats.relayed == 100
                 assert b.session.stats.dropped_stale == 0
@@ -658,13 +674,13 @@ class TestRejoin:
             try:
                 for seq in range(1, 11):
                     raw.sendto(frame_packet(SignalType.POSE, uid, seq, mono_us(), b"p"), addr)
-                assert wait_until(lambda: b.session.stats.received >= 10)
+                assert wait_until(lambda: b.session.stats.received >= 10, b)
                 raw.sendto(frame_packet(SignalType.CONTROL, uid, 2, mono_us()), addr)
                 assert parse_packet(raw.recv(2048)).user_id == uid  # re-acked
                 raw.sendto(frame_packet(SignalType.POSE, uid, 5, mono_us(), b"late"), addr)
                 raw.sendto(frame_packet(SignalType.POSE, uid, 11, mono_us(), b"next"), addr)
-                assert wait_until(lambda: b.session.stats.received >= 11)
-                assert wait_until(lambda: server.stats.relayed >= 11)
+                assert wait_until(lambda: b.session.stats.received >= 11, b)
+                assert wait_until(lambda: server.stats.relayed >= 11, b)
                 assert server.stats.dropped_stale == 1
                 assert server.stats.relayed == 11
                 assert (SignalType.POSE, uid, Origin.NETWORK) in network_streams(b)
@@ -714,8 +730,10 @@ class TestFanout:
             try:
                 for i in range(30):
                     a.send(b"f%d" % i)
-                assert wait_until(lambda: all(o.session.stats.received >= 30 for o in others))
-                assert wait_until(lambda: server.stats.relayed >= 30 * receivers)
+                assert wait_until(
+                    lambda: all(o.session.stats.received >= 30 for o in others), a, *others
+                )
+                assert wait_until(lambda: server.stats.relayed >= 30 * receivers, a, *others)
                 assert server.stats.relayed == 30 * receivers
                 assert [o.session.stats.received for o in others] == [30] * receivers
             finally:
@@ -737,7 +755,7 @@ class TestEviction:
                 b.send(b"hi")
                 assert wait_until(
                     lambda: (SignalType.POSE, b.user_id, Origin.NETWORK)
-                    in {tuple(d) for d in a.router.streams()}
+                    in {tuple(d) for d in a.router.streams()}, a, b
                 )
                 b_id = b.user_id
                 b_sock_addr = b.sock.getsockname()
@@ -749,19 +767,19 @@ class TestEviction:
                     if srv.stats.evictions >= 1:
                         evicted = True
                         break
-                    time.sleep(0.05)
+                    pump(0.05, a, b)
                 assert evicted
                 # LEAVE tears down the peer stream on A
                 assert wait_until(
                     lambda: (SignalType.POSE, b_id, Origin.NETWORK)
-                    not in {tuple(d) for d in a.router.streams()}
+                    not in {tuple(d) for d in a.router.streams()}, a, b
                 )
                 # packets from the evicted endpoint are ignored until re-join
                 before = a.session.stats.received
                 b.sock.sendto(
                     frame_packet(SignalType.POSE, b_id, 99, mono_us(), b"zombie"), addr
                 )
-                time.sleep(0.3)
+                pump(0.3, a, b)
                 assert a.session.stats.received == before
                 assert srv.stats.unknown_sender >= 1
         finally:
@@ -779,19 +797,19 @@ class TestEviction:
             ) as b:
                 old_id = a.user_id
                 a.send(b"before")
-                assert wait_until(lambda: srv.stats.evictions >= 1)
+                assert wait_until(lambda: srv.stats.evictions >= 1, a, b)
                 with client_connect(addr, keepalive_interval_s=0.05) as c:
                     assert c.user_id == old_id  # the freed id goes to the next joiner
                     a._send_keepalive(mono_us())  # re-admitted under a fresh id
-                    assert wait_until(lambda: a.user_id != old_id)
+                    assert wait_until(lambda: a.user_id != old_id, a, b, c)
                     new_id = a.user_id
                     assert new_id not in (b.user_id, c.user_id)
                     b_before = b.session.stats.received
                     c_before = c.session.stats.received
                     for _ in range(5):
                         a.send(b"pose")
-                    assert wait_until(lambda: b.session.stats.received >= b_before + 5)
-                    assert wait_until(lambda: c.session.stats.received >= c_before + 5)
+                    assert wait_until(lambda: b.session.stats.received >= b_before + 5, a, b, c)
+                    assert wait_until(lambda: c.session.stats.received >= c_before + 5, a, b, c)
                     assert srv.stats.spoofed == 0
                     assert (SignalType.POSE, new_id, Origin.NETWORK) in network_streams(b)
                     # A's local echo moved to the new id as well
@@ -813,18 +831,18 @@ class TestRelayRestart:
                 addr, keepalive_interval_s=keepalive_s
             ) as b:
                 a.send(b"before")
-                assert wait_until(lambda: b.session.stats.received >= 1)
+                assert wait_until(lambda: b.session.stats.received >= 1, a, b)
                 srv.stop()
                 srv = RelayServer(ServerConfig(host="127.0.0.1", port=port)).start()
                 restarted = time.monotonic()
                 before = b.session.stats.received
                 # B's next keepalive registers it; A's poses draw a LEAVE
                 # naming A, and A re-joins. B hears A within one keepalive
-                # interval, plus the receive loop's 50 ms poll and slack.
+                # interval, plus slack.
                 deadline = restarted + keepalive_s + 0.25
                 while b.session.stats.received == before and time.monotonic() < deadline:
                     a.send(b"after")
-                    time.sleep(0.01)
+                    pump(0.01, a, b)
                 assert b.session.stats.received > before
                 assert srv.stats.joins == 2
                 assert srv.stats.relayed >= 1
@@ -844,9 +862,9 @@ class TestRelayRestart:
                     t0 = time.monotonic()
                     while time.monotonic() - t0 < 0.35:
                         c.send(b"pose")
-                        time.sleep(0.005)
+                        pump(0.005, c)
                     elapsed_us = (time.monotonic() - t0) * 1e6
-                    time.sleep(0.1)
+                    pump(0.1, c)
                     rejoins = srv.stats.rejected_full
                     assert 1 <= rejoins <= elapsed_us // _LEAVE_REPLY_INTERVAL_US + 1
                     assert srv.stats.unknown_sender >= 50
@@ -909,8 +927,7 @@ class TestNoHeadOfLineBlocking:
                 pass
 
         sock = FullOnce()
-        client = Client(sock, ("127.0.0.1", 9), 1, SignalRouter(), start_receiver=False,
-                        keepalive_interval_s=None)
+        client = Client(sock, ("127.0.0.1", 9), 1, SignalRouter(), keepalive_interval_s=None)
         echo = client.router.subscribe(SignalSelector(SignalType.POSE, 1, Origin.LOCAL))
         stats = client.session.stats
         assert client.send(b"dropped") == 1
@@ -942,8 +959,8 @@ class TestNoHeadOfLineBlocking:
                         addr,
                     )
                 b.send(b"b")
-                time.sleep(0.01)
-            time.sleep(0.2)
+                pump(0.01, a, b, c)
+            pump(0.2, a, b, c)
             transit_b = []
             for packet in consumer.poll(max_packets=8192).packets:
                 if packet.user_id == b.user_id and packet.recv_timestamp_us is not None:

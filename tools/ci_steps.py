@@ -61,10 +61,10 @@ def relay() -> bool:
 
 
 def session(work: Path) -> bool:
-    """`record` and `replay` use the default client, whose receive thread no
-    benchmark workload runs: a 3 s take goes through a real `dancegraph
-    server`, and the recording must hold at least 90% of the replayed
-    frames."""
+    """`record` and `replay` drive their client's receive() from their own
+    loops (record_sink and replay_stream), which no benchmark workload runs:
+    a 3 s take goes through a real `dancegraph server`, and the recording
+    must hold at least 90% of the replayed frames."""
     from dancegraph.recording import load_recording
 
     (work / "corpus").mkdir()
@@ -269,7 +269,7 @@ def all_steps(tmp: Path) -> list[tuple[str, list[str], float | None]]:
         ("Benchmark tests", [sys.executable, "-m", "pytest", "-q", "bench/test_bench.py"], None),
         ("Benchmark smoke run", [*own, "smoke"], None),
         ("Relay entry point", [*own, "relay"], None),
-        ("Live session over the threaded client", [*own, "session"], 120),
+        ("Live session over the loop-driven client", [*own, "session"], 120),
         ("Corrective CLI", [*own, "corrective"], 120),
         ("Layer timing tool",
          [sys.executable, "tools/layer_ab.py", "src", "src", "--rounds", "1"], None),
