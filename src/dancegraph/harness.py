@@ -225,10 +225,10 @@ def record_sink(
 
     Runs until `stop` is set or `duration_s` elapses, then drains what is
     left in the ring; the file is truncated to the last complete frame on
-    close. Payloads that do not decode for this table, and frames the
-    writer refuses (a timestamp that does not advance, as when a looping
-    replay wraps around, one past the file's range, or a non-finite root),
-    are skipped. Returns the number of frames written.
+    close. Payloads that do not decode for this table (a wrong length or a
+    non-finite root), and frames the writer refuses (a timestamp that does
+    not advance, as when a looping replay wraps around, or one past the
+    file's range), are skipped. Returns the number of frames written.
     """
     consumer = client.router.subscribe(selector, Mode.EVERY)
     deadline = None if duration_s is None else time.monotonic() + duration_s

@@ -64,10 +64,23 @@ class Recording:
         _check_header(self.joint_count, self.nominal_fps)
 
 
+def _check_rotations(rot: np.ndarray) -> None:
+    """Raise RecordingFormatError naming the first frame of the (frames,
+    joints, 4) block `rot` that has a rotation of zero or non-finite norm."""
+    rot = rot.astype(np.float64)  # squared in float64, float32 values stay finite and > 0
+    n2 = np.einsum("fjc,fjc->fj", rot, rot)
+    bad = np.flatnonzero(~(np.isfinite(n2) & (n2 > 0.0)).all(axis=1))
+    if bad.size:
+        raise RecordingFormatError(
+            f"frame {bad[0]} rotation has zero or non-finite norm"
+        ) from None
+
+
 def _records(frames: Sequence[PoseFrame], joint_count: int, last_ts: int = -1) -> np.ndarray:
     """The frames as one block of file records, once they have joint_count
-    joints each, float32-finite roots, and timestamps that strictly increase
-    from above `last_ts`, the last one written (-1: none, so the first is >= 0)."""
+    joints each, float32-finite roots, rotations that the loader can
+    normalize as float32, and timestamps that strictly increase from above
+    `last_ts`, the last one written (-1: none, so the first is >= 0)."""
     try:
         ts, roots, rotations = _stack_frames(frames)
     except (ValueError, OverflowError) as exc:  # unequal joint counts, or a timestamp past int64
@@ -82,6 +95,7 @@ def _records(frames: Sequence[PoseFrame], joint_count: int, last_ts: int = -1) -
         raise RecordingFormatError("root translations must be finite as float32")
     records = np.empty(len(ts), dtype=_frame_layout(joint_count))
     records["ts"], records["root"], records["rot"] = ts, roots, rotations
+    _check_rotations(records["rot"])
     return records
 
 
@@ -165,8 +179,7 @@ def load_recording(path: str | Path) -> Recording:
     try:
         rotations = rows_canonicalize(body["rot"])
     except InvalidQuaternionError:  # the norms again, only to name the frame
-        n2 = np.square(body["rot"], dtype=np.float64).sum(axis=-1)
-        bad = np.flatnonzero(~(np.isfinite(n2) & (n2 > 0.0)).all(axis=1))[0]
-        raise RecordingFormatError(f"frame {bad} rotation has zero or non-finite norm") from None
+        _check_rotations(body["rot"])
+        raise
     frames = FrameBlock(ts.astype(np.int64), body["root"].astype(np.float64), rotations)
     return Recording(joint_count=joint_count, nominal_fps=fps, frames=frames)

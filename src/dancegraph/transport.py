@@ -84,6 +84,7 @@ UNASSIGNED_ID = 0xFFFF
 SERVER_ID = 0
 
 _U16 = struct.Struct("<H")
+_CONTROL = SignalType.CONTROL  # a global read costs less than the enum lookup
 
 _RECV_BUFSIZE = HEADER_SIZE + 1472  # one full datagram with headroom
 _LEAVE_REPLY_INTERVAL_US = 100_000  # per unregistered address
@@ -503,7 +504,7 @@ class Client:
         except CorruptPacketError:
             session.stats.dropped_corrupt += 1
             return
-        if packet.signal_type is SignalType.CONTROL:
+        if packet.signal_type is _CONTROL:
             self._handle_control(packet)
             return
         flow = (packet.user_id, packet.signal_type)

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -24,6 +25,7 @@ from dancegraph.core import PoseFrame, Skeleton, default_skeleton
 from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recording
 from dancegraph.recording import _frame_layout
 
+from codec_oracle import scalar_decode, scalar_encode
 from conftest import MALFORMED_TABLE_IDS, MALFORMED_TABLES, frames_from_rows, w_largest_rows
 
 
@@ -72,12 +74,26 @@ class TestBoundsTable:
         with pytest.raises(ShapeMismatchError):
             BoundsTable((), np.zeros((0, 3)), np.zeros((0, 3)))
 
-    def test_cached_constants_are_not_fields(self):
+    def test_cached_constants_are_not_fields(self, tmp_path):
         table = full_range_table(joint_count=3, bits=11, names=("a", "b", "c"))
         assert [f.name for f in fields(BoundsTable)] == ["joint_names", "lo", "hi", "bits"]
         assert "_span" not in repr(table) and "_in_ball" not in repr(table)
         assert table.joint_count == 3 and table.payload_bytes == (3 * 3 * 11 + 7) // 8
         assert np.array_equal(table.step, (table.hi - table.lo) / 2047)
+        # The per-frame ufuncs' operand arrays, each in the layout of its data.
+        operands = {
+            "_levels4": ((3, 4), 2047.0), "_ones": ((3,), 1.0), "_zeros": ((3,), 0.0),
+            "_levels3": ((3, 3), 2047.0), "_half3": ((3, 3), 0.5), "_zeros3": ((3, 3), 0.0),
+        }
+        for name, (shape, value) in operands.items():
+            arr = getattr(table, name)
+            assert arr.dtype == np.float64 and arr.shape == shape and np.all(arr == value)
+            assert not arr.flags.writeable
+            assert name not in repr(table)
+        table.to_json(tmp_path / "table.json")
+        doc = json.loads((tmp_path / "table.json").read_text())
+        assert set(doc) == {"version", "bits", "joints"}
+        assert all(set(joint) == {"name", "x", "y", "z"} for joint in doc["joints"])
 
     def test_equality_and_hash_are_identity(self):
         lo, hi = np.full((2, 3), -0.5), np.full((2, 3), 0.5)
@@ -297,6 +313,16 @@ class TestEncodeDecode:
         with pytest.raises(FrozenInstanceError):
             back.payload = b""
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_bytes_refuses_a_non_finite_root(self, axis, bad):
+        table = full_range_table(joint_count=2, names=("a", "b"))
+        root = [0.5, -1.0, 2.0]
+        root[axis] = bad
+        data = EncodedFrame(1, tuple(root), encode_frame(identity_frame(2), table).payload).to_bytes()
+        with pytest.raises(CorruptFrameError, match="not finite"):
+            EncodedFrame.from_bytes(data, table)
+
     @pytest.mark.parametrize("bits", [8, 11, 16, 24])
     def test_round_trip_idempotent_across_bit_widths(self, bits):
         rng = np.random.default_rng(99)
@@ -460,6 +486,83 @@ class TestMatchesReference:
         assert np.allclose(np.linalg.norm(dec.rotations, axis=1), 1.0, rtol=0, atol=1e-15)
         assert np.allclose(dec.rotations[0], [3 ** -0.5] * 3 + [0.0], rtol=0, atol=1e-15)
         assert dec.rotations[1, 3] > 0.99
+
+
+def random_canonical_frames(rng, count, joint_count):
+    """Frames of uniformly random canonical rotations: most components of
+    a corpus-sized box clamp."""
+    rows = rng.normal(size=(count, joint_count, 4))
+    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    rows[rows[..., 3] < 0.0] *= -1.0
+    return [PoseFrame.from_array(i, (0.0, 0.0, 0.0), r) for i, r in enumerate(rows)]
+
+
+class TestMatchesScalarOperandCodec:
+    """encode_frame and decode_frame against their scalar-operand bodies in
+    codec_oracle: the per-table operand arrays move no bit."""
+
+    @pytest.mark.parametrize("box", ["inside", "outside"])
+    @pytest.mark.parametrize("bits", [8, 11, 16, 24])
+    def test_same_payloads_clamp_counts_and_rotations(self, skeleton, bits, box):
+        table = corner_table(skeleton.joint_names, 1.0 + (2e-9 if box == "outside" else -2e-9), bits)
+        assert table._in_ball == (box == "inside")
+        rng = np.random.default_rng(100 + bits)
+        sway = synthesize_sway_recording(duration_s=1.0)
+        frames = random_canonical_frames(rng, 40, table.joint_count) + list(sway.frames[::5])
+        stats, oracle_stats = EncoderStats(), EncoderStats()
+        for frame in frames:
+            enc = encode_frame(frame, table, stats)
+            assert enc.payload == scalar_encode(frame, table, oracle_stats).payload
+        assert stats == oracle_stats and stats.clamped_components > 0
+        count = table.joint_count * 3
+        payloads = [rng.integers(0, 1 << bits, size=count) for _ in range(40)]
+        # Grid corners, where |v| is largest: outside the ball they renormalize.
+        payloads += [rng.integers(0, 2, size=count) * table.levels for _ in range(20)]
+        for ints in payloads:
+            enc = EncodedFrame(0, (0.0, 0.0, 0.0), _pack_ints(ints.astype(np.uint32), bits))
+            dec = decode_frame(enc, table, skeleton)
+            assert dec.rotations.tobytes() == scalar_decode(enc, table).tobytes()
+            # Re-encoding the decode also gives the oracle's bytes.
+            assert encode_frame(dec, table).payload == scalar_encode(dec, table).payload
+
+
+def frame_bytes(need: int):
+    """Buffers for EncodedFrame.from_bytes: most of them `need` bytes long,
+    some with a root of any float32 (NaN and infinities included)."""
+    root = st.tuples(*[st.floats(width=32)] * 3).map(lambda r: struct.pack("<3f", *r))
+    exact = st.builds(
+        lambda ts, r, payload: ts + r + payload,
+        st.binary(min_size=8, max_size=8), root,
+        st.binary(min_size=need - 20, max_size=need - 20),
+    )
+    return st.one_of(exact, st.binary(min_size=need, max_size=need), st.binary(max_size=need + 4))
+
+
+@pytest.mark.parametrize("box", ["inside", "outside"])
+@pytest.mark.parametrize("bits", [8, 11, 16, 24])
+def test_property_any_bytes_decode_or_are_corrupt(skeleton, bits, box):
+    """from_bytes then decode_frame either raises CorruptFrameError or gives
+    a frame with a finite root and read-only float64 (joints, 4) rotations
+    of w >= 0 and unit norm to 1e-12."""
+    table = corner_table(skeleton.joint_names, 1.0 + (2e-9 if box == "outside" else -2e-9), bits)
+    need = 20 + table.payload_bytes
+
+    @given(frame_bytes(need))
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        try:
+            frame = decode_frame(EncodedFrame.from_bytes(data, table), table, skeleton)
+        except CorruptFrameError:
+            assert len(data) != need or not all(map(math.isfinite, struct.unpack_from("<3f", data, 8)))
+            return
+        assert all(map(math.isfinite, frame.root_translation))
+        rot = frame.rotations
+        assert rot.dtype == np.float64 and rot.shape == (table.joint_count, 4)
+        assert not rot.flags.writeable
+        assert np.all(rot[:, 3] >= 0.0)
+        assert np.all(np.abs(np.linalg.norm(rot, axis=1) - 1.0) <= 1e-12)
+
+    check()
 
 
 class TestDecodedFrame:

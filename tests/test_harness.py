@@ -271,7 +271,8 @@ class TestRecordingFile:
         assert not (tmp_path / "never.dgrc").exists()
 
     @pytest.mark.parametrize(
-        "fault", ["negative", "backwards", "joints", "ragged", "inf_root", "nan_root", "f32_root"]
+        "fault", ["negative", "backwards", "joints", "ragged", "inf_root", "nan_root", "f32_root",
+                  "zero_rot", "nan_rot", "f32_rot"]
     )
     def test_failed_save_leaves_the_old_file(self, tmp_path, fault):
         # Every check runs on the whole take before the file is opened.
@@ -287,12 +288,34 @@ class TestRecordingFile:
             frames = [PoseFrame(f.timestamp_us, (0, 0, 0), f.rotations[:2]) for f in frames]
         elif fault == "ragged":
             frames[5] = PoseFrame(frames[5].timestamp_us, (0, 0, 0), frames[5].rotations[:2])
+        elif fault.endswith("_rot"):  # a rotation the loader cannot normalize as float32
+            rot = np.array(frames[5].rotations)
+            rot[3] = {"zero_rot": 0.0, "nan_rot": math.nan, "f32_rot": 1e-50}[fault]
+            frames[5] = PoseFrame(frames[5].timestamp_us, frames[5].root_translation, rot)
         else:  # a root the file cannot hold as a finite float32
             x = {"inf_root": math.inf, "nan_root": math.nan, "f32_root": 1e39}[fault]
             frames[5] = PoseFrame(frames[5].timestamp_us, (x, 0.0, 0.0), frames[5].rotations)
         with pytest.raises(RecordingFormatError):
             save_recording(Recording(34, 30.0, frames), path)
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("fill", [0.0, math.nan, math.inf])
+    def test_writer_refuses_a_rotation_the_loader_refuses(self, tmp_path, fill):
+        # The writer's message is the loader's, and the file keeps the frames
+        # written before the refused one.
+        path = tmp_path / "take.dgrc"
+        frames = synthesize_sway_recording(duration_s=0.2).frames
+        rot = np.array(frames[2].rotations)
+        rot[7] = fill
+        with RecordingWriter(path, 34, 30.0) as writer:
+            writer.write_frame(frames[0])
+            writer.write_frame(frames[1])
+            with pytest.raises(RecordingFormatError, match="rotation has zero or non-finite norm"):
+                writer.write_frame(PoseFrame(frames[2].timestamp_us, (0, 0, 0), rot))
+            assert writer.frames_written == 2
+        assert [f.timestamp_us for f in load_recording(path).frames] == [
+            f.timestamp_us for f in frames[:2]
+        ]
 
     def test_load_refuses_a_timestamp_past_int64(self, tmp_path):
         path = tmp_path / "take.dgrc"

@@ -206,6 +206,33 @@ class TestWireFormat:
             assert blob[:2] == MAGIC and blob[2] == 1 and blob[3] in (1, 2, 3)
 
 
+def datagrams():
+    """Buffers for parse_packet: random bytes, and headers whose magic,
+    version and signal type are often valid, with a payload of up to four
+    bytes past MAX_PAYLOAD."""
+    header = st.builds(
+        lambda magic, version, kind, rest: magic + bytes([version, kind]) + rest,
+        st.one_of(st.just(MAGIC), st.binary(min_size=2, max_size=2)),
+        st.one_of(st.just(1), st.integers(0, 255)),
+        st.one_of(st.sampled_from([1, 2, 3]), st.integers(0, 255)),
+        st.binary(min_size=HEADER_SIZE - 4, max_size=HEADER_SIZE - 4),
+    )
+    framed = st.builds(bytes.__add__, header, st.binary(max_size=MAX_PAYLOAD + 4))
+    return st.one_of(framed, st.binary(max_size=HEADER_SIZE + 8))
+
+
+@given(datagrams())
+@settings(max_examples=300, deadline=None)
+def test_property_any_datagram_parses_or_is_corrupt(blob):
+    """parse_packet returns a packet that frames back to the same bytes, or
+    raises CorruptPacketError."""
+    try:
+        packet = parse_packet(blob)
+    except CorruptPacketError:
+        return
+    assert packet.to_bytes() == blob
+
+
 class TestStaleDropFilter:
     def _bare_client(self):
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -17,6 +17,10 @@ poll over 29 peer streams that each got one new packet, in microseconds
 per poll; `Client.ingest + poll (29-peer tick)`, one tick of 29 peers'
 pose datagrams ingested and then polled latest-wins, as a client of a
 30-dancer session receives them, in microseconds per peer-frame;
+`receive chain (29-peer tick)`, that tick carried on as the
+`session_receive` benchmark times it (ingest, the latest-wins poll, and
+`EncodedFrame.from_bytes` and `decode_frame` of every polled packet), in
+microseconds per peer-frame;
 `run_corrective_pipeline` and `amplify_zones` (hips 2.0, hands 0.5) on a
 synthesized 24 s dancer take, in microseconds per frame, with
 amplification at the window `dancegraph correct` derives from the take's
@@ -230,6 +234,32 @@ def layers(m, scratch: Path):
             tick_poll(64)
         return (time.perf_counter_ns() - t0) / (CALLS * PEERS) / 1000
 
+    # The same tick carried on to the rendered frames, as session_receive
+    # times it: every polled packet is parsed and decoded.
+    chain_receiver = m["transport"].Client(
+        socket.socket(socket.AF_INET, socket.SOCK_DGRAM), ("127.0.0.1", 9), 1,
+        router.SignalRouter(), start_receiver=False, keepalive_interval_s=None,
+    )
+    chain_poll = chain_receiver.router.subscribe(
+        router.SignalSelector(pose, None, router.Origin.NETWORK), router.Mode.LATEST_WINS
+    ).poll
+    chain_laps = [0]
+
+    def receive_chain() -> float:
+        base = chain_laps[0] * CALLS
+        chain_laps[0] += 1
+        grams = [[packet.frame_packet(pose, u, base + i + 1, 0, wire) for u in peers]
+                 for i in range(CALLS)]
+        fn, from_bytes = chain_receiver.ingest, codec.EncodedFrame.from_bytes
+        decode = codec.decode_frame
+        t0 = time.perf_counter_ns()
+        for tick in grams:
+            for g in tick:
+                fn(g, 0)
+            for p in chain_poll(64).packets:
+                decode(from_bytes(p.payload, table), table, skeleton)
+        return (time.perf_counter_ns() - t0) / (CALLS * PEERS) / 1000
+
     recording = m["recording"]
     scratch.mkdir()
     take_file = scratch / "take.dgrc"
@@ -299,6 +329,7 @@ def layers(m, scratch: Path):
         "Client.ingest": ingest,
         "poll latest-wins (29 streams)": poll_latest,
         "Client.ingest + poll (29-peer tick)": ingest_tick,
+        "receive chain (29-peer tick)": receive_chain,
         "run_corrective_pipeline": per_frame(
             lambda: rhythm.run_corrective_pipeline(take, skeleton, grid, params)
         ),
