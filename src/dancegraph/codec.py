@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import struct
-from math import isfinite
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 

@@ -65,15 +65,20 @@ class Recording:
 
 
 def _check_rotations(rot: np.ndarray) -> None:
-    """Raise RecordingFormatError naming the first frame of the (frames,
-    joints, 4) block `rot` that has a rotation of zero or non-finite norm."""
-    rot = rot.astype(np.float64)  # squared in float64, float32 values stay finite and > 0
-    n2 = np.einsum("fjc,fjc->fj", rot, rot)
-    bad = np.flatnonzero(~(np.isfinite(n2) & (n2 > 0.0)).all(axis=1))
-    if bad.size:
-        raise RecordingFormatError(
-            f"frame {bad[0]} rotation has zero or non-finite norm"
-        ) from None
+    """Raise RecordingFormatError naming the first frame of the float32
+    (frames, joints, 4) block `rot` that has a rotation of zero or
+    non-finite norm."""
+    # Squares summed in float32 can overflow or underflow for a usable row,
+    # so only a row that fails there is summed again in float64, where the
+    # squares of float32 values stay finite and > 0.
+    for dtype in (np.float32, np.float64):
+        n2 = np.einsum("fjc,fjc->fj", rot, rot, dtype=dtype)
+        ok = (np.isfinite(n2) & (n2 > 0.0)).all(axis=1)
+        if ok.all():
+            return
+    raise RecordingFormatError(
+        f"frame {np.flatnonzero(~ok)[0]} rotation has zero or non-finite norm"
+    ) from None
 
 
 def _records(frames: Sequence[PoseFrame], joint_count: int, last_ts: int = -1) -> np.ndarray:

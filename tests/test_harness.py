@@ -299,6 +299,20 @@ class TestRecordingFile:
             save_recording(Recording(34, 30.0, frames), path)
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("scale", [1e20, 1e-25])
+    def test_save_keeps_a_rotation_whose_float32_squares_overflow_or_underflow(
+        self, tmp_path, scale
+    ):
+        # The loader normalizes such a row, so the writers must not refuse it.
+        path = tmp_path / "take.dgrc"
+        frames = list(synthesize_sway_recording(duration_s=0.2).frames)
+        rot = np.array(frames[2].rotations)
+        rot[7] *= scale
+        frames[2] = PoseFrame(frames[2].timestamp_us, (0, 0, 0), rot)
+        save_recording(Recording(34, 30.0, frames), path)
+        loaded = load_recording(path).frames[2].rotations
+        assert np.allclose(loaded[7], frames[2].rotations[7] / scale, atol=1e-6)
+
     @pytest.mark.parametrize("fill", [0.0, math.nan, math.inf])
     def test_writer_refuses_a_rotation_the_loader_refuses(self, tmp_path, fill):
         # The writer's message is the loader's, and the file keeps the frames
