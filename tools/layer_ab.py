@@ -221,11 +221,15 @@ def layers(m, scratch: Path):
     ).poll
     tick_laps = [0]
 
-    def ingest_tick() -> float:
+    def tick_grams() -> list:
+        # Sequence numbers keep rising across rounds and across both layers.
         base = tick_laps[0] * CALLS
         tick_laps[0] += 1
-        grams = [[packet.frame_packet(pose, u, base + i + 1, 0, wire) for u in peers]
-                 for i in range(CALLS)]
+        return [[packet.frame_packet(pose, u, base + i + 1, 0, wire) for u in peers]
+                for i in range(CALLS)]
+
+    def ingest_tick() -> float:
+        grams = tick_grams()
         fn = receiver.ingest
         t0 = time.perf_counter_ns()
         for tick in grams:
@@ -234,29 +238,16 @@ def layers(m, scratch: Path):
             tick_poll(64)
         return (time.perf_counter_ns() - t0) / (CALLS * PEERS) / 1000
 
-    # The same tick carried on to the rendered frames, as session_receive
-    # times it: every polled packet is parsed and decoded.
-    chain_receiver = m["transport"].Client(
-        socket.socket(socket.AF_INET, socket.SOCK_DGRAM), ("127.0.0.1", 9), 1,
-        router.SignalRouter(), start_receiver=False, keepalive_interval_s=None,
-    )
-    chain_poll = chain_receiver.router.subscribe(
-        router.SignalSelector(pose, None, router.Origin.NETWORK), router.Mode.LATEST_WINS
-    ).poll
-    chain_laps = [0]
-
     def receive_chain() -> float:
-        base = chain_laps[0] * CALLS
-        chain_laps[0] += 1
-        grams = [[packet.frame_packet(pose, u, base + i + 1, 0, wire) for u in peers]
-                 for i in range(CALLS)]
-        fn, from_bytes = chain_receiver.ingest, codec.EncodedFrame.from_bytes
-        decode = codec.decode_frame
+        # The same tick carried on to the rendered frames, as session_receive
+        # times it: every polled packet is parsed and decoded.
+        grams = tick_grams()
+        fn, from_bytes, decode = receiver.ingest, codec.EncodedFrame.from_bytes, codec.decode_frame
         t0 = time.perf_counter_ns()
         for tick in grams:
             for g in tick:
                 fn(g, 0)
-            for p in chain_poll(64).packets:
+            for p in tick_poll(64).packets:
                 decode(from_bytes(p.payload, table), table, skeleton)
         return (time.perf_counter_ns() - t0) / (CALLS * PEERS) / 1000
 
