@@ -42,6 +42,7 @@ BenchParams = _deferred("harness", "BenchParams")
 _check_session_clients = _deferred("harness", "_check_session_clients")
 corrective_experiment = _deferred("harness", "corrective_experiment")
 record_sink = _deferred("harness", "record_sink")
+SinkStats = _deferred("harness", "SinkStats")
 replay_stream = _deferred("harness", "replay_stream")
 run_latency_experiment = _deferred("harness", "run_latency_experiment")
 synthesize_sway_recording = _deferred("harness", "synthesize_sway_recording")
@@ -204,6 +205,7 @@ def _cmd_record(args) -> int:
     stop = threading.Event()
     _on_interrupt(stop)
     print(f"recording {args.select} to {args.out} (ctrl-c to stop)")
+    skipped = SinkStats()
     try:
         written = record_sink(
             client,
@@ -214,8 +216,11 @@ def _cmd_record(args) -> int:
             nominal_fps=args.fps,
             stop=stop,
             duration_s=args.duration,
+            stats=skipped,
         )
         print(f"wrote {written} frames")
+        print(f"skipped {skipped.wrong_length} wrong-length and {skipped.non_finite_root} "
+              f"non-finite-root payloads; the writer refused {skipped.refused} frames")
     finally:
         client.close()
     return 0

@@ -106,11 +106,13 @@ class BoundsTable:
         object.__setattr__(self, "_span", span)
         corner = np.maximum(lo * lo, hi * hi).sum(axis=1)
         object.__setattr__(self, "_in_ball", bool(corner.max() < 1.0 - _BALL_MARGIN))
-        # Decode's (joints, 4) layout: row j gathers payload components 3j,
-        # 3j + 1 and 3j + 2, and its w column, overwritten by the decode,
-        # dequantizes finitely against span 1 and lo 0.
+        # The (joints, 4) layout of a frame's rotations. Decode's row j
+        # gathers payload components 3j, 3j + 1 and 3j + 2, and its w column,
+        # overwritten by the decode, dequantizes finitely. Encode maps a w in
+        # [0, 1] through lo 0 and span 2 into [0, 0.5], inside the grid, so
+        # only x, y and z can flag a frame.
         gather = 3 * np.arange(joints, dtype=np.intp)[:, None] + np.array([0, 1, 2, 0])
-        span4 = np.hstack([span, np.ones((joints, 1))])
+        span4 = np.hstack([span, np.full((joints, 1), 2.0)])
         lo4 = np.hstack([lo, np.zeros((joints, 1))])
         # The per-frame ufuncs' other operands, as arrays of their layout: a
         # Python float operand costs about a third more under numpy 2's
@@ -118,7 +120,8 @@ class BoundsTable:
         levels = float(self.levels)
         operands = {
             "_gather": gather, "_span4": span4, "_lo4": lo4,
-            "_levels4": np.full((joints, 4), levels), "_ones": np.ones(joints),
+            "_levels4": np.full((joints, 4), levels), "_half4": np.full((joints, 4), 0.5),
+            "_ones": np.ones(joints),
             "_zeros": np.zeros(joints), "_levels3": np.full((joints, 3), levels),
             "_half3": np.full((joints, 3), 0.5), "_zeros3": np.zeros((joints, 3)),
         }
@@ -274,8 +277,9 @@ def analyze_bounds(
 
 
 def _pack_ints(values: np.ndarray, bits: int) -> bytes:
-    """Bit-pack integral values in [0, 2**bits) MSB-first into a zero-padded
-    byte string. Float arrays holding whole numbers pack like ints."""
+    """Bit-pack integral values in [0, 2**bits) MSB-first, in row-major
+    order, into a zero-padded byte string. Float values in [0, 2**bits)
+    pack as their integer parts."""
     if bits == 16:
         return values.astype(_BE_U16).tobytes()
     # Spread each value over 32 big-endian bits, keep the low `bits` of them.
@@ -306,12 +310,41 @@ def encode_frame(
     payloads compare bit-for-bit. Out-of-bounds inputs clamp to the edge of
     the grid and are tallied in `stats` instead of escaping the fixed-size
     layout.
+
+    The common case is one pass over the (joints, 4) rotations, w mapped
+    into [0, 0.5] alongside x, y and z. A frame is flagged when some
+    fl(v - lo) < 0, which holds exactly when v < lo (a negative w shows
+    here), or some fl(v - lo) / span >= 1, which every v > hi forces. An
+    unflagged frame therefore needs no clamp and tallies nothing, and its
+    grid values lie in [0.5, levels + 0.5], where truncation equals floor.
+    The checks are written to flag a NaN too. A flagged frame takes
+    `_encode_flagged`, the canonical check, exact tally and clamp.
     """
     arr = frame.rotations
     if arr.shape[0] != table.joint_count:
         raise ShapeMismatchError(
             f"frame has {arr.shape[0]} joints, table has {table.joint_count}"
         )
+    d = arr - table._lo4
+    if not d.min() >= 0.0:
+        return _encode_flagged(frame, table, stats)
+    d /= table._span4
+    if not d.max() < 1.0:
+        return _encode_flagged(frame, table, stats)
+    d *= table._levels4
+    d += table._half4
+    if stats is not None:
+        stats.frames += 1
+    payload = _pack_ints(d[:, :3], table.bits)
+    return EncodedFrame(frame.timestamp_us, frame.root_translation, payload)
+
+
+def _encode_flagged(
+    frame: PoseFrame, table: BoundsTable, stats: EncoderStats | None
+) -> EncodedFrame:
+    """encode_frame of a flagged frame: the canonical check, the exact clamp
+    tally and the clamp."""
+    arr = frame.rotations
     if arr[:, 3].min() < 0.0:
         raise ValueError("frame must be canonicalized (w >= 0) before encoding")
     v = arr[:, :3]

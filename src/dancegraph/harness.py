@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .codec import (
+    _FRAME_PREFIX,
     BoundsTable,
     CorruptFrameError,
     EncodedFrame,
@@ -55,6 +56,7 @@ __all__ = [
     "replay_stream",
     "ReplayStats",
     "record_sink",
+    "SinkStats",
     "StageStats",
     "FlowStats",
     "LatencyReport",
@@ -210,6 +212,15 @@ def replay_stream(
     return stats
 
 
+@dataclass
+class SinkStats:
+    """Frames record_sink skipped, by cause."""
+
+    wrong_length: int = 0  # a payload that is not one frame for the table
+    non_finite_root: int = 0  # a NaN or infinite root translation
+    refused: int = 0  # a frame the writer refused (RecordingFormatError)
+
+
 def record_sink(
     client: Client,
     selector: SignalSelector,
@@ -220,6 +231,7 @@ def record_sink(
     nominal_fps: float = 30.0,
     stop: threading.Event | None = None,
     duration_s: float | None = None,
+    stats: SinkStats | None = None,
 ) -> int:
     """Record what the client's router delivers in Every mode, driving `receive()`.
 
@@ -228,8 +240,12 @@ def record_sink(
     close. Payloads that do not decode for this table (a wrong length or a
     non-finite root), and frames the writer refuses (a timestamp that does
     not advance, as when a looping replay wraps around, or one past the
-    file's range), are skipped. Returns the number of frames written.
+    file's range), are skipped and counted by cause in `stats`. Returns the
+    number of frames written.
     """
+    if stats is None:
+        stats = SinkStats()
+    frame_size = _FRAME_PREFIX.size + table.payload_bytes
     consumer = client.router.subscribe(selector, Mode.EVERY)
     deadline = None if duration_s is None else time.monotonic() + duration_s
     with RecordingWriter(path, skeleton.joint_count, nominal_fps) as writer, \
@@ -244,9 +260,16 @@ def record_sink(
             for packet in polled.packets:
                 try:
                     enc = EncodedFrame.from_bytes(packet.payload, table)
-                    writer.write_frame(decode_frame(enc, table, skeleton))
-                except (CorruptFrameError, RecordingFormatError):
+                except CorruptFrameError:
+                    if len(packet.payload) != frame_size:
+                        stats.wrong_length += 1
+                    else:
+                        stats.non_finite_root += 1
                     continue
+                try:
+                    writer.write_frame(decode_frame(enc, table, skeleton))
+                except RecordingFormatError:
+                    stats.refused += 1
             if not polled.packets:
                 if stopping:
                     break

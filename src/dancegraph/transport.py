@@ -61,7 +61,6 @@ from .packet import (
     SignalType,
     _parse_header,
     frame_packet,
-    parse_packet,
     seq_newer,
 )
 from .router import Origin, SignalDescriptor, SignalRouter, StreamConflictError
@@ -381,6 +380,7 @@ class Client:
         )
         self._last_tx_us = mono_us()
         self._join_seq = 0
+        self._connected = False  # client_connect connects the socket to the relay
         self._sock.setblocking(False)
 
     @property
@@ -395,7 +395,10 @@ class Client:
         user_id = self.session.user_id
         data = frame_packet(signal_type, user_id, seq, now, payload)
         try:
-            self._sock.sendto(data, self._server_addr)
+            if self._connected:
+                self._sock.send(data)
+            else:
+                self._sock.sendto(data, self._server_addr)
         except BlockingIOError:
             # Kernel send buffer full: drop rather than stall, lag comes first.
             self.session.stats.send_errors += 1
@@ -415,14 +418,8 @@ class Client:
         echo = self._echo_producers.get((signal_type, user_id))
         if echo is None:
             echo = self._register_echo(signal_type, user_id)
-        echo.publish(SignalPacket(
-            signal_type=signal_type,
-            user_id=user_id,
-            seq=seq,
-            send_timestamp_us=now,
-            payload=payload,
-            recv_timestamp_us=now,
-        ))
+        # positional, as in parse_packet
+        echo.publish(SignalPacket(signal_type, user_id, seq, now, payload, now))
         return seq
 
     def _register_echo(self, signal_type: SignalType, user_id: int):
@@ -496,46 +493,48 @@ class Client:
     def ingest(self, data: bytes, now: int) -> None:
         """Process one inbound datagram: stale-filter it and publish it as
         the sending peer's stream. Hot path; per-packet errors only count.
-        Datagrams handed in here directly skip the source check that
-        client_connect's connected socket makes in the kernel."""
+        The header is parsed once, and a datagram is dropped before any
+        packet is built for it. Datagrams handed in here directly skip the
+        source check that client_connect's connected socket makes in the
+        kernel."""
         session = self.session
         try:
-            packet = parse_packet(data)
+            signal_type, user_id, seq, send_ts = _parse_header(data)
         except CorruptPacketError:
             session.stats.dropped_corrupt += 1
             return
-        if packet.signal_type is _CONTROL:
-            self._handle_control(packet)
+        if signal_type is _CONTROL:
+            self._handle_control(user_id, data[HEADER_SIZE:])
             return
-        flow = (packet.user_id, packet.signal_type)
+        flow = (user_id, signal_type)
         producer = self._peer_producers.get(flow)
         if producer is None:
-            desc = SignalDescriptor(packet.signal_type, packet.user_id, Origin.NETWORK)
+            desc = SignalDescriptor(signal_type, user_id, Origin.NETWORK)
             try:
                 producer = self.router.register_producer(desc, self._peer_ring_capacity)
             except StreamConflictError:  # the application produces this stream itself
                 session.stats.dropped_conflict += 1
                 return
             self._peer_producers[flow] = producer
-        elif not seq_newer(packet.seq, producer.last_seq):  # the flow's stream keeps its order
+        elif not seq_newer(seq, producer.last_seq):  # the flow's stream keeps its order
             session.stats.dropped_stale += 1
             return
-        packet.recv_timestamp_us = now
-        producer.publish(packet)
+        # positional, as in parse_packet; publish copies a payload that is not bytes
+        producer.publish(SignalPacket(signal_type, user_id, seq, send_ts, data[HEADER_SIZE:], now))
         session.stats.received += 1
 
-    def _handle_control(self, packet: SignalPacket) -> None:
-        if len(packet.payload) != 2:
+    def _handle_control(self, sender_id: int, payload: bytes) -> None:
+        if len(payload) != 2:
             return
-        (subject,) = _U16.unpack(packet.payload)
-        if packet.user_id == subject:
+        (subject,) = _U16.unpack(payload)
+        if sender_id == subject:
             # A JOIN-ACK reaches only the joining endpoint: it names this
             # client's first id, or its new one after an eviction (the old
             # id may belong to another dancer now). The next send() closes
             # the echo streams under the old id.
             self.session.user_id = subject
             return
-        if packet.user_id != SERVER_ID:
+        if sender_id != SERVER_ID:
             return
         if subject == self.session.user_id:
             # The relay has no session for this client (it restarted or
@@ -563,9 +562,9 @@ def client_connect(
     unassigned JOIN and ingest replies until the ACK's id is adopted.
 
     Once the ACK arrives the socket is connected to the address it came
-    from, so the kernel drops datagrams from any other address, and a closed
-    relay port reads as ConnectionRefusedError, which send() and receive()
-    count as `relay_down` and ride out. That address, not the one the JOIN
+    from, so the kernel drops datagrams from any other address, send() uses
+    `sock.send`, and a closed relay port reads as ConnectionRefusedError,
+    which send() and receive() count as `relay_down` and ride out. That address, not the one the JOIN
     went to: a relay bound to a wildcard address answers from whichever
     address its route picks.
 
@@ -600,6 +599,7 @@ def client_connect(
                 if client.user_id != UNASSIGNED_ID:
                     sock.connect(source)
                     client._server_addr = source
+                    client._connected = True
                     return client
         raise ConnectTimeoutError(
             f"no join acknowledgement from {server_addr} after {retries} attempts"

@@ -82,7 +82,8 @@ class TestBoundsTable:
         assert np.array_equal(table.step, (table.hi - table.lo) / 2047)
         # The per-frame ufuncs' operand arrays, each in the layout of its data.
         operands = {
-            "_levels4": ((3, 4), 2047.0), "_ones": ((3,), 1.0), "_zeros": ((3,), 0.0),
+            "_levels4": ((3, 4), 2047.0), "_half4": ((3, 4), 0.5),
+            "_ones": ((3,), 1.0), "_zeros": ((3,), 0.0),
             "_levels3": ((3, 3), 2047.0), "_half3": ((3, 3), 0.5), "_zeros3": ((3, 3), 0.0),
         }
         for name, (shape, value) in operands.items():
@@ -524,6 +525,55 @@ class TestMatchesScalarOperandCodec:
             assert dec.rotations.tobytes() == scalar_decode(enc, table).tobytes()
             # Re-encoding the decode also gives the oracle's bytes.
             assert encode_frame(dec, table).payload == scalar_encode(dec, table).payload
+
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.parametrize("bits", [8, 11, 16, 24])
+    def test_edge_components(self, bits):
+        """Components at each bound and one ulp either side of it, a NaN
+        beside an out-of-bounds component, infinities and identity rows give
+        the oracle's payload and tally frame by frame; a negative w is still
+        refused. A NaN makes min() and max() NaN, so one-pass checks written
+        as plain `<` and `>=` would let the frame beside it skip the clamp."""
+        rng = np.random.default_rng(bits)
+        lo, hi = -rng.uniform(0.1, 0.5, (3, 3)), rng.uniform(0.1, 0.5, (3, 3))
+        table = BoundsTable(("a", "b", "c"), lo, hi, bits=bits)
+        identity = np.tile([0.0, 0.0, 0.0, 1.0], (3, 1))
+
+        def frame(*edits):
+            rows = identity.copy()
+            for j, c, value in edits:
+                rows[j, c] = value
+            return PoseFrame(0, (0.0, 0.0, 0.0), rows)
+
+        at_lo, at_hi = identity.copy(), identity.copy()
+        at_lo[:, :3], at_hi[:, :3] = lo, hi
+        cases = [frame(), PoseFrame(0, (0, 0, 0), at_lo), PoseFrame(0, (0, 0, 0), at_hi)]
+        for j in range(3):
+            for c in range(3):
+                cases += [frame((j, c, np.nextafter(bound, toward)))
+                          for bound in (lo[j, c], hi[j, c]) for toward in (-np.inf, np.inf)]
+        cases += [frame((1, c, value)) for c in range(3) for value in (np.inf, -np.inf)]
+        nan_beside = [
+            frame((0, 0, np.nan), (1, 1, np.nextafter(hi[1, 1], np.inf))),
+            frame((2, 2, np.nan), (0, 1, np.nextafter(lo[0, 1], -np.inf))),
+            frame((1, 0, np.nan), (2, 1, np.inf)),
+            frame((0, 3, np.nan), (1, 2, -0.9)),
+        ]
+        for case in cases + nan_beside:
+            stats, oracle_stats = EncoderStats(), EncoderStats()
+            enc = encode_frame(case, table, stats)
+            assert enc.payload == scalar_encode(case, table, oracle_stats).payload
+            assert stats == oracle_stats
+        for case in nan_beside:
+            stats = EncoderStats()
+            encode_frame(case, table, stats)
+            assert stats.clamped_components == 1
+        for w in (-1.0, -0.5, np.nextafter(0.0, -1.0)):
+            for case in (frame((0, 3, w)), frame((0, 3, w), (1, 0, 2.0))):
+                for encode in (encode_frame, scalar_encode):
+                    with pytest.raises(ValueError, match="canonicalized"):
+                        encode(case, table)
 
 
 def frame_bytes(need: int):

@@ -27,6 +27,7 @@ from dancegraph.harness import (
     _start_server,
     corrective_experiment,
     find_extremum_times_us,
+    SinkStats,
     record_sink,
     replay_stream,
     run_latency_experiment,
@@ -116,6 +117,29 @@ def bare_client(router):
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
     return Client(sock, ("127.0.0.1", 9), 1, router, keepalive_interval_s=None)
+
+
+def sink_of(payloads, table, out, stats=None) -> int:
+    """record_sink into `out` from a router that holds `payloads` as peer
+    7's stream the moment the sink subscribes; returns once they are drained."""
+
+    class PrimedRouter(SignalRouter):
+        def subscribe(self, selector, mode=Mode.EVERY):
+            handle = super().subscribe(selector, mode)
+            producer = self.register_producer(
+                SignalDescriptor(SignalType.POSE, 7, Origin.NETWORK), 64
+            )
+            for seq, payload in enumerate(payloads, start=1):
+                producer.publish(SignalPacket(SignalType.POSE, 7, seq, seq, payload))
+            return handle
+
+    stop = threading.Event()
+    stop.set()  # drain what is queued, then return
+    with bare_client(PrimedRouter()) as client:
+        return record_sink(
+            client, SignalSelector(SignalType.POSE, None, Origin.NETWORK), out, table,
+            default_skeleton(), stop=stop, stats=stats,
+        )
 
 
 TAKE_FAULTS = ["missing", "junk", "short_header", "zero_rotation", "nan_rotation", "inf_root"]
@@ -550,33 +574,47 @@ class TestRecordSink:
         infinite = PoseFrame(after.timestamp_us + 1, (math.inf, 0.0, 0.0), after.rotations)
         payloads.insert(payloads.index(encode_frame(after, table).to_bytes()) + 1,
                         encode_frame(infinite, table).to_bytes())
-
-        class PrimedRouter(SignalRouter):
-            # Publishes every payload right after the sink subscribes.
-            def subscribe(self, selector, mode=Mode.EVERY):
-                handle = super().subscribe(selector, mode)
-                producer = self.register_producer(
-                    SignalDescriptor(SignalType.POSE, 7, Origin.NETWORK), 64
-                )
-                for seq, payload in enumerate(payloads, start=1):
-                    producer.publish(SignalPacket(SignalType.POSE, 7, seq, seq, payload))
-                return handle
-
-        stop = threading.Event()
-        stop.set()  # drain what is queued, then return
         out = tmp_path / "sink.dgrc"
-        with bare_client(PrimedRouter()) as client:
-            written = record_sink(
-                client,
-                SignalSelector(SignalType.POSE, None, Origin.NETWORK),
-                out,
-                table,
-                default_skeleton(),
-                stop=stop,
-            )
-        assert written == len(rec.frames)
+        stats = SinkStats()
+        assert sink_of(payloads, table, out, stats) == len(rec.frames)
         recorded = load_recording(out)
         assert [f.timestamp_us for f in recorded.frames] == [f.timestamp_us for f in rec.frames]
+        assert stats == SinkStats(wrong_length=1, non_finite_root=1, refused=2)
+
+    def test_undecodable_payloads_are_counted_by_cause(self, tmp_path):
+        rec = synthesize_sway_recording(duration_s=0.5)
+        table = analyze_bounds([rec.frames], margin=0.1, bits=16)
+        payloads = [encode_frame(f, table).to_bytes() for f in rec.frames]
+        payloads.insert(4, payloads[4][:-1])  # one byte short
+        # A NaN root at a timestamp the writer would take.
+        after = rec.frames[7]
+        nan_root = PoseFrame(after.timestamp_us + 1, (0.0, math.nan, 0.0), after.rotations)
+        payloads.insert(payloads.index(encode_frame(after, table).to_bytes()) + 1,
+                        encode_frame(nan_root, table).to_bytes())
+        stats = SinkStats()
+        assert sink_of(payloads, table, tmp_path / "sink.dgrc", stats) == len(rec.frames)
+        assert (stats.wrong_length, stats.non_finite_root, stats.refused) == (1, 1, 0)
+
+    def test_record_command_prints_the_skip_counts(self, tmp_path, monkeypatch, capsys):
+        bounds = tmp_path / "bounds.json"
+        analyze_bounds(
+            [synthesize_sway_recording(duration_s=0.5).frames],
+            joint_names=default_skeleton().joint_names,
+        ).to_json(bounds)
+
+        def fake_sink(*args, stats, **kwargs):
+            stats.wrong_length, stats.non_finite_root, stats.refused = 1, 2, 3
+            return 5
+
+        monkeypatch.setattr("dancegraph.cli.client_connect", lambda *a, **k: bare_client(SignalRouter()))
+        monkeypatch.setattr("dancegraph.cli.record_sink", fake_sink)
+        assert cli_main(["record", "--out", str(tmp_path / "o.dgrc"), "--server", "127.0.0.1:9",
+                         "--bounds", str(bounds)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "wrote 5 frames",
+            "skipped 1 wrong-length and 2 non-finite-root payloads; the writer refused 3 frames",
+        ]
 
 
 class TestCorrectiveExperiment:

@@ -1,3 +1,4 @@
+import dataclasses
 import select
 import socket
 import struct
@@ -231,6 +232,143 @@ def test_property_any_datagram_parses_or_is_corrupt(blob):
     except CorruptPacketError:
         return
     assert packet.to_bytes() == blob
+
+
+def peer_datagrams(user_ids, control_ids):
+    """Datagrams for a client or relay: any from datagrams(), and headers
+    that parse, with user ids from `user_ids` (CONTROL ones from
+    `control_ids`), sequence numbers close together or across the wrap,
+    and payloads of up to four bytes (two-byte ones are control ids)."""
+    seqs = st.one_of(st.integers(0, 6), st.integers(2**32 - 3, 2**32 - 1))
+    data = st.builds(
+        frame_packet, st.sampled_from([SignalType.POSE, SignalType.TELEMETRY]),
+        st.sampled_from(user_ids), seqs, st.integers(0, 2**64 - 1), st.binary(max_size=4),
+    )
+    control = st.builds(
+        frame_packet, st.just(SignalType.CONTROL), st.sampled_from(control_ids), seqs,
+        st.integers(0, 2**64 - 1),
+        st.one_of(st.just(b""), st.sampled_from(control_ids).map(struct.Struct("<H").pack),
+                  st.binary(max_size=4)),
+    )
+    return st.one_of(datagrams(), data, control)
+
+
+@given(st.lists(peer_datagrams([1, 2, 3, 42], [0, 1, 2, 42, UNASSIGNED_ID]), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_property_ingest_publishes_only_parsed_packets(blobs):
+    """Client.ingest never raises. It publishes a datagram only when
+    parse_packet accepts its header, as that packet with the arrival time;
+    a datagram it drops raises exactly one of its drop counters by one."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    client = Client(sock, ("127.0.0.1", 9), 42, SignalRouter(), keepalive_interval_s=None)
+    try:
+        # The application produces peer 3's pose stream itself: a conflict.
+        client.router.register_producer(SignalDescriptor(SignalType.POSE, 3, Origin.NETWORK))
+        consumers = [client.router.subscribe(SignalSelector(kind, None, Origin.NETWORK))
+                     for kind in (SignalType.POSE, SignalType.TELEMETRY)]
+        for now, blob in enumerate(blobs, start=1):
+            before = dataclasses.asdict(client.session.stats)
+            client.ingest(blob, now)
+            after = dataclasses.asdict(client.session.stats)
+            delta = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+            published = []
+            for consumer in consumers:
+                polled = consumer.poll(max_packets=64)
+                assert polled.lost == 0
+                published += polled.packets
+            try:
+                ref = parse_packet(blob)
+            except CorruptPacketError:
+                assert delta == {"dropped_corrupt": 1} and not published
+                continue
+            if ref.signal_type is SignalType.CONTROL:
+                assert delta == {} and not published
+            elif published:
+                (got,) = published
+                assert delta == {"received": 1}
+                ref.recv_timestamp_us, ref.origin = now, Origin.NETWORK
+                assert got == ref
+            else:
+                assert delta in ({"dropped_stale": 1}, {"dropped_conflict": 1})
+    finally:
+        client.close()
+
+
+@pytest.fixture(scope="module")
+def member_socks():
+    """Four bound sockets standing in for clients of a relay."""
+    socks = []
+    for _ in range(4):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.setblocking(False)
+        socks.append(sock)
+    yield socks
+    for sock in socks:
+        sock.close()
+
+
+def drain(sock) -> list[bytes]:
+    got = []
+    while True:
+        try:
+            got.append(sock.recv(4096))
+        except BlockingIOError:
+            return got
+
+
+def test_property_relay_handles_any_datagram(member_socks):
+    """RelayServer._handle never raises, counts every datagram received,
+    and drops a datagram under at most one counter: as corrupt exactly when
+    parse_packet refuses it. A datagram it does not drop is a header-only
+    CONTROL packet, or a data packet relayed to every other member; members
+    get only byte-identical copies of parsed data packets, besides the
+    relay's own CONTROL packets."""
+    drop_keys = ("dropped_corrupt", "dropped_control", "unknown_sender", "spoofed",
+                 "dropped_stale", "rejected_full")
+    addrs = [sock.getsockname() for sock in member_socks]
+
+    @given(st.lists(st.tuples(st.integers(0, 3),
+                              peer_datagrams([1, 2, 3, 4], [1, 2, 3, UNASSIGNED_ID])),
+                    max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def check(sent):
+        for sock in member_socks:
+            drain(sock)
+        relay = RelayServer(ServerConfig(host="127.0.0.1", max_clients=3))
+        try:
+            # The first three sockets join as users 1, 2 and 3; the relay is full.
+            for addr in addrs[:3]:
+                relay._handle(frame_packet(SignalType.CONTROL, UNASSIGNED_ID, 1, 0), addr, 0)
+            stats = relay.stats
+            assert stats.joins == 3
+            forwarded = set()
+            for now, (who, blob) in enumerate(sent, start=1):
+                before = dataclasses.asdict(stats)
+                relay._handle(blob, addrs[who], now)
+                after = dataclasses.asdict(stats)
+                assert after["received"] == before["received"] + 1
+                drops = sum(after[k] - before[k] for k in drop_keys)
+                try:
+                    ref = parse_packet(blob)
+                except CorruptPacketError:
+                    assert after["dropped_corrupt"] == before["dropped_corrupt"] + 1 == \
+                        before["dropped_corrupt"] + drops
+                    continue
+                assert after["dropped_corrupt"] == before["dropped_corrupt"] and drops <= 1
+                if drops == 0 and ref.signal_type is not SignalType.CONTROL:
+                    members = len(relay._by_addr)
+                    assert after["relayed"] - before["relayed"] == members - 1
+                    forwarded.add(blob)
+            for sock in member_socks:
+                for data in drain(sock):
+                    ref = parse_packet(data)
+                    assert ref.signal_type is SignalType.CONTROL or data in forwarded
+        finally:
+            relay.stop()
+
+    check()
 
 
 class TestStaleDropFilter:

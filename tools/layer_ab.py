@@ -7,7 +7,11 @@ Both trees' `dancegraph` packages are imported into one process under
 different names, and each round times every layer on both, so a slow phase
 of the host hits both sides alike. Which tree goes first alternates from
 round to round, and every timed call starts right after a full collection. Layers: `encode_frame`,
-`EncodedFrame.from_bytes`, `decode_frame` (34 joints, 16 bits, a sway
+`encode_frame (one clamped component)` (the same frame with one component
+past its bound, which takes the encoder's clamping path), `encode_frame
+(after a 1 ms sleep)` (one call after each `time.sleep(0.001)`, the pacing
+`relay_stream` gives a pose, so caches and branch predictors have gone cold
+as they do there; the median of 200 such calls), `EncodedFrame.from_bytes`, `decode_frame` (34 joints, 16 bits, a sway
 frame), `decode_frame (table outside unit ball)` (the same frame against
 a table of full-range bounds, which cannot prove w^2 > 0 and so keeps the
 clamp and the renormalize check; no benchmark workload decodes with such a
@@ -64,6 +68,7 @@ from pathlib import Path
 import numpy as np
 
 CALLS = 2000  # calls per layer per round
+COLD_CALLS = 200  # calls per round of the layer timed after a sleep each
 PEERS = 29  # the peers one client of a 30-dancer session receives
 
 
@@ -111,6 +116,9 @@ def layers(m, scratch: Path):
     )
     frame = rec.frames[5]
     enc = codec.encode_frame(frame, table)
+    rows = frame.rotations.copy()
+    rows[0, 0] = table.hi[0, 0] + 0.01
+    clamped = m["core"].PoseFrame(frame.timestamp_us, frame.root_translation, rows)
     full = np.ones((skeleton.joint_count, 3))
     outside = codec.BoundsTable(skeleton.joint_names, -full, full, bits=16)
     enc_outside = codec.encode_frame(frame, outside)
@@ -176,6 +184,17 @@ def layers(m, scratch: Path):
             for _ in range(CALLS):
                 fn()
             return (time.perf_counter_ns() - t0) / CALLS / 1000
+        return timed
+
+    def after_sleep(fn):
+        def timed() -> float:
+            laps = []
+            for _ in range(COLD_CALLS):
+                time.sleep(0.001)
+                t0 = time.perf_counter_ns()
+                fn()
+                laps.append(time.perf_counter_ns() - t0)
+            return statistics.median(laps) / 1000
         return timed
 
     def ingest() -> float:
@@ -311,6 +330,12 @@ def layers(m, scratch: Path):
 
     return {
         "encode_frame": repeat(lambda: codec.encode_frame(frame, table, stats)),
+        "encode_frame (one clamped component)": repeat(
+            lambda: codec.encode_frame(clamped, table, stats)
+        ),
+        "encode_frame (after a 1 ms sleep)": after_sleep(
+            lambda: codec.encode_frame(frame, table, stats)
+        ),
         "EncodedFrame.from_bytes": repeat(lambda: codec.EncodedFrame.from_bytes(wire, table)),
         "decode_frame": repeat(lambda: codec.decode_frame(enc, table, skeleton)),
         "decode_frame (table outside unit ball)": repeat(
