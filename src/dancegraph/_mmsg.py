@@ -10,21 +10,20 @@ a receive socket with plain recv calls measured no slower than recvmmsg.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import errno
 import socket
 import struct
 
 __all__ = ["FanoutSender"]
 
-_libc = None
-_HAVE = False
+# The symbols already loaded into this process, libc's among them. Naming
+# the library instead (ctypes.util.find_library) would import subprocess
+# and run ldconfig, or a compiler, in every process that imports this.
 try:
-    _name = ctypes.util.find_library("c")
-    if _name:
-        _libc = ctypes.CDLL(_name, use_errno=True)
-        _HAVE = hasattr(_libc, "sendmmsg")
-except OSError:  # pragma: no cover - exotic platforms
+    _libc = ctypes.CDLL(None, use_errno=True)
+    _HAVE = hasattr(_libc, "sendmmsg")
+except (OSError, TypeError):  # pragma: no cover - platforms without dlopen(NULL)
+    _libc = None
     _HAVE = False
 
 

@@ -158,23 +158,35 @@ class BoundsTable:
     @classmethod
     def from_json(cls, src: str | Path) -> "BoundsTable":
         """The table in a file written by to_json. A document of any other
-        shape or version raises ValueError."""
+        shape or version, a joint name that is not a string, or a bound
+        that is not a JSON number within the float range, raises
+        ValueError."""
         with open(src, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
             joints = doc["joints"]
             names = tuple(entry["name"] for entry in joints)
-            pairs = np.array([[entry[c] for c in _COMPONENTS] for entry in joints], dtype=float)
+            pairs = [entry[c] for entry in joints for c in _COMPONENTS]
             bits, version = doc["bits"], doc["version"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{src} is not a bounds table: {exc!r}") from None
         for key, value in (("version", version), ("bits", bits)):
             if type(value) is not int:
                 raise ValueError(f"{src}: bounds table {key} {value!r} is not an integer")
-        if pairs.shape != (len(names), 3, 2):
-            raise ValueError(f"{src} is not a bounds table: bounds are not [lo, hi] pairs")
+        if not all(type(name) is str for name in names):
+            raise ValueError(f"{src}: bounds table joint names must be strings")
+        # A bool is an int to Python but not a number in JSON.
+        if not all(
+            type(pair) is list and len(pair) == 2 and all(type(v) in (int, float) for v in pair)
+            for pair in pairs
+        ):
+            raise ValueError(f"{src} is not a bounds table: bounds are not [lo, hi] number pairs")
         if version != cls.version:
             raise ValueError(f"{src}: bounds table version {version} is not {cls.version}")
+        try:
+            pairs = np.array(pairs, dtype=float).reshape(len(names), 3, 2)
+        except OverflowError:  # an integer beyond any float
+            raise ValueError(f"{src}: bounds table has a bound beyond the float range") from None
         return cls(names, pairs[..., 0], pairs[..., 1], bits=bits)
 
 
@@ -210,10 +222,10 @@ class EncodedFrame:
             raise CorruptFrameError(f"root translation {(rx, ry, rz)} is not finite")
         # The fields as __init__ would set them, without its frozen setattrs.
         enc = object.__new__(cls)
-        enc.__dict__.update(
-            timestamp_us=ts, root_translation=(rx, ry, rz),
-            payload=bytes(data[_FRAME_PREFIX.size:]),
-        )
+        fields = enc.__dict__
+        fields["timestamp_us"] = ts
+        fields["root_translation"] = (rx, ry, rz)
+        fields["payload"] = bytes(data[_FRAME_PREFIX.size:])
         return enc
 
 
@@ -309,7 +321,8 @@ def encode_frame(
     half-way values rounded away from zero, fixed across platforms so golden
     payloads compare bit-for-bit. Out-of-bounds inputs clamp to the edge of
     the grid and are tallied in `stats` instead of escaping the fixed-size
-    layout.
+    layout; infinities clamp too. A NaN component, or a negative w, raises
+    ValueError.
 
     The common case is one pass over the (joints, 4) rotations, w mapped
     into [0, 0.5] alongside x, y and z. A frame is flagged when some
@@ -318,7 +331,7 @@ def encode_frame(
     unflagged frame therefore needs no clamp and tallies nothing, and its
     grid values lie in [0.5, levels + 0.5], where truncation equals floor.
     The checks are written to flag a NaN too. A flagged frame takes
-    `_encode_flagged`, the canonical check, exact tally and clamp.
+    `_encode_flagged`: the NaN and canonical checks, exact tally and clamp.
     """
     arr = frame.rotations
     if arr.shape[0] != table.joint_count:
@@ -342,9 +355,11 @@ def encode_frame(
 def _encode_flagged(
     frame: PoseFrame, table: BoundsTable, stats: EncoderStats | None
 ) -> EncodedFrame:
-    """encode_frame of a flagged frame: the canonical check, the exact clamp
-    tally and the clamp."""
+    """encode_frame of a flagged frame: the NaN and canonical checks, the
+    exact clamp tally and the clamp."""
     arr = frame.rotations
+    if np.isnan(arr).any():  # a NaN has no grid value, and no bound flags it
+        raise ValueError("frame has a NaN rotation component")
     if arr[:, 3].min() < 0.0:
         raise ValueError("frame must be canonicalized (w >= 0) before encoding")
     v = arr[:, :3]
@@ -389,8 +404,13 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
     # The operation order of lo + ints / levels * (hi - lo), so the rotations
     # stay bit-identical, in the frame's own (joints, 4) buffer. The ints
     # convert to float exactly, and converting first is cheaper than dividing
-    # big-endian ints.
-    quats = _unpack_ints(payload, joints * 3, table.bits)[table._gather].astype(np.float64)
+    # big-endian ints. The 16-bit unpack is _unpack_ints' first branch, inline.
+    bits = table.bits
+    if bits == 16:
+        ints = np.frombuffer(payload, _BE_U16)
+    else:
+        ints = _unpack_ints(payload, joints * 3, bits)
+    quats = ints[table._gather].astype(np.float64)
     quats /= table._levels4
     quats *= table._span4
     quats += table._lo4
@@ -404,7 +424,14 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
         over = w2 < -1e-12
         quats[over] /= np.linalg.norm(quats[over], axis=1, keepdims=True)
     quats.setflags(write=False)
-    return PoseFrame._trusted(enc.timestamp_us, enc.root_translation, quats)
+    # The fields as PoseFrame's __init__ would set them, without its frozen
+    # setattrs or __post_init__.
+    frame = object.__new__(PoseFrame)
+    fields = frame.__dict__
+    fields["timestamp_us"] = enc.timestamp_us
+    fields["root_translation"] = enc.root_translation
+    fields["rotations"] = quats
+    return frame
 
 
 def max_angular_error(table: BoundsTable) -> float:

@@ -202,8 +202,9 @@ def corrective_settings(
 
 def load_corrective_config(src: str | Path) -> tuple[BeatGrid, CorrectiveParams]:
     """Read the JSON corrective config: bpm, phase_offset_ms and zone_gains.
-    A config without a bpm, with any other key, or whose zone_gains is not
-    an object, raises ValueError."""
+    A config without a bpm, with any other key, whose zone_gains is not an
+    object, or whose bpm, phase or gain is not a JSON number, raises
+    ValueError."""
     with open(src, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "bpm" not in doc:
@@ -214,8 +215,25 @@ def load_corrective_config(src: str | Path) -> tuple[BeatGrid, CorrectiveParams]
     gains = doc.get("zone_gains", {})
     if not isinstance(gains, dict):
         raise ValueError(f"corrective config {src}: zone_gains must be an object")
-    gains = {BodyZone(name.lower()): float(value) for name, value in gains.items()}
-    return corrective_settings(doc["bpm"], doc.get("phase_offset_ms", 0.0), gains)
+
+    def number(key: str, value) -> float:
+        # A bool is an int to Python but not a number in JSON.
+        if type(value) not in (int, float):
+            raise ValueError(f"corrective config {src}: {key} {value!r} is not a number")
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond any float
+            raise ValueError(f"corrective config {src}: {key} {value} is out of range") from None
+
+    gains = {
+        BodyZone(name.lower()): number(f"zone_gains.{name}", value)
+        for name, value in gains.items()
+    }
+    return corrective_settings(
+        number("bpm", doc["bpm"]),
+        number("phase_offset_ms", doc.get("phase_offset_ms", 0.0)),
+        gains,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,12 @@ class ProducerHandle:
         packet.signal_type = desc.signal_type
         packet.user_id = desc.user_id
         packet.origin = desc.origin
+        return self._write(packet)
+
+    def _write(self, packet: SignalPacket) -> int:
+        """Store a packet that already passed publish's checks and carries
+        its stamps; returns the consumer count. `Client.ingest`, which has
+        made every check on the datagram, writes its packets here."""
         count = self.pub_count
         self.slots[count & self.mask] = (count, packet)
         self.pub_count = count + 1  # release: consumers read this last value

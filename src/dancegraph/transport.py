@@ -84,6 +84,7 @@ SERVER_ID = 0
 
 _U16 = struct.Struct("<H")
 _CONTROL = SignalType.CONTROL  # a global read costs less than the enum lookup
+_NETWORK = Origin.NETWORK
 
 _RECV_BUFSIZE = HEADER_SIZE + 1472  # one full datagram with headroom
 _LEAVE_REPLY_INTERVAL_US = 100_000  # per unregistered address
@@ -493,10 +494,11 @@ class Client:
     def ingest(self, data: bytes, now: int) -> None:
         """Process one inbound datagram: stale-filter it and publish it as
         the sending peer's stream. Hot path; per-packet errors only count.
-        The header is parsed once, and a datagram is dropped before any
-        packet is built for it. Datagrams handed in here directly skip the
-        source check that client_connect's connected socket makes in the
-        kernel."""
+        Each check is made once: the header is parsed once, a datagram is
+        dropped before any packet is built for it, and the packet is written
+        to the stream's ring without publish's second round of checks.
+        Datagrams handed in here directly skip the source check that
+        client_connect's connected socket makes in the kernel."""
         session = self.session
         try:
             signal_type, user_id, seq, send_ts = _parse_header(data)
@@ -519,8 +521,13 @@ class Client:
         elif not seq_newer(seq, producer.last_seq):  # the flow's stream keeps its order
             session.stats.dropped_stale += 1
             return
-        # positional, as in parse_packet; publish copies a payload that is not bytes
-        producer.publish(SignalPacket(signal_type, user_id, seq, send_ts, data[HEADER_SIZE:], now))
+        # The header named the stream and bounded the payload, and the order
+        # is checked above, so the ring takes the packet as publish would
+        # store it (positional, as in parse_packet; bytes() of a bytes
+        # slice is that slice, and any other datagram's slice is copied).
+        producer._write(SignalPacket(
+            signal_type, user_id, seq, send_ts, bytes(data[HEADER_SIZE:]), now, _NETWORK
+        ))
         session.stats.received += 1
 
     def _handle_control(self, sender_id: int, payload: bytes) -> None:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,12 +29,47 @@ MALFORMED_TABLES = [
     dict(_HEADER, version=True, joints=[_JOINT]),
     dict(_HEADER, bits=16.7, joints=[_JOINT]),
     dict(_HEADER, bits="16", joints=[_JOINT]),
+    dict(_HEADER, joints=[dict(_JOINT, name=None)]),
+    dict(_HEADER, joints=[dict(_JOINT, x=["-0.5", 0.5])]),
+    dict(_HEADER, joints=[dict(_JOINT, x=[False, True])]),
+    dict(_HEADER, joints=[dict(_JOINT, x=[-(10**400), 0.5])]),
 ]
 MALFORMED_TABLE_IDS = [
     "no_version", "no_joints", "list", "joint_without_y", "null_bounds", "one_bound",
     "scalar_bound", "joints_string", "version_7", "version_float", "version_string",
-    "version_bool", "bits_float", "bits_string",
+    "version_bool", "bits_float", "bits_string", "name_null", "bound_string", "bounds_bool",
+    "bound_beyond_float",
 ]
+
+
+# Any JSON value, NaN and the infinities included (json reads them back),
+# with integers both within and beyond the float range.
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def mostly(valid):
+    """Strategy for a document field: `valid` seven times in eight, any JSON
+    value otherwise, so most documents have at most one field wrong."""
+    return st.integers(0, 7).flatmap(lambda pick: valid if pick else JSON_VALUES)
+
+
+def json_files(documents):
+    """Strategy for file contents a JSON loader must take or refuse: the
+    JSON text of `documents` or of any value, or arbitrary bytes."""
+    return st.one_of(
+        documents.map(lambda doc: json.dumps(doc).encode()),
+        JSON_VALUES.map(lambda doc: json.dumps(doc).encode()),
+        st.binary(max_size=64),
+    )
 
 
 def unit_quaternions(min_w: float | None = None):

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dancegraph.codec import (
@@ -26,7 +26,14 @@ from dancegraph.harness import synthesize_noise_recording, synthesize_sway_recor
 from dancegraph.recording import _frame_layout
 
 from codec_oracle import scalar_decode, scalar_encode
-from conftest import MALFORMED_TABLE_IDS, MALFORMED_TABLES, frames_from_rows, w_largest_rows
+from conftest import (
+    MALFORMED_TABLE_IDS,
+    MALFORMED_TABLES,
+    frames_from_rows,
+    json_files,
+    mostly,
+    w_largest_rows,
+)
 
 
 def full_range_table(joint_count=34, bits=16, names=None):
@@ -162,6 +169,34 @@ class TestBoundsTable:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             BoundsTable.from_json(path)
+
+    @given(json_files(st.fixed_dictionaries({
+        "version": mostly(st.just(1)),
+        "bits": mostly(st.integers(8, 24)),
+        "joints": mostly(st.lists(st.fixed_dictionaries({
+            "name": mostly(st.text(max_size=6)),
+            **{c: mostly(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2).map(sorted))
+               for c in "xyz"},
+        }), max_size=2)),
+    })))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property_from_json_returns_a_table_or_value_error(self, tmp_path, data):
+        """Any file gives a table that to_json writes back unchanged, or
+        ValueError."""
+        path = tmp_path / "bounds.json"
+        path.write_bytes(data)
+        try:
+            table = BoundsTable.from_json(path)
+        except ValueError:
+            return
+        assert all(isinstance(name, str) for name in table.joint_names)
+        assert 8 <= table.bits <= 24 and np.all(table.lo < table.hi)
+        assert np.all(table.lo >= -1.0) and np.all(table.hi <= 1.0)
+        table.to_json(tmp_path / "again.json")
+        again = BoundsTable.from_json(tmp_path / "again.json")
+        assert again.joint_names == table.joint_names and again.bits == table.bits
+        assert np.array_equal(again.lo, table.lo) and np.array_equal(again.hi, table.hi)
 
 
 class TestAnalyzeBounds:
@@ -527,14 +562,14 @@ class TestMatchesScalarOperandCodec:
             assert encode_frame(dec, table).payload == scalar_encode(dec, table).payload
 
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     @pytest.mark.parametrize("bits", [8, 11, 16, 24])
     def test_edge_components(self, bits):
-        """Components at each bound and one ulp either side of it, a NaN
-        beside an out-of-bounds component, infinities and identity rows give
-        the oracle's payload and tally frame by frame; a negative w is still
-        refused. A NaN makes min() and max() NaN, so one-pass checks written
-        as plain `<` and `>=` would let the frame beside it skip the clamp."""
+        """Components at each bound and one ulp either side of it,
+        infinities and identity rows give the oracle's payload and tally
+        frame by frame; a negative w is still refused, and so is a NaN
+        component, alone or beside an out-of-bounds one. A NaN makes min()
+        and max() NaN, so one-pass checks written as plain `<` and `>=`
+        would let its frame skip the flagged path and its refusal."""
         rng = np.random.default_rng(bits)
         lo, hi = -rng.uniform(0.1, 0.5, (3, 3)), rng.uniform(0.1, 0.5, (3, 3))
         table = BoundsTable(("a", "b", "c"), lo, hi, bits=bits)
@@ -554,21 +589,23 @@ class TestMatchesScalarOperandCodec:
                 cases += [frame((j, c, np.nextafter(bound, toward)))
                           for bound in (lo[j, c], hi[j, c]) for toward in (-np.inf, np.inf)]
         cases += [frame((1, c, value)) for c in range(3) for value in (np.inf, -np.inf)]
+        for case in cases:
+            stats, oracle_stats = EncoderStats(), EncoderStats()
+            enc = encode_frame(case, table, stats)
+            assert enc.payload == scalar_encode(case, table, oracle_stats).payload
+            assert stats == oracle_stats
         nan_beside = [
             frame((0, 0, np.nan), (1, 1, np.nextafter(hi[1, 1], np.inf))),
             frame((2, 2, np.nan), (0, 1, np.nextafter(lo[0, 1], -np.inf))),
             frame((1, 0, np.nan), (2, 1, np.inf)),
             frame((0, 3, np.nan), (1, 2, -0.9)),
         ]
-        for case in cases + nan_beside:
-            stats, oracle_stats = EncoderStats(), EncoderStats()
-            enc = encode_frame(case, table, stats)
-            assert enc.payload == scalar_encode(case, table, oracle_stats).payload
-            assert stats == oracle_stats
-        for case in nan_beside:
+        lone_nan = [frame((j, c, np.nan)) for j in range(3) for c in range(4)]
+        for case in nan_beside + lone_nan:
             stats = EncoderStats()
-            encode_frame(case, table, stats)
-            assert stats.clamped_components == 1
+            with pytest.raises(ValueError, match="NaN"):
+                encode_frame(case, table, stats)
+            assert stats == EncoderStats()
         for w in (-1.0, -0.5, np.nextafter(0.0, -1.0)):
             for case in (frame((0, 3, w)), frame((0, 3, w), (1, 0, 2.0))):
                 for encode in (encode_frame, scalar_encode):

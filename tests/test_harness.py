@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dancegraph.cli import build_parser, main as cli_main
 from dancegraph.codec import analyze_bounds, encode_frame, max_angular_error
@@ -171,6 +173,36 @@ def damaged_take(path, fault):
         path.write_bytes(bytes(data))
 
 
+@st.composite
+def take_files(draw):
+    """File contents for load_recording: arbitrary bytes, or a header of
+    any magic, version, joint count and rate (the usual ones most often)
+    and up to four frames of any float32 values, timestamps in order or
+    not, then a partial tail."""
+    def usual(value, other):
+        return value if draw(st.integers(0, 7)) else draw(other)
+
+    if not draw(st.integers(0, 7)):
+        return draw(st.binary(max_size=120))
+    any_f32 = st.floats(width=32)
+    magic = usual(b"DGRC", st.binary(min_size=4, max_size=4))
+    version = usual(1, st.integers(0, 2**16 - 1))
+    joints = usual(draw(st.integers(1, 3)), st.integers(0, 2**16 - 1))
+    fps = usual(30.0, any_f32)
+    count = draw(st.integers(0, 4)) if joints <= 3 else 0
+    ts = draw(st.lists(st.integers(0, 2**64 - 1), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        ts.sort()
+    component = st.floats(-1.0, 1.0, width=32) | any_f32
+    body = b"".join(
+        struct.pack(f"<Q{3 + 4 * joints}f", t, *draw(st.lists(
+            component, min_size=3 + 4 * joints, max_size=3 + 4 * joints
+        )))
+        for t in ts
+    )
+    return struct.pack("<4sHHf", magic, version, joints, fps) + body + draw(st.binary(max_size=8))
+
+
 def assert_same_take(recording, oracle_frames):
     assert len(recording.frames) == len(oracle_frames)
     for frame, (ts, root, rot) in zip(recording.frames, oracle_frames):
@@ -254,6 +286,27 @@ class TestRecordingFile:
         path.write_bytes(data[:-7])  # chop mid-frame
         loaded = load_recording(path)
         assert len(loaded.frames) == len(rec.frames) - 1
+
+    @given(take_files())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property_load_gives_a_take_or_format_error(self, tmp_path, data):
+        """Any file loads as a take of unit rotations with w >= 0, finite
+        roots and increasing timestamps, or raises RecordingFormatError."""
+        path = tmp_path / "take.dgrc"
+        path.write_bytes(data)
+        try:
+            rec = load_recording(path)
+        except RecordingFormatError:
+            return
+        assert rec.joint_count >= 1 and 0.0 < rec.nominal_fps < math.inf
+        ts = [frame.timestamp_us for frame in rec.frames]
+        assert all(0 <= a < b for a, b in zip(ts, ts[1:])) and all(t >= 0 for t in ts)
+        for frame in rec.frames:
+            rot = frame.rotations
+            assert rot.shape == (rec.joint_count, 4) and np.all(rot[:, 3] >= 0.0)
+            assert np.allclose(np.linalg.norm(rot, axis=1), 1.0, rtol=0.0, atol=1e-12)
+            assert np.all(np.isfinite(frame.root_translation))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.dgrc"

@@ -21,6 +21,10 @@ def test_relay_path_and_server_command_load_without_numpy():
         "assert args.bind == ('127.0.0.1', 0) and args.timeout_ms == 9, args\n"
         "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
         "assert not loaded, loaded[:5]\n"
+        # ctypes.util finds libc by running ldconfig, a process per import
+        "assert 'ctypes.util' not in sys.modules\n"
+        "import dancegraph._mmsg\n"
+        "assert dancegraph._mmsg._HAVE == hasattr(dancegraph._mmsg._libc, 'sendmmsg')\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=60

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dancegraph import rhythm
 from dancegraph.core import (
@@ -47,7 +49,7 @@ from dancegraph.rhythm import (
 )
 
 import karcher_oracle
-from conftest import geodesic_distance
+from conftest import geodesic_distance, json_files, mostly
 from karcher_oracle import MeanConvergenceError, _karcher_windows
 from warp_oracle import SteppedWarpController
 
@@ -1113,6 +1115,48 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_corrective_config(path)
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"bpm": [120]}, "bpm"),
+        ({"bpm": "120"}, "bpm"),
+        ({"bpm": True}, "bpm"),
+        ({"bpm": 10**400}, "bpm"),
+        ({"bpm": 120, "phase_offset_ms": None}, "phase_offset_ms"),
+        ({"bpm": 120, "phase_offset_ms": "0"}, "phase_offset_ms"),
+        ({"bpm": 120, "zone_gains": {"hips": [2.0]}}, "zone_gains.hips"),
+        ({"bpm": 120, "zone_gains": {"hands": False}}, "zone_gains.hands"),
+        ({"bpm": 120, "zone_gains": {"hands": -(10**400)}}, "zone_gains.hands"),
+    ], ids=["bpm_list", "bpm_string", "bpm_bool", "bpm_beyond_float", "phase_null",
+            "phase_string", "gain_list", "gain_bool", "gain_beyond_float"])
+    def test_setting_that_is_not_a_number_names_its_key(self, tmp_path, doc, key):
+        path = tmp_path / "corrective.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+            load_corrective_config(path)
+
+    @given(json_files(st.fixed_dictionaries(
+        {"bpm": mostly(st.floats(20.0, 320.0) | st.integers(20, 320))},
+        optional={
+            "phase_offset_ms": mostly(st.floats(-1e3, 1e3) | st.integers(-1000, 1000)),
+            "zone_gains": mostly(st.dictionaries(
+                st.sampled_from([zone.value for zone in BodyZone] + ["HIPS", "hipz"]),
+                mostly(st.floats(-1.0, 4.0) | st.integers(0, 4)),
+                max_size=3,
+            )),
+        },
+    )))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property_config_gives_settings_or_value_error(self, tmp_path, data):
+        path = tmp_path / "corrective.json"
+        path.write_bytes(data)
+        try:
+            grid, params = load_corrective_config(path)
+        except ValueError:
+            return
+        assert 30.0 <= grid.bpm <= 300.0 and type(grid.phase_offset_us) is int
+        assert set(params.zone_gains) == set(BodyZone)
+        assert all(math.isfinite(g) and g >= 0.0 for g in params.zone_gains.values())
 
     def test_phase_rounds_to_whole_microseconds(self, tmp_path):
         # 1.001 ms is 1000.9999999999999 us in binary: rounded, not truncated.

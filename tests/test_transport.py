@@ -442,6 +442,66 @@ class TestStaleDropFilter:
             client.close()
 
 
+class TestIngestRingWrite:
+    """Client.ingest writes each accepted datagram to its stream's ring
+    once, as the packet publish would have stored, without publish's
+    second round of checks."""
+
+    def _client(self):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        client = Client(sock, ("127.0.0.1", 9), 42, SignalRouter(), keepalive_interval_s=None)
+        consumer = client.router.subscribe(SignalSelector(SignalType.POSE, None, Origin.NETWORK))
+        return client, consumer
+
+    @pytest.mark.parametrize("view", [bytearray, lambda data: memoryview(bytearray(data))])
+    def test_buffer_datagram_arrives_as_a_bytes_payload(self, view):
+        client, consumer = self._client()
+        try:
+            buf = view(frame_packet(SignalType.POSE, 7, 5, 11, b"pose"))
+            client.ingest(buf, 99)
+            buf[HEADER_SIZE:] = b"XXXX"  # the caller reuses its receive buffer
+            (packet,) = consumer.poll().packets
+            assert type(packet.payload) is bytes and packet.payload == b"pose"
+            assert (packet.user_id, packet.seq, packet.recv_timestamp_us) == (7, 5, 99)
+        finally:
+            client.close()
+
+    def test_ring_holds_what_publish_would_store(self):
+        client, consumer = self._client()
+        router = SignalRouter()
+        stream = router.register_producer(SignalDescriptor(SignalType.POSE, 7, Origin.NETWORK))
+        try:
+            for i, seq in enumerate((2**32 - 2, 2**32 - 1, 0, 1)):  # across the wrap
+                data = frame_packet(SignalType.POSE, 7, seq, 1000 + i, b"p" * i)
+                client.ingest(data, seq)
+                ref = parse_packet(data)
+                ref.recv_timestamp_us = seq
+                stream.publish(ref)
+            (ingested,) = client._peer_producers.values()
+            assert ingested.slots == stream.slots
+            assert (ingested.pub_count, ingested.last_seq) == (stream.pub_count, stream.last_seq)
+            assert ingested.ordering_errors == 0
+            assert [p.origin for p in consumer.poll().packets] == [Origin.NETWORK] * 4
+        finally:
+            client.close()
+
+    def test_first_datagram_of_a_flow_lands_and_a_stale_one_is_dropped(self):
+        client, consumer = self._client()
+        try:
+            # A flow's first datagram is new whatever its sequence number.
+            client.ingest(frame_packet(SignalType.POSE, 9, 2**31 + 5, 0, b"a"), 1)
+            for seq in (2**31 + 5, 2**31 + 4, 6):  # repeat, older, half a range behind
+                client.ingest(frame_packet(SignalType.POSE, 9, seq, 0, b"b"), 2)
+            stats = client.session.stats
+            assert (stats.received, stats.dropped_stale) == (1, 3)
+            (stream,) = client._peer_producers.values()
+            assert (stream.pub_count, stream.last_seq, stream.ordering_errors) == (1, 2**31 + 5, 0)
+            assert [(p.seq, p.payload) for p in consumer.poll().packets] == [(2**31 + 5, b"a")]
+        finally:
+            client.close()
+
+
 class TestSequenceWrap:
     """Sequence numbers are u32 serial numbers (RFC 1982): a stream that
     passes 2**32 - 1 carries on at 0 and is not taken for a stale one."""

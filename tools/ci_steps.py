@@ -113,8 +113,9 @@ def corrective(work: Path) -> bool:
     report a convergence only for the shifted grid, and give the hips'
     amplitude ratio within 2 +- 0.05. A malformed --config (an unknown
     zone, zone_gains not an object, a phase beyond any float, a misspelt
-    `zone_gain`, a fixed setting such as `window_frames`) must exit 2
-    before anything is written, and so must a 2-joint take. The same
+    `zone_gain`, a fixed setting such as `window_frames`, and a list bpm,
+    a list gain or a null phase, whose stderr must name the key) must
+    exit 2 before anything is written, and so must a 2-joint take. The same
     settings at a 1.001 ms phase, once as flags and once as a --config, must
     write the same report and the same corrected file: both round the phase
     to whole microseconds."""
@@ -145,22 +146,29 @@ def corrective(work: Path) -> bool:
             and doc.get("measured_joint") in hips and ratio is not None and abs(ratio - 2.0) <= 0.05
             and doc.get("extrema_pre") == 24 and (converged is None) == (phase_ms == "0")
         )
+    # (fields, the key the refusal must name on stderr, or None)
     bad = {
-        "an unknown zone": {"zone_gains": {"hipz": 2.0}},
-        "zone_gains a list": {"zone_gains": ["hips"]},
-        "phase_offset_ms 1e306": {"phase_offset_ms": 1e306},
-        "zone_gain for zone_gains": {"zone_gain": {"hips": 2.0}},
-        "the fixed window_frames": {"window_frames": 256},
+        "an unknown zone": ({"zone_gains": {"hipz": 2.0}}, None),
+        "zone_gains a list": ({"zone_gains": ["hips"]}, None),
+        "phase_offset_ms 1e306": ({"phase_offset_ms": 1e306}, None),
+        "zone_gain for zone_gains": ({"zone_gain": {"hips": 2.0}}, None),
+        "the fixed window_frames": ({"window_frames": 256}, None),
+        "a list bpm": ({"bpm": [120]}, "bpm"),
+        "a list gain": ({"zone_gains": {"hips": [2.0]}}, "zone_gains.hips"),
+        "a null phase": ({"phase_offset_ms": None}, "phase_offset_ms"),
     }
-    for name, fields in bad.items():
+    for name, (fields, key) in bad.items():
         config, out = work / "bad-config.json", work / "fixed-bad-config.dgrc"
         config.write_text(json.dumps({"bpm": 120, **fields}))
         refused = subprocess.run(
-            [*CLI, "correct", "--in", str(take), "--out", str(out), "--config", str(config)]
+            [*CLI, "correct", "--in", str(take), "--out", str(out), "--config", str(config)],
+            stderr=subprocess.PIPE, text=True,
         )
+        said = refused.stderr.strip().splitlines()[-1:]
+        named = key is None or any(key in line for line in said)
         print(f"correct with {name} in --config exited {refused.returncode}, "
-              f"wrote --out: {out.exists()}")
-        ok &= refused.returncode == 2 and not out.exists()
+              f"wrote --out: {out.exists()}, said {said}")
+        ok &= refused.returncode == 2 and not out.exists() and named
     pair, out = work / "two-joints.dgrc", work / "fixed-two-joints.dgrc"
     rig = Skeleton(("hips", "hand"), {0: BodyZone.HIPS, 1: BodyZone.HANDS})
     save_recording(synthesize_sway_recording(rig, duration_s=12.0), pair)
