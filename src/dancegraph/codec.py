@@ -404,13 +404,8 @@ def decode_frame(enc: EncodedFrame, table: BoundsTable, skeleton: Skeleton) -> P
     # The operation order of lo + ints / levels * (hi - lo), so the rotations
     # stay bit-identical, in the frame's own (joints, 4) buffer. The ints
     # convert to float exactly, and converting first is cheaper than dividing
-    # big-endian ints. The 16-bit unpack is _unpack_ints' first branch, inline.
-    bits = table.bits
-    if bits == 16:
-        ints = np.frombuffer(payload, _BE_U16)
-    else:
-        ints = _unpack_ints(payload, joints * 3, bits)
-    quats = ints[table._gather].astype(np.float64)
+    # big-endian ints.
+    quats = _unpack_ints(payload, joints * 3, table.bits)[table._gather].astype(np.float64)
     quats /= table._levels4
     quats *= table._span4
     quats += table._lo4

@@ -150,16 +150,29 @@ class ProducerHandle:
         packet.signal_type = desc.signal_type
         packet.user_id = desc.user_id
         packet.origin = desc.origin
-        return self._write(packet)
-
-    def _write(self, packet: SignalPacket) -> int:
-        """Store a packet that already passed publish's checks and carries
-        its stamps; returns the consumer count. `Client.ingest`, which has
-        made every check on the datagram, writes its packets here."""
         count = self.pub_count
         self.slots[count & self.mask] = (count, packet)
         self.pub_count = count + 1  # release: consumers read this last value
         self.last_seq = packet.seq
+        return self.consumers
+
+    def _write_network(self, seq: int, send_ts: int, payload, now: int) -> int:
+        """publish for a received datagram (`Client.ingest`), without a
+        packet to check and restamp: the packet is built here with the
+        stream's stamps and a `bytes` payload (copied only when it is not
+        `bytes`), and stored as publish stores it. The caller guarantees
+        the rest of publish's checks: the payload is within MAX_PAYLOAD (the
+        header parse bounds it), and `seq` is after `last_seq` (ingest drops
+        and counts a stale datagram instead of raising)."""
+        if self.closed:
+            raise StreamConflictError(f"stream {self.descriptor} is closed")
+        signal_type, user_id, origin = self.descriptor
+        count = self.pub_count
+        self.slots[count & self.mask] = (count, SignalPacket(
+            signal_type, user_id, seq, send_ts, bytes(payload), now, origin
+        ))
+        self.pub_count = count + 1  # release, as in publish
+        self.last_seq = seq
         return self.consumers
 
     def close(self) -> None:

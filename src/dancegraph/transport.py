@@ -84,7 +84,6 @@ SERVER_ID = 0
 
 _U16 = struct.Struct("<H")
 _CONTROL = SignalType.CONTROL  # a global read costs less than the enum lookup
-_NETWORK = Origin.NETWORK
 
 _RECV_BUFSIZE = HEADER_SIZE + 1472  # one full datagram with headroom
 _LEAVE_REPLY_INTERVAL_US = 100_000  # per unregistered address
@@ -495,8 +494,9 @@ class Client:
         """Process one inbound datagram: stale-filter it and publish it as
         the sending peer's stream. Hot path; per-packet errors only count.
         Each check is made once: the header is parsed once, a datagram is
-        dropped before any packet is built for it, and the packet is written
-        to the stream's ring without publish's second round of checks.
+        dropped before any packet is built for it, and the router builds the
+        packet into the stream's ring without publish's second round of
+        checks.
         Datagrams handed in here directly skip the source check that
         client_connect's connected socket makes in the kernel."""
         session = self.session
@@ -521,13 +521,9 @@ class Client:
         elif not seq_newer(seq, producer.last_seq):  # the flow's stream keeps its order
             session.stats.dropped_stale += 1
             return
-        # The header named the stream and bounded the payload, and the order
-        # is checked above, so the ring takes the packet as publish would
-        # store it (positional, as in parse_packet; bytes() of a bytes
-        # slice is that slice, and any other datagram's slice is copied).
-        producer._write(SignalPacket(
-            signal_type, user_id, seq, send_ts, bytes(data[HEADER_SIZE:]), now, _NETWORK
-        ))
+        # The header parse bounded the payload and the order is checked
+        # above: the rest of publish is the router's.
+        producer._write_network(seq, send_ts, data[HEADER_SIZE:], now)
         session.stats.received += 1
 
     def _handle_control(self, sender_id: int, payload: bytes) -> None:

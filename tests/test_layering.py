@@ -23,8 +23,10 @@ def test_relay_path_and_server_command_load_without_numpy():
         "assert not loaded, loaded[:5]\n"
         # ctypes.util finds libc by running ldconfig, a process per import
         "assert 'ctypes.util' not in sys.modules\n"
-        "import dancegraph._mmsg\n"
-        "assert dancegraph._mmsg._HAVE == hasattr(dancegraph._mmsg._libc, 'sendmmsg')\n"
+        # libc's sendmmsg, found among the process's own symbols on Linux
+        "from dancegraph import _mmsg\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    assert _mmsg._libc is not None and _mmsg._HAVE\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], cwd=SRC, capture_output=True, text=True, timeout=60

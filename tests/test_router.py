@@ -103,6 +103,22 @@ class TestPublish:
         assert handle.ordering_errors == 2
         assert handle.pub_count == 1
 
+    def test_network_write_stores_what_publish_stores_and_refuses_a_closed_stream(self, router):
+        desc = SignalDescriptor(POSE, 3, NETWORK)
+        written = router.register_producer(desc, 4)
+        consumer = router.subscribe(SignalSelector(POSE, 3, NETWORK))
+        buf = bytearray(b"pose")
+        assert written._write_network(7, 700, buf, 99) == 1
+        buf[:] = b"XXXX"  # a reused receive buffer
+        (packet,) = consumer.poll().packets
+        assert packet == SignalPacket(POSE, 3, 7, 700, b"pose", 99, NETWORK)
+        assert type(packet.payload) is bytes
+        assert (written.pub_count, written.last_seq) == (1, 7)
+        written.close()
+        with pytest.raises(StreamConflictError):
+            written._write_network(8, 800, b"late", 100)
+        assert (written.pub_count, written.last_seq) == (1, 7)
+
     def test_ring_overwrite_reports_gap(self, router):
         # Oracle: plain ring arithmetic; 100 into capacity 64 keeps the
         # newest 64 and drops the oldest 36.
