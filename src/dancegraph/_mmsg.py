@@ -10,7 +10,6 @@ a receive socket with plain recv calls measured no slower than recvmmsg.
 from __future__ import annotations
 
 import ctypes
-import errno
 import socket
 import struct
 
@@ -20,7 +19,7 @@ __all__ = ["FanoutSender"]
 # the library instead (ctypes.util.find_library) would import subprocess
 # and run ldconfig, or a compiler, in every process that imports this.
 try:
-    _libc = ctypes.CDLL(None, use_errno=True)
+    _libc = ctypes.CDLL(None)
     _HAVE = hasattr(_libc, "sendmmsg")
 except (OSError, TypeError):  # pragma: no cover - platforms without dlopen(NULL)
     _libc = None
@@ -100,7 +99,8 @@ class FanoutSender:
             self._batched = False
 
     def send(self, data: bytes) -> int:
-        """Returns the number of destinations the datagram reached."""
+        """Returns the number of destinations the datagram reached; a send
+        error skips its destination and never raises."""
         if not self._batched or len(data) > self.MAX_PAYLOAD:
             sent = 0
             for dest in self._dests:
@@ -113,10 +113,13 @@ class FanoutSender:
         size = len(data)
         ctypes.memmove(self._buf, data, size)
         self._iov.iov_len = size
-        sent = _libc.sendmmsg(self._sock.fileno(), self._msgs, len(self._dests), 0)
-        if sent < 0:
-            err = ctypes.get_errno()
-            if err in (errno.EAGAIN, errno.EWOULDBLOCK, errno.ENOBUFS):
-                return 0
-            raise OSError(err, "sendmmsg failed")
-        return sent
+        fd, count = self._sock.fileno(), len(self._dests)
+        reached = tried = 0
+        while tried < count:
+            # sendmmsg stops at the first datagram it cannot send and returns
+            # how many went before it, or -1 if none did. That one is skipped
+            # and the rest sent on, as the sendto loop does.
+            n = _libc.sendmmsg(fd, ctypes.byref(self._msgs[tried]), count - tried, 0)
+            reached += max(n, 0)
+            tried += max(n, 1)
+        return reached

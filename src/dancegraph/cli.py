@@ -48,6 +48,7 @@ run_latency_experiment = _deferred("harness", "run_latency_experiment")
 synthesize_sway_recording = _deferred("harness", "synthesize_sway_recording")
 load_recording = _deferred("recording", "load_recording")
 save_recording = _deferred("recording", "save_recording")
+CorrectiveParams = _deferred("rhythm", "CorrectiveParams")
 corrective_settings = _deferred("rhythm", "corrective_settings")
 load_corrective_config = _deferred("rhythm", "load_corrective_config")
 _phase_us = _deferred("rhythm", "_phase_us")
@@ -102,10 +103,16 @@ def _check_seconds(seconds: float) -> None:
         raise ValueError(f"seconds must be finite and >= 0, got {seconds}")
 
 
+def _zone_gain(text: str) -> tuple[BodyZone, float]:
+    name, _, value = text.partition("=")
+    return BodyZone(name.lower()), float(value)
+
+
 _parse_max_clients = _checked(int, lambda n: ServerConfig(max_clients=n))
 _parse_timeout_ms = _checked(int, lambda ms: ServerConfig(client_timeout_us=ms * 1000))
 _parse_capacity = _checked(int, _check_capacity)
 _parse_bpm = _checked(float, corrective_settings)
+_parse_gain = _checked(_zone_gain, lambda pair: CorrectiveParams(zone_gains=dict([pair])))
 _parse_bits = _checked(int, _check_bits)
 _parse_fps = _checked(float, _check_fps)
 _parse_seconds = _checked(float, _check_seconds)
@@ -130,17 +137,6 @@ def _parse_selector(text: str) -> SignalSelector:
         raise argparse.ArgumentTypeError(
             f"selector must look like pose:any:network, got {text!r}"
         ) from None
-
-
-def _parse_gain(text: str) -> tuple[BodyZone, float]:
-    name, _, value = text.partition("=")
-    try:
-        zone, gain = BodyZone(name.lower()), float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected zone=gain, got {text!r}") from None
-    if not (math.isfinite(gain) and gain >= 0.0):
-        raise argparse.ArgumentTypeError(f"gain must be finite and >= 0, got {text!r}")
-    return zone, gain
 
 
 def _joint_names(joint_count: int):

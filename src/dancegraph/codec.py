@@ -121,9 +121,7 @@ class BoundsTable:
         operands = {
             "_gather": gather, "_span4": span4, "_lo4": lo4,
             "_levels4": np.full((joints, 4), levels), "_half4": np.full((joints, 4), 0.5),
-            "_ones": np.ones(joints),
-            "_zeros": np.zeros(joints), "_levels3": np.full((joints, 3), levels),
-            "_half3": np.full((joints, 3), 0.5), "_zeros3": np.zeros((joints, 3)),
+            "_ones": np.ones(joints), "_zeros": np.zeros(joints),
         }
         for name, arr in operands.items():
             arr.setflags(write=False)
@@ -324,14 +322,15 @@ def encode_frame(
     layout; infinities clamp too. A NaN component, or a negative w, raises
     ValueError.
 
-    The common case is one pass over the (joints, 4) rotations, w mapped
+    One pass over the (joints, 4) rotations encodes every frame, w mapped
     into [0, 0.5] alongside x, y and z. A frame is flagged when some
     fl(v - lo) < 0, which holds exactly when v < lo (a negative w shows
-    here), or some fl(v - lo) / span >= 1, which every v > hi forces. An
-    unflagged frame therefore needs no clamp and tallies nothing, and its
-    grid values lie in [0.5, levels + 0.5], where truncation equals floor.
-    The checks are written to flag a NaN too. A flagged frame takes
-    `_encode_flagged`: the NaN and canonical checks, exact tally and clamp.
+    here), or some fl(v - lo) / span >= 1, which every v > hi forces; the
+    checks flag a NaN too. An unflagged frame needs no clamp and tallies
+    nothing, and its grid values lie in [0.5, levels + 0.5], where
+    truncation equals floor. A flagged frame is checked for a NaN and a
+    negative w, tallied exactly, and its fractions (v - lo) / span clamped
+    to [0, 1], so each packs as its grid value's floor clamped to [0, levels].
     """
     arr = frame.rotations
     if arr.shape[0] != table.joint_count:
@@ -339,43 +338,23 @@ def encode_frame(
             f"frame has {arr.shape[0]} joints, table has {table.joint_count}"
         )
     d = arr - table._lo4
-    if not d.min() >= 0.0:
-        return _encode_flagged(frame, table, stats)
+    below = not d.min() >= 0.0
     d /= table._span4
-    if not d.max() < 1.0:
-        return _encode_flagged(frame, table, stats)
+    if below or not d.max() < 1.0:
+        if np.isnan(arr).any():  # a NaN has no grid value
+            raise ValueError("frame has a NaN rotation component")
+        if arr[:, 3].min() < 0.0:
+            raise ValueError("frame must be canonicalized (w >= 0) before encoding")
+        if stats is not None:
+            v = arr[:, :3]
+            stats.clamped_components += int(np.count_nonzero((v < table.lo) | (v > table.hi)))
+        np.maximum(d, 0.0, out=d)
+        np.minimum(d, 1.0, out=d)
     d *= table._levels4
     d += table._half4
     if stats is not None:
         stats.frames += 1
     payload = _pack_ints(d[:, :3], table.bits)
-    return EncodedFrame(frame.timestamp_us, frame.root_translation, payload)
-
-
-def _encode_flagged(
-    frame: PoseFrame, table: BoundsTable, stats: EncoderStats | None
-) -> EncodedFrame:
-    """encode_frame of a flagged frame: the NaN and canonical checks, the
-    exact clamp tally and the clamp."""
-    arr = frame.rotations
-    if np.isnan(arr).any():  # a NaN has no grid value, and no bound flags it
-        raise ValueError("frame has a NaN rotation component")
-    if arr[:, 3].min() < 0.0:
-        raise ValueError("frame must be canonicalized (w >= 0) before encoding")
-    v = arr[:, :3]
-    # (v - lo) / (hi - lo) * levels, rounded half away from zero; the value is
-    # only negative when out of bounds below, and those clamp to 0 anyway.
-    ints = v - table.lo
-    ints /= table._span
-    ints *= table._levels3
-    ints += table._half3
-    np.floor(ints, out=ints)
-    if stats is not None:
-        stats.frames += 1
-        stats.clamped_components += int(np.count_nonzero((v < table.lo) | (v > table.hi)))
-    np.maximum(ints, table._zeros3, out=ints)
-    np.minimum(ints, table._levels3, out=ints)
-    payload = _pack_ints(ints.reshape(-1), table.bits)
     return EncodedFrame(frame.timestamp_us, frame.root_translation, payload)
 
 

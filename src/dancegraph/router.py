@@ -20,7 +20,7 @@ import threading
 from enum import Enum
 from typing import NamedTuple
 
-from .packet import MAX_PAYLOAD, SignalPacket, SignalType, seq_newer
+from .packet import SignalPacket, SignalType, seq_newer
 
 __all__ = [
     "Origin",
@@ -134,6 +134,7 @@ class ProducerHandle:
 
         The router stamps the stream's signal type, user id and origin onto
         the packet, and a payload that is not `bytes` is copied to `bytes`.
+        Any payload size is stored: the wire's bound is `frame_packet`'s.
         """
         desc = self.descriptor
         if self.closed:
@@ -144,8 +145,6 @@ class ProducerHandle:
         payload = packet.payload
         if not isinstance(payload, bytes):
             payload = bytes(payload)  # a reused publisher buffer must not leak in
-        if len(payload) > MAX_PAYLOAD:
-            raise ValueError(f"payload {len(payload)} exceeds {MAX_PAYLOAD} bytes")
         packet.payload = payload
         packet.signal_type = desc.signal_type
         packet.user_id = desc.user_id
@@ -161,8 +160,7 @@ class ProducerHandle:
         packet to check and restamp: the packet is built here with the
         stream's stamps and a `bytes` payload (copied only when it is not
         `bytes`), and stored as publish stores it. The caller guarantees
-        the rest of publish's checks: the payload is within MAX_PAYLOAD (the
-        header parse bounds it), and `seq` is after `last_seq` (ingest drops
+        the rest of publish's checks: `seq` is after `last_seq` (ingest drops
         and counts a stale datagram instead of raising)."""
         if self.closed:
             raise StreamConflictError(f"stream {self.descriptor} is closed")

@@ -157,7 +157,8 @@ class RelayServer:
         self._ack_seq = 0
         self._last_scan_us = 0
         self._leave_replies: dict[tuple, int] = {}  # unregistered addr -> last LEAVE sent
-        # Per-sender fanout senders (everyone but the sender); rebuilt lazily
+        # Every datagram the relay writes goes through a FanoutSender: per
+        # member, the one to everyone else (see _others), rebuilt lazily
         # whenever membership changes.
         self._fanout: dict[int, FanoutSender] = {}
 
@@ -230,12 +231,7 @@ class RelayServer:
             self.stats.dropped_stale += 1
             return
         record.highest_seq = seq
-        fanout = self._fanout.get(record.user_id)
-        if fanout is None:
-            others = [o.addr for o in self._by_addr.values() if o is not record]
-            fanout = FanoutSender(self._sock, others)
-            self._fanout[record.user_id] = fanout
-        self.stats.relayed += fanout.send(data)
+        self.stats.relayed += self._others(record).send(data)
 
     def _handle_join(self, addr, user_id: int, now: int) -> None:
         record = self._by_addr.get(addr)
@@ -255,16 +251,13 @@ class RelayServer:
             record.last_heard_us = now
             if user_id == UNASSIGNED_ID and record.highest_seq is not None:
                 record.highest_seq = None
-                self._send_leave(record)
+                self._others(record).send(self._leave_packet(record.user_id))
         self._ack_seq += 1
         ack = frame_packet(
             SignalType.CONTROL, record.user_id, self._ack_seq, mono_us(),
             _U16.pack(record.user_id),
         )
-        try:
-            self._sock.sendto(ack, addr)
-        except OSError:
-            pass
+        FanoutSender(self._sock, [addr]).send(ack)
 
     def _reply_leave(self, addr, user_id: int, now: int) -> None:
         """Tell an unregistered sender that the relay has no session for
@@ -276,10 +269,7 @@ class RelayServer:
         if last is not None and now - last < _LEAVE_REPLY_INTERVAL_US:
             return
         self._leave_replies[addr] = now
-        try:
-            self._sock.sendto(self._leave_packet(user_id), addr)
-        except OSError:
-            pass
+        FanoutSender(self._sock, [addr]).send(self._leave_packet(user_id))
 
     def _next_id(self) -> int:
         used = {rec.user_id for rec in self._by_addr.values()}
@@ -303,7 +293,7 @@ class RelayServer:
             record = self._by_addr.pop(addr)
             self._fanout.clear()
             self.stats.evictions += 1
-            self._send_leave(record)
+            self._others(record).send(self._leave_packet(record.user_id))
 
     def _leave_packet(self, user_id: int) -> bytes:
         self._leave_seq += 1
@@ -311,16 +301,13 @@ class RelayServer:
             SignalType.CONTROL, SERVER_ID, self._leave_seq, mono_us(), _U16.pack(user_id)
         )
 
-    def _send_leave(self, record: _ClientRecord) -> None:
-        """Tell every other member that `record`'s session has ended."""
-        leave = self._leave_packet(record.user_id)
-        for other in self._by_addr.values():
-            if other is record:
-                continue
-            try:
-                self._sock.sendto(leave, other.addr)
-            except OSError:
-                pass
+    def _others(self, record: _ClientRecord) -> FanoutSender:
+        """The sender to every member but `record`, built once per membership."""
+        fanout = self._fanout.get(record.user_id)
+        if fanout is None:
+            others = [o.addr for o in self._by_addr.values() if o is not record]
+            fanout = self._fanout[record.user_id] = FanoutSender(self._sock, others)
+        return fanout
 
 
 @dataclass

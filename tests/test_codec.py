@@ -91,7 +91,6 @@ class TestBoundsTable:
         operands = {
             "_levels4": ((3, 4), 2047.0), "_half4": ((3, 4), 0.5),
             "_ones": ((3,), 1.0), "_zeros": ((3,), 0.0),
-            "_levels3": ((3, 3), 2047.0), "_half3": ((3, 3), 0.5), "_zeros3": ((3, 3), 0.0),
         }
         for name, (shape, value) in operands.items():
             arr = getattr(table, name)

@@ -1,4 +1,6 @@
+import ctypes
 import dataclasses
+import errno
 import select
 import socket
 import struct
@@ -947,6 +949,47 @@ class TestFanout:
             for s in [tx, *rxs]:
                 s.close()
 
+    def test_a_destination_that_fails_is_skipped_and_the_rest_sent(self):
+        # Linux refuses a send to port 0 (EINVAL); sendmmsg stops at each,
+        # and the sender goes on from the destination after it.
+        tx, rxs = self._sockets(3)
+        bad = ("127.0.0.1", 0)
+        try:
+            dests = [rxs[0].getsockname(), bad, rxs[1].getsockname(), bad, rxs[2].getsockname()]
+            assert FanoutSender(tx, dests).send(b"pose") == 3
+            for rx in rxs:
+                assert rx.recv(64) == b"pose"
+        finally:
+            for s in [tx, *rxs]:
+                s.close()
+
+    def test_send_error_on_a_fanout_neither_kills_the_relay_nor_counts(
+        self, monkeypatch, member_socks
+    ):
+        # An EPERM (a netfilter drop) or EHOSTUNREACH from sendmmsg: the
+        # relay counts nothing relayed and goes on serving.
+        class FailingLibc:
+            def sendmmsg(self, fd, msgs, vlen, flags):
+                ctypes.set_errno(errno.EPERM)
+                return -1
+
+        monkeypatch.setattr(_mmsg, "_HAVE", True)
+        monkeypatch.setattr(_mmsg, "_libc", FailingLibc())
+        addrs = [sock.getsockname() for sock in member_socks[:3]]
+        relay = RelayServer(ServerConfig(host="127.0.0.1"))
+        try:
+            for addr in addrs:
+                relay._handle(frame_packet(SignalType.CONTROL, UNASSIGNED_ID, 1, 0), addr, 0)
+            assert relay.stats.joins == 3
+            relay._handle(frame_packet(SignalType.POSE, 1, 1, 1, b"pose"), addrs[0], 1)
+            assert relay.stats.relayed == 0
+            relay._handle(frame_packet(SignalType.POSE, 1, 2, 2, b"pose"), addrs[0], 2)
+            assert relay.stats.relayed == 0 and relay.stats.received == 5
+        finally:
+            relay.stop()
+            for sock in member_socks:
+                drain(sock)
+
     @pytest.mark.parametrize("receivers", [1, 3])
     def test_relayed_count_is_exact(self, server, receivers):
         addr = ("127.0.0.1", server.port)
@@ -1009,6 +1052,35 @@ class TestEviction:
                 assert srv.stats.unknown_sender >= 1
         finally:
             srv.stop()
+
+    def test_leave_after_eviction_reaches_every_remaining_member(self, member_socks):
+        # With two members left the LEAVE takes the batched fan-out.
+        timeout = 500_000
+        relay = RelayServer(ServerConfig(host="127.0.0.1", client_timeout_us=timeout))
+        socks = member_socks[:3]
+        for sock in member_socks:
+            drain(sock)
+        try:
+            for sock in socks:
+                relay._handle(
+                    frame_packet(SignalType.CONTROL, UNASSIGNED_ID, 1, 0), sock.getsockname(), 0
+                )
+            ids = [parse_packet(drain(sock)[0]).user_id for sock in socks]
+            # The first two keep themselves alive; the third goes silent.
+            for sock, uid in zip(socks[:2], ids):
+                keepalive = frame_packet(SignalType.CONTROL, uid, 2, 0)
+                relay._handle(keepalive, sock.getsockname(), timeout)
+            relay._evict_scan(timeout + 1)
+            assert relay.stats.evictions == 1
+            for sock in socks[:2]:
+                # The keepalive's ACK carries the member's own id; the LEAVE
+                # comes from the server id and names the evicted one.
+                got = [parse_packet(data) for data in drain(sock)]
+                leaves = [(p.signal_type, p.payload) for p in got if p.user_id == SERVER_ID]
+                assert leaves == [(SignalType.CONTROL, ids[2].to_bytes(2, "little"))]
+            assert drain(socks[2]) == []
+        finally:
+            relay.stop()
 
     def test_evicted_client_adopts_reassigned_id(self):
         srv = RelayServer(
