@@ -187,6 +187,8 @@ def _cmd_replay(args) -> int:
         )
         print(f"emitted {stats.emitted} packets, p99 timer lateness "
               f"{stats.jitter_percentile_us(99)}us")
+        print(f"send errors {client.session.stats.send_errors}, "
+              f"relay down {client.session.stats.relay_down}")
     finally:
         client.close()
     return 0

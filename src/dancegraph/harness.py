@@ -508,10 +508,7 @@ def _run_session(scenario: str, params: BenchParams, clients: int) -> LatencyRep
                 _TS_PATCH.pack_into(payload, 0, mono_us())
                 blob = bytes(payload)
                 for client in members:
-                    try:
-                        client.send(blob, SignalType.POSE)
-                    except OSError:
-                        pass
+                    client.send(blob, SignalType.POSE)
                 tick += 1
                 if tick == ticks:
                     end = time.monotonic() + 1.0

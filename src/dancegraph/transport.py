@@ -14,6 +14,9 @@ Design notes, all serving the lag-first goal:
 * Sends go to the socket the moment they are produced, and the same payload
   is simultaneously published to the local in-process router, so local
   consumers never wait on the network (the dual path).
+* Each endpoint has one writer, the relay `FanoutSender.send` and a client
+  `Client._write`, with one rule: a datagram that fails is dropped, never
+  retried or raised. Protocol steps take the `now` their entry point read.
 * A client has no thread and its socket never blocks. Its owner's loop
   calls `Client.receive()`, which drains the socket and keeps the session
   alive, or feeds datagrams to `Client.ingest()` (the join does: it reads
@@ -153,8 +156,7 @@ class RelayServer:
         self._by_addr: dict[tuple, _ClientRecord] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._leave_seq = 0
-        self._ack_seq = 0
+        self._control_seq = 0  # every ACK and LEAVE; clients do not check it
         self._last_scan_us = 0
         self._leave_replies: dict[tuple, int] = {}  # unregistered addr -> last LEAVE sent
         # Every datagram the relay writes goes through a FanoutSender: per
@@ -251,12 +253,8 @@ class RelayServer:
             record.last_heard_us = now
             if user_id == UNASSIGNED_ID and record.highest_seq is not None:
                 record.highest_seq = None
-                self._others(record).send(self._leave_packet(record.user_id))
-        self._ack_seq += 1
-        ack = frame_packet(
-            SignalType.CONTROL, record.user_id, self._ack_seq, mono_us(),
-            _U16.pack(record.user_id),
-        )
+                self._others(record).send(self._control_packet(SERVER_ID, record.user_id, now))
+        ack = self._control_packet(record.user_id, record.user_id, now)
         FanoutSender(self._sock, [addr]).send(ack)
 
     def _reply_leave(self, addr, user_id: int, now: int) -> None:
@@ -269,7 +267,7 @@ class RelayServer:
         if last is not None and now - last < _LEAVE_REPLY_INTERVAL_US:
             return
         self._leave_replies[addr] = now
-        FanoutSender(self._sock, [addr]).send(self._leave_packet(user_id))
+        FanoutSender(self._sock, [addr]).send(self._control_packet(SERVER_ID, user_id, now))
 
     def _next_id(self) -> int:
         used = {rec.user_id for rec in self._by_addr.values()}
@@ -293,13 +291,13 @@ class RelayServer:
             record = self._by_addr.pop(addr)
             self._fanout.clear()
             self.stats.evictions += 1
-            self._others(record).send(self._leave_packet(record.user_id))
+            self._others(record).send(self._control_packet(SERVER_ID, record.user_id, now))
 
-    def _leave_packet(self, user_id: int) -> bytes:
-        self._leave_seq += 1
-        return frame_packet(
-            SignalType.CONTROL, SERVER_ID, self._leave_seq, mono_us(), _U16.pack(user_id)
-        )
+    def _control_packet(self, header_id: int, subject: int, now: int) -> bytes:
+        """A JOIN-ACK (header id = subject) or a LEAVE (header id SERVER_ID),
+        stamped with the time of the event that caused it."""
+        self._control_seq += 1
+        return frame_packet(_CONTROL, header_id, self._control_seq, now, _U16.pack(subject))
 
     def _others(self, record: _ClientRecord) -> FanoutSender:
         """The sender to every member but `record`, built once per membership."""
@@ -380,26 +378,9 @@ class Client:
         seq = self._seq = (self._seq + 1) & SEQ_MASK
         now = mono_us()
         user_id = self.session.user_id
-        data = frame_packet(signal_type, user_id, seq, now, payload)
-        try:
-            if self._connected:
-                self._sock.send(data)
-            else:
-                self._sock.sendto(data, self._server_addr)
-        except BlockingIOError:
-            # Kernel send buffer full: drop rather than stall, lag comes first.
+        if not self._write(frame_packet(signal_type, user_id, seq, now, payload)):
             self.session.stats.send_errors += 1
             return seq
-        except ConnectionRefusedError:
-            # A connected socket's report that an earlier datagram found the
-            # relay's port closed: it restarts or is gone, and keepalives
-            # re-join once it is back. This datagram was dropped.
-            self.session.stats.send_errors += 1
-            self.session.stats.relay_down += 1
-            return seq
-        except OSError:
-            self.session.stats.send_errors += 1
-            raise
         self.session.stats.sent += 1
         self._last_tx_us = now
         echo = self._echo_producers.get((signal_type, user_id))
@@ -408,6 +389,25 @@ class Client:
         # positional, as in parse_packet
         echo.publish(SignalPacket(signal_type, user_id, seq, now, payload, now))
         return seq
+
+    def _write(self, data: bytes) -> bool:
+        """The client's only socket write. A datagram that fails is dropped,
+        never retried or raised: a full kernel buffer must not stall the
+        sender, nor an EPERM or EHOSTUNREACH end the session."""
+        try:
+            if self._connected:
+                self._sock.send(data)
+            else:
+                self._sock.sendto(data, self._server_addr)
+            return True
+        except ConnectionRefusedError:
+            # A connected socket's report that an earlier datagram found the
+            # relay's port closed: it restarts or is gone, and keepalives
+            # re-join once it is back.
+            self.session.stats.relay_down += 1
+        except OSError:
+            pass
+        return False
 
     def _register_echo(self, signal_type: SignalType, user_id: int):
         # Echo streams under an id this client no longer holds (see
@@ -448,7 +448,7 @@ class Client:
                 data = recv(_RECV_BUFSIZE)
             except BlockingIOError:
                 break
-            except ConnectionRefusedError:  # as in send(): the relay is down
+            except ConnectionRefusedError:  # as in _write(): the relay is down
                 self.session.stats.relay_down += 1
                 continue
             ingest(data, now)
@@ -463,19 +463,11 @@ class Client:
         # (recorders, watchers) registered without a second packet kind.
         # Under UNASSIGNED_ID it asks for a new session instead.
         self._join_seq += 1
-        try:
-            self._sock.sendto(
-                frame_packet(
-                    SignalType.CONTROL,
-                    self.session.user_id if user_id is None else user_id,
-                    self._join_seq,
-                    now,
-                ),
-                self._server_addr,
-            )
+        join = frame_packet(
+            _CONTROL, self.session.user_id if user_id is None else user_id, self._join_seq, now
+        )
+        if self._write(join):
             self._last_tx_us = now
-        except OSError:
-            pass
 
     def ingest(self, data: bytes, now: int) -> None:
         """Process one inbound datagram: stale-filter it and publish it as
@@ -493,7 +485,7 @@ class Client:
             session.stats.dropped_corrupt += 1
             return
         if signal_type is _CONTROL:
-            self._handle_control(user_id, data[HEADER_SIZE:])
+            self._handle_control(user_id, data[HEADER_SIZE:], now)
             return
         flow = (user_id, signal_type)
         producer = self._peer_producers.get(flow)
@@ -513,7 +505,7 @@ class Client:
         producer._write_network(seq, send_ts, data[HEADER_SIZE:], now)
         session.stats.received += 1
 
-    def _handle_control(self, sender_id: int, payload: bytes) -> None:
+    def _handle_control(self, sender_id: int, payload: bytes, now: int) -> None:
         if len(payload) != 2:
             return
         (subject,) = _U16.unpack(payload)
@@ -529,7 +521,7 @@ class Client:
         if subject == self.session.user_id:
             # The relay has no session for this client (it restarted or
             # evicted it): join afresh; the ACK brings the new id.
-            self._send_keepalive(mono_us(), UNASSIGNED_ID)
+            self._send_keepalive(now, UNASSIGNED_ID)
         else:
             self._drop_peer(subject)
 
@@ -554,9 +546,9 @@ def client_connect(
     Once the ACK arrives the socket is connected to the address it came
     from, so the kernel drops datagrams from any other address, send() uses
     `sock.send`, and a closed relay port reads as ConnectionRefusedError,
-    which send() and receive() count as `relay_down` and ride out. That address, not the one the JOIN
-    went to: a relay bound to a wildcard address answers from whichever
-    address its route picks.
+    which send(), the keepalive and receive() count as `relay_down` and ride
+    out. That address, not the one the JOIN went to: a relay bound to a
+    wildcard address answers from whichever address its route picks.
 
     Retries the JOIN `retries` times, `retry_interval_s` apart, then closes
     the client and raises ConnectTimeoutError. Starts no thread: the

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dancegraph import _mmsg
@@ -124,6 +124,40 @@ def pump(seconds, *clients):
     wait_until(lambda: False, *clients, timeout=seconds)
 
 
+class StubSocket:
+    """A client's unconnected socket that keeps what it sends; its first
+    sends raise the exceptions it was built with, one each."""
+
+    def __init__(self, *errors):
+        self.errors, self.sent = list(errors), []
+
+    def setblocking(self, flag):
+        pass
+
+    def sendto(self, data, addr):
+        if self.errors:
+            raise self.errors.pop(0)
+        self.sent.append(data)
+
+    def close(self):
+        pass
+
+
+def datagrams():
+    """Buffers for parse_packet: random bytes, and headers whose magic,
+    version and signal type are often valid, with a payload of up to four
+    bytes past MAX_PAYLOAD."""
+    header = st.builds(
+        lambda magic, version, kind, rest: magic + bytes([version, kind]) + rest,
+        st.one_of(st.just(MAGIC), st.binary(min_size=2, max_size=2)),
+        st.one_of(st.just(1), st.integers(0, 255)),
+        st.one_of(st.sampled_from([1, 2, 3]), st.integers(0, 255)),
+        st.binary(min_size=HEADER_SIZE - 4, max_size=HEADER_SIZE - 4),
+    )
+    framed = st.builds(bytes.__add__, header, st.binary(max_size=MAX_PAYLOAD + 4))
+    return st.one_of(framed, st.binary(max_size=HEADER_SIZE + 8))
+
+
 class TestWireFormat:
     def test_empty_payload_is_header_only(self):
         data = frame_packet(SignalType.CONTROL, 0xFFFF, 1, 42)
@@ -184,8 +218,8 @@ class TestWireFormat:
         raw_wire = HEADER_SIZE + raw_pose_bytes
         assert compressed_wire < (2 / 3) * raw_wire
 
-    @given(st.binary(max_size=64))
-    @settings(max_examples=300)
+    @given(datagrams())
+    @settings(max_examples=300, deadline=None)
     def test_fuzz_never_crashes(self, blob):
         try:
             packet = parse_packet(blob)
@@ -207,21 +241,6 @@ class TestWireFormat:
             )
         else:
             assert blob[:2] == MAGIC and blob[2] == 1 and blob[3] in (1, 2, 3)
-
-
-def datagrams():
-    """Buffers for parse_packet: random bytes, and headers whose magic,
-    version and signal type are often valid, with a payload of up to four
-    bytes past MAX_PAYLOAD."""
-    header = st.builds(
-        lambda magic, version, kind, rest: magic + bytes([version, kind]) + rest,
-        st.one_of(st.just(MAGIC), st.binary(min_size=2, max_size=2)),
-        st.one_of(st.just(1), st.integers(0, 255)),
-        st.one_of(st.sampled_from([1, 2, 3]), st.integers(0, 255)),
-        st.binary(min_size=HEADER_SIZE - 4, max_size=HEADER_SIZE - 4),
-    )
-    framed = st.builds(bytes.__add__, header, st.binary(max_size=MAX_PAYLOAD + 4))
-    return st.one_of(framed, st.binary(max_size=HEADER_SIZE + 8))
 
 
 @given(datagrams())
@@ -373,6 +392,44 @@ def test_property_relay_handles_any_datagram(member_socks):
     check()
 
 
+class TestPayloadBound:
+    """A payload of exactly MAX_PAYLOAD bytes is on the wire; one byte more
+    is corrupt wherever a header is parsed."""
+
+    fits = frame_packet(SignalType.POSE, 1, 1, 0, bytes(MAX_PAYLOAD))
+    over = fits + b"\0"
+
+    def test_parse_packet(self):
+        assert parse_packet(self.fits).payload_len == MAX_PAYLOAD
+        with pytest.raises(CorruptPacketError):
+            parse_packet(self.over)
+
+    def test_relay_drops_one_byte_over_and_relays_the_bound(self, member_socks):
+        relay = RelayServer(ServerConfig(host="127.0.0.1"))
+        sender, peer = (sock.getsockname() for sock in member_socks[:2])
+        for sock in member_socks:
+            drain(sock)
+        try:
+            for addr in (sender, peer):  # the sender joins first, as user 1
+                relay._handle(frame_packet(SignalType.CONTROL, UNASSIGNED_ID, 1, 0), addr, 0)
+            drain(member_socks[1])
+            relay._handle(self.over, sender, 1)
+            assert (relay.stats.dropped_corrupt, relay.stats.relayed) == (1, 0)
+            relay._handle(self.fits, sender, 2)
+            assert (relay.stats.dropped_corrupt, relay.stats.relayed) == (1, 1)
+            assert drain(member_socks[1]) == [self.fits]
+        finally:
+            relay.stop()
+
+    def test_client_ingest(self):
+        client = Client(StubSocket(), ("127.0.0.1", 9), 42, SignalRouter())
+        stats = client.session.stats
+        client.ingest(self.over, 1)
+        assert (stats.dropped_corrupt, stats.received) == (1, 0)
+        client.ingest(self.fits, 2)
+        assert (stats.dropped_corrupt, stats.received) == (1, 1)
+
+
 class TestStaleDropFilter:
     def _bare_client(self):
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -509,12 +566,19 @@ class TestSequenceWrap:
     passes 2**32 - 1 carries on at 0 and is not taken for a stale one."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 2**31 - 1))
+    @example(0, 1)
+    @example(2**32 - 1, 1)  # half a range on is 2**31 - 1, across the wrap
     def test_serial_order(self, base, ahead):
         later = (base + ahead) & 0xFFFFFFFF
         assert seq_newer(later, base)
         assert not seq_newer(base, later)
         assert not seq_newer(base, base)
         assert seq_newer(base, None)
+        # Exactly half a range apart, which RFC 1982 leaves undefined:
+        # neither is newer.
+        half = (base + 2**31) & 0xFFFFFFFF
+        assert not seq_newer(half, base)
+        assert not seq_newer(base, half)
 
     def test_ingest_accepts_wrapped_flow(self):
         client = TestStaleDropFilter()._bare_client()
@@ -866,6 +930,18 @@ class TestJoin:
         assert set(threading.enumerate()) <= before
 
 
+    def test_ack_carries_the_time_of_the_join(self, member_socks):
+        relay = RelayServer(ServerConfig(host="127.0.0.1"))
+        drain(member_socks[0])
+        try:
+            join = frame_packet(SignalType.CONTROL, UNASSIGNED_ID, 1, 0)
+            relay._handle(join, member_socks[0].getsockname(), 123)
+            (ack,) = [parse_packet(data) for data in drain(member_socks[0])]
+            assert (ack.user_id, ack.send_timestamp_us) == (1, 123)
+        finally:
+            relay.stop()
+
+
 class TestRejoin:
     def test_fresh_join_at_known_address_starts_new_sequence(self, server):
         addr = ("127.0.0.1", server.port)
@@ -913,6 +989,14 @@ class TestRejoin:
                 assert (SignalType.POSE, uid, Origin.NETWORK) in network_streams(b)
             finally:
                 raw.close()
+
+    def test_leave_naming_own_id_rejoins_at_the_ingest_time(self):
+        sock = StubSocket()
+        client = Client(sock, ("127.0.0.1", 9), 42, SignalRouter(), keepalive_interval_s=None)
+        leave = frame_packet(SignalType.CONTROL, SERVER_ID, 1, 0, struct.pack("<H", 42))
+        client.ingest(leave, 123_456)
+        (rejoin,) = [parse_packet(data) for data in sock.sent]
+        assert (rejoin.user_id, rejoin.send_timestamp_us) == (UNASSIGNED_ID, 123_456)
 
 
 class TestFanout:
@@ -1082,6 +1166,26 @@ class TestEviction:
         finally:
             relay.stop()
 
+    def test_leave_after_eviction_carries_the_scan_time(self, member_socks):
+        timeout = 500_000
+        relay = RelayServer(ServerConfig(host="127.0.0.1", client_timeout_us=timeout))
+        kept, silent = member_socks[:2]
+        for sock in member_socks:
+            drain(sock)
+        try:
+            for sock in (kept, silent):
+                join = frame_packet(SignalType.CONTROL, UNASSIGNED_ID, 1, 0)
+                relay._handle(join, sock.getsockname(), 0)
+            (ack,) = [parse_packet(data) for data in drain(kept)]
+            relay._handle(frame_packet(SignalType.CONTROL, ack.user_id, 2, 0),
+                          kept.getsockname(), timeout)
+            drain(kept)
+            relay._evict_scan(timeout + 7)
+            (leave,) = [parse_packet(data) for data in drain(kept)]
+            assert (leave.user_id, leave.send_timestamp_us) == (SERVER_ID, timeout + 7)
+        finally:
+            relay.stop()
+
     def test_evicted_client_adopts_reassigned_id(self):
         srv = RelayServer(
             ServerConfig(host="127.0.0.1", client_timeout_us=300_000)
@@ -1207,23 +1311,16 @@ class TestNoHeadOfLineBlocking:
     def test_full_send_buffer_drops_the_datagram_and_the_next_goes_out(self):
         # A full kernel send buffer (BlockingIOError from the non-blocking
         # socket) drops that one datagram rather than stall the sender.
-        class FullOnce:
-            def __init__(self):
-                self.full, self.sent = True, []
+        self.check_drops_one_datagram(BlockingIOError())
 
-            def setblocking(self, flag):
-                pass
+    def test_any_send_error_drops_the_datagram_and_is_not_raised(self):
+        # An EPERM (a netfilter drop) takes the same rule: send() neither
+        # raises nor retries, and the session goes on.
+        self.check_drops_one_datagram(PermissionError(errno.EPERM, "Operation not permitted"))
 
-            def sendto(self, data, addr):
-                if self.full:
-                    self.full = False
-                    raise BlockingIOError
-                self.sent.append(data)
-
-            def close(self):
-                pass
-
-        sock = FullOnce()
+    @staticmethod
+    def check_drops_one_datagram(error):
+        sock = StubSocket(error)
         client = Client(sock, ("127.0.0.1", 9), 1, SignalRouter(), keepalive_interval_s=None)
         echo = client.router.subscribe(SignalSelector(SignalType.POSE, 1, Origin.LOCAL))
         stats = client.session.stats
@@ -1235,6 +1332,16 @@ class TestNoHeadOfLineBlocking:
         assert [parse_packet(d).seq for d in sock.sent] == [2]
         assert [(p.seq, p.payload) for p in echo.poll().packets] == [(2, b"next")]
         client.close()
+
+    def test_refused_keepalive_counts_as_relay_down(self):
+        sock = StubSocket(ConnectionRefusedError())
+        client = Client(sock, ("127.0.0.1", 9), 1, SignalRouter(), keepalive_interval_s=None)
+        stats = client.session.stats
+        client._send_keepalive(100)
+        assert (stats.relay_down, stats.send_errors, sock.sent) == (1, 0, [])
+        client._send_keepalive(200)
+        assert [parse_packet(data).send_timestamp_us for data in sock.sent] == [200]
+        assert stats.relay_down == 1
 
     def test_loss_on_one_flow_leaves_other_flow_healthy(self, server):
         # Flow A loses half its datagrams before they reach the socket;

@@ -63,8 +63,10 @@ def relay() -> bool:
 def session(work: Path) -> bool:
     """`record` and `replay` drive their client's receive() from their own
     loops (record_sink and replay_stream), which no benchmark workload runs:
-    a 3 s take goes through a real `dancegraph server`, and the recording
-    must hold at least 90% of the replayed frames."""
+    a 3 s take goes through a real `dancegraph server`, the recording must
+    hold at least 90% of the replayed frames, and replay, which drops a
+    datagram its socket refuses, must report 0 send errors on this healthy
+    loopback session."""
     from dancegraph.recording import load_recording
 
     (work / "corpus").mkdir()
@@ -85,10 +87,11 @@ def session(work: Path) -> bool:
             stdout=subprocess.PIPE, text=True,
         )
         first_line(recorder, "recording")
-        subprocess.run(
+        replayed_out = subprocess.run(
             [*CLI, "replay", "--file", str(take), "--server", addr, "--bounds", str(bounds)],
-            check=True,
-        )
+            check=True, stdout=subprocess.PIPE, text=True,
+        ).stdout
+        print(replayed_out.strip())
         print(recorder.communicate(timeout=30)[0].strip())
         server.send_signal(signal.SIGINT)
         print(server.communicate(timeout=10)[0].strip())
@@ -100,7 +103,10 @@ def session(work: Path) -> bool:
                 proc.wait()
     replayed, recorded = len(load_recording(take).frames), len(load_recording(out).frames)
     print(f"recorded {recorded} of {replayed} replayed frames")
-    return recorder.returncode == 0 and server.returncode == 0 and recorded >= 0.9 * replayed
+    return (
+        recorder.returncode == 0 and server.returncode == 0 and recorded >= 0.9 * replayed
+        and "send errors 0," in replayed_out
+    )
 
 
 def corrective(work: Path) -> bool:

@@ -46,10 +46,10 @@ per-round ratios B/A, and in how many rounds B was faster. Next to
 iterations per block of windows and the windows that fell back to eigh
 (counted through `rhythm._top_eigvecs`). Next to the chain it prints the
 `PoseFrame`s it constructs per frame of the take, through the public
-constructor or `PoseFrame._trusted` (where the tree has it), and the rows
-it slerps per frame (counted through `rhythm.rows_slerp`). These counts
-repeat exactly from run to run; `work_counts` returns them alone, and
-`tools/bench_ab.py` records them for both sides of a paired run.
+constructor, and the rows it slerps per frame (counted through
+`rhythm.rows_slerp`). These counts repeat exactly from run to run;
+`work_counts` returns them alone, and `tools/bench_ab.py` records them
+for both sides of a paired run.
 """
 from __future__ import annotations
 
@@ -127,7 +127,7 @@ def layers(m, scratch: Path):
     stats = codec.EncoderStats()
     client = m["transport"].Client(
         socket.socket(socket.AF_INET, socket.SOCK_DGRAM), ("127.0.0.1", 9), 1,
-        m["router"].SignalRouter(), start_receiver=False, keepalive_interval_s=None,
+        m["router"].SignalRouter(), keepalive_interval_s=None,
     )
     laps = [0]
 
@@ -233,7 +233,7 @@ def layers(m, scratch: Path):
 
     receiver = m["transport"].Client(
         socket.socket(socket.AF_INET, socket.SOCK_DGRAM), ("127.0.0.1", 9), 1,
-        router.SignalRouter(), start_receiver=False, keepalive_interval_s=None,
+        router.SignalRouter(), keepalive_interval_s=None,
     )
     tick_poll = receiver.router.subscribe(
         router.SignalSelector(pose, None, router.Origin.NETWORK), router.Mode.LATEST_WINS
@@ -293,35 +293,26 @@ def layers(m, scratch: Path):
         )
 
     # One counted chain: every PoseFrame is built by its public constructor,
-    # which runs __post_init__, or by PoseFrame._trusted where the tree has
-    # it; every slerped row goes through rhythm.rows_slerp.
+    # which runs __post_init__; every slerped row goes through
+    # rhythm.rows_slerp.
     pose_frame = core.PoseFrame
     post_init, built = pose_frame.__post_init__, [0]
-    trusted = vars(pose_frame).get("_trusted")  # the classmethod itself
     slerp, slerped = rhythm.rows_slerp, [0]
 
     def counted_post_init(self) -> None:
         built[0] += 1
         post_init(self)
 
-    def counted_trusted(cls, *args):
-        built[0] += 1
-        return trusted.__func__(cls, *args)
-
     def counted_slerp(a, b, u):
         slerped[0] += len(a)
         return slerp(a, b, u)
 
     pose_frame.__post_init__ = counted_post_init
-    if trusted is not None:
-        pose_frame._trusted = classmethod(counted_trusted)
     rhythm.rows_slerp = counted_slerp
     try:
         chain()
     finally:
         pose_frame.__post_init__ = post_init
-        if trusted is not None:
-            pose_frame._trusted = trusted
         rhythm.rows_slerp = slerp
     counts["corrective chain"] = {
         "PoseFrames/frame": built[0] / len(take),
